@@ -13,10 +13,16 @@ from .conllu import (
     parse_document,
     reconstruct_text,
     serialize_document,
+)
+from .metadata import check_unique_sent_ids, validate_metadata
+from .rules import (
+    RULES,
+    LintConfig,
+    RuleDescriptor,
+    lint_sentence,
+    load_config,
     validate_structure,
 )
-from .metadata import MetadataPolicy, check_unique_sent_ids, validate_metadata
-from .rules import RULES, LintConfig, RuleDescriptor, lint_sentence, load_config
 from .tokenizer import (
     SegmentationContext,
     SegmentationResult,
@@ -31,9 +37,9 @@ from .tokenizer import (
 __all__ = [
     "Diagnostic", "Document", "MwtSpan", "ParseError", "Sentence", "Token",
     "parse_document", "reconstruct_text", "serialize_document",
-    "validate_structure",
-    "MetadataPolicy", "check_unique_sent_ids", "validate_metadata",
+    "check_unique_sent_ids", "validate_metadata",
     "RULES", "LintConfig", "RuleDescriptor", "lint_sentence", "load_config",
+    "validate_structure",
     "SegmentationContext", "SegmentationResult", "TokenizerLexicon",
     "default_lexicon", "is_complementizer_agreement", "load_lexicon",
     "segment_token", "tokenize_sentence",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 clean, 1 findings at or above --fail-level, 2 I/O or parse
 failure. Reports are byte-deterministic for fixed inputs and config,
-independent of file order and worker scheduling.
+independent of file order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import __version__
@@ -25,7 +24,7 @@ from .conllu import (
     reconstruct_text,
     serialize_document,
 )
-from .metadata import MetadataPolicy, check_unique_sent_ids, validate_metadata
+from .metadata import check_unique_sent_ids, validate_metadata
 from .rules import RULES, LintConfig, lint_sentence, load_config
 from .tokenizer import (
     EmptyInputError,
@@ -91,39 +90,28 @@ def compute_stats(docs: list[Document],
 
 
 def _read_input(path: str) -> tuple[str, str]:
+    """Read one input as UTF-8 with its line endings untouched."""
     if path == "-":
-        return sys.stdin.read(), STDIN_NAME
-    with open(path, encoding="utf-8") as f:
+        return sys.stdin.buffer.read().decode("utf-8"), STDIN_NAME
+    with open(path, encoding="utf-8", newline="") as f:
         return f.read(), path
 
 
 def _load_documents(paths: list[str], errout) -> tuple[list[Document], bool]:
     """Parse every input; returns (documents, had_failures)."""
-    def load(path: str) -> Document | Exception:
-        try:
-            text, name = _read_input(path)
-            return parse_document(text, name)
-        except (OSError, ParseError, UnicodeDecodeError) as exc:
-            return exc
-
-    if any(p == "-" for p in paths):
-        results = [load(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-            results = list(pool.map(load, paths))
-
     docs: list[Document] = []
     failed = False
-    for path, result in zip(paths, results):
-        if isinstance(result, OSError):
-            print(f"error: cannot read {path}: {result.strerror or result}",
+    for path in paths:
+        try:
+            text, name = _read_input(path)
+            docs.append(parse_document(text, name))
+        except OSError as exc:
+            print(f"error: cannot read {path}: {exc.strerror or exc}",
                   file=errout)
             failed = True
-        elif isinstance(result, Exception):
-            print(f"error: {result}", file=errout)
+        except (ParseError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=errout)
             failed = True
-        else:
-            docs.append(result)
     return docs, failed
 
 
@@ -131,7 +119,6 @@ def lint_documents(docs: list[Document], cfg: LintConfig) -> list[Diagnostic]:
     """Lint parsed documents: per-sentence rules, metadata checks,
     document-level flags, and the cross-file sent_id check; output sorted
     by (file, line, token id, rule id)."""
-    policy = MetadataPolicy.from_config(cfg)
     diags: list[Diagnostic] = []
     for doc in docs:
         if doc.bom and cfg.rule_enabled("CORE.BOM"):
@@ -143,7 +130,7 @@ def lint_documents(docs: list[Document], cfg: LintConfig) -> list[Diagnostic]:
                 guideline_ref=None))
         for s in doc.sentences:
             diags.extend(lint_sentence(s, cfg))
-            diags.extend(validate_metadata(s, policy, cfg))
+            diags.extend(validate_metadata(s, cfg))
     diags.extend(check_unique_sent_ids(docs, cfg))
     diags.sort(key=lambda d: d.file_sort_key)
     return diags

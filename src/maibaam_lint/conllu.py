@@ -1,4 +1,4 @@
-"""CoNLL-U data model, parser, serializer and structural tree checks.
+"""CoNLL-U data model, parser and serializer.
 
 The parser is strict about the line format (so that everything it accepts
 round-trips byte-for-byte) and lenient about annotation content: anything
@@ -18,9 +18,12 @@ SEVERITY_WARNING = "warning"
 SEVERITY_REVIEW = "review"
 SEVERITY_RANK = {SEVERITY_REVIEW: 0, SEVERITY_WARNING: 1, SEVERITY_ERROR: 2}
 
-_TOKEN_ID_RE = re.compile(r"^[1-9]\d*$")
-_MWT_ID_RE = re.compile(r"^([1-9]\d*)-([1-9]\d*)$")
-_EMPTY_NODE_ID_RE = re.compile(r"^(\d+)\.[1-9]\d*$")
+# canonical ASCII integers only, so that every accepted id or head
+# serializes back to the same characters
+_TOKEN_ID_RE = re.compile(r"^[1-9][0-9]*$")
+_HEAD_RE = re.compile(r"^(?:0|[1-9][0-9]*)$")
+_MWT_ID_RE = re.compile(r"^([1-9][0-9]*)-([1-9][0-9]*)$")
+_EMPTY_NODE_ID_RE = re.compile(r"^(0|[1-9][0-9]*)\.[1-9][0-9]*$")
 _METADATA_RE = re.compile(r"^# ([A-Za-z_][A-Za-z0-9_.-]*) = (.*)$")
 
 
@@ -87,9 +90,6 @@ class Token:
             if k == key:
                 return v
         return None
-
-    def has_misc(self, key: str) -> bool:
-        return any(k == key for k, _ in self.misc)
 
     @property
     def german_lemma(self) -> str | None:
@@ -224,7 +224,8 @@ def parse_document(source, file_name: str = "<string>") -> Document:
     Raises ParseError on malformed input: WRONG_COLUMN_COUNT, BAD_ID,
     UNTERMINATED_SENTENCE and a few stricter shape errors (EMPTY_FIELD,
     BAD_HEAD, ID_SEQUENCE, EMPTY_SENTENCE, EXTRA_BLANK_LINE,
-    MISPLACED_COMMENT), each carrying file and line number. Content that is
+    MISPLACED_COMMENT, CRLF_LINE_ENDING), each carrying file and line
+    number. Empty input yields an empty Document. Content that is
     merely non-conformant (enhanced dependencies, empty nodes) is kept and
     reported later as lint diagnostics.
     """
@@ -233,8 +234,13 @@ def parse_document(source, file_name: str = "<string>") -> Document:
     if bom:
         text = text[1:]
 
-    lines = text.split("\n")
-    final_newline = bool(lines) and lines[-1] == "" and text != ""
+    crlf = text.find("\r\n")
+    if crlf != -1:
+        raise ParseError("CRLF_LINE_ENDING", "CRLF line ending (use LF)",
+                         file_name, text.count("\n", 0, crlf) + 1)
+
+    lines = text.split("\n") if text else []
+    final_newline = text.endswith("\n")
     if final_newline:
         lines.pop()
 
@@ -282,7 +288,7 @@ def parse_document(source, file_name: str = "<string>") -> Document:
             start_line = line_no
 
         if line.startswith("#"):
-            if tokens:
+            if tokens or spans or empties:
                 raise ParseError("MISPLACED_COMMENT",
                                  "comment after token lines", file_name, line_no)
             comments.append(line)
@@ -305,15 +311,11 @@ def parse_document(source, file_name: str = "<string>") -> Document:
                 raise ParseError("ID_SEQUENCE",
                                  f"expected token id {len(tokens) + 1}, got {token_id}",
                                  file_name, line_no)
-            try:
-                head = int(cols[6])
-            except ValueError:
-                head = -1
-            if head < 0:
+            if not _HEAD_RE.match(cols[6]):
                 raise ParseError("BAD_HEAD", f"bad HEAD value {cols[6]!r}",
                                  file_name, line_no)
             tokens.append(Token(
-                id=token_id, form=cols[1], upos=cols[3], head=head,
+                id=token_id, form=cols[1], upos=cols[3], head=int(cols[6]),
                 deprel=cols[7], misc=parse_misc(cols[9]),
                 lemma_col=cols[2], xpos_col=cols[4], feats_col=cols[5],
                 deps_col=cols[8], line=line_no,
@@ -334,13 +336,18 @@ def parse_document(source, file_name: str = "<string>") -> Document:
             ))
             pending_last = max(pending_last, last)
         elif m := _EMPTY_NODE_ID_RE.match(id_field):
-            empties.append(EmptyNodeLine(anchor=int(m.group(1)), raw=line,
-                                         line=line_no))
+            # the serializer writes empty node N.k right after token N
+            anchor = int(m.group(1))
+            if anchor != len(tokens) or (spans and spans[-1].first_id > anchor):
+                raise ParseError("ID_SEQUENCE",
+                                 f"empty node {id_field} after token {len(tokens)}",
+                                 file_name, line_no)
+            empties.append(EmptyNodeLine(anchor=anchor, raw=line, line=line_no))
         else:
             raise ParseError("BAD_ID", f"bad ID field {id_field!r}",
                              file_name, line_no)
 
-    if tokens:
+    if tokens or spans or empties:
         raise ParseError("UNTERMINATED_SENTENCE",
                          "end of input without sentence-final blank line",
                          file_name, len(lines))
@@ -421,75 +428,3 @@ def reconstruct_text(s: Sentence) -> str:
         if idx != len(units) - 1 and not glue:
             out.append(" ")
     return "".join(out)
-
-
-def _diag(s: Sentence, rule_id: str, message: str, token: Token | None = None,
-          severity: str = SEVERITY_ERROR, guideline_ref: str | None = None,
-          line: int | None = None) -> Diagnostic:
-    return Diagnostic(
-        rule_id=rule_id, severity=severity, file=s.file,
-        line=line if line is not None else (token.line if token else s.line),
-        sentence_id=s.sent_id, token_id=token.id if token else None,
-        message=message, guideline_ref=guideline_ref,
-    )
-
-
-def validate_structure(s: Sentence) -> list[Diagnostic]:
-    """Check tree well-formedness: one root, no cycles, heads in range,
-    root deprel pairing, no tokens headed by punctuation, no overlapping
-    MWT spans. Crossing arcs are deliberately not flagged.
-    """
-    diags: list[Diagnostic] = []
-    n = len(s.tokens)
-
-    roots = [t for t in s.tokens if t.head == 0]
-    if n and not roots:
-        diags.append(_diag(s, "STRUCT.NO_ROOT", "no token has head 0"))
-    elif len(roots) > 1:
-        ids = ", ".join(str(t.id) for t in roots)
-        diags.append(_diag(s, "STRUCT.MULTI_ROOT",
-                           f"{len(roots)} tokens have head 0 (ids {ids})"))
-
-    for t in s.tokens:
-        if t.head > n:
-            diags.append(_diag(s, "STRUCT.HEAD_RANGE",
-                               f"head {t.head} exceeds sentence length {n}", t))
-        if t.head == 0 and t.deprel != "root":
-            diags.append(_diag(s, "STRUCT.ROOT_DEPREL",
-                               f'head 0 requires deprel "root", got "{t.deprel}"', t))
-        if 1 <= t.head <= n and s.tokens[t.head - 1].upos == "PUNCT":
-            diags.append(_diag(s, "STRUCT.PUNCT_CHILD",
-                               f"token headed by punctuation token {t.head}", t))
-
-    # Cycle detection over the head map; heads out of range end their chain.
-    state = [0] * (n + 1)  # 0 unvisited, 1 on stack, 2 done
-    cycle_starts: list[int] = []
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        node = start
-        while node and 1 <= node <= n and state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = s.tokens[node - 1].head
-        if node and 1 <= node <= n and state[node] == 1:
-            cycle = path[path.index(node):]
-            cycle_starts.append(min(cycle))
-        for visited in path:
-            state[visited] = 2
-    for anchor in sorted(cycle_starts):
-        diags.append(_diag(s, "STRUCT.CYCLE",
-                           f"head chain through token {anchor} revisits itself",
-                           s.tokens[anchor - 1]))
-
-    covered: list[tuple[int, int, MwtSpan]] = sorted(
-        (span.first_id, span.last_id, span) for span in s.mwt_spans)
-    for (f1, l1, _), (f2, l2, span2) in zip(covered, covered[1:]):
-        if f2 <= l1:
-            diags.append(_diag(s, "STRUCT.MWT_OVERLAP",
-                               f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
-                               line=span2.line or s.line))
-
-    diags.sort(key=lambda d: d.sort_key)
-    return diags

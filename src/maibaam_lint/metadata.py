@@ -4,54 +4,21 @@ vocabularies, sent_id uniqueness and text/token consistency."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from .conllu import Diagnostic, Document, Sentence, reconstruct_text
-from .rules import (
-    DEFAULT_GENRES,
-    DIALECT_GROUPS_NORTH_TO_SOUTH,
-    LintConfig,
-    RULES_BY_ID,
-    URL_GENRES,
-)
+from .rules import URL_GENRES, LintConfig, finding
 
 REQUIRED_KEYS = ("sent_id", "text", "genre", "dialect_group", "location",
                  "source")
-OPTIONAL_KEYS = ("text_en", "author")
 
 _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 
 
-@dataclass(frozen=True)
-class MetadataPolicy:
-    """Which metadata keys and values a corpus accepts."""
-
-    required_keys: tuple[str, ...] = REQUIRED_KEYS
-    optional_keys: tuple[str, ...] = OPTIONAL_KEYS
-    genre_vocab: frozenset[str] = DEFAULT_GENRES
-    dialect_order: tuple[str, ...] = DIALECT_GROUPS_NORTH_TO_SOUTH
-    url_genres: frozenset[str] = URL_GENRES
-
-    @classmethod
-    def from_config(cls, cfg: LintConfig) -> "MetadataPolicy":
-        return cls(genre_vocab=cfg.genre_vocab,
-                   dialect_order=cfg.dialect_order)
-
-
-def _diag(cfg: LintConfig, s: Sentence, rule_id: str, message: str,
-          line: int | None = None) -> Diagnostic:
-    return Diagnostic(
-        rule_id=rule_id, severity=cfg.severity(rule_id), file=s.file,
-        line=line if line is not None else s.line, sentence_id=s.sent_id,
-        token_id=None, message=message,
-        guideline_ref=RULES_BY_ID[rule_id].guideline_ref,
-    )
-
-
-def _check_dialect_group(value: str, policy: MetadataPolicy) -> str | None:
+def _check_dialect_group(value: str,
+                         dialect_order: tuple[str, ...]) -> str | None:
     """Return the violated rule id for a dialect_group value, if any."""
-    if value in policy.dialect_order or value == "unk":
+    if value in dialect_order or value == "unk":
         return None
     m = _UNK_ELABORATION_RE.match(value)
     if not m:
@@ -59,9 +26,9 @@ def _check_dialect_group(value: str, policy: MetadataPolicy) -> str | None:
     members = m.group(1).split("/")
     indices = []
     for member in members:
-        if member not in policy.dialect_order:
+        if member not in dialect_order:
             return "META.DIALECT"
-        indices.append(policy.dialect_order.index(member))
+        indices.append(dialect_order.index(member))
     if indices != sorted(indices) or len(set(indices)) != len(indices):
         return "META.DIALECT_ORDER"
     return None
@@ -72,9 +39,9 @@ def _is_absolute_url(value: str) -> bool:
     return bool(parsed.scheme) and bool(parsed.netloc)
 
 
-def validate_metadata(s: Sentence, policy: MetadataPolicy | None = None,
+def validate_metadata(s: Sentence,
                       cfg: LintConfig | None = None) -> list[Diagnostic]:
-    """Check one sentence's metadata against the policy.
+    """Check one sentence's metadata against the config's vocabularies.
 
     Emits META.MISSING per absent required key, META.GENRE / META.DIALECT /
     META.DIALECT_ORDER for bad values, META.SOURCE for non-URL sources of
@@ -83,45 +50,44 @@ def validate_metadata(s: Sentence, policy: MetadataPolicy | None = None,
     cross-file concern, see check_unique_sent_ids.
     """
     cfg = cfg or LintConfig()
-    policy = policy or MetadataPolicy.from_config(cfg)
     diags = []
 
-    for key in policy.required_keys:
+    for key in REQUIRED_KEYS:
         if s.metadata_value(key) is None:
-            diags.append(_diag(cfg, s, "META.MISSING",
-                               f"missing required metadata key {key!r}"))
+            diags.append(finding(cfg, s, "META.MISSING",
+                                 f"missing required metadata key {key!r}"))
 
     genre = s.metadata_value("genre")
-    if genre is not None and genre not in policy.genre_vocab:
-        allowed = ", ".join(sorted(policy.genre_vocab))
-        diags.append(_diag(cfg, s, "META.GENRE",
-                           f"genre {genre!r} not in {{{allowed}}}"))
+    if genre is not None and genre not in cfg.genre_vocab:
+        allowed = ", ".join(sorted(cfg.genre_vocab))
+        diags.append(finding(cfg, s, "META.GENRE",
+                             f"genre {genre!r} not in {{{allowed}}}"))
 
     dialect = s.metadata_value("dialect_group")
     if dialect is not None:
-        violated = _check_dialect_group(dialect, policy)
+        violated = _check_dialect_group(dialect, cfg.dialect_order)
         if violated == "META.DIALECT":
-            diags.append(_diag(cfg, s, "META.DIALECT",
-                               f"unknown dialect_group {dialect!r}"))
+            diags.append(finding(cfg, s, "META.DIALECT",
+                                 f"unknown dialect_group {dialect!r}"))
         elif violated == "META.DIALECT_ORDER":
-            diags.append(_diag(cfg, s, "META.DIALECT_ORDER",
-                               f"dialect groups in {dialect!r} must be listed "
-                               f"north to south"))
+            diags.append(finding(cfg, s, "META.DIALECT_ORDER",
+                                 f"dialect groups in {dialect!r} must be listed "
+                                 f"north to south"))
 
     source = s.metadata_value("source")
-    if genre in policy.url_genres and source is not None and \
+    if genre in URL_GENRES and source is not None and \
             not _is_absolute_url(source):
-        diags.append(_diag(cfg, s, "META.SOURCE",
-                           f"source for genre {genre!r} should be an absolute "
-                           f"URL, got {source!r}"))
+        diags.append(finding(cfg, s, "META.SOURCE",
+                             f"source for genre {genre!r} should be an absolute "
+                             f"URL, got {source!r}"))
 
     text = s.metadata_value("text")
     if text is not None and s.tokens:
         rebuilt = reconstruct_text(s)
         if rebuilt != text:
-            diags.append(_diag(cfg, s, "META.TEXT_MISMATCH",
-                               f"text metadata {text!r} differs from token "
-                               f"surface {rebuilt!r}"))
+            diags.append(finding(cfg, s, "META.TEXT_MISMATCH",
+                                 f"text metadata {text!r} differs from token "
+                                 f"surface {rebuilt!r}"))
 
     diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
     diags.sort(key=lambda d: d.sort_key)
@@ -146,8 +112,8 @@ def check_unique_sent_ids(docs: list[Document],
     for doc in docs:
         for s in doc.sentences:
             if s.sent_id and seen[s.sent_id] > 1:
-                diags.append(_diag(cfg, s, "META.DUP_ID",
-                                   f"sent_id {s.sent_id!r} occurs "
-                                   f"{seen[s.sent_id]} times in this run"))
+                diags.append(finding(cfg, s, "META.DUP_ID",
+                                     f"sent_id {s.sent_id!r} occurs "
+                                     f"{seen[s.sent_id]} times in this run"))
     diags.sort(key=lambda d: d.file_sort_key)
     return diags

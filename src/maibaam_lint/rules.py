@@ -9,16 +9,16 @@ is stable. Rule output is a pure function of (sentence, config).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .conllu import (
     Diagnostic,
+    MwtSpan,
     Sentence,
     SEVERITY_ERROR,
     SEVERITY_REVIEW,
     SEVERITY_WARNING,
     Token,
-    validate_structure,
 )
 
 UPOS_TAGS = frozenset({
@@ -124,6 +124,7 @@ RULES: tuple[RuleDescriptor, ...] = (
 )
 
 RULES_BY_ID = {r.rule_id: r for r in RULES}
+RULE_FAMILIES = frozenset(r.rule_id.split(".")[0] + ".*" for r in RULES)
 
 DEFAULT_COPULA_LEMMAS = frozenset({"sein"})
 DEFAULT_PART_LEMMAS = frozenset({"nicht", "zu"})
@@ -152,9 +153,6 @@ DEFAULT_FIXED_VERSIONED: tuple[tuple[str, ...], ...] = (
     ("fir", "des"),
     ("für", "das"),
 )
-DEFAULT_INTERJECTIONS = frozenset({
-    "gäi", "gell", "gäins", "gäh", "gö", "mei", "sowas", "servus",
-})
 DEFAULT_PLACEHOLDER_X = frozenset({"A", "B", "C", "X", "Y", "Z", "XYZ", "XZY"})
 DEFAULT_PLACEHOLDER_SYM = frozenset({"...", "…"})
 DEFAULT_RELATIVE_MARKERS = frozenset({"wo", "was", "wie", "wej"})
@@ -179,7 +177,6 @@ class LintConfig:
     aux_lemmas: frozenset[str] = DEFAULT_AUX_LEMMAS
     fixed_whitelist: tuple[tuple[str, ...], ...] = DEFAULT_FIXED_WHITELIST
     fixed_versioned: tuple[tuple[str, ...], ...] = DEFAULT_FIXED_VERSIONED
-    interjections: frozenset[str] = DEFAULT_INTERJECTIONS
     placeholder_x_forms: frozenset[str] = DEFAULT_PLACEHOLDER_X
     placeholder_sym_forms: frozenset[str] = DEFAULT_PLACEHOLDER_SYM
     relative_markers: frozenset[str] = DEFAULT_RELATIVE_MARKERS
@@ -225,7 +222,8 @@ def load_config(path: str) -> LintConfig:
     """Load a flat key=value config file.
 
     Recognized keys: guideline_version, typo_column, punct_lemma_exempt,
-    rule.<ID>.severity, rule.<ID>.enabled, and lexicon.<name>.path entries
+    rule.<ID>.severity and rule.<ID>.enabled (<ID> a catalogued rule id or
+    a FAMILY.* wildcard), and lexicon.<name>.path entries
     pointing at plain word-list files (one entry per line, # comments;
     fixed-expression lists hold one space-separated sequence per line).
     """
@@ -241,7 +239,6 @@ def load_config(path: str) -> LintConfig:
         "aux": ("aux_lemmas", "set"),
         "fixed": ("fixed_whitelist", "sequences"),
         "fixed_versioned": ("fixed_versioned", "sequences"),
-        "interjections": ("interjections", "set"),
         "placeholder_x": ("placeholder_x_forms", "set"),
         "placeholder_sym": ("placeholder_sym_forms", "set"),
         "relative_markers": ("relative_markers", "set"),
@@ -258,15 +255,17 @@ def load_config(path: str) -> LintConfig:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key.startswith("rule.") and key.endswith(".severity"):
-                rule_id = key[len("rule."):-len(".severity")]
-                if value not in (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_REVIEW):
+            if key.startswith("rule.") and key.endswith((".severity", ".enabled")):
+                rule_id, setting = key[len("rule."):].rsplit(".", 1)
+                if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
+                    raise ValueError(f"{path}:{line_no}: unknown rule {rule_id!r}")
+                if setting == "enabled":
+                    (enabled if value.lower() in ("1", "true", "yes")
+                     else disabled).add(rule_id)
+                elif value not in (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_REVIEW):
                     raise ValueError(f"{path}:{line_no}: bad severity {value!r}")
-                overrides[rule_id] = value
-            elif key.startswith("rule.") and key.endswith(".enabled"):
-                rule_id = key[len("rule."):-len(".enabled")]
-                (enabled if value.lower() in ("1", "true", "yes")
-                 else disabled).add(rule_id)
+                else:
+                    overrides[rule_id] = value
             elif key.startswith("lexicon.") and key.endswith(".path"):
                 name = key[len("lexicon."):-len(".path")]
                 if name == "tokenizer":
@@ -309,15 +308,79 @@ def _read_word_list(path: str) -> list[str]:
     return entries
 
 
-def _diag(cfg: LintConfig, s: Sentence, rule_id: str, message: str,
-          token: Token | None = None, line: int | None = None) -> Diagnostic:
-    desc = RULES_BY_ID[rule_id]
+def finding(cfg: LintConfig, s: Sentence, rule_id: str, message: str,
+            token: Token | None = None, line: int | None = None) -> Diagnostic:
+    """The one constructor of sentence findings: severity from the config,
+    citation from the rule catalog, location from the token or sentence."""
     return Diagnostic(
         rule_id=rule_id, severity=cfg.severity(rule_id), file=s.file,
         line=line if line is not None else (token.line if token else s.line),
         sentence_id=s.sent_id, token_id=token.id if token else None,
-        message=message, guideline_ref=desc.guideline_ref,
+        message=message, guideline_ref=RULES_BY_ID[rule_id].guideline_ref,
     )
+
+
+def validate_structure(s: Sentence,
+                       cfg: LintConfig | None = None) -> list[Diagnostic]:
+    """Check tree well-formedness: one root, no cycles, heads in range,
+    root deprel pairing, no tokens headed by punctuation, no overlapping
+    MWT spans. Crossing arcs are deliberately not flagged.
+    """
+    cfg = cfg or LintConfig()
+    diags: list[Diagnostic] = []
+    n = len(s.tokens)
+
+    roots = [t for t in s.tokens if t.head == 0]
+    if n and not roots:
+        diags.append(finding(cfg, s, "STRUCT.NO_ROOT", "no token has head 0"))
+    elif len(roots) > 1:
+        ids = ", ".join(str(t.id) for t in roots)
+        diags.append(finding(cfg, s, "STRUCT.MULTI_ROOT",
+                             f"{len(roots)} tokens have head 0 (ids {ids})"))
+
+    for t in s.tokens:
+        if t.head > n:
+            diags.append(finding(cfg, s, "STRUCT.HEAD_RANGE",
+                                 f"head {t.head} exceeds sentence length {n}", t))
+        if t.head == 0 and t.deprel != "root":
+            diags.append(finding(cfg, s, "STRUCT.ROOT_DEPREL",
+                                 f'head 0 requires deprel "root", got "{t.deprel}"', t))
+        if 1 <= t.head <= n and s.tokens[t.head - 1].upos == "PUNCT":
+            diags.append(finding(cfg, s, "STRUCT.PUNCT_CHILD",
+                                 f"token headed by punctuation token {t.head}", t))
+
+    # Cycle detection over the head map; heads out of range end their chain.
+    state = [0] * (n + 1)  # 0 unvisited, 1 on stack, 2 done
+    cycle_starts: list[int] = []
+    for start in range(1, n + 1):
+        if state[start]:
+            continue
+        path = []
+        node = start
+        while node and 1 <= node <= n and state[node] == 0:
+            state[node] = 1
+            path.append(node)
+            node = s.tokens[node - 1].head
+        if node and 1 <= node <= n and state[node] == 1:
+            cycle = path[path.index(node):]
+            cycle_starts.append(min(cycle))
+        for visited in path:
+            state[visited] = 2
+    for anchor in sorted(cycle_starts):
+        diags.append(finding(cfg, s, "STRUCT.CYCLE",
+                             f"head chain through token {anchor} revisits itself",
+                             s.tokens[anchor - 1]))
+
+    covered: list[tuple[int, int, MwtSpan]] = sorted(
+        (span.first_id, span.last_id, span) for span in s.mwt_spans)
+    for (f1, l1, _), (f2, l2, span2) in zip(covered, covered[1:]):
+        if f2 <= l1:
+            diags.append(finding(cfg, s, "STRUCT.MWT_OVERLAP",
+                                 f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
+                                 line=span2.line or s.line))
+
+    diags.sort(key=lambda d: d.sort_key)
+    return diags
 
 
 def _has_typo_flag(t: Token, cfg: LintConfig) -> bool:
@@ -343,7 +406,7 @@ def _goeswith_dependents(s: Sentence) -> dict[int, list[Token]]:
 def rule_upos_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """VOCAB.UPOS: every UPOS value is one of the 17 universal tags."""
     return [
-        _diag(cfg, s, "VOCAB.UPOS", f"unknown UPOS tag {t.upos!r}", t)
+        finding(cfg, s, "VOCAB.UPOS", f"unknown UPOS tag {t.upos!r}", t)
         for t in s.tokens if t.upos not in UPOS_TAGS
     ]
 
@@ -353,11 +416,11 @@ def rule_deprel_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for t in s.tokens:
         if t.deprel not in DEPRELS:
-            diags.append(_diag(cfg, s, "VOCAB.DEPREL",
-                               f"unknown deprel {t.deprel!r}", t))
+            diags.append(finding(cfg, s, "VOCAB.DEPREL",
+                                 f"unknown deprel {t.deprel!r}", t))
         elif t.deprel == "root" and t.head != 0:
-            diags.append(_diag(cfg, s, "VOCAB.DEPREL",
-                               f'deprel "root" on token with head {t.head}', t))
+            diags.append(finding(cfg, s, "VOCAB.DEPREL",
+                                 f'deprel "root" on token with head {t.head}', t))
     return diags
 
 
@@ -375,9 +438,9 @@ def rule_copula(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.deprel == "cop":
             lemma = _checkable_lemma(t)
             if lemma is not None and lemma not in cfg.copula_lemmas:
-                diags.append(_diag(cfg, s, "CLASS.COP",
-                                   f"copula lemma {lemma!r} is not allowed; "
-                                   f"verbs like werden/bleiben are full verbs", t))
+                diags.append(finding(cfg, s, "CLASS.COP",
+                                     f"copula lemma {lemma!r} is not allowed; "
+                                     f"verbs like werden/bleiben are full verbs", t))
     return diags
 
 
@@ -388,9 +451,9 @@ def rule_part_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.upos == "PART":
             lemma = _checkable_lemma(t)
             if lemma is not None and lemma not in cfg.part_lemmas:
-                diags.append(_diag(cfg, s, "CLASS.PART",
-                                   f"PART with lemma {lemma!r}; modal particles "
-                                   f"are tagged ADV", t))
+                diags.append(finding(cfg, s, "CLASS.PART",
+                                     f"PART with lemma {lemma!r}; modal particles "
+                                     f"are tagged ADV", t))
     return diags
 
 
@@ -401,9 +464,9 @@ def rule_aux_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.upos == "AUX":
             lemma = _checkable_lemma(t)
             if lemma is not None and lemma not in cfg.aux_lemmas:
-                diags.append(_diag(cfg, s, "CLASS.AUX",
-                                   f"AUX with lemma {lemma!r} outside the "
-                                   f"auxiliary set", t))
+                diags.append(finding(cfg, s, "CLASS.AUX",
+                                     f"AUX with lemma {lemma!r} outside the "
+                                     f"auxiliary set", t))
     return diags
 
 
@@ -431,22 +494,22 @@ def rule_fixed_whitelist(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         deps = sorted(spans[head_id], key=lambda t: t.id)
         expected = list(range(head.id + 1, head.id + 1 + len(deps)))
         if [t.id for t in deps] != expected:
-            diags.append(_diag(cfg, s, "REL.FIXED",
-                               "fixed dependents must immediately follow "
-                               "their head", deps[0]))
+            diags.append(finding(cfg, s, "REL.FIXED",
+                                 "fixed dependents must immediately follow "
+                                 "their head", deps[0]))
             continue
         span = [head] + deps
         words = " ".join(t.form for t in span)
         if any(_matches_sequence(span, e) for e in cfg.fixed_versioned):
             if cfg.version_at_least("2.17"):
-                diags.append(_diag(cfg, s, "REL.FIXED",
-                                   f'"{words}" is no longer annotated as a '
-                                   f"fixed expression", head))
+                diags.append(finding(cfg, s, "REL.FIXED",
+                                     f'"{words}" is no longer annotated as a '
+                                     f"fixed expression", head))
             continue
         if not any(_matches_sequence(span, e) for e in cfg.fixed_whitelist):
-            diags.append(_diag(cfg, s, "REL.FIXED",
-                               f'"{words}" is not a whitelisted fixed '
-                               f"expression", head))
+            diags.append(finding(cfg, s, "REL.FIXED",
+                                 f'"{words}" is not a whitelisted fixed '
+                                 f"expression", head))
     return diags
 
 
@@ -456,26 +519,26 @@ def rule_goeswith_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     for head_id, deps in sorted(_goeswith_dependents(s).items()):
         head = s.token_by_id(head_id)
         if head is None:
-            diags.append(_diag(cfg, s, "REL.GOESWITH",
-                               "goeswith dependent without a head token",
-                               deps[0]))
+            diags.append(finding(cfg, s, "REL.GOESWITH",
+                                 "goeswith dependent without a head token",
+                                 deps[0]))
             continue
         expected = list(range(head.id + 1, head.id + 1 + len(deps)))
         if [t.id for t in deps] != expected:
-            diags.append(_diag(cfg, s, "REL.GOESWITH",
-                               "goeswith parts must contiguously follow "
-                               "their head", deps[0]))
+            diags.append(finding(cfg, s, "REL.GOESWITH",
+                                 "goeswith parts must contiguously follow "
+                                 "their head", deps[0]))
         if not _has_typo_flag(head, cfg):
-            diags.append(_diag(cfg, s, "REL.GOESWITH",
-                               "goeswith head must carry Typo=Yes", head))
+            diags.append(finding(cfg, s, "REL.GOESWITH",
+                                 "goeswith head must carry Typo=Yes", head))
         if head.german_lemma is None:
-            diags.append(_diag(cfg, s, "REL.GOESWITH",
-                               "goeswith head carries the lemma of the whole "
-                               "word", head))
+            diags.append(finding(cfg, s, "REL.GOESWITH",
+                                 "goeswith head carries the lemma of the whole "
+                                 "word", head))
         for d in deps:
             if d.german_lemma is not None:
-                diags.append(_diag(cfg, s, "REL.GOESWITH",
-                                   "goeswith dependents are not lemmatized", d))
+                diags.append(finding(cfg, s, "REL.GOESWITH",
+                                     "goeswith dependents are not lemmatized", d))
     return diags
 
 
@@ -490,17 +553,17 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
                 continue
             if t.upos == "PUNCT" and cfg.punct_lemma_exempt:
                 continue
-            diags.append(_diag(cfg, s, "LEMMA.MISSING",
-                               "token has no GermanLemma", t))
+            diags.append(finding(cfg, s, "LEMMA.MISSING",
+                                 "token has no GermanLemma", t))
         elif t.form.casefold() == "nimma" and lemma != "nicht mehr":
-            diags.append(_diag(cfg, s, "LEMMA.NIMMA",
-                               f'"nimma" must be lemmatized "nicht mehr", '
-                               f"got {lemma!r}", t))
+            diags.append(finding(cfg, s, "LEMMA.NIMMA",
+                                 f'"nimma" must be lemmatized "nicht mehr", '
+                                 f"got {lemma!r}", t))
     for span in s.mwt_spans:
         if span.misc_value("GermanLemma") is not None:
-            diags.append(_diag(cfg, s, "LEMMA.ON_MWT",
-                               "multi-word token lines carry no lemma",
-                               line=span.line or s.line))
+            diags.append(finding(cfg, s, "LEMMA.ON_MWT",
+                                 "multi-word token lines carry no lemma",
+                                 line=span.line or s.line))
     return diags
 
 
@@ -511,14 +574,14 @@ def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     for t in s.tokens:
         if t.misc_value("CorrectSpaceAfter") == "Yes" and \
                 t.misc_value("SpaceAfter") != "No":
-            diags.append(_diag(cfg, s, "TYPO.CORRECT_SPACE",
-                               "CorrectSpaceAfter=Yes requires SpaceAfter=No "
-                               "on the same token", t))
+            diags.append(finding(cfg, s, "TYPO.CORRECT_SPACE",
+                                 "CorrectSpaceAfter=Yes requires SpaceAfter=No "
+                                 "on the same token", t))
         if _has_typo_flag(t, cfg) and t.id not in heads_with_goeswith and \
                 t.misc_value("CorrectSpaceAfter") is None:
-            diags.append(_diag(cfg, s, "TYPO.REVIEW",
-                               "Typo=Yes without goeswith parts: check the "
-                               "form", t))
+            diags.append(finding(cfg, s, "TYPO.REVIEW",
+                                 "Typo=Yes without goeswith parts: check the "
+                                 "form", t))
     return diags
 
 
@@ -527,18 +590,18 @@ def rule_mwt_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for span in s.mwt_spans:
         if span.last_id == span.first_id or span.last_id > len(s.tokens):
-            diags.append(_diag(cfg, s, "MWT.SURFACE",
-                               f"range {span.first_id}-{span.last_id} must "
-                               f"cover at least two tokens",
-                               line=span.line or s.line))
+            diags.append(finding(cfg, s, "MWT.SURFACE",
+                                 f"range {span.first_id}-{span.last_id} must "
+                                 f"cover at least two tokens",
+                                 line=span.line or s.line))
             continue
         covered = "".join(t.form for t in s.tokens[span.first_id - 1:span.last_id])
         if covered != span.surface_form:
-            diags.append(_diag(cfg, s, "MWT.SURFACE",
-                               f"token forms {covered!r} do not concatenate to "
-                               f"surface {span.surface_form!r} (split into "
-                               f"substrings, do not normalize)",
-                               line=span.line or s.line))
+            diags.append(finding(cfg, s, "MWT.SURFACE",
+                                 f"token forms {covered!r} do not concatenate to "
+                                 f"surface {span.surface_form!r} (split into "
+                                 f"substrings, do not normalize)",
+                                 line=span.line or s.line))
     return diags
 
 
@@ -548,17 +611,17 @@ def rule_placeholder_tags(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     for t in s.tokens:
         if t.form == "USERNAME":
             if t.upos != "PROPN":
-                diags.append(_diag(cfg, s, "CLASS.USERNAME",
-                                   f"USERNAME must be PROPN, got {t.upos}", t))
+                diags.append(finding(cfg, s, "CLASS.USERNAME",
+                                     f"USERNAME must be PROPN, got {t.upos}", t))
         elif t.form in cfg.placeholder_x_forms and t.upos != "X":
-            diags.append(_diag(cfg, s, "CLASS.PLACEHOLDER",
-                               f"{t.form!r} looks like a dummy placeholder; "
-                               f"those are tagged X", t))
+            diags.append(finding(cfg, s, "CLASS.PLACEHOLDER",
+                                 f"{t.form!r} looks like a dummy placeholder; "
+                                 f"those are tagged X", t))
         elif t.form in cfg.placeholder_sym_forms and \
                 t.upos not in ("SYM", "PUNCT"):
-            diags.append(_diag(cfg, s, "CLASS.PLACEHOLDER",
-                               f"{t.form!r} used as a name placeholder is "
-                               f"tagged SYM", t))
+            diags.append(finding(cfg, s, "CLASS.PLACEHOLDER",
+                                 f"{t.form!r} used as a name placeholder is "
+                                 f"tagged SYM", t))
     return diags
 
 
@@ -569,13 +632,13 @@ def rule_relative_marker(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.deprel != "mark":
             continue
         if t.upos == "PRON":
-            diags.append(_diag(cfg, s, "REL.RELMARK",
-                               "PRON with deprel mark: relative markers are "
-                               "SCONJ, relative pronouns take nsubj/obj/...", t))
+            diags.append(finding(cfg, s, "REL.RELMARK",
+                                 "PRON with deprel mark: relative markers are "
+                                 "SCONJ, relative pronouns take nsubj/obj/...", t))
         elif t.form.casefold() in cfg.relative_markers and t.upos != "SCONJ":
-            diags.append(_diag(cfg, s, "REL.RELMARK",
-                               f"relative marker {t.form!r} must be SCONJ, "
-                               f"got {t.upos}", t))
+            diags.append(finding(cfg, s, "REL.RELMARK",
+                                 f"relative marker {t.form!r} must be SCONJ, "
+                                 f"got {t.upos}", t))
     return diags
 
 
@@ -584,14 +647,14 @@ def rule_review_hints(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for t in s.tokens:
         if t.deprel == "iobj":
-            diags.append(_diag(cfg, s, "REVIEW.IOBJ",
-                               "iobj is reserved for the rare second "
-                               "accusative; dative objects take obl:arg", t))
+            diags.append(finding(cfg, s, "REVIEW.IOBJ",
+                                 "iobj is reserved for the rare second "
+                                 "accusative; dative objects take obl:arg", t))
         if t.deprel == "appos":
             head = s.token_by_id(t.head)
             if head is not None and head.id > t.id:
-                diags.append(_diag(cfg, s, "REVIEW.APPOS_ORDER",
-                                   "apposition precedes its head", t))
+                diags.append(finding(cfg, s, "REVIEW.APPOS_ORDER",
+                                     "apposition precedes its head", t))
     return diags
 
 
@@ -607,17 +670,17 @@ def rule_core_columns(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.feats_col not in ("_", "Typo=Yes"):
             unexpected.append("FEATS")
         if unexpected:
-            diags.append(_diag(cfg, s, "CORE.COLUMNS",
-                               f"unexpected content in {'/'.join(unexpected)}; "
-                               f"annotations live in UPOS, HEAD, DEPREL and "
-                               f"MISC", t))
+            diags.append(finding(cfg, s, "CORE.COLUMNS",
+                                 f"unexpected content in {'/'.join(unexpected)}; "
+                                 f"annotations live in UPOS, HEAD, DEPREL and "
+                                 f"MISC", t))
         if t.deps_col != "_":
-            diags.append(_diag(cfg, s, "CORE.ENHANCED_UNSUPPORTED",
-                               "enhanced dependencies are not annotated", t))
+            diags.append(finding(cfg, s, "CORE.ENHANCED_UNSUPPORTED",
+                                 "enhanced dependencies are not annotated", t))
     for node in s.empty_nodes:
-        diags.append(_diag(cfg, s, "CORE.ENHANCED_UNSUPPORTED",
-                           "empty nodes are not annotated",
-                           line=node.line or s.line))
+        diags.append(finding(cfg, s, "CORE.ENHANCED_UNSUPPORTED",
+                             "empty nodes are not annotated",
+                             line=node.line or s.line))
     return diags
 
 
@@ -645,9 +708,7 @@ def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic
     Output is deterministically ordered by (line, token id, rule id).
     """
     cfg = cfg or LintConfig()
-    diags: list[Diagnostic] = []
-    for d in validate_structure(s):
-        diags.append(replace(d, severity=cfg.severity(d.rule_id)))
+    diags = validate_structure(s, cfg)
     for rule in SENTENCE_RULES:
         diags.extend(rule(s, cfg))
     diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]

@@ -229,10 +229,9 @@ def is_complementizer_agreement(surface: str,
 
 @dataclass(frozen=True)
 class SegmentationContext:
-    """Neighboring surfaces plus an optional explicit infinitive hint."""
+    """The next surface plus an optional explicit infinitive hint."""
 
     next_surface: str | None = None
-    prev_surface: str | None = None
     infinitive: bool | None = None
 
 

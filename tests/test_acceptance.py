@@ -17,9 +17,14 @@ from maibaam_lint.conllu import (
     parse_document,
     reconstruct_text,
     serialize_document,
+)
+from maibaam_lint.rules import (
+    RULES,
+    RULES_BY_ID,
+    LintConfig,
+    lint_sentence,
     validate_structure,
 )
-from maibaam_lint.rules import LintConfig, lint_sentence
 from maibaam_lint.metadata import validate_metadata
 from maibaam_lint.tokenizer import (
     KIND_INTACT,
@@ -161,6 +166,38 @@ def test_c4_mutant_detection_single_fault_isolation():
         detected += 1
     assert detected == 14
     print(f"\nC4 mutant detection: PASS ({detected}/14)")
+
+
+def test_every_finding_agrees_with_the_catalog_and_config():
+    """Each finding's id is catalogued, its citation is the catalog's and its
+    severity is the config's, under default and overridden severities."""
+    text = GOLDEN.read_text(encoding="utf-8")
+    docs = [parse_document(p.read_text(encoding="utf-8"), p.name)
+            for p in sorted(FIXTURES.glob("*.conllu"))]
+    for _, _, sent_id, mutate in MUTATIONS:
+        doc = parse_document(text, f"{sent_id}.conllu")
+        mutate(next(x for x in doc.sentences if x.sent_id == sent_id))
+        docs.append(doc)
+    trees = parse_document("\ufeff" + text, "trees.conllu")  # CORE.BOM
+    s0, s1, s2 = trees.sentences[:3]
+    for t in s0.tokens:
+        t.head = 0                       # MULTI_ROOT, ROOT_DEPREL
+    s1.tokens[0].head = 99               # HEAD_RANGE
+    s2.tokens[0].head, s2.tokens[1].head = 2, 1   # CYCLE
+    docs.append(trees)
+
+    overridden = LintConfig(severity_overrides={
+        r.rule_id: "error" if r.default_severity == "review" else "review"
+        for r in RULES})
+    for cfg in (LintConfig(), overridden):
+        diags = lint_documents(docs, cfg)
+        families = {d.rule_id.split(".")[0] for d in diags}
+        assert {"STRUCT", "CORE", "META", "VOCAB", "CLASS", "REL", "LEMMA",
+                "TYPO", "MWT", "REVIEW"} <= families
+        for d in diags:
+            assert d.rule_id in RULES_BY_ID, d
+            assert d.guideline_ref == RULES_BY_ID[d.rule_id].guideline_ref, d
+            assert d.severity == cfg.severity(d.rule_id), d
 
 
 def test_c5_structural_oracle_equivalence():

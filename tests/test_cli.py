@@ -1,13 +1,20 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import maibaam_lint
 from maibaam_lint.cli import compute_stats, lint_documents, run
 from maibaam_lint.conllu import parse_document
 from maibaam_lint.rules import RULES, LintConfig
 
 from conftest import DURCH_DES, GOLDEN
+
+# child processes import the package this process imported, installed or not
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": str(Path(maibaam_lint.__file__).parents[1])}
 
 
 def run_cli(argv):
@@ -235,12 +242,28 @@ def test_bom_is_flagged_but_tolerated(tmp_path):
     assert "CORE.BOM" in rules
 
 
+def test_empty_file_is_clean(tmp_path):
+    f = tmp_path / "empty.conllu"
+    f.write_text("", encoding="utf-8")
+    code, out, err = run_cli(["lint", "--format", "json", str(f)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["findings"] == []
+
+
+def test_crlf_file_is_a_located_parse_error(tmp_path):
+    f = tmp_path / "crlf.conllu"
+    f.write_bytes(GOLDEN.read_bytes().replace(b"\n", b"\r\n"))
+    code, _, err = run_cli(["lint", str(f)])
+    assert code == 2
+    assert f"{f}:1: CRLF_LINE_ENDING" in err
+
+
 def test_stdin_input():
     proc = subprocess.run(
         [sys.executable, "-m", "maibaam_lint.cli", "lint", "--format",
          "json", "-"],
         input=GOLDEN.read_text(encoding="utf-8"),
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["summary"]["files"] == ["<stdin>"]
@@ -249,6 +272,6 @@ def test_stdin_input():
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "maibaam_lint.cli", "--list-rules"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "VOCAB.UPOS" in proc.stdout

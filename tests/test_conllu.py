@@ -17,8 +17,8 @@ from maibaam_lint.conllu import (
     reconstruct_text,
     serialize_document,
     sort_diagnostics,
-    validate_structure,
 )
+from maibaam_lint.rules import validate_structure
 
 MINIMAL = "1\tMinga\t_\tPROPN\t_\t_\t0\troot\t_\t_\n\n"
 
@@ -69,6 +69,66 @@ def test_parse_errors(text, code, line):
     assert exc.value.code == code
     assert exc.value.line == line
     assert "t.conllu" in str(exc.value)
+
+
+def _line(id_field="1", head="0"):
+    return f"{id_field}\tMinga\t_\tPROPN\t_\t_\t{head}\troot\t_\t_\n"
+
+
+NINE = "".join(_line(str(i), "0" if i == 1 else "1") for i in range(1, 10))
+
+
+@pytest.mark.parametrize("text,code", [
+    *(pytest.param(_line(head=head) + "\n", "BAD_HEAD", id=f"head-{head!r}")
+      for head in ("00", "+0", " 0", "0 ", "0_0", "\u0660", "\uff10", "01",
+                   "-1")),
+    *(pytest.param(NINE + _line(ten, "1") + "\n", "BAD_ID", id=f"id-{ten!r}")
+      for ten in ("1\u0660", "010", "+10", " 10", "1_0")),
+    pytest.param("1-1\u0660\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + NINE
+                 + _line("10", "1") + "\n", "BAD_ID", id="mwt-range"),
+    pytest.param("\u0660.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + MINIMAL,
+                 "BAD_ID", id="empty-node-anchor"),
+])
+def test_non_canonical_integers_are_rejected(text, code):
+    # int() accepts all of these, so they used to parse and then serialize
+    # as different characters
+    with pytest.raises(ParseError) as exc:
+        parse_document(text, "t.conllu")
+    assert exc.value.code == code
+
+
+EMPTY_NODE = "1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n"
+
+
+@pytest.mark.parametrize("text,code,line", [
+    (MINIMAL[:-1] + "2.1" + EMPTY_NODE[3:] + _line("2", "1") + "\n",
+     "ID_SEQUENCE", 2),
+    ("0.1" + EMPTY_NODE[3:] + "# late comment\n" + MINIMAL,
+     "MISPLACED_COMMENT", 2),
+    ("1-2\tx\t_\t_\t_\t_\t_\t_\t_\t_\n# late comment\n" + MINIMAL,
+     "MISPLACED_COMMENT", 2),
+    (_line() + "2-3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + EMPTY_NODE
+     + _line("2", "1") + _line("3", "1") + "\n", "ID_SEQUENCE", 3),
+    (MINIMAL + "0.1" + EMPTY_NODE[3:], "UNTERMINATED_SENTENCE", 3),
+])
+def test_lines_the_serializer_would_move_are_rejected(text, code, line):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text, "t.conllu")
+    assert (exc.value.code, exc.value.line) == (code, line)
+
+
+def test_empty_input_is_an_empty_document():
+    doc = parse_document("", "t.conllu")
+    assert doc.sentences == [] and doc.trailing_comments == []
+    assert serialize_document(doc) == ""
+    assert serialize_document(parse_document("\ufeff", "t")) == "\ufeff"
+
+
+def test_crlf_input_is_located_at_its_first_crlf_line():
+    text = "# sent_id = c-1\n# text = Minga\r\n" + MINIMAL.replace("\n", "\r\n")
+    with pytest.raises(ParseError) as exc:
+        parse_document(text, "t.conllu")
+    assert (exc.value.code, exc.value.line) == ("CRLF_LINE_ENDING", 2)
 
 
 def test_misplaced_comment_needs_open_sentence():
@@ -325,3 +385,53 @@ def test_round_trip_property(doc):
     assert serialize_document(reparsed) == once
     again = parse_document(serialize_document(reparsed), "<property>")
     assert serialize_document(again) == once
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _int_variants(value: int) -> list[str]:
+    """Spellings that int() reads as some integer, the canonical one first."""
+    s = str(value)
+    return [s, "0" + s, "+" + s, " " + s, s + " ", s + "_0",
+            s.translate(_ARABIC_INDIC), s[0] + s[1:].translate(_ARABIC_INDIC)]
+
+
+@st.composite
+def conllu_texts(draw):
+    """CoNLL-U-shaped text whose ID and HEAD fields may be non-canonical.
+
+    At most one integer field per text is respelled, so about half the
+    texts are well-formed and the rest probe a single variant.
+    """
+    rows: list[list] = []  # cells of each line; int cells may be respelled
+    for k in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 11))
+        mwt_first = draw(st.integers(0, n - 1))  # 0: no multiword token
+        rows.append([f"# sent_id = p-{k}"])
+        if draw(st.booleans()):
+            rows.append(["0.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_"])
+        for i in range(1, n + 1):
+            if i == mwt_first:
+                rows.append([i, "-", i + 1, "\tab\t_\t_\t_\t_\t_\t_\t_\t_"])
+            rows.append([i, "\tw\t_\tX\t_\t_\t", draw(st.integers(0, n)),
+                         "\tdep\t_\t_"])
+        rows.append([""])
+    slots = [(r, c) for r, row in enumerate(rows)
+             for c, cell in enumerate(row) if isinstance(cell, int)]
+    respell = draw(st.integers(-len(slots), len(slots) - 1))
+    if respell >= 0:
+        r, c = slots[respell]
+        rows[r][c] = draw(st.sampled_from(_int_variants(rows[r][c])[1:]))
+    return "".join("".join(map(str, row)) + "\n" for row in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conllu_texts())
+def test_accepted_text_serializes_back_identically(text):
+    try:
+        doc = parse_document(text, "<property>")
+    except ParseError:
+        return
+    assert serialize_document(doc) == text

@@ -2,7 +2,6 @@ import pytest
 
 from maibaam_lint.conllu import Document, Token, make_sentence
 from maibaam_lint.metadata import (
-    MetadataPolicy,
     REQUIRED_KEYS,
     check_unique_sent_ids,
     validate_metadata,
@@ -96,9 +95,8 @@ def test_text_mismatch():
 
 def test_policy_from_config():
     cfg = LintConfig(genre_vocab=frozenset({"wiki"}))
-    policy = MetadataPolicy.from_config(cfg)
     s = one_token_sentence(genre="fiction", source="x")
-    assert ids(validate_metadata(s, policy, cfg)) == ["META.GENRE"]
+    assert ids(validate_metadata(s, cfg)) == ["META.GENRE"]
 
 
 def test_duplicate_sent_ids_across_files_order_independent():

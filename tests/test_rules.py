@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -430,6 +431,7 @@ def test_load_config_file(tmp_path):
         "typo_column=misc\n"
         "rule.LEMMA.MISSING.severity=review\n"
         "rule.CLASS.PLACEHOLDER.enabled=false\n"
+        "rule.STRUCT.*.enabled=false\n"
         "lexicon.aux.path=aux.txt\n",
         encoding="utf-8")
     cfg = load_config(str(conf))
@@ -437,14 +439,21 @@ def test_load_config_file(tmp_path):
     assert cfg.typo_column == "misc"
     assert cfg.severity("LEMMA.MISSING") == "review"
     assert not cfg.rule_enabled("CLASS.PLACEHOLDER")
+    assert not cfg.rule_enabled("STRUCT.CYCLE")
     assert cfg.aux_lemmas == {"sein", "haben", "helfen"}
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
+    (tmp_path / "words.txt").write_text("gell\n", encoding="utf-8")
     conf = tmp_path / "lint.conf"
-    conf.write_text("no_such_option=1\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_config(str(conf))
+    for line in ("no_such_option=1",
+                 "rule.LEMMA.MISING.severity=review",
+                 "rule.NOPE.enabled=false",
+                 "rule.NOPE.*.enabled=false",
+                 "lexicon.interjections.path=words.txt"):
+        conf.write_text("# typo below\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{conf}:2: unknown")):
+            load_config(str(conf))
 
 
 def test_load_config_fixed_sequences(tmp_path):

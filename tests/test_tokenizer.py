@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maibaam_lint.conllu import reconstruct_text, validate_structure
+from maibaam_lint.conllu import reconstruct_text
+from maibaam_lint.rules import validate_structure
 from maibaam_lint.tokenizer import (
     KIND_INTACT,
     KIND_MWT,
