@@ -25,7 +25,7 @@ from .conllu import (
     serialize_document,
 )
 from .metadata import check_unique_sent_ids, validate_metadata
-from .rules import RULES, LintConfig, lint_sentence, load_config
+from .rules import RULES, VERSION_RE, LintConfig, lint_sentence, load_config
 from .tokenizer import (
     EmptyInputError,
     attach_skeleton_heads,
@@ -243,7 +243,6 @@ def cmd_tokenize(opts: RunOptions) -> int:
             attach_skeleton_heads(s)
             s.metadata = [("sent_id", f"{stem}-{counter}"),
                           ("text", reconstruct_text(s))]
-            s.comments = [f"# {k} = {v}" for k, v in s.metadata]
             s.file = name
             doc.sentences.append(s)
         out_docs.append(doc)
@@ -297,6 +296,14 @@ def cmd_list_rules(opts: RunOptions) -> int:
     return 0
 
 
+def _guideline_version(value: str) -> str:
+    if not VERSION_RE.fullmatch(value):
+        raise argparse.ArgumentTypeError(
+            f"bad guideline version {value!r} (expected digits and dots, "
+            "such as 2.17)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maibaam-lint",
@@ -306,21 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--config", help="path to a key=value config file "
-                        f"(falls back to ${CONFIG_ENV_VAR})")
-    parser.add_argument("--guideline-version",
-                        help="guideline version for version-gated rules "
-                             "(default 2.17)")
 
     sub = parser.add_subparsers(dest="subcommand")
 
-    common = argparse.ArgumentParser(add_help=False)
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="path to a key=value config file "
+                         f"(falls back to ${CONFIG_ENV_VAR})")
+    options.add_argument("--guideline-version", type=_guideline_version,
+                         help="guideline version for version-gated rules "
+                              "(default 2.17)")
+    common = argparse.ArgumentParser(add_help=False, parents=[options])
     common.add_argument("inputs", nargs="+", metavar="FILE",
                         help='input files ("-" for standard input)')
     common.add_argument("--format", dest="report_format", default="human",
                         choices=("human", "json", "tsv"))
-    common.add_argument("--config")
-    common.add_argument("--guideline-version")
 
     lint = sub.add_parser("lint", parents=[common],
                           help="lint CoNLL-U files")
@@ -335,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("stats", parents=[common],
                    help="corpus statistics report")
-    sub.add_parser("list-rules", help="print the rule catalog")
+    sub.add_parser("list-rules", parents=[options],
+                   help="print the rule catalog")
     return parser
 
 

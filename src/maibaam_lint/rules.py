@@ -9,6 +9,7 @@ is stable. Rule output is a pure function of (sentence, config).
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 from .conllu import (
@@ -46,7 +47,6 @@ class RuleDescriptor:
     default_severity: str
     guideline_ref: str | None
     description: str
-    enabled_default: bool = True
 
 
 RULES: tuple[RuleDescriptor, ...] = (
@@ -188,34 +188,36 @@ class LintConfig:
     tokenizer_lexicon_path: str | None = None
 
     def rule_enabled(self, rule_id: str) -> bool:
-        if rule_id in self.enabled_rules:
-            return True
-        if rule_id in self.disabled_rules:
-            return False
-        family = rule_id.split(".")[0] + ".*"
-        if family in self.enabled_rules:
-            return True
-        if family in self.disabled_rules:
-            return False
-        desc = RULES_BY_ID.get(rule_id)
-        return desc.enabled_default if desc else True
+        for key in _setting_keys(rule_id):
+            if key in self.enabled_rules:
+                return True
+            if key in self.disabled_rules:
+                return False
+        return True
 
     def severity(self, rule_id: str) -> str:
-        if rule_id in self.severity_overrides:
-            return self.severity_overrides[rule_id]
-        desc = RULES_BY_ID.get(rule_id)
-        return desc.default_severity if desc else SEVERITY_WARNING
+        for key in _setting_keys(rule_id):
+            if key in self.severity_overrides:
+                return self.severity_overrides[key]
+        return RULES_BY_ID[rule_id].default_severity
 
     def version_at_least(self, threshold: str) -> bool:
         return _version_tuple(self.guideline_version) >= _version_tuple(threshold)
 
 
+def _setting_keys(rule_id: str) -> tuple[str, str]:
+    """Config keys that can set a rule, most specific first: the exact id,
+    then its FAMILY.* wildcard."""
+    return rule_id, rule_id.split(".")[0] + ".*"
+
+
+VERSION_RE = re.compile(r"[0-9]+(\.[0-9]+)*")
+BOOLEANS = {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}
+
+
 def _version_tuple(version: str) -> tuple[int, ...]:
-    parts = []
-    for chunk in version.split("."):
-        digits = "".join(ch for ch in chunk if ch.isdigit())
-        parts.append(int(digits) if digits else 0)
-    return tuple(parts)
+    return tuple(map(int, version.split(".")))
 
 
 def load_config(path: str) -> LintConfig:
@@ -226,6 +228,8 @@ def load_config(path: str) -> LintConfig:
     a FAMILY.* wildcard), and lexicon.<name>.path entries
     pointing at plain word-list files (one entry per line, # comments;
     fixed-expression lists hold one space-separated sequence per line).
+    Booleans are 1/0/true/false/yes/no in any case; guideline_version is
+    dot-separated ASCII digits such as 2.17.
     """
     overrides: dict[str, str] = {}
     disabled: set[str] = set()
@@ -255,13 +259,15 @@ def load_config(path: str) -> LintConfig:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
+            flag = BOOLEANS.get(value.lower())
             if key.startswith("rule.") and key.endswith((".severity", ".enabled")):
                 rule_id, setting = key[len("rule."):].rsplit(".", 1)
                 if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
                     raise ValueError(f"{path}:{line_no}: unknown rule {rule_id!r}")
                 if setting == "enabled":
-                    (enabled if value.lower() in ("1", "true", "yes")
-                     else disabled).add(rule_id)
+                    if flag is None:
+                        raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
+                    (enabled if flag else disabled).add(rule_id)
                 elif value not in (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_REVIEW):
                     raise ValueError(f"{path}:{line_no}: bad severity {value!r}")
                 else:
@@ -282,13 +288,18 @@ def load_config(path: str) -> LintConfig:
                 else:
                     fields[attr] = tuple(tuple(e.split()) for e in entries)
             elif key == "guideline_version":
+                if not VERSION_RE.fullmatch(value):
+                    raise ValueError(f"{path}:{line_no}: bad guideline_version "
+                                     f"{value!r}")
                 fields["guideline_version"] = value
             elif key == "typo_column":
                 if value not in ("feats", "misc", "either"):
                     raise ValueError(f"{path}:{line_no}: bad typo_column {value!r}")
                 fields["typo_column"] = value
             elif key == "punct_lemma_exempt":
-                fields["punct_lemma_exempt"] = value.lower() in ("1", "true", "yes")
+                if flag is None:
+                    raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
+                fields["punct_lemma_exempt"] = flag
             else:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
 

@@ -51,7 +51,6 @@ class SegmentationResult:
 
     kind: str
     parts: tuple[Part, ...]
-    surface: str
     note: str | None = None
 
     def forms(self) -> tuple[str, ...]:
@@ -60,7 +59,7 @@ class SegmentationResult:
 
 def _intact(surface: str, hint: str | None = None,
             note: str | None = None) -> SegmentationResult:
-    return SegmentationResult(KIND_INTACT, ((surface, hint),), surface, note)
+    return SegmentationResult(KIND_INTACT, ((surface, hint),), note)
 
 
 @dataclass
@@ -75,8 +74,7 @@ class TokenizerLexicon:
     compagr_hosts: set[str] = field(default_factory=set)
     ma_forms: dict[str, tuple[Part, ...]] = field(default_factory=dict)
     review_forms: set[str] = field(default_factory=set)
-    abbreviations: set[str] = field(default_factory=set)
-    abbreviations_folded: set[str] = field(default_factory=set)
+    abbreviations: set[str] = field(default_factory=set)  # lower-cased
     intact_forms: dict[str, str | None] = field(default_factory=dict)
     nominalized_infinitives: set[str] = field(default_factory=set)
     units: set[str] = field(default_factory=set)
@@ -114,6 +112,12 @@ def load_lexicon(source) -> TokenizerLexicon:
             text = f.read()
 
     lex = TokenizerLexicon()
+    part_tables = {"mwt": lex.fused_adp_det, "mwt-inf": lex.fused_inf,
+                   "clitic": lex.pronoun_clitics, "sandhi": lex.sandhi_splits,
+                   "ma-form": lex.ma_forms}
+    form_sets = {"host": lex.compagr_hosts, "review": lex.review_forms,
+                 "abbrev": lex.abbreviations,
+                 "nominf": lex.nominalized_infinitives, "unit": lex.units}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()
         if not line or line.startswith("#"):
@@ -124,46 +128,24 @@ def load_lexicon(source) -> TokenizerLexicon:
                              f"columns, got {len(cols)}")
         surface, kind, parts_field, hints_field = cols
         key = fold_apostrophes(surface)
-        if kind == "mwt":
-            lex.fused_adp_det[key] = _parse_parts(parts_field, hints_field,
+        if kind in part_tables:
+            part_tables[kind][key] = _parse_parts(parts_field, hints_field,
                                                   surface, line_no)
-        elif kind == "mwt-inf":
-            lex.fused_inf[key] = _parse_parts(parts_field, hints_field,
-                                              surface, line_no)
+        elif kind in form_sets:
+            form_sets[kind].add(key.lower() if kind == "abbrev" else key)
         elif kind == "onset":
             hint = hints_field.split(" ")[0]
             lex.clitic_onsets[key] = None if hint == "_" else hint
-        elif kind == "clitic":
-            lex.pronoun_clitics[key] = _parse_parts(parts_field, hints_field,
-                                                    surface, line_no)
-        elif kind == "sandhi":
-            lex.sandhi_splits[key] = _parse_parts(parts_field, hints_field,
-                                                  surface, line_no)
-        elif kind == "host":
-            lex.compagr_hosts.add(key)
-        elif kind == "ma-form":
-            lex.ma_forms[key] = _parse_parts(parts_field, hints_field,
-                                             surface, line_no)
-        elif kind == "review":
-            lex.review_forms.add(key)
-        elif kind == "abbrev":
-            lex.abbreviations.add(key)
         elif kind == "intact":
             lex.intact_forms[key] = (None if hints_field == "_"
                                      else hints_field.split(" ")[0])
-        elif kind == "nominf":
-            lex.nominalized_infinitives.add(key)
-        elif kind == "unit":
-            lex.units.add(key)
         else:
             raise ValueError(f"lexicon line {line_no}: unknown kind {kind!r}")
 
-    for table in (lex.fused_adp_det, lex.fused_inf, lex.pronoun_clitics,
-                  lex.sandhi_splits, lex.ma_forms):
+    for table in part_tables.values():
         for parts in table.values():
             lex.terminal_parts.update(fold_apostrophes(f) for f, _ in parts)
     lex.terminal_parts.update(lex.clitic_onsets)
-    lex.abbreviations_folded = {a.lower() for a in lex.abbreviations}
 
     split_keys = set(lex.split_surfaces())
     clash = split_keys & lex.terminal_parts
@@ -268,27 +250,23 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
         for key in keys:
             if key in lexicon.ma_forms:
                 return SegmentationResult(
-                    KIND_SPACE_AFTER_NO,
-                    _carve(surface, lexicon.ma_forms[key]), surface)
+                    KIND_SPACE_AFTER_NO, _carve(surface, lexicon.ma_forms[key]))
         return SegmentationResult(
             KIND_SPACE_AFTER_NO,
-            ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")), surface)
+            ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
 
     infinitive_context = ctx.infinitive
     if infinitive_context is None and ctx.next_surface:
         next_key = fold_apostrophes(ctx.next_surface).lower()
         infinitive_context = next_key in lexicon.nominalized_infinitives
 
+    fused = (lexicon.fused_adp_det, lexicon.fused_inf)
+    if infinitive_context:
+        fused = (lexicon.fused_inf,) + fused
     for key in keys:
-        if infinitive_context and key in lexicon.fused_inf:
-            return SegmentationResult(
-                KIND_MWT, _carve(surface, lexicon.fused_inf[key]), surface)
-        if key in lexicon.fused_adp_det:
-            return SegmentationResult(
-                KIND_MWT, _carve(surface, lexicon.fused_adp_det[key]), surface)
-        if key in lexicon.fused_inf:
-            return SegmentationResult(
-                KIND_MWT, _carve(surface, lexicon.fused_inf[key]), surface)
+        for table in fused:
+            if key in table:
+                return SegmentationResult(KIND_MWT, _carve(surface, table[key]))
 
     for key in keys:
         for onset in sorted(lexicon.clitic_onsets, key=len, reverse=True):
@@ -297,20 +275,13 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
                 rest = surface[len(onset):]
                 return SegmentationResult(
                     KIND_SPACE_AFTER_NO,
-                    ((head, lexicon.clitic_onsets[onset]), (rest, None)),
-                    surface)
+                    ((head, lexicon.clitic_onsets[onset]), (rest, None)))
 
-    for key in keys:
-        if key in lexicon.pronoun_clitics:
-            return SegmentationResult(
-                KIND_SPACE_AFTER_NO,
-                _carve(surface, lexicon.pronoun_clitics[key]), surface)
-
-    for key in keys:
-        if key in lexicon.sandhi_splits:
-            return SegmentationResult(
-                KIND_SPACE_AFTER_NO,
-                _carve(surface, lexicon.sandhi_splits[key]), surface)
+    for table in (lexicon.pronoun_clitics, lexicon.sandhi_splits):
+        for key in keys:
+            if key in table:
+                return SegmentationResult(KIND_SPACE_AFTER_NO,
+                                          _carve(surface, table[key]))
 
     return _intact(surface)
 
@@ -329,7 +300,7 @@ def _strip_punct(unit: str, lexicon: TokenizerLexicon, last_unit: bool):
         unit = unit[1:]
     while len(unit) > 1 and unit[-1] in TRAILING_PUNCT:
         if unit[-1] in _SENT_END_PUNCT and \
-                fold_apostrophes(unit).lower() in lexicon.abbreviations_folded:
+                fold_apostrophes(unit).lower() in lexicon.abbreviations:
             break
         if unit[-1] == "." and unit[:-1].isdigit() and not last_unit:
             break  # ordinal number, e.g. "31." in a date
@@ -337,13 +308,6 @@ def _strip_punct(unit: str, lexicon: TokenizerLexicon, last_unit: bool):
         unit = unit[:-1]
     trailing.reverse()
     return leading, unit, trailing
-
-
-def _split_numeric(core: str) -> list[tuple[str, str | None]] | None:
-    m = _RANGE_RE.match(core)
-    if m:
-        return [(m.group(1), "NUM"), (m.group(2), "ADP"), (m.group(3), "NUM")]
-    return None
 
 
 def _punct_hint(ch: str) -> str:
@@ -374,72 +338,45 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
     if not raw.strip():
         raise EmptyInputError("input is empty or whitespace-only")
 
-    # (form, hint, glue_to_next, mwt_group) with mwt_group identifying
-    # parts that share one multi-word surface token
-    pieces: list[tuple[str, str | None, bool, tuple[str, int] | None]] = []
-    mwt_counter = 0
-
+    tokens: list[Token] = []
+    spans: list[MwtSpan] = []
     units = raw.split()
     for u_idx, unit in enumerate(units):
-        leading, core, trailing = _strip_punct(unit, lexicon,
-                                               u_idx == len(units) - 1)
-        unit_pieces: list[tuple[str, str | None, tuple[str, int] | None]] = []
-        for ch in leading:
-            unit_pieces.append((ch, _punct_hint(ch), None))
-
-        numeric = _split_numeric(core)
+        nxt = units[u_idx + 1] if u_idx + 1 < len(units) else None
+        leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
+        pieces: list[Part] = [(ch, _punct_hint(ch)) for ch in leading]
+        mwt = range(0)  # indices into pieces of the unit's MWT parts
+        numeric = _RANGE_RE.match(core)
         unit_match = _NUMBER_UNIT_RE.match(core)
         if numeric:
-            unit_pieces.extend((form, hint, None) for form, hint in numeric)
+            pieces.extend(zip(numeric.groups(), ("NUM", "ADP", "NUM")))
         elif unit_match and \
                 fold_apostrophes(unit_match.group(2)).lower() in lexicon.units:
-            unit_pieces.append((unit_match.group(1), "NUM", None))
-            unit_pieces.append((unit_match.group(2), "NOUN", None))
-        elif core:
-            nxt = units[u_idx + 1] if u_idx + 1 < len(units) else None
+            pieces.append((unit_match.group(1), "NUM"))
+            pieces.append((unit_match.group(2), "NOUN"))
+        else:
             seg = segment_token(core, lexicon,
                                 SegmentationContext(next_surface=nxt))
             if seg.kind == KIND_MWT:
-                mwt_counter += 1
-                group = (seg.surface, mwt_counter)
-                unit_pieces.extend((form, hint, group)
-                                   for form, hint in seg.parts)
+                mwt = range(len(pieces), len(pieces) + len(seg.parts))
+                pieces.extend(seg.parts)
             else:
-                unit_pieces.extend((form, hint or _default_hint(form), None)
-                                   for form, hint in seg.parts)
+                pieces.extend((form, hint or _default_hint(form))
+                              for form, hint in seg.parts)
+        pieces.extend((ch, _punct_hint(ch)) for ch in trailing)
 
-        for ch in trailing:
-            unit_pieces.append((ch, _punct_hint(ch), None))
-
-        # pieces of one unit are glued together; whitespace follows the last
-        for p_idx, (form, hint, group) in enumerate(unit_pieces):
-            pieces.append((form, hint, p_idx != len(unit_pieces) - 1, group))
-
-    tokens: list[Token] = []
-    spans: list[MwtSpan] = []
-    open_group: tuple[str, int] | None = None
-    group_first = 0
-    for form, hint, glue, group in pieces:
-        token_id = len(tokens) + 1
-        if group != open_group:
-            if open_group is not None:
-                spans.append(MwtSpan(group_first, token_id - 1, open_group[0]))
-            open_group, group_first = group, token_id
-        misc: list[tuple[str, str | None]] = []
-        if glue and group is None:
-            misc.append(("SpaceAfter", "No"))
-        tokens.append(Token(
-            id=token_id, form=form, upos=hint or "X", head=0, deprel="dep",
-            misc=misc,
-        ))
-    if open_group is not None:
-        spans.append(MwtSpan(group_first, len(tokens), open_group[0]))
-
-    # SpaceAfter=No belongs on the MWT line when the whole surface is glued
-    piece_glue = {i + 1: glue for i, (_, _, glue, _) in enumerate(pieces)}
-    for span in spans:
-        if piece_glue.get(span.last_id) and span.last_id != len(tokens):
-            span.misc.append(("SpaceAfter", "No"))
+        # pieces of one unit are glued together, whitespace follows the
+        # last; an MWT carries its SpaceAfter=No on the span line
+        base, last = len(tokens), len(pieces) - 1
+        for i, (form, hint) in enumerate(pieces):
+            glued = i != last and i not in mwt
+            tokens.append(Token(
+                id=base + i + 1, form=form, upos=hint or "X", head=0,
+                deprel="dep", misc=[("SpaceAfter", "No")] if glued else []))
+        if mwt:
+            spans.append(MwtSpan(
+                base + mwt.start + 1, base + mwt.stop, core,
+                [("SpaceAfter", "No")] if mwt.stop <= last else []))
 
     return make_sentence(metadata=[], tokens=tokens, mwt_spans=spans)
 
@@ -448,23 +385,19 @@ def attach_skeleton_heads(s: Sentence) -> Sentence:
     """Give a tokenizer skeleton a valid placeholder tree: the first
     non-punctuation token is the root, later content tokens chain to the
     previous content token with deprel "dep", punctuation attaches to the
-    nearest content token with deprel "punct"."""
-    content = [t for t in s.tokens if t.upos != "PUNCT"]
-    anchor_ids = [t.id for t in content] or [1]
+    previous content token (the first one if none precedes) with deprel
+    "punct". Without content tokens, token 1 is the root."""
+    first_content = next((t.id for t in s.tokens if t.upos != "PUNCT"), 0)
     prev_content = 0
     for t in s.tokens:
         if t.upos != "PUNCT":
             t.head = prev_content
             t.deprel = "root" if prev_content == 0 else "dep"
             prev_content = t.id
+        elif first_content:
+            t.head, t.deprel = prev_content or first_content, "punct"
+        elif t.id == 1:
+            t.head, t.deprel = 0, "root"
         else:
-            before = [i for i in anchor_ids if i < t.id]
-            after = [i for i in anchor_ids if i > t.id]
-            if before or after:
-                t.head = before[-1] if before else after[0]
-                t.deprel = "punct"
-            elif t.id == 1:
-                t.head, t.deprel = 0, "root"
-            else:
-                t.head, t.deprel = 1, "punct"
+            t.head, t.deprel = 1, "punct"
     return s

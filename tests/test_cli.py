@@ -1,12 +1,16 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import maibaam_lint
-from maibaam_lint.cli import compute_stats, lint_documents, run
+from maibaam_lint.cli import build_parser, compute_stats, lint_documents, run
 from maibaam_lint.conllu import parse_document
 from maibaam_lint.rules import RULES, LintConfig
 
@@ -275,3 +279,67 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "VOCAB.UPOS" in proc.stdout
+
+
+def test_family_severity_in_lint_and_list_rules(tmp_path):
+    conf = tmp_path / "lint.conf"
+    conf.write_text("rule.META.*.severity=review\n"
+                    "rule.META.TEXT_MISMATCH.severity=warning\n",
+                    encoding="utf-8")
+    f = tmp_path / "dup.conllu"
+    block = ("# sent_id = d-1\n# text = Haus Haus\n"
+             "# genre = fiction\n# dialect_group = central\n"
+             "1\tHaus\t_\tNOUN\t_\t_\t0\troot\t_\tGermanLemma=Haus\n\n")
+    f.write_text(block + block.replace("text = Haus Haus", "text = Haus"),
+                 encoding="utf-8")
+    code, out, _ = run_cli(["lint", "--format", "tsv", "--config", str(conf),
+                            str(f)])
+    rows = {tuple(r.split("\t")[4:6]) for r in out.splitlines()[1:]}
+    assert rows == {("review", "META.DUP_ID"), ("review", "META.MISSING"),
+                    ("warning", "META.TEXT_MISMATCH")}
+    assert code == 0
+    code, out, _ = run_cli(["list-rules", "--config", str(conf)])
+    severities = {line.split("\t")[0]: line.split("\t")[1]
+                  for line in out.splitlines()}
+    assert severities["META.DUP_ID"] == "review"
+    assert severities["META.TEXT_MISMATCH"] == "warning"
+    assert severities["CLASS.COP"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "x.conf", "lint", str(DURCH_DES)],
+    ["--guideline-version", "1.1", "lint", str(DURCH_DES)],
+    ["lint", "--guideline-version", "banana", str(DURCH_DES)],
+    ["lint", "--guideline-version", "2.", str(DURCH_DES)],
+])
+def test_misplaced_or_bad_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, output=io.StringIO(), errout=io.StringIO())
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for line in "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).splitlines():
+        # split pipelines into commands, dropping redirections and targets
+        argv: list[str] = []
+        words = iter(shlex.split(line, comments=True) + ["|"])
+        for word in words:
+            if word in (">", "<"):
+                next(words)
+            elif word in ("|", "&&", ";"):
+                if argv[:1] == ["maibaam-lint"]:
+                    commands.append(argv[1:])
+                argv = []
+            else:
+                argv.append(word)
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: maibaam-lint "
+                        f"{shlex.join(argv)}")

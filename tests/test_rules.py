@@ -469,3 +469,51 @@ def test_every_shipped_rule_has_ref_or_is_structural():
     for rule in RULES:
         assert rule.guideline_ref or rule.rule_id.startswith(("STRUCT.", "CORE."))
     assert RULES_BY_ID["CLASS.COP"].guideline_ref == "§6.6"
+
+
+def test_family_severity_override_and_exact_beats_family():
+    cfg = LintConfig(severity_overrides={"META.*": "review",
+                                         "META.GENRE": "warning"})
+    assert cfg.severity("META.DUP_ID") == "review"
+    assert cfg.severity("META.GENRE") == "warning"
+    assert cfg.severity("CLASS.COP") == "error"
+
+
+def test_rule_enabled_resolution_order():
+    both = frozenset({"LEMMA.MISSING"})
+    # an explicit enable beats a disable at the same level
+    assert LintConfig(enabled_rules=both, disabled_rules=both) \
+        .rule_enabled("LEMMA.MISSING")
+    cfg = LintConfig(enabled_rules=frozenset({"LEMMA.NIMMA"}),
+                     disabled_rules=frozenset({"LEMMA.*"}))
+    assert cfg.rule_enabled("LEMMA.NIMMA")
+    assert not cfg.rule_enabled("LEMMA.MISSING")
+    assert cfg.rule_enabled("CLASS.COP")
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("1", True), ("TRUE", True), ("Yes", True),
+    ("0", False), ("false", False), ("NO", False),
+])
+def test_load_config_boolean_spellings(tmp_path, value, expected):
+    conf = tmp_path / "lint.conf"
+    conf.write_text(f"rule.LEMMA.MISSING.enabled={value}\n"
+                    f"punct_lemma_exempt={value}\n", encoding="utf-8")
+    cfg = load_config(str(conf))
+    assert cfg.rule_enabled("LEMMA.MISSING") is expected
+    assert cfg.punct_lemma_exempt is expected
+
+
+def test_load_config_rejects_bad_values(tmp_path):
+    conf = tmp_path / "lint.conf"
+    for line in ("rule.LEMMA.MISSING.enabled=ture",
+                 "rule.LEMMA.*.enabled=",
+                 "punct_lemma_exempt=maybe",
+                 "guideline_version=two",
+                 "guideline_version=2.",
+                 "guideline_version=v2.17",
+                 "guideline_version=2_17",
+                 "guideline_version=\u0662.17"):
+        conf.write_text("# typo below\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{conf}:2: bad")):
+            load_config(str(conf))

@@ -259,3 +259,25 @@ def test_user_extension_lexicon(tmp_path):
 def test_fold_apostrophes():
     assert fold_apostrophes("s´Haus") == "s'Haus"
     assert fold_apostrophes("d’neie") == "d'neie"
+
+
+@pytest.mark.parametrize("raw, heads", [
+    ("(zum) Beispiel", [2, 0, 2, 3, 3]),
+    ("„Servus“ sogt er.", [2, 0, 2, 2, 4, 5]),
+    ("!!", [0, 1]),
+])
+def test_attach_skeleton_heads_exact(lex, raw, heads):
+    # punctuation hangs on the previous content token, else on the first;
+    # without content tokens, token 1 is the root
+    s = attach_skeleton_heads(tokenize_sentence(raw, lex))
+    assert [t.head for t in s.tokens] == heads
+
+
+def test_tokenize_mwt_glue_moves_to_span(lex):
+    s = tokenize_sentence("(zum) Beispiel", lex)
+    assert forms(s) == ["(", "zu", "m", ")", "Beispiel"]
+    [span] = s.mwt_spans
+    assert (span.first_id, span.last_id) == (2, 3)
+    assert span.misc == [("SpaceAfter", "No")]
+    assert [t.misc for t in s.tokens[1:4]] == [[], [], []]
+    assert s.tokens[0].misc == [("SpaceAfter", "No")]
