@@ -20,12 +20,20 @@ from .conllu import (
     Document,
     ParseError,
     SEVERITY_RANK,
+    Sentence,
     parse_document,
     reconstruct_text,
     serialize_document,
 )
 from .metadata import check_unique_sent_ids, validate_metadata
-from .rules import RULES, VERSION_RE, LintConfig, lint_sentence, load_config
+from .rules import (
+    RULES,
+    VERSION_RE,
+    LintConfig,
+    finding,
+    lint_sentence,
+    load_config,
+)
 from .tokenizer import (
     EmptyInputError,
     attach_skeleton_heads,
@@ -122,12 +130,9 @@ def lint_documents(docs: list[Document], cfg: LintConfig) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for doc in docs:
         if doc.bom and cfg.rule_enabled("CORE.BOM"):
-            diags.append(Diagnostic(
-                rule_id="CORE.BOM", severity=cfg.severity("CORE.BOM"),
-                file=doc.file, line=1,
-                sentence_id=doc.sentences[0].sent_id if doc.sentences else "",
-                token_id=None, message="byte-order mark stripped from input",
-                guideline_ref=None))
+            first = doc.sentences[0] if doc.sentences else Sentence(file=doc.file)
+            diags.append(finding(cfg, first, "CORE.BOM",
+                                 "byte-order mark stripped from input", line=1))
         for s in doc.sentences:
             diags.extend(lint_sentence(s, cfg))
             diags.extend(validate_metadata(s, cfg))
@@ -304,6 +309,14 @@ def _guideline_version(value: str) -> str:
     return value
 
 
+class _AfterSubcommand(argparse.Action):
+    """Reject a subcommand option given before the subcommand."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the subcommand, as in "
+                     f"'maibaam-lint lint {option_string} ... FILE'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maibaam-lint",
@@ -313,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
+    for flag in ("--config", "--guideline-version"):
+        parser.add_argument(flag, action=_AfterSubcommand,
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -325,10 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[options])
     common.add_argument("inputs", nargs="+", metavar="FILE",
                         help='input files ("-" for standard input)')
-    common.add_argument("--format", dest="report_format", default="human",
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument("--format", dest="report_format", default="human",
                         choices=("human", "json", "tsv"))
 
-    lint = sub.add_parser("lint", parents=[common],
+    lint = sub.add_parser("lint", parents=[report],
                           help="lint CoNLL-U files")
     lint.add_argument("--fail-level", default="error",
                       choices=("error", "warning", "review"),
@@ -339,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     tok.add_argument("--lexicon", dest="lexicon_path",
                      help="path to a segmentation lexicon file")
 
-    sub.add_parser("stats", parents=[common],
+    sub.add_parser("stats", parents=[report],
                    help="corpus statistics report")
     sub.add_parser("list-rules", parents=[options],
                    help="print the rule catalog")

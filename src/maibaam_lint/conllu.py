@@ -37,28 +37,16 @@ class ParseError(Exception):
         self.line = line
 
 
-def parse_misc(value: str) -> list[tuple[str, str | None]]:
-    """Parse a MISC column into an ordered list of (key, value) attributes.
+def column_value(col: str, key: str) -> str | None:
+    """Value of the first ``key=value`` entry of a FEATS or MISC column.
 
-    Entries without "=" are kept as (entry, None) so that serialization can
-    reproduce the original column exactly.
+    Entries without "=" are skipped; "_" has no entries.
     """
-    if value == "_":
-        return []
-    items: list[tuple[str, str | None]] = []
-    for part in value.split("|"):
-        if "=" in part:
-            key, val = part.split("=", 1)
-            items.append((key, val))
-        else:
-            items.append((part, None))
-    return items
-
-
-def misc_to_string(items: list[tuple[str, str | None]]) -> str:
-    if not items:
-        return "_"
-    return "|".join(k if v is None else f"{k}={v}" for k, v in items)
+    prefix = key + "="
+    for entry in col.split("|"):
+        if entry.startswith(prefix):
+            return entry[len(prefix):]
+    return None
 
 
 @dataclass
@@ -70,7 +58,7 @@ class Token:
     upos: str
     head: int
     deprel: str
-    misc: list[tuple[str, str | None]] = field(default_factory=list)
+    misc: str = "_"
     lemma_col: str = "_"
     xpos_col: str = "_"
     feats_col: str = "_"
@@ -86,24 +74,14 @@ class Token:
             raise ValueError(f"bad token form: {self.form!r}")
 
     def misc_value(self, key: str) -> str | None:
-        for k, v in self.misc:
-            if k == key:
-                return v
-        return None
+        return column_value(self.misc, key)
 
     @property
     def german_lemma(self) -> str | None:
-        return self.misc_value("GermanLemma")
+        return column_value(self.misc, "GermanLemma")
 
     def feats_value(self, key: str) -> str | None:
-        if self.feats_col == "_":
-            return None
-        for pair in self.feats_col.split("|"):
-            if "=" in pair:
-                k, v = pair.split("=", 1)
-                if k == key:
-                    return v
-        return None
+        return column_value(self.feats_col, key)
 
 
 @dataclass
@@ -113,7 +91,7 @@ class MwtSpan:
     first_id: int
     last_id: int
     surface_form: str
-    misc: list[tuple[str, str | None]] = field(default_factory=list)
+    misc: str = "_"
     other_cols: tuple[str, ...] = ("_",) * 7
     line: int = 0
 
@@ -122,10 +100,7 @@ class MwtSpan:
             raise ValueError(f"bad mwt range {self.first_id}-{self.last_id}")
 
     def misc_value(self, key: str) -> str | None:
-        for k, v in self.misc:
-            if k == key:
-                return v
-        return None
+        return column_value(self.misc, key)
 
 
 @dataclass
@@ -200,22 +175,6 @@ class Diagnostic:
 
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diags, key=lambda d: d.file_sort_key)
-
-
-def make_sentence(metadata: list[tuple[str, str]],
-                  tokens: list[Token],
-                  mwt_spans: list[MwtSpan] | None = None,
-                  file: str = "<string>",
-                  line: int = 0) -> Sentence:
-    """Build a sentence programmatically, synthesizing its comment lines."""
-    return Sentence(
-        tokens=tokens,
-        mwt_spans=list(mwt_spans or []),
-        metadata=list(metadata),
-        comments=[f"# {k} = {v}" for k, v in metadata],
-        file=file,
-        line=line,
-    )
 
 
 def parse_document(source, file_name: str = "<string>") -> Document:
@@ -316,7 +275,7 @@ def parse_document(source, file_name: str = "<string>") -> Document:
                                  file_name, line_no)
             tokens.append(Token(
                 id=token_id, form=cols[1], upos=cols[3], head=int(cols[6]),
-                deprel=cols[7], misc=parse_misc(cols[9]),
+                deprel=cols[7], misc=cols[9],
                 lemma_col=cols[2], xpos_col=cols[4], feats_col=cols[5],
                 deps_col=cols[8], line=line_no,
             ))
@@ -331,7 +290,7 @@ def parse_document(source, file_name: str = "<string>") -> Document:
                                  file_name, line_no)
             spans.append(MwtSpan(
                 first_id=first, last_id=last, surface_form=cols[1],
-                misc=parse_misc(cols[9]), other_cols=tuple(cols[2:9]),
+                misc=cols[9], other_cols=tuple(cols[2:9]),
                 line=line_no,
             ))
             pending_last = max(pending_last, last)
@@ -375,11 +334,11 @@ def _sentence_lines(s: Sentence) -> list[str]:
     for t in s.tokens:
         for span in spans_by_first.get(t.id, []):
             cols = [f"{span.first_id}-{span.last_id}", span.surface_form,
-                    *span.other_cols, misc_to_string(span.misc)]
+                    *span.other_cols, span.misc]
             lines.append("\t".join(cols))
         lines.append("\t".join([
             str(t.id), t.form, t.lemma_col, t.upos, t.xpos_col, t.feats_col,
-            str(t.head), t.deprel, t.deps_col, misc_to_string(t.misc),
+            str(t.head), t.deprel, t.deps_col, t.misc,
         ]))
         lines.extend(node.raw for node in empties_by_anchor.get(t.id, []))
     return lines
@@ -416,11 +375,12 @@ def reconstruct_text(s: Sentence) -> str:
     while i <= len(s.tokens):
         span = spans_by_first.get(i)
         if span is not None and span.last_id <= len(s.tokens):
-            units.append((span.surface_form, span.misc_value("SpaceAfter") == "No"))
+            units.append((span.surface_form,
+                          column_value(span.misc, "SpaceAfter") == "No"))
             i = span.last_id + 1
         else:
             t = s.tokens[i - 1]
-            units.append((t.form, t.misc_value("SpaceAfter") == "No"))
+            units.append((t.form, column_value(t.misc, "SpaceAfter") == "No"))
             i += 1
     out: list[str] = []
     for idx, (text, glue) in enumerate(units):

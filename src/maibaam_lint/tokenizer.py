@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .conllu import MwtSpan, Sentence, Token, make_sentence
+from .conllu import MwtSpan, Sentence, Token
 
 KIND_INTACT = "intact"
 KIND_MWT = "mwt"
@@ -91,6 +91,9 @@ class TokenizerLexicon:
 def _parse_parts(parts_field: str, hints_field: str, surface: str,
                  line_no: int) -> tuple[Part, ...]:
     forms = parts_field.split(" ")
+    if "" in forms:
+        raise ValueError(f"lexicon line {line_no}: empty part form in "
+                         f"{parts_field!r}")
     hints = hints_field.split(" ") if hints_field != "_" else ["_"] * len(forms)
     if len(hints) != len(forms):
         raise ValueError(f"lexicon line {line_no}: {len(forms)} parts but "
@@ -372,13 +375,13 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
             glued = i != last and i not in mwt
             tokens.append(Token(
                 id=base + i + 1, form=form, upos=hint or "X", head=0,
-                deprel="dep", misc=[("SpaceAfter", "No")] if glued else []))
+                deprel="dep", misc="SpaceAfter=No" if glued else "_"))
         if mwt:
             spans.append(MwtSpan(
                 base + mwt.start + 1, base + mwt.stop, core,
-                [("SpaceAfter", "No")] if mwt.stop <= last else []))
+                "SpaceAfter=No" if mwt.stop <= last else "_"))
 
-    return make_sentence(metadata=[], tokens=tokens, mwt_spans=spans)
+    return Sentence(tokens=tokens, mwt_spans=spans)
 
 
 def attach_skeleton_heads(s: Sentence) -> Sentence:

@@ -126,11 +126,11 @@ MUTATIONS = [
     ("fixed whitelist", "REL.FIXED", "maibaam-golden-017",
      lambda s: _set_lemma(s, 4, "foo")),
     ("goeswith shape", "REL.GOESWITH", "maibaam-golden-019",
-     lambda s: s.tokens[2].misc.append(("GermanLemma", "den"))),
+     lambda s: _add_misc(s.tokens[2], "GermanLemma=den")),
     ("lemma conventions", "LEMMA.MISSING", "maibaam-golden-009",
      lambda s: _set_lemma(s, 5, None)),
     ("typo features", "TYPO.CORRECT_SPACE", "maibaam-golden-014",
-     lambda s: s.tokens[2].misc.append(("CorrectSpaceAfter", "Yes"))),
+     lambda s: _add_misc(s.tokens[2], "CorrectSpaceAfter=Yes")),
     ("mwt surface", "MWT.SURFACE", "maibaam-golden-008",
      lambda s: setattr(s.tokens[3], "form", "n")),
     ("placeholder tags", "CLASS.USERNAME", "maibaam-golden-018",
@@ -144,11 +144,17 @@ MUTATIONS = [
 ]
 
 
+def _add_misc(t, entry):
+    t.misc = entry if t.misc == "_" else f"{t.misc}|{entry}"
+
+
 def _set_lemma(s, token_id, value):
     t = s.tokens[token_id - 1]
-    t.misc = [(k, v) for k, v in t.misc if k != "GermanLemma"]
+    kept = [e for e in t.misc.split("|")
+            if e != "_" and e.partition("=")[0] != "GermanLemma"]
+    t.misc = "|".join(kept) or "_"
     if value is not None:
-        t.misc.append(("GermanLemma", value))
+        _add_misc(t, f"GermanLemma={value}")
 
 
 def test_c4_mutant_detection_single_fault_isolation():

@@ -11,7 +11,7 @@ import pytest
 
 import maibaam_lint
 from maibaam_lint.cli import build_parser, compute_stats, lint_documents, run
-from maibaam_lint.conllu import parse_document
+from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
 
 from conftest import DURCH_DES, GOLDEN
@@ -246,6 +246,14 @@ def test_bom_is_flagged_but_tolerated(tmp_path):
     assert "CORE.BOM" in rules
 
 
+def test_bom_only_file_finding_fields():
+    doc = parse_document("\ufeff", "b.conllu")
+    assert lint_documents([doc], LintConfig()) == [Diagnostic(
+        rule_id="CORE.BOM", severity="warning", file="b.conllu", line=1,
+        sentence_id="", token_id=None,
+        message="byte-order mark stripped from input", guideline_ref=None)]
+
+
 def test_empty_file_is_clean(tmp_path):
     f = tmp_path / "empty.conllu"
     f.write_text("", encoding="utf-8")
@@ -311,12 +319,16 @@ def test_family_severity_in_lint_and_list_rules(tmp_path):
     ["--guideline-version", "1.1", "lint", str(DURCH_DES)],
     ["lint", "--guideline-version", "banana", str(DURCH_DES)],
     ["lint", "--guideline-version", "2.", str(DURCH_DES)],
+    ["tokenize", "--format", "json", "-"],
 ])
 def test_misplaced_or_bad_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv, output=io.StringIO(), errout=io.StringIO())
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # the message names the offending option
+    assert next(a for a in argv if a.startswith("--")) in err
 
 
 def test_readme_command_lines_parse():

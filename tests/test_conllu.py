@@ -10,10 +10,8 @@ from maibaam_lint.conllu import (
     ParseError,
     Sentence,
     Token,
-    make_sentence,
-    misc_to_string,
+    column_value,
     parse_document,
-    parse_misc,
     reconstruct_text,
     serialize_document,
     sort_diagnostics,
@@ -182,15 +180,44 @@ def test_serialize_empty_document():
 
 
 def test_misc_round_trip():
-    assert parse_misc("SpaceAfter=No|GermanLemma=in") == [
-        ("SpaceAfter", "No"), ("GermanLemma", "in")]
-    assert misc_to_string([("SpaceAfter", "No"), ("GermanLemma", "in")]) == \
-        "SpaceAfter=No|GermanLemma=in"
-    assert parse_misc("_") == []
-    assert misc_to_string([]) == "_"
-    # flag-style entries and stacked "=" survive
+    # flag-style entries and stacked "=" survive, because MISC is kept as
+    # the raw column
     for raw in ("Flag", "a=b=c", "_|x", "Flag|SpaceAfter=No"):
-        assert misc_to_string(parse_misc(raw)) == raw
+        text = f"1\tw\t_\tX\t_\t_\t0\troot\t_\t{raw}\n\n"
+        doc = parse_document(text, "m")
+        assert doc.sentences[0].tokens[0].misc == raw
+        assert serialize_document(doc) == text
+
+
+@pytest.mark.parametrize("col, lookups", [
+    ("_", {"_": None, "A": None}),
+    ("A", {"A": None}),
+    ("A=", {"A": ""}),
+    ("=x", {"": "x", "x": None}),
+    ("a=b=c", {"a": "b=c", "b": None, "A": None}),
+    ("A|A=1", {"A": "1"}),
+    ("SpaceAfter=No|GermanLemma=x",
+     {"SpaceAfter": "No", "GermanLemma": "x", "Space": None, "x": None}),
+])
+def test_column_lookup_and_round_trip(col, lookups):
+    # the same raw column as FEATS and MISC of a token and MISC of its MWT
+    text = (f"1-2\twx\t_\t_\t_\t_\t_\t_\t_\t{col}\n"
+            f"1\tw\t_\tX\t_\t{col}\t0\troot\t_\t{col}\n"
+            f"2\tx\t_\tX\t_\t{col}\t1\tdep\t_\t{col}\n"
+            f"3\ty\t_\tX\t_\t_\t1\tdep\t_\t_\n\n")
+    doc = parse_document(text, "c")
+    assert serialize_document(doc) == text
+    s = doc.sentences[0]
+    t, span = s.tokens[0], s.mwt_spans[0]
+    assert (t.misc, t.feats_col, span.misc) == (col, col, col)
+    for key, value in lookups.items():
+        assert column_value(col, key) == value
+        assert t.misc_value(key) == value
+        assert t.feats_value(key) == value
+        assert span.misc_value(key) == value
+    assert t.german_lemma == lookups.get("GermanLemma")
+    glued = lookups.get("SpaceAfter") == "No"
+    assert reconstruct_text(s) == ("wxy" if glued else "wx y")
 
 
 def test_serialize_constructed_sentence():
@@ -199,8 +226,8 @@ def test_serialize_constructed_sentence():
         Token(id=2, form="m", upos="DET", head=3, deprel="det"),
         Token(id=3, form="Beispiel", upos="NOUN", head=0, deprel="root"),
     ]
-    s = make_sentence([("sent_id", "c-1"), ("text", "zum Beispiel")], tokens,
-                      [MwtSpan(1, 2, "zum")])
+    s = Sentence(tokens=tokens, mwt_spans=[MwtSpan(1, 2, "zum")],
+                 metadata=[("sent_id", "c-1"), ("text", "zum Beispiel")])
     out = serialize_document(Document(sentences=[s]))
     lines = out.split("\n")
     assert lines[0] == "# sent_id = c-1"
@@ -311,7 +338,7 @@ def test_structure_agrees_with_enumeration_oracle_small():
 def test_reconstruct_text_space_after_no():
     s = Sentence(tokens=[
         Token(id=1, form="z'", upos="ADP", head=2, deprel="case",
-              misc=[("SpaceAfter", "No")]),
+              misc="SpaceAfter=No"),
         Token(id=2, form="Minga", upos="PROPN", head=0, deprel="root"),
     ])
     assert reconstruct_text(s) == "z'Minga"
@@ -363,17 +390,17 @@ def documents(draw):
         for i in range(n):
             misc = []
             if draw(st.booleans()):
-                misc.append(("SpaceAfter", "No"))
+                misc.append("SpaceAfter=No")
             if draw(st.booleans()):
-                misc.append(("GermanLemma", draw(_form)))
+                misc.append(f"GermanLemma={draw(_form)}")
             tokens.append(Token(
                 id=i + 1, form=draw(_form), upos=draw(st.sampled_from(
                     ["NOUN", "VERB", "X", "PUNCT"])),
                 head=draw(st.integers(0, n)), deprel=draw(st.sampled_from(
                     ["root", "dep", "nsubj", "punct"])),
-                misc=misc))
-        sentences.append(make_sentence(
-            [("sent_id", f"h-{len(sentences)}")], tokens))
+                misc="|".join(misc) or "_"))
+        sentences.append(Sentence(
+            tokens=tokens, metadata=[("sent_id", f"h-{len(sentences)}")]))
     return Document(sentences=sentences)
 
 

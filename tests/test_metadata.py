@@ -1,6 +1,6 @@
 import pytest
 
-from maibaam_lint.conllu import Document, Token, make_sentence
+from maibaam_lint.conllu import Document, Sentence, Token
 from maibaam_lint.metadata import (
     REQUIRED_KEYS,
     check_unique_sent_ids,
@@ -24,8 +24,8 @@ def complete_metadata(**overrides):
 
 def one_token_sentence(**overrides):
     tokens = [Token(id=1, form="Servus", upos="INTJ", head=0, deprel="root",
-                    misc=[("GermanLemma", "servus")])]
-    return make_sentence(complete_metadata(**overrides), tokens)
+                    misc="GermanLemma=servus")]
+    return Sentence(tokens=tokens, metadata=complete_metadata(**overrides))
 
 
 def ids(diags):

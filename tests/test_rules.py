@@ -1,8 +1,11 @@
+import ast
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import maibaam_lint
 from maibaam_lint.conllu import MwtSpan, Sentence, Token, parse_document
 from maibaam_lint.metadata import validate_metadata
 from maibaam_lint.rules import (
@@ -17,15 +20,16 @@ from maibaam_lint.rules import (
 
 
 def sent(*rows, mwts=()):
-    """rows: (form, upos, head, deprel, lemma_or_None) or with extra misc."""
+    """rows: (form, upos, head, deprel, lemma_or_None) or with extra MISC
+    entries ("key=value" strings)."""
     tokens = []
     for i, row in enumerate(rows):
         form, upos, head, deprel, lemma = row[:5]
         misc = list(row[5]) if len(row) > 5 else []
         if lemma is not None:
-            misc.append(("GermanLemma", lemma))
+            misc.append(f"GermanLemma={lemma}")
         tokens.append(Token(id=i + 1, form=form, upos=upos, head=head,
-                            deprel=deprel, misc=misc))
+                            deprel=deprel, misc="|".join(misc) or "_"))
     return Sentence(tokens=tokens, mwt_spans=[MwtSpan(*m) for m in mwts])
 
 
@@ -162,17 +166,17 @@ def goeswith_sentence(**tweaks):
     rows.update(tweaks)
     tokens = [
         Token(id=1, form="Sie", upos="PRON", head=4, deprel="nsubj",
-              misc=[("GermanLemma", "sie")]),
+              misc="GermanLemma=sie"),
         Token(id=2, form="wer", upos="AUX", head=4, deprel="aux",
               feats_col=rows["head_feats"],
-              misc=[("GermanLemma", rows["head_lemma"])]
-              if rows["head_lemma"] else []),
+              misc=f"GermanLemma={rows['head_lemma']}"
+              if rows["head_lemma"] else "_"),
         Token(id=3, form="den", upos="X", head=rows["dep_head"],
               deprel="goeswith",
-              misc=[("GermanLemma", rows["dep_lemma"])]
-              if rows["dep_lemma"] else []),
+              misc=f"GermanLemma={rows['dep_lemma']}"
+              if rows["dep_lemma"] else "_"),
         Token(id=4, form="kumma", upos="VERB", head=0, deprel="root",
-              misc=[("GermanLemma", "kommen")]),
+              misc="GermanLemma=kommen"),
     ]
     return Sentence(tokens=tokens)
 
@@ -198,12 +202,12 @@ def test_goeswith_head_needs_lemma():
 def test_goeswith_must_follow_head():
     s = sent(("den", "X", 3, "goeswith", None),
              ("gor", "ADV", 3, "advmod", "gar"),
-             ("wer", "AUX", 0, "root", "werden", [("Typo", "Yes")]))
+             ("wer", "AUX", 0, "root", "werden", ["Typo=Yes"]))
     assert "REL.GOESWITH" in ids(lint_sentence(s))
 
 
 def test_typo_flag_column_choice():
-    in_misc = sent(("wer", "AUX", 3, "aux", "werden", [("Typo", "Yes")]),
+    in_misc = sent(("wer", "AUX", 3, "aux", "werden", ["Typo=Yes"]),
                    ("den", "X", 1, "goeswith", None),
                    ("kumma", "VERB", 0, "root", "kommen"))
     assert "REL.GOESWITH" not in ids(lint_sentence(in_misc))
@@ -231,7 +235,7 @@ def test_lemma_on_mwt():
              ("m", "DET", 3, "det", "der"),
              ("Haus", "NOUN", 0, "root", "Haus"),
              mwts=[(1, 2, "zum")])
-    s.mwt_spans[0].misc.append(("GermanLemma", "zum"))
+    s.mwt_spans[0].misc = "GermanLemma=zum"
     assert "LEMMA.ON_MWT" in ids(lint_sentence(s))
 
 
@@ -246,17 +250,17 @@ def test_lemma_nimma():
 
 def test_typo_correct_space_pairing():
     ok = sent(("des", "PRON", 2, "nsubj", "das",
-               [("CorrectSpaceAfter", "Yes"), ("SpaceAfter", "No")]),
+               ["CorrectSpaceAfter=Yes", "SpaceAfter=No"]),
               ("is", "VERB", 0, "root", "sein"))
     assert lint_sentence(ok) == []
     bad = sent(("des", "PRON", 2, "nsubj", "das",
-                [("CorrectSpaceAfter", "Yes")]),
+                ["CorrectSpaceAfter=Yes"]),
                ("is", "VERB", 0, "root", "sein"))
     assert ids(lint_sentence(bad)) == ["TYPO.CORRECT_SPACE"]
 
 
 def test_typo_without_goeswith_is_review():
-    s = sent(("Wrot", "NOUN", 0, "root", "Wort", [("Typo", "Yes")]))
+    s = sent(("Wrot", "NOUN", 0, "root", "Wort", ["Typo=Yes"]))
     diags = lint_sentence(s)
     assert ids(diags) == ["TYPO.REVIEW"]
     assert diags[0].severity == "review"
@@ -385,7 +389,7 @@ def test_monotonicity_disabling_removes_exactly_that_rule(golden_doc):
     s = next(x for x in golden_doc.sentences
              if x.sent_id == "maibaam-golden-014")
     s.tokens[3].upos = "ADJD"
-    s.tokens[0].misc = []  # drop the lemma as well
+    s.tokens[0].misc = "_"  # drop the lemma as well
     base = lint_sentence(s)
     assert sorted(set(ids(base))) == ["LEMMA.MISSING", "VOCAB.UPOS"]
     without = lint_sentence(s, LintConfig(disabled_rules=frozenset({"VOCAB.UPOS"})))
@@ -396,7 +400,7 @@ def test_monotonicity_disabling_removes_exactly_that_rule(golden_doc):
 def test_family_wildcard_disable(golden_doc):
     s = next(x for x in golden_doc.sentences
              if x.sent_id == "maibaam-golden-014")
-    s.tokens[0].misc = []
+    s.tokens[0].misc = "_"
     cfg = LintConfig(disabled_rules=frozenset({"LEMMA.*"}))
     assert lint_sentence(s, cfg) == []
 
@@ -517,3 +521,34 @@ def test_load_config_rejects_bad_values(tmp_path):
         conf.write_text("# typo below\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{conf}:2: bad")):
             load_config(str(conf))
+
+
+class _DiagnosticCalls(ast.NodeVisitor):
+    """Collect the enclosing function of every ``Diagnostic(...)`` call."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "Diagnostic":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_diagnostic_is_built_only_by_finding():
+    # one constructor keeps severity and citation lookup in one place
+    found = []
+    for path in sorted(Path(maibaam_lint.__file__).parent.glob("*.py")):
+        visitor = _DiagnosticCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert found == ["rules.finding"]

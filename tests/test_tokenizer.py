@@ -239,6 +239,14 @@ def test_load_lexicon_rejects_bad_parts(tmp_path):
         load_lexicon(str(bad))
 
 
+@pytest.mark.parametrize("parts", ["zu  m", " zu m", "zu m "])
+def test_load_lexicon_rejects_empty_part_forms(parts):
+    # "".join still equals the surface, so only an explicit check sees
+    # the empty part before tokenize emits an empty token
+    with pytest.raises(ValueError, match="lexicon line 2: empty part form"):
+        load_lexicon(f"# fused forms\nzum\tmwt\t{parts}\t_\n")
+
+
 def test_load_lexicon_rejects_key_part_clash(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("ab\tclitic\ta b\t_ _\na\tsandhi\t_ a\t_ _\n",
@@ -278,6 +286,6 @@ def test_tokenize_mwt_glue_moves_to_span(lex):
     assert forms(s) == ["(", "zu", "m", ")", "Beispiel"]
     [span] = s.mwt_spans
     assert (span.first_id, span.last_id) == (2, 3)
-    assert span.misc == [("SpaceAfter", "No")]
-    assert [t.misc for t in s.tokens[1:4]] == [[], [], []]
-    assert s.tokens[0].misc == [("SpaceAfter", "No")]
+    assert span.misc == "SpaceAfter=No"
+    assert [t.misc for t in s.tokens[1:4]] == ["_", "_", "_"]
+    assert s.tokens[0].misc == "SpaceAfter=No"
