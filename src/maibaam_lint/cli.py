@@ -225,7 +225,6 @@ def cmd_tokenize(opts: RunOptions) -> int:
     lexicon_path = opts.lexicon_path or cfg.tokenizer_lexicon_path
     lexicon = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
     exit_code = 0
-    out_docs: list[Document] = []
     for path in opts.inputs:
         try:
             text, name = _read_input(path)
@@ -234,7 +233,6 @@ def cmd_tokenize(opts: RunOptions) -> int:
                   file=opts.errout)
             exit_code = 2
             continue
-        doc = Document(file=name)
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         counter = 0
         for raw_line in text.split("\n"):
@@ -249,10 +247,8 @@ def cmd_tokenize(opts: RunOptions) -> int:
             s.metadata = [("sent_id", f"{stem}-{counter}"),
                           ("text", reconstruct_text(s))]
             s.file = name
-            doc.sentences.append(s)
-        out_docs.append(doc)
-    for doc in out_docs:
-        opts.output.write(serialize_document(doc))
+            # written per sentence, so memory does not grow with the input
+            opts.output.write(serialize_document(Document([s], file=name)))
     return exit_code
 
 
@@ -310,11 +306,12 @@ def _guideline_version(value: str) -> str:
 
 
 class _AfterSubcommand(argparse.Action):
-    """Reject a subcommand option given before the subcommand."""
+    """Reject a subcommand option given before the subcommand; const names
+    a subcommand that takes it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         parser.error(f"{option_string} goes after the subcommand, as in "
-                     f"'maibaam-lint lint {option_string} ... FILE'")
+                     f"'maibaam-lint {self.const} {option_string} ... FILE'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    for flag in ("--config", "--guideline-version"):
-        parser.add_argument(flag, action=_AfterSubcommand,
+    for flag, example in (("--config", "lint"), ("--guideline-version", "lint"),
+                          ("--format", "lint"), ("--fail-level", "lint"),
+                          ("--lexicon", "tokenize")):
+        parser.add_argument(flag, action=_AfterSubcommand, const=example,
                             default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="subcommand")

@@ -33,6 +33,10 @@ _NUMBER_UNIT_RE = re.compile(r"^(\d+(?:[.,]\d+)?)([^\W\d_]+)$")
 AGREEMENT_SUFFIXES = ("sd", "st", "ds")
 FULL_1PL_PRONOUNS = frozenset({"mia", "mir"})
 
+# tokenize_sentence's per-lexicon unit memo is emptied when it reaches this
+# many entries, which bounds its memory on high-diversity text
+UNIT_MEMO_LIMIT = 2 ** 16
+
 
 class EmptyInputError(ValueError):
     """Raised by tokenize_sentence for whitespace-only input."""
@@ -64,7 +68,13 @@ def _intact(surface: str, hint: str | None = None,
 
 @dataclass
 class TokenizerLexicon:
-    """Lookup tables driving segment_token; read-only after load."""
+    """Lookup tables driving segment_token.
+
+    Read-only after construction: __post_init__ compiles the onset order and
+    the agreement-ending table from the tables given, and tokenize_sentence
+    memoises its per-unit work on the lexicon, so later edits to a table are
+    not seen.
+    """
 
     fused_adp_det: dict[str, tuple[Part, ...]] = field(default_factory=dict)
     fused_inf: dict[str, tuple[Part, ...]] = field(default_factory=dict)
@@ -79,6 +89,23 @@ class TokenizerLexicon:
     nominalized_infinitives: set[str] = field(default_factory=set)
     units: set[str] = field(default_factory=set)
     terminal_parts: set[str] = field(default_factory=set)
+    _onsets: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _agreement: dict[str, str] = field(init=False, repr=False, compare=False)
+    _unit_memo: dict = field(init=False, default_factory=dict, repr=False,
+                             compare=False)
+
+    def __post_init__(self):
+        self._onsets = tuple(sorted(self.clitic_onsets, key=len, reverse=True))
+        # surface -> ending; setdefault keeps the first ending in this order
+        agreement = dict.fromkeys(self.ma_forms, "ma")
+        for suffix in AGREEMENT_SUFFIXES + ("ma",):
+            for host in filter(None, self.compagr_hosts):
+                agreement.setdefault(host + suffix, suffix)
+                agreement.setdefault(host + "'" + suffix, suffix)
+                if suffix.startswith("s") and host.endswith("s"):
+                    # the host's final "s" is shared: dass + sd -> dassd
+                    agreement.setdefault(host + suffix[1:], suffix)
+        self._agreement = agreement
 
     def split_surfaces(self) -> list[str]:
         """All surfaces for which some splitting rule fires."""
@@ -114,13 +141,12 @@ def load_lexicon(source) -> TokenizerLexicon:
         with open(source, encoding="utf-8") as f:
             text = f.read()
 
-    lex = TokenizerLexicon()
-    part_tables = {"mwt": lex.fused_adp_det, "mwt-inf": lex.fused_inf,
-                   "clitic": lex.pronoun_clitics, "sandhi": lex.sandhi_splits,
-                   "ma-form": lex.ma_forms}
-    form_sets = {"host": lex.compagr_hosts, "review": lex.review_forms,
-                 "abbrev": lex.abbreviations,
-                 "nominf": lex.nominalized_infinitives, "unit": lex.units}
+    part_tables: dict[str, dict[str, tuple[Part, ...]]] = {
+        kind: {} for kind in ("mwt", "mwt-inf", "clitic", "sandhi", "ma-form")}
+    form_sets: dict[str, set[str]] = {
+        kind: set() for kind in ("host", "review", "abbrev", "nominf", "unit")}
+    clitic_onsets: dict[str, str | None] = {}
+    intact_forms: dict[str, str | None] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()
         if not line or line.startswith("#"):
@@ -138,20 +164,28 @@ def load_lexicon(source) -> TokenizerLexicon:
             form_sets[kind].add(key.lower() if kind == "abbrev" else key)
         elif kind == "onset":
             hint = hints_field.split(" ")[0]
-            lex.clitic_onsets[key] = None if hint == "_" else hint
+            clitic_onsets[key] = None if hint == "_" else hint
         elif kind == "intact":
-            lex.intact_forms[key] = (None if hints_field == "_"
-                                     else hints_field.split(" ")[0])
+            intact_forms[key] = (None if hints_field == "_"
+                                 else hints_field.split(" ")[0])
         else:
             raise ValueError(f"lexicon line {line_no}: unknown kind {kind!r}")
 
+    terminal_parts = set(clitic_onsets)
     for table in part_tables.values():
         for parts in table.values():
-            lex.terminal_parts.update(fold_apostrophes(f) for f, _ in parts)
-    lex.terminal_parts.update(lex.clitic_onsets)
+            terminal_parts.update(fold_apostrophes(f) for f, _ in parts)
 
-    split_keys = set(lex.split_surfaces())
-    clash = split_keys & lex.terminal_parts
+    lex = TokenizerLexicon(
+        fused_adp_det=part_tables["mwt"], fused_inf=part_tables["mwt-inf"],
+        clitic_onsets=clitic_onsets, pronoun_clitics=part_tables["clitic"],
+        sandhi_splits=part_tables["sandhi"],
+        compagr_hosts=form_sets["host"], ma_forms=part_tables["ma-form"],
+        review_forms=form_sets["review"], abbreviations=form_sets["abbrev"],
+        intact_forms=intact_forms,
+        nominalized_infinitives=form_sets["nominf"], units=form_sets["unit"],
+        terminal_parts=terminal_parts)
+    clash = set(lex.split_surfaces()) & terminal_parts
     if clash:
         raise ValueError(f"lexicon entries are also split parts: {sorted(clash)}")
     return lex
@@ -189,19 +223,9 @@ def match_agreement_suffix(surface: str,
     s-initial ending (dass + sd -> dassd).
     """
     for key in _lookup_keys(surface):
-        if key in lexicon.ma_forms:
-            return "ma"
-        for suffix in AGREEMENT_SUFFIXES + ("ma",):
-            stems = [key[:-len(suffix)]] if key.endswith(suffix) else []
-            if key.endswith("'" + suffix):
-                stems.append(key[:-len(suffix) - 1])
-            if suffix.startswith("s") and key.endswith(suffix[1:]):
-                shared = key[:-len(suffix) + 1]
-                if shared.endswith("s"):
-                    stems.append(shared)
-            for stem in stems:
-                if stem and stem in lexicon.compagr_hosts:
-                    return suffix
+        suffix = lexicon._agreement.get(key)
+        if suffix is not None:
+            return suffix
     return None
 
 
@@ -272,7 +296,7 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
                 return SegmentationResult(KIND_MWT, _carve(surface, table[key]))
 
     for key in keys:
-        for onset in sorted(lexicon.clitic_onsets, key=len, reverse=True):
+        for onset in lexicon._onsets:
             if key.startswith(onset) and len(key) > len(onset):
                 head = surface[:len(onset)]
                 rest = surface[len(onset):]
@@ -329,6 +353,38 @@ def _default_hint(form: str) -> str | None:
     return None
 
 
+def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
+    """Segment one whitespace unit given the unit after it (None at the end
+    of the sentence).
+
+    Returns (pieces, mwt, core): the (form, UPOS hint) pieces in order, the
+    range of pieces that make up the unit's multi-word token (empty if none),
+    and the unit without its outer punctuation.
+    """
+    leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
+    pieces: list[Part] = [(ch, _punct_hint(ch)) for ch in leading]
+    mwt = range(0)
+    numeric = _RANGE_RE.match(core)
+    unit_match = _NUMBER_UNIT_RE.match(core)
+    if numeric:
+        pieces.extend(zip(numeric.groups(), ("NUM", "ADP", "NUM")))
+    elif unit_match and \
+            fold_apostrophes(unit_match.group(2)).lower() in lexicon.units:
+        pieces.append((unit_match.group(1), "NUM"))
+        pieces.append((unit_match.group(2), "NOUN"))
+    else:
+        seg = segment_token(core, lexicon,
+                            SegmentationContext(next_surface=nxt))
+        if seg.kind == KIND_MWT:
+            mwt = range(len(pieces), len(pieces) + len(seg.parts))
+            pieces.extend(seg.parts)
+        else:
+            pieces.extend((form, hint or _default_hint(form))
+                          for form, hint in seg.parts)
+    pieces.extend((ch, _punct_hint(ch)) for ch in trailing)
+    return tuple(pieces), mwt, core
+
+
 def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
     """Tokenize one plain-text sentence into a CoNLL-U skeleton.
 
@@ -337,36 +393,32 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
     segment_token on each remaining unit. The skeleton has forms, UPOS
     hints (X when unknown), MWT spans and SpaceAfter=No; heads and deprels
     are placeholders until attach_skeleton_heads is applied.
+
+    A unit depends on the next unit only through two bits (is it a full 1pl
+    pronoun, is it a nominalised infinitive) and on whether there is one, so
+    each distinct (unit, bits) is segmented once per lexicon.
     """
     if not raw.strip():
         raise EmptyInputError("input is empty or whitespace-only")
 
+    memo = lexicon._unit_memo
     tokens: list[Token] = []
     spans: list[MwtSpan] = []
     units = raw.split()
     for u_idx, unit in enumerate(units):
         nxt = units[u_idx + 1] if u_idx + 1 < len(units) else None
-        leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
-        pieces: list[Part] = [(ch, _punct_hint(ch)) for ch in leading]
-        mwt = range(0)  # indices into pieces of the unit's MWT parts
-        numeric = _RANGE_RE.match(core)
-        unit_match = _NUMBER_UNIT_RE.match(core)
-        if numeric:
-            pieces.extend(zip(numeric.groups(), ("NUM", "ADP", "NUM")))
-        elif unit_match and \
-                fold_apostrophes(unit_match.group(2)).lower() in lexicon.units:
-            pieces.append((unit_match.group(1), "NUM"))
-            pieces.append((unit_match.group(2), "NOUN"))
+        if nxt is None:
+            bits = None
         else:
-            seg = segment_token(core, lexicon,
-                                SegmentationContext(next_surface=nxt))
-            if seg.kind == KIND_MWT:
-                mwt = range(len(pieces), len(pieces) + len(seg.parts))
-                pieces.extend(seg.parts)
-            else:
-                pieces.extend((form, hint or _default_hint(form))
-                              for form, hint in seg.parts)
-        pieces.extend((ch, _punct_hint(ch)) for ch in trailing)
+            next_key = fold_apostrophes(nxt).lower()
+            bits = (next_key in FULL_1PL_PRONOUNS,
+                    next_key in lexicon.nominalized_infinitives)
+        entry = memo.get((unit, bits))
+        if entry is None:
+            if len(memo) >= UNIT_MEMO_LIMIT:
+                memo.clear()
+            entry = memo[unit, bits] = _segment_unit(unit, nxt, lexicon)
+        pieces, mwt, core = entry
 
         # pieces of one unit are glued together, whitespace follows the
         # last; an MWT carries its SpaceAfter=No on the span line

@@ -201,6 +201,42 @@ def test_tokenize_custom_lexicon(tmp_path):
     assert out.splitlines()[2].startswith("1-2\tbeim")
 
 
+def test_tokenize_streams_documents_in_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    texts = {"a.txt": "Servus, wia gehts da heid z'Minga?\n\n"
+                      "  I  geh zum Beispiel ham.  \n",
+             "b.txt": "wemma mia gehn ,dassd kummst!\n(zum) Beispiel"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["tokenize", "a.txt", "missing.txt", "b.txt"])
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot read missing.txt: ")
+    # stdout is each readable input's own output, in argument order
+    assert out == run_cli(["tokenize", "a.txt"])[1] + \
+        run_cli(["tokenize", "b.txt"])[1]
+    doc = parse_document(out, "skeleton")
+    assert [s.metadata_value("sent_id") for s in doc.sentences] == [
+        "a-1", "a-2", "b-1", "b-2"]
+    raw_lines = [line for text in texts.values()
+                 for line in text.split("\n") if line.strip()]
+    assert [s.metadata_value("text") for s in doc.sentences] == [
+        " ".join(line.split()) for line in raw_lines]
+
+
+def test_tokenize_stops_at_undecodable_input(tmp_path, monkeypatch):
+    # sentences already segmented stay written; the run ends with exit 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text("zum Beispiel\n", encoding="utf-8")
+    (tmp_path / "bad.txt").write_bytes(b"gut\n\xff kaputt\n")
+    (tmp_path / "b.txt").write_text("Servus\n", encoding="utf-8")
+    code, out, err = run_cli(["tokenize", "a.txt", "bad.txt", "b.txt"])
+    assert code == 2
+    assert out == run_cli(["tokenize", "a.txt"])[1]
+    [line] = err.splitlines()
+    assert line.startswith("error: 'utf-8' codec can't decode")
+
+
 def test_stats_counts(golden_doc):
     stats = compute_stats([golden_doc])
     assert stats.sentences == 21
@@ -320,6 +356,9 @@ def test_family_severity_in_lint_and_list_rules(tmp_path):
     ["lint", "--guideline-version", "banana", str(DURCH_DES)],
     ["lint", "--guideline-version", "2.", str(DURCH_DES)],
     ["tokenize", "--format", "json", "-"],
+    ["--format", "json", "lint", str(DURCH_DES)],
+    ["--fail-level", "review", "lint", str(DURCH_DES)],
+    ["--lexicon", "x.tsv", "tokenize", "-"],
 ])
 def test_misplaced_or_bad_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -328,7 +367,12 @@ def test_misplaced_or_bad_options_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     # the message names the offending option
-    assert next(a for a in argv if a.startswith("--")) in err
+    option = next(a for a in argv if a.startswith("--"))
+    assert option in err
+    assert "invalid choice" not in err
+    if argv[0] == option:
+        # and shows it after a subcommand that takes it
+        assert f"'maibaam-lint {argv[2]} {option} ... FILE'" in err
 
 
 def test_readme_command_lines_parse():

@@ -1,20 +1,27 @@
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maibaam_lint.conllu import reconstruct_text
 from maibaam_lint.rules import validate_structure
+from maibaam_lint import tokenizer
 from maibaam_lint.tokenizer import (
+    AGREEMENT_SUFFIXES,
     KIND_INTACT,
     KIND_MWT,
     KIND_SPACE_AFTER_NO,
     EmptyInputError,
     SegmentationContext,
+    TokenizerLexicon,
     attach_skeleton_heads,
     default_lexicon,
     fold_apostrophes,
     is_complementizer_agreement,
     load_lexicon,
+    match_agreement_suffix,
     segment_token,
     tokenize_sentence,
 )
@@ -289,3 +296,176 @@ def test_tokenize_mwt_glue_moves_to_span(lex):
     assert span.misc == "SpaceAfter=No"
     assert [t.misc for t in s.tokens[1:4]] == ["_", "_", "_"]
     assert s.tokens[0].misc == "SpaceAfter=No"
+
+
+# -- compiled lexicon and per-unit memo --------------------------------------
+
+def _cold(lexicon):
+    """A copy of lexicon with its own, empty unit memo."""
+    return replace(lexicon)
+
+
+def _skeleton(s):
+    return ([(t.id, t.form, t.upos, t.misc) for t in s.tokens],
+            [(m.first_id, m.last_id, m.surface_form, m.misc)
+             for m in s.mwt_spans])
+
+
+def _lexicon_forms(lex):
+    """Every surface the lexicon names, its parts, and agreement-shaped
+    host + ending forms, in plain, apostrophe-variant and case variants."""
+    base = set(lex.split_surfaces()) | lex.terminal_parts
+    base |= lex.compagr_hosts | lex.review_forms | set(lex.intact_forms)
+    base |= lex.abbreviations | lex.nominalized_infinitives | lex.units
+    for host in lex.compagr_hosts:
+        for ending in AGREEMENT_SUFFIXES + ("ma", "d", "t"):
+            base |= {host + ending, host + "'" + ending}
+    out = set()
+    for form in base:
+        out |= {form, form.capitalize(), form.upper(), form.replace("'", "’")}
+    return sorted(out)
+
+
+NEXT_WORDS = (None, "mia", "mir", "oozöön", "Haus")
+PUNCT_AND_NUMBERS = ["(", ")", "„", "“", ",", ".", "!", "?", "…", "%", "31.",
+                     "8kg", "3,5km", "400–500", "10--12", "2024"]
+
+
+def _random_sentences(forms, n, seed=6):
+    rng = random.Random(seed)
+    pool = forms + PUNCT_AND_NUMBERS + ["mia", "Mir", "oozöön"]
+    out = []
+    for _ in range(n):
+        units = []
+        for _ in range(rng.randint(1, 12)):
+            unit = rng.choice(pool)
+            roll = rng.random()
+            if roll < 0.2:
+                unit += rng.choice(PUNCT_AND_NUMBERS[:10])
+            elif roll < 0.3:
+                unit = rng.choice(PUNCT_AND_NUMBERS[:4]) + unit
+            elif roll < 0.35:
+                unit += rng.choice(forms)   # unknown concatenation
+            units.append(unit)
+        out.append(" ".join(units))
+    return out
+
+
+def test_memoised_tokenize_equals_cold_lexicon(lex):
+    # every lexicon form x next word, tokenized on one warm lexicon, equals
+    # the same sentence on a lexicon that has memoised nothing; the explicit
+    # infinitive hint, which only segment_token takes, is crossed in too
+    warm = _cold(lex)
+    forms_ = _lexicon_forms(lex)
+    sentences = [form if nxt is None else f"{form} {nxt}"
+                 for form in forms_ for nxt in NEXT_WORDS]
+    sentences += _random_sentences(forms_, 600)
+    for raw in sentences:      # fill the memo first, so later calls hit it
+        tokenize_sentence(raw, warm)
+    cases = 0
+    for raw in sentences:
+        assert _skeleton(tokenize_sentence(raw, warm)) == \
+            _skeleton(tokenize_sentence(raw, _cold(lex))), raw
+        cases += 1
+    for form in forms_:
+        for nxt in NEXT_WORDS:
+            for hint in (None, True, False):
+                ctx = SegmentationContext(next_surface=nxt, infinitive=hint)
+                assert segment_token(form, warm, ctx) == \
+                    segment_token(form, _cold(lex), ctx), (form, nxt, hint)
+                cases += 1
+    assert cases > 3000
+
+
+def test_memoised_unit_matches_segment_token_in_context(lex):
+    # a memo hit made with one next word serves another next word with the
+    # same two bits; both must equal segment_token given the real next word
+    for form in _lexicon_forms(lex):
+        if not form.isalpha() and "'" not in form and "’" not in form:
+            continue
+        for first, second in (("mia", "Mir"), ("oozöön", "Oozöön"),
+                              ("Haus", "Dog")):
+            warm = _cold(lex)
+            tokenize_sentence(f"{form} {first}", warm)
+            s = tokenize_sentence(f"{form} {second}", warm)
+            seg = segment_token(form, lex,
+                                SegmentationContext(next_surface=second))
+            assert tuple(t.form for t in s.tokens[:-1]) == seg.forms(), form
+
+
+def test_unit_memo_is_bounded(lex, monkeypatch):
+    monkeypatch.setattr(tokenizer, "UNIT_MEMO_LIMIT", 8)
+    small = _cold(lex)
+    sentences = _random_sentences(_lexicon_forms(lex), 40, seed=7)
+    for raw in sentences:
+        assert _skeleton(tokenize_sentence(raw, small)) == \
+            _skeleton(tokenize_sentence(raw, _cold(lex)))
+        assert len(small._unit_memo) <= 8
+
+
+def _agreement_oracle(surface, lexicon):
+    """The search match_agreement_suffix made before the lexicon compiled
+    its surface -> ending table; kept as the reference."""
+    key = fold_apostrophes(surface)
+    keys = [key] if key.lower() == key else [key, key.lower()]
+    for key in keys:
+        if key in lexicon.ma_forms:
+            return "ma"
+        for suffix in AGREEMENT_SUFFIXES + ("ma",):
+            stems = [key[:-len(suffix)]] if key.endswith(suffix) else []
+            if key.endswith("'" + suffix):
+                stems.append(key[:-len(suffix) - 1])
+            if suffix.startswith("s") and key.endswith(suffix[1:]):
+                shared = key[:-len(suffix) + 1]
+                if shared.endswith("s"):
+                    stems.append(shared)
+            for stem in stems:
+                if stem and stem in lexicon.compagr_hosts:
+                    return suffix
+    return None
+
+
+def _agreement_surfaces(lexicon):
+    out = set(lexicon.ma_forms) | {"", "s", "sd", "ma", "'ma", "Haus"}
+    for host in lexicon.compagr_hosts | {"x", "Dass"}:
+        for ending in AGREEMENT_SUFFIXES + ("ma", "d", "t", "s", "m"):
+            for apo in ("", "'", "’", "´"):
+                for form in (host + apo + ending, host[:-1] + apo + ending):
+                    out |= {form, form.capitalize(), form.upper()}
+    return sorted(out)
+
+
+WEMMA = {"wemma": (("wem", "SCONJ"), ("ma", "PRON"))}
+
+
+@pytest.mark.parametrize("hosts, ma_forms", [
+    (None, None),                                  # the default lexicon
+    ({"dass", "das", "s", "as", "", "wo"}, WEMMA),  # shared s, empty host
+    ({"das'", "Wenn", "ob"}, WEMMA),               # apostrophe, capitals
+    # an ma-form entry wins over the host + ending it also spells
+    ({"wo", "ob"}, {**WEMMA, "wost": (("wo", "SCONJ"), ("st", "PRON"))}),
+])
+def test_agreement_table_matches_search(lex, hosts, ma_forms):
+    lexicon = lex if hosts is None else TokenizerLexicon(
+        compagr_hosts=hosts, ma_forms=ma_forms)
+    surfaces = _agreement_surfaces(lexicon)
+    assert len(surfaces) > 100
+    for surface in surfaces:
+        assert match_agreement_suffix(surface, lexicon) == \
+            _agreement_oracle(surface, lexicon), surface
+
+
+def test_hand_built_lexicon_is_compiled(lex):
+    hand = TokenizerLexicon(compagr_hosts={"dass", "das", "wenn"},
+                            ma_forms=WEMMA)
+    for surface in ("dassd", "wennsd", "das'st", "wemma"):
+        for nxt in (None, "mia"):
+            ctx = SegmentationContext(next_surface=nxt)
+            assert segment_token(surface, hand, ctx) == \
+                segment_token(surface, lex, ctx), (surface, nxt)
+    assert segment_token("wemma", hand).forms() == ("wem", "ma")
+    assert segment_token("das'st", hand).kind == KIND_INTACT
+    # onsets are tried longest first
+    onsets = TokenizerLexicon(clitic_onsets={"d": None, "d'": "DET"})
+    assert segment_token("d'neie", onsets).parts == (("d'", "DET"),
+                                                     ("neie", None))
