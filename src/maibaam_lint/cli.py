@@ -233,6 +233,10 @@ def cmd_tokenize(opts: RunOptions) -> int:
                   file=opts.errout)
             exit_code = 2
             continue
+        except UnicodeDecodeError as exc:
+            print(f"error: {exc}", file=opts.errout)
+            exit_code = 2
+            continue
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         counter = 0
         for raw_line in text.split("\n"):

@@ -20,8 +20,6 @@ SEVERITY_RANK = {SEVERITY_REVIEW: 0, SEVERITY_WARNING: 1, SEVERITY_ERROR: 2}
 
 # canonical ASCII integers only, so that every accepted id or head
 # serializes back to the same characters
-_TOKEN_ID_RE = re.compile(r"^[1-9][0-9]*$")
-_HEAD_RE = re.compile(r"^(?:0|[1-9][0-9]*)$")
 _MWT_ID_RE = re.compile(r"^([1-9][0-9]*)-([1-9][0-9]*)$")
 _EMPTY_NODE_ID_RE = re.compile(r"^(0|[1-9][0-9]*)\.[1-9][0-9]*$")
 _METADATA_RE = re.compile(r"^# ([A-Za-z_][A-Za-z0-9_.-]*) = (.*)$")
@@ -40,16 +38,36 @@ class ParseError(Exception):
 def column_value(col: str, key: str) -> str | None:
     """Value of the first ``key=value`` entry of a FEATS or MISC column.
 
-    Entries without "=" are skipped; "_" has no entries.
+    Entries without "=" are skipped; "_" has no entries. ``key`` holds no
+    "|". Finds ``key=`` at an entry boundary instead of splitting the column.
     """
     prefix = key + "="
-    for entry in col.split("|"):
-        if entry.startswith(prefix):
-            return entry[len(prefix):]
-    return None
+    at = col.find(prefix)
+    while at > 0 and col[at - 1] != "|":
+        at = col.find(prefix, at + 1)
+    if at == -1:
+        return None
+    start = at + len(prefix)
+    end = col.find("|", start)
+    return col[start:] if end == -1 else col[start:end]
 
 
-@dataclass
+_TOKEN_COLUMNS = ("form", "upos", "deprel", "misc", "lemma_col", "xpos_col",
+                  "feats_col", "deps_col")
+_MWT_COLUMNS = ("surface_form", "misc") + ("other_cols",) * 7
+
+
+def _check_columns(names: tuple[str, ...], cols: tuple[str, ...]) -> None:
+    """Reject a raw column the parser would not read back: an empty one, or
+    one holding a tab or a line break. Printable text passes at once; other
+    text is checked column by column."""
+    if "" in cols or not "".join(cols).isprintable():
+        for name, col in zip(names, cols):
+            if not col or "\t" in col or "\n" in col or "\r" in col:
+                raise ValueError(f"bad {name} column: {col!r}")
+
+
+@dataclass(slots=True)
 class Token:
     """One syntactic word (a regular CoNLL-U node line)."""
 
@@ -70,8 +88,9 @@ class Token:
             raise ValueError(f"token id must be >= 1, got {self.id}")
         if self.head < 0:
             raise ValueError(f"token head must be >= 0, got {self.head}")
-        if not self.form or "\t" in self.form or "\n" in self.form:
-            raise ValueError(f"bad token form: {self.form!r}")
+        _check_columns(_TOKEN_COLUMNS, (
+            self.form, self.upos, self.deprel, self.misc, self.lemma_col,
+            self.xpos_col, self.feats_col, self.deps_col))
 
     def misc_value(self, key: str) -> str | None:
         return column_value(self.misc, key)
@@ -84,7 +103,7 @@ class Token:
         return column_value(self.feats_col, key)
 
 
-@dataclass
+@dataclass(slots=True)
 class MwtSpan:
     """A multi-word token: one surface range covering consecutive token ids."""
 
@@ -98,6 +117,11 @@ class MwtSpan:
     def __post_init__(self):
         if self.first_id < 1 or self.last_id < self.first_id:
             raise ValueError(f"bad mwt range {self.first_id}-{self.last_id}")
+        if len(self.other_cols) != 7:
+            raise ValueError(f"other_cols must hold 7 columns, got "
+                             f"{len(self.other_cols)}")
+        _check_columns(_MWT_COLUMNS,
+                       (self.surface_form, self.misc, *self.other_cols))
 
     def misc_value(self, key: str) -> str | None:
         return column_value(self.misc, key)
@@ -151,7 +175,7 @@ class Document:
     final_newline: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One finding, totally ordered by (line, token_id, rule_id) per file."""
 
@@ -175,6 +199,42 @@ class Diagnostic:
 
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diags, key=lambda d: d.file_sort_key)
+
+
+_new = object.__new__
+
+
+def _parsed_token(cols: list[str], token_id: int, head: int,
+                  line_no: int) -> Token:
+    """A Token from a node line the parser has checked, built without
+    re-running the constructor's checks."""
+    t = _new(Token)
+    t.id = token_id
+    t.form = cols[1]
+    t.lemma_col = cols[2]
+    t.upos = cols[3]
+    t.xpos_col = cols[4]
+    t.feats_col = cols[5]
+    t.head = head
+    t.deprel = cols[7]
+    t.deps_col = cols[8]
+    t.misc = cols[9]
+    t.line = line_no
+    return t
+
+
+def _parsed_span(cols: list[str], first: int, last: int,
+                 line_no: int) -> MwtSpan:
+    """An MwtSpan from a range line the parser has checked, built like
+    _parsed_token."""
+    span = _new(MwtSpan)
+    span.first_id = first
+    span.last_id = last
+    span.surface_form = cols[1]
+    span.misc = cols[9]
+    span.other_cols = tuple(cols[2:9])
+    span.line = line_no
+    return span
 
 
 def parse_document(source, file_name: str = "<string>") -> Document:
@@ -258,27 +318,24 @@ def parse_document(source, file_name: str = "<string>") -> Document:
             raise ParseError("WRONG_COLUMN_COUNT",
                              f"expected {COLUMN_COUNT} tab-separated fields, got {len(cols)}",
                              file_name, line_no)
-        for i, col in enumerate(cols):
-            if col == "":
-                raise ParseError("EMPTY_FIELD", f"field {i + 1} is empty (use '_')",
-                                 file_name, line_no)
+        if "" in cols:
+            raise ParseError("EMPTY_FIELD",
+                             f"field {cols.index('') + 1} is empty (use '_')",
+                             file_name, line_no)
 
         id_field = cols[0]
-        if _TOKEN_ID_RE.match(id_field):
+        if id_field.isdigit() and id_field.isascii() and id_field[0] != "0":
             token_id = int(id_field)
             if token_id != len(tokens) + 1:
                 raise ParseError("ID_SEQUENCE",
                                  f"expected token id {len(tokens) + 1}, got {token_id}",
                                  file_name, line_no)
-            if not _HEAD_RE.match(cols[6]):
-                raise ParseError("BAD_HEAD", f"bad HEAD value {cols[6]!r}",
+            head = cols[6]
+            if not (head.isdigit() and head.isascii()
+                    and (head[0] != "0" or head == "0")):
+                raise ParseError("BAD_HEAD", f"bad HEAD value {head!r}",
                                  file_name, line_no)
-            tokens.append(Token(
-                id=token_id, form=cols[1], upos=cols[3], head=int(cols[6]),
-                deprel=cols[7], misc=cols[9],
-                lemma_col=cols[2], xpos_col=cols[4], feats_col=cols[5],
-                deps_col=cols[8], line=line_no,
-            ))
+            tokens.append(_parsed_token(cols, token_id, int(head), line_no))
         elif m := _MWT_ID_RE.match(id_field):
             first, last = int(m.group(1)), int(m.group(2))
             if last < first:
@@ -288,11 +345,7 @@ def parse_document(source, file_name: str = "<string>") -> Document:
                 raise ParseError("ID_SEQUENCE",
                                  f"multiword range must start at token {len(tokens) + 1}",
                                  file_name, line_no)
-            spans.append(MwtSpan(
-                first_id=first, last_id=last, surface_form=cols[1],
-                misc=cols[9], other_cols=tuple(cols[2:9]),
-                line=line_no,
-            ))
+            spans.append(_parsed_span(cols, first, last, line_no))
             pending_last = max(pending_last, last)
         elif m := _EMPTY_NODE_ID_RE.match(id_field):
             # the serializer writes empty node N.k right after token N
@@ -369,22 +422,25 @@ def reconstruct_text(s: Sentence) -> str:
     each unit unless its MISC carries SpaceAfter=No; the last unit never
     takes a trailing space.
     """
+    pieces: list[str] = []  # each unit's text, then " " or "" after it
+    if not s.mwt_spans:
+        for t in s.tokens:
+            pieces.append(t.form)
+            pieces.append("" if column_value(t.misc, "SpaceAfter") == "No"
+                          else " ")
+        return "".join(pieces[:-1])
     spans_by_first = {span.first_id: span for span in s.mwt_spans}
-    units: list[tuple[str, bool]] = []  # (text, glue-to-next)
+    tokens = s.tokens
     i = 1
-    while i <= len(s.tokens):
-        span = spans_by_first.get(i)
-        if span is not None and span.last_id <= len(s.tokens):
-            units.append((span.surface_form,
-                          column_value(span.misc, "SpaceAfter") == "No"))
-            i = span.last_id + 1
+    while i <= len(tokens):
+        unit = spans_by_first.get(i)
+        if unit is not None and unit.last_id <= len(tokens):
+            pieces.append(unit.surface_form)
+            i = unit.last_id + 1
         else:
-            t = s.tokens[i - 1]
-            units.append((t.form, column_value(t.misc, "SpaceAfter") == "No"))
+            unit = tokens[i - 1]
+            pieces.append(unit.form)
             i += 1
-    out: list[str] = []
-    for idx, (text, glue) in enumerate(units):
-        out.append(text)
-        if idx != len(units) - 1 and not glue:
-            out.append(" ")
-    return "".join(out)
+        pieces.append("" if column_value(unit.misc, "SpaceAfter") == "No"
+                      else " ")
+    return "".join(pieces[:-1])

@@ -4,6 +4,7 @@ vocabularies, sent_id uniqueness and text/token consistency."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 from urllib.parse import urlparse
 
 from .conllu import Diagnostic, Document, Sentence, reconstruct_text
@@ -51,19 +52,20 @@ def validate_metadata(s: Sentence,
     """
     cfg = cfg or LintConfig()
     diags = []
+    meta = dict(reversed(s.metadata))  # the first value of a key wins
 
     for key in REQUIRED_KEYS:
-        if s.metadata_value(key) is None:
+        if key not in meta:
             diags.append(finding(cfg, s, "META.MISSING",
                                  f"missing required metadata key {key!r}"))
 
-    genre = s.metadata_value("genre")
+    genre = meta.get("genre")
     if genre is not None and genre not in cfg.genre_vocab:
         allowed = ", ".join(sorted(cfg.genre_vocab))
         diags.append(finding(cfg, s, "META.GENRE",
                              f"genre {genre!r} not in {{{allowed}}}"))
 
-    dialect = s.metadata_value("dialect_group")
+    dialect = meta.get("dialect_group")
     if dialect is not None:
         violated = _check_dialect_group(dialect, cfg.dialect_order)
         if violated == "META.DIALECT":
@@ -74,14 +76,14 @@ def validate_metadata(s: Sentence,
                                  f"dialect groups in {dialect!r} must be listed "
                                  f"north to south"))
 
-    source = s.metadata_value("source")
+    source = meta.get("source")
     if genre in URL_GENRES and source is not None and \
             not _is_absolute_url(source):
         diags.append(finding(cfg, s, "META.SOURCE",
                              f"source for genre {genre!r} should be an absolute "
                              f"URL, got {source!r}"))
 
-    text = s.metadata_value("text")
+    text = meta.get("text")
     if text is not None and s.tokens:
         rebuilt = reconstruct_text(s)
         if rebuilt != text:
@@ -89,7 +91,8 @@ def validate_metadata(s: Sentence,
                                  f"text metadata {text!r} differs from token "
                                  f"surface {rebuilt!r}"))
 
-    diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
+    if cfg.disabled_rules:
+        diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
     diags.sort(key=lambda d: d.sort_key)
     return diags
 
@@ -103,17 +106,10 @@ def check_unique_sent_ids(docs: list[Document],
     cfg = cfg or LintConfig()
     if not cfg.rule_enabled("META.DUP_ID"):
         return []
-    seen: dict[str, int] = {}
-    for doc in docs:
-        for s in doc.sentences:
-            if s.sent_id:
-                seen[s.sent_id] = seen.get(s.sent_id, 0) + 1
-    diags = []
-    for doc in docs:
-        for s in doc.sentences:
-            if s.sent_id and seen[s.sent_id] > 1:
-                diags.append(finding(cfg, s, "META.DUP_ID",
-                                     f"sent_id {s.sent_id!r} occurs "
-                                     f"{seen[s.sent_id]} times in this run"))
+    located = [(s, s.sent_id) for doc in docs for s in doc.sentences]
+    counts = Counter(sid for _, sid in located if sid)
+    diags = [finding(cfg, s, "META.DUP_ID",
+                     f"sent_id {sid!r} occurs {counts[sid]} times in this run")
+             for s, sid in located if counts[sid] > 1]
     diags.sort(key=lambda d: d.file_sort_key)
     return diags

@@ -20,6 +20,7 @@ from .conllu import (
     SEVERITY_REVIEW,
     SEVERITY_WARNING,
     Token,
+    column_value,
 )
 
 UPOS_TAGS = frozenset({
@@ -125,6 +126,8 @@ RULES: tuple[RuleDescriptor, ...] = (
 
 RULES_BY_ID = {r.rule_id: r for r in RULES}
 RULE_FAMILIES = frozenset(r.rule_id.split(".")[0] + ".*" for r in RULES)
+_DEFAULT_RULE_TABLE = {r.rule_id: (r.default_severity, r.guideline_ref)
+                       for r in RULES}
 
 DEFAULT_COPULA_LEMMAS = frozenset({"sein"})
 DEFAULT_PART_LEMMAS = frozenset({"nicht", "zu"})
@@ -186,6 +189,18 @@ class LintConfig:
     typo_column: str = "either"  # "feats", "misc" or "either"
     punct_lemma_exempt: bool = True
     tokenizer_lexicon_path: str | None = None
+    # every catalogued rule id -> (severity, citation), resolved once per
+    # config; dataclasses.replace builds a new config and so a new table
+    rule_table: dict[str, tuple[str, str | None]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.severity_overrides:
+            table = {r.rule_id: (self.severity(r.rule_id), r.guideline_ref)
+                     for r in RULES}
+        else:
+            table = dict(_DEFAULT_RULE_TABLE)
+        object.__setattr__(self, "rule_table", table)
 
     def rule_enabled(self, rule_id: str) -> bool:
         for key in _setting_keys(rule_id):
@@ -321,14 +336,19 @@ def _read_word_list(path: str) -> list[str]:
 
 def finding(cfg: LintConfig, s: Sentence, rule_id: str, message: str,
             token: Token | None = None, line: int | None = None) -> Diagnostic:
-    """The one constructor of sentence findings: severity from the config,
-    citation from the rule catalog, location from the token or sentence."""
-    return Diagnostic(
-        rule_id=rule_id, severity=cfg.severity(rule_id), file=s.file,
-        line=line if line is not None else (token.line if token else s.line),
-        sentence_id=s.sent_id, token_id=token.id if token else None,
-        message=message, guideline_ref=RULES_BY_ID[rule_id].guideline_ref,
-    )
+    """The one constructor of sentence findings: severity and citation from
+    the config's rule table, location from the token or sentence."""
+    severity, ref = cfg.rule_table[rule_id]
+    if token is None:
+        token_id = None
+        if line is None:
+            line = s.line
+    else:
+        token_id = token.id
+        if line is None:
+            line = token.line
+    return Diagnostic(rule_id, severity, s.file, line, s.sent_id, token_id,
+                      message, ref)
 
 
 def validate_structure(s: Sentence,
@@ -395,6 +415,8 @@ def validate_structure(s: Sentence,
 
 
 def _has_typo_flag(t: Token, cfg: LintConfig) -> bool:
+    if "Typo=" not in t.feats_col and "Typo=" not in t.misc:
+        return False
     in_feats = t.feats_value("Typo") == "Yes"
     in_misc = t.misc_value("Typo") == "Yes"
     if cfg.typo_column == "feats":
@@ -583,13 +605,14 @@ def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     heads_with_goeswith = _goeswith_dependents(s)
     for t in s.tokens:
-        if t.misc_value("CorrectSpaceAfter") == "Yes" and \
-                t.misc_value("SpaceAfter") != "No":
+        correct_space = column_value(t.misc, "CorrectSpaceAfter")
+        if correct_space == "Yes" and \
+                column_value(t.misc, "SpaceAfter") != "No":
             diags.append(finding(cfg, s, "TYPO.CORRECT_SPACE",
                                  "CorrectSpaceAfter=Yes requires SpaceAfter=No "
                                  "on the same token", t))
-        if _has_typo_flag(t, cfg) and t.id not in heads_with_goeswith and \
-                t.misc_value("CorrectSpaceAfter") is None:
+        if correct_space is None and t.id not in heads_with_goeswith and \
+                _has_typo_flag(t, cfg):
             diags.append(finding(cfg, s, "TYPO.REVIEW",
                                  "Typo=Yes without goeswith parts: check the "
                                  "form", t))
@@ -722,6 +745,7 @@ def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic
     diags = validate_structure(s, cfg)
     for rule in SENTENCE_RULES:
         diags.extend(rule(s, cfg))
-    diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
+    if cfg.disabled_rules:
+        diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
     diags.sort(key=lambda d: d.sort_key)
     return diags

@@ -425,9 +425,8 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
         base, last = len(tokens), len(pieces) - 1
         for i, (form, hint) in enumerate(pieces):
             glued = i != last and i not in mwt
-            tokens.append(Token(
-                id=base + i + 1, form=form, upos=hint or "X", head=0,
-                deprel="dep", misc="SpaceAfter=No" if glued else "_"))
+            tokens.append(Token(base + i + 1, form, hint or "X", 0, "dep",
+                                "SpaceAfter=No" if glued else "_"))
         if mwt:
             spans.append(MwtSpan(
                 base + mwt.start + 1, base + mwt.stop, core,

@@ -224,17 +224,20 @@ def test_tokenize_streams_documents_in_order(tmp_path, monkeypatch):
         " ".join(line.split()) for line in raw_lines]
 
 
-def test_tokenize_stops_at_undecodable_input(tmp_path, monkeypatch):
-    # sentences already segmented stay written; the run ends with exit 2
+def test_tokenize_reports_undecodable_input_and_goes_on(tmp_path, monkeypatch):
+    # like lint and stats: one error line for the bad input, the other
+    # inputs are still tokenized, and the run ends with exit 2
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.txt").write_text("zum Beispiel\n", encoding="utf-8")
     (tmp_path / "bad.txt").write_bytes(b"gut\n\xff kaputt\n")
     (tmp_path / "b.txt").write_text("Servus\n", encoding="utf-8")
     code, out, err = run_cli(["tokenize", "a.txt", "bad.txt", "b.txt"])
     assert code == 2
-    assert out == run_cli(["tokenize", "a.txt"])[1]
+    assert out == run_cli(["tokenize", "a.txt"])[1] + \
+        run_cli(["tokenize", "b.txt"])[1]
     [line] = err.splitlines()
     assert line.startswith("error: 'utf-8' codec can't decode")
+    assert line == run_cli(["lint", "bad.txt"])[2].strip()
 
 
 def test_stats_counts(golden_doc):

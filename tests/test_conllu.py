@@ -1,10 +1,13 @@
 import itertools
+import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maibaam_lint.conllu import (
+    Diagnostic,
     Document,
     MwtSpan,
     ParseError,
@@ -79,17 +82,19 @@ NINE = "".join(_line(str(i), "0" if i == 1 else "1") for i in range(1, 10))
 @pytest.mark.parametrize("text,code", [
     *(pytest.param(_line(head=head) + "\n", "BAD_HEAD", id=f"head-{head!r}")
       for head in ("00", "+0", " 0", "0 ", "0_0", "\u0660", "\uff10", "01",
-                   "-1")),
+                   "-1", "\u00b2", "\uff11")),
     *(pytest.param(NINE + _line(ten, "1") + "\n", "BAD_ID", id=f"id-{ten!r}")
-      for ten in ("1\u0660", "010", "+10", " 10", "1_0")),
+      for ten in ("1\u0660", "010", "+10", " 10", "1_0", "\u00b2",
+                  "\uff11")),
     pytest.param("1-1\u0660\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + NINE
                  + _line("10", "1") + "\n", "BAD_ID", id="mwt-range"),
     pytest.param("\u0660.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + MINIMAL,
                  "BAD_ID", id="empty-node-anchor"),
 ])
 def test_non_canonical_integers_are_rejected(text, code):
-    # int() accepts all of these, so they used to parse and then serialize
-    # as different characters
+    # int() accepts most of these, so they used to parse and then serialize
+    # as different characters; superscript two is a digit to str.isdigit()
+    # that int() rejects, so it must fail as a ParseError all the same
     with pytest.raises(ParseError) as exc:
         parse_document(text, "t.conllu")
     assert exc.value.code == code
@@ -220,6 +225,83 @@ def test_column_lookup_and_round_trip(col, lookups):
     assert reconstruct_text(s) == ("wxy" if glued else "wx y")
 
 
+def _column_value_by_split(col, key):
+    """The reader column_value replaced, kept as its oracle."""
+    prefix = key + "="
+    for entry in col.split("|"):
+        if entry.startswith(prefix):
+            return entry[len(prefix):]
+    return None
+
+
+def test_column_value_equals_split_reader_exhaustively():
+    checked = 0
+    for size in range(7):
+        for chars in itertools.product("AB=|x", repeat=size):
+            col = "".join(chars)
+            for key in ("A", "AB", "B"):
+                assert column_value(col, key) == \
+                    _column_value_by_split(col, key), (col, key)
+                checked += 1
+    assert checked == 3 * sum(5 ** n for n in range(7))
+
+
+def _reconstruct_by_units(s):
+    """reconstruct_text's general path before the no-MWT fast path, kept as
+    its oracle."""
+    spans_by_first = {span.first_id: span for span in s.mwt_spans}
+    units = []  # (text, glue-to-next)
+    i = 1
+    while i <= len(s.tokens):
+        span = spans_by_first.get(i)
+        if span is not None and span.last_id <= len(s.tokens):
+            units.append((span.surface_form,
+                          column_value(span.misc, "SpaceAfter") == "No"))
+            i = span.last_id + 1
+        else:
+            t = s.tokens[i - 1]
+            units.append((t.form, column_value(t.misc, "SpaceAfter") == "No"))
+            i += 1
+    out = []
+    for idx, (text, glue) in enumerate(units):
+        out.append(text)
+        if idx != len(units) - 1 and not glue:
+            out.append(" ")
+    return "".join(out)
+
+
+def _random_misc(rng):
+    entries = rng.sample(["GermanLemma=x", "Flag", "SpaceAfter=Yes",
+                          "CorrectSpaceAfter=No", "XSpaceAfter=No",
+                          "SpaceAfter=Nope"], rng.randint(0, 3))
+    if rng.random() < 0.5:
+        entries.insert(rng.randint(0, len(entries)), "SpaceAfter=No")
+    return "|".join(entries) or "_"
+
+
+def test_reconstruct_text_fast_path_equals_general_path(golden_doc):
+    sentences = list(golden_doc.sentences)
+    rng = random.Random(20240305)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        tokens = [Token(i, rng.choice(["a", "bc", "d'"]), "X", 0, "dep",
+                        _random_misc(rng)) for i in range(1, n + 1)]
+        spans = []
+        if n > 1 and rng.random() < 0.3:
+            first = rng.randint(1, n - 1)
+            spans.append(MwtSpan(first, rng.randint(first + 1, n), "ab",
+                                 _random_misc(rng)))
+        sentences.append(Sentence(tokens=tokens, mwt_spans=spans))
+    without_spans = [s for s in sentences if not s.mwt_spans]
+    assert len(without_spans) > 200
+    assert any("SpaceAfter=No|" in t.misc for s in without_spans
+               for t in s.tokens)
+    assert any(t.misc.endswith("|SpaceAfter=No") for s in without_spans
+               for t in s.tokens)
+    for s in sentences:
+        assert reconstruct_text(s) == _reconstruct_by_units(s)
+
+
 def test_serialize_constructed_sentence():
     tokens = [
         Token(id=1, form="zu", upos="ADP", head=3, deprel="case"),
@@ -246,6 +328,38 @@ def test_token_invariants():
         Token(id=1, form="x", upos="X", head=-1, deprel="dep")
     with pytest.raises(ValueError):
         MwtSpan(2, 1, "xy")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Token(1, "x", "X", 0, "root", misc=""), "misc"),
+    (lambda: Token(1, "x", "X", 0, "root", feats_col="a\tb"), "feats_col"),
+    (lambda: Token(1, "x", "X", 0, "root", lemma_col="a\nb"), "lemma_col"),
+    (lambda: Token(1, "x", "", 0, "root"), "upos"),
+    (lambda: Token(1, "x", "X", 0, "root", misc="a\r"), "misc"),
+    (lambda: MwtSpan(1, 2, "xy", misc=""), "misc"),
+    (lambda: MwtSpan(1, 2, "x\ty"), "surface_form"),
+    (lambda: MwtSpan(1, 2, "xy", other_cols=("_",) * 6 + ("",)),
+     "other_cols"),
+    (lambda: MwtSpan(1, 2, "xy", other_cols=("_",) * 6), "other_cols"),
+])
+def test_constructed_columns_are_checked(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_slotted_classes_take_no_new_attributes():
+    t = Token(1, "x", "X", 0, "root")
+    span = MwtSpan(1, 2, "xy")
+    d = Diagnostic("VOCAB.UPOS", "error", "f", 1, "s-1", 1, "m")
+    for obj in (t, span):
+        with pytest.raises(AttributeError):
+            obj.note = "extra"
+    # Python 3.11 raises TypeError here for a frozen slotted dataclass
+    with pytest.raises((AttributeError, TypeError)):
+        d.note = "extra"
+    with pytest.raises(FrozenInstanceError):
+        d.severity = "review"
+    assert replace(d, severity="review").severity == "review"
 
 
 def _sentence(heads, deprels=None, upos=None):
@@ -462,3 +576,43 @@ def test_accepted_text_serializes_back_identically(text):
     except ParseError:
         return
     assert serialize_document(doc) == text
+
+
+_safe_column = st.text(alphabet=st.sampled_from("ab_=| \u00fc\u00b2-"),
+                       min_size=1, max_size=5)
+# text that the parser may not read back: empty, or with a tab or line break
+_any_column = st.text(alphabet=st.sampled_from("ab_=| \t\n\r"), max_size=4)
+
+
+@st.composite
+def constructed_sentences(draw):
+    """Sentences built through the Token and MwtSpan constructors, or None
+    when a constructor rejects a column. In about half of them one column
+    is drawn from _any_column."""
+    n = draw(st.integers(1, 4))
+    with_span = n > 1 and draw(st.booleans())
+    columns = [draw(_safe_column)
+               for _ in range(8 * n + (9 if with_span else 0))]
+    if draw(st.booleans()):
+        columns[draw(st.integers(0, len(columns) - 1))] = draw(_any_column)
+    cols = iter(columns)
+    try:
+        tokens = [Token(i, next(cols), next(cols), draw(st.integers(0, n)),
+                        *(next(cols) for _ in range(6)))
+                  for i in range(1, n + 1)]
+        spans = [MwtSpan(1, draw(st.integers(2, n)), next(cols), next(cols),
+                         tuple(next(cols) for _ in range(7)))] \
+            if with_span else []
+    except ValueError:
+        return None
+    return Sentence(tokens=tokens, mwt_spans=spans,
+                    metadata=[("sent_id", "c-1")])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(constructed_sentences())
+def test_constructed_sentences_serialize_to_text_that_parses_back(s):
+    if s is None:
+        return
+    text = serialize_document(Document(sentences=[s]))
+    assert serialize_document(parse_document(text, "<property>")) == text

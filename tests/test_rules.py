@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import maibaam_lint
+from maibaam_lint.cli import lint_documents
 from maibaam_lint.conllu import MwtSpan, Sentence, Token, parse_document
 from maibaam_lint.metadata import validate_metadata
 from maibaam_lint.rules import (
@@ -481,6 +482,58 @@ def test_family_severity_override_and_exact_beats_family():
     assert cfg.severity("META.DUP_ID") == "review"
     assert cfg.severity("META.GENRE") == "warning"
     assert cfg.severity("CLASS.COP") == "error"
+
+
+def _faulty_golden(golden_text):
+    """The golden corpus with faults for several rule families."""
+    doc = parse_document("\ufeff" + golden_text, "golden.conllu")
+    for s in doc.sentences:
+        s.tokens[0].misc = "Typo=Yes"        # TYPO.REVIEW, LEMMA.MISSING
+        s.tokens[-1].upos = "ADJD"           # VOCAB.UPOS
+        s.metadata = s.metadata[:1]          # META.MISSING
+    doc.sentences[1].metadata = doc.sentences[0].metadata  # META.DUP_ID
+    return doc
+
+
+def test_findings_take_the_severity_their_config_resolves(golden_text,
+                                                          tmp_path):
+    # the per-config rule table must agree with cfg.severity for configs
+    # built every way: defaults, a config file, and dataclasses.replace
+    conf = tmp_path / "lint.conf"
+    conf.write_text("rule.META.*.severity=review\n"
+                    "rule.META.DUP_ID.severity=warning\n"
+                    "rule.LEMMA.MISSING.severity=review\n"
+                    "rule.TYPO.*.severity=error\n", encoding="utf-8")
+    loaded = load_config(str(conf))
+    configs = [
+        LintConfig(),
+        loaded,
+        replace(loaded, severity_overrides={"LEMMA.*": "warning",
+                                            "VOCAB.UPOS": "review",
+                                            "CORE.BOM": "error"}),
+        replace(LintConfig(guideline_version="2.16"),
+                severity_overrides={"META.MISSING": "error"}),
+    ]
+    doc = _faulty_golden(golden_text)
+    labels = set()
+    for cfg in configs:
+        diags = lint_documents([doc], cfg)
+        assert {d.rule_id.split(".")[0] for d in diags} >= {
+            "CORE", "LEMMA", "META", "TYPO", "VOCAB"}
+        for d in diags:
+            assert d.severity == cfg.severity(d.rule_id), d
+            assert d.guideline_ref == RULES_BY_ID[d.rule_id].guideline_ref
+        labels.add(frozenset((d.rule_id, d.severity) for d in diags))
+    assert len(labels) == len(configs)
+
+
+def test_rule_table_is_not_compared_or_shown():
+    cfg = LintConfig(severity_overrides={"META.*": "review"})
+    stale = replace(cfg)
+    object.__setattr__(stale, "rule_table", {})
+    assert stale == cfg
+    assert repr(stale) == repr(cfg)
+    assert replace(stale).rule_table == cfg.rule_table
 
 
 def test_rule_enabled_resolution_order():
