@@ -58,12 +58,14 @@ _MWT_COLUMNS = ("surface_form", "misc") + ("other_cols",) * 7
 
 
 def _check_columns(names: tuple[str, ...], cols: tuple[str, ...]) -> None:
-    """Reject a raw column the parser would not read back: an empty one, or
-    one holding a tab or a line break. Printable text passes at once; other
-    text is checked column by column."""
+    """Reject a raw column the parser would not read back: an empty one, one
+    holding a tab or LF, or a misc (the last column) ending in CR, which
+    would write a CRLF line end. Printable text passes at once; other text
+    is checked column by column."""
     if "" in cols or not "".join(cols).isprintable():
         for name, col in zip(names, cols):
-            if not col or "\t" in col or "\n" in col or "\r" in col:
+            if (not col or "\t" in col or "\n" in col
+                    or (name == "misc" and col.endswith("\r"))):
                 raise ValueError(f"bad {name} column: {col!r}")
 
 
@@ -423,12 +425,6 @@ def reconstruct_text(s: Sentence) -> str:
     takes a trailing space.
     """
     pieces: list[str] = []  # each unit's text, then " " or "" after it
-    if not s.mwt_spans:
-        for t in s.tokens:
-            pieces.append(t.form)
-            pieces.append("" if column_value(t.misc, "SpaceAfter") == "No"
-                          else " ")
-        return "".join(pieces[:-1])
     spans_by_first = {span.first_id: span for span in s.mwt_spans}
     tokens = s.tokens
     i = 1

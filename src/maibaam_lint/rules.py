@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .conllu import (
     Diagnostic,
@@ -126,8 +128,6 @@ RULES: tuple[RuleDescriptor, ...] = (
 
 RULES_BY_ID = {r.rule_id: r for r in RULES}
 RULE_FAMILIES = frozenset(r.rule_id.split(".")[0] + ".*" for r in RULES)
-_DEFAULT_RULE_TABLE = {r.rule_id: (r.default_severity, r.guideline_ref)
-                       for r in RULES}
 
 DEFAULT_COPULA_LEMMAS = frozenset({"sein"})
 DEFAULT_PART_LEMMAS = frozenset({"nicht", "zu"})
@@ -172,7 +172,7 @@ URL_GENRES = frozenset({"wiki", "social"})
 class LintConfig:
     """Rule toggles, severity overrides and the closed-class lexicons."""
 
-    severity_overrides: dict[str, str] = field(default_factory=dict)
+    severity_overrides: Mapping[str, str] = field(default_factory=dict)
     disabled_rules: frozenset[str] = frozenset()
     enabled_rules: frozenset[str] = frozenset()
     copula_lemmas: frozenset[str] = DEFAULT_COPULA_LEMMAS
@@ -195,12 +195,12 @@ class LintConfig:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.severity_overrides:
-            table = {r.rule_id: (self.severity(r.rule_id), r.guideline_ref)
-                     for r in RULES}
-        else:
-            table = dict(_DEFAULT_RULE_TABLE)
-        object.__setattr__(self, "rule_table", table)
+        # read-only, so that an edit cannot leave rule_table stale
+        object.__setattr__(self, "severity_overrides",
+                           MappingProxyType(dict(self.severity_overrides)))
+        object.__setattr__(self, "rule_table", {
+            r.rule_id: (self.severity(r.rule_id), r.guideline_ref)
+            for r in RULES})
 
     def rule_enabled(self, rule_id: str) -> bool:
         for key in _setting_keys(rule_id):

@@ -1,5 +1,4 @@
 import itertools
-import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -246,62 +245,6 @@ def test_column_value_equals_split_reader_exhaustively():
     assert checked == 3 * sum(5 ** n for n in range(7))
 
 
-def _reconstruct_by_units(s):
-    """reconstruct_text's general path before the no-MWT fast path, kept as
-    its oracle."""
-    spans_by_first = {span.first_id: span for span in s.mwt_spans}
-    units = []  # (text, glue-to-next)
-    i = 1
-    while i <= len(s.tokens):
-        span = spans_by_first.get(i)
-        if span is not None and span.last_id <= len(s.tokens):
-            units.append((span.surface_form,
-                          column_value(span.misc, "SpaceAfter") == "No"))
-            i = span.last_id + 1
-        else:
-            t = s.tokens[i - 1]
-            units.append((t.form, column_value(t.misc, "SpaceAfter") == "No"))
-            i += 1
-    out = []
-    for idx, (text, glue) in enumerate(units):
-        out.append(text)
-        if idx != len(units) - 1 and not glue:
-            out.append(" ")
-    return "".join(out)
-
-
-def _random_misc(rng):
-    entries = rng.sample(["GermanLemma=x", "Flag", "SpaceAfter=Yes",
-                          "CorrectSpaceAfter=No", "XSpaceAfter=No",
-                          "SpaceAfter=Nope"], rng.randint(0, 3))
-    if rng.random() < 0.5:
-        entries.insert(rng.randint(0, len(entries)), "SpaceAfter=No")
-    return "|".join(entries) or "_"
-
-
-def test_reconstruct_text_fast_path_equals_general_path(golden_doc):
-    sentences = list(golden_doc.sentences)
-    rng = random.Random(20240305)
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        tokens = [Token(i, rng.choice(["a", "bc", "d'"]), "X", 0, "dep",
-                        _random_misc(rng)) for i in range(1, n + 1)]
-        spans = []
-        if n > 1 and rng.random() < 0.3:
-            first = rng.randint(1, n - 1)
-            spans.append(MwtSpan(first, rng.randint(first + 1, n), "ab",
-                                 _random_misc(rng)))
-        sentences.append(Sentence(tokens=tokens, mwt_spans=spans))
-    without_spans = [s for s in sentences if not s.mwt_spans]
-    assert len(without_spans) > 200
-    assert any("SpaceAfter=No|" in t.misc for s in without_spans
-               for t in s.tokens)
-    assert any(t.misc.endswith("|SpaceAfter=No") for s in without_spans
-               for t in s.tokens)
-    for s in sentences:
-        assert reconstruct_text(s) == _reconstruct_by_units(s)
-
-
 def test_serialize_constructed_sentence():
     tokens = [
         Token(id=1, form="zu", upos="ADP", head=3, deprel="case"),
@@ -336,6 +279,7 @@ def test_token_invariants():
     (lambda: Token(1, "x", "X", 0, "root", lemma_col="a\nb"), "lemma_col"),
     (lambda: Token(1, "x", "", 0, "root"), "upos"),
     (lambda: Token(1, "x", "X", 0, "root", misc="a\r"), "misc"),
+    (lambda: MwtSpan(1, 2, "xy", misc="a|b\r"), "misc"),
     (lambda: MwtSpan(1, 2, "xy", misc=""), "misc"),
     (lambda: MwtSpan(1, 2, "x\ty"), "surface_form"),
     (lambda: MwtSpan(1, 2, "xy", other_cols=("_",) * 6 + ("",)),
@@ -360,6 +304,20 @@ def test_slotted_classes_take_no_new_attributes():
     with pytest.raises(FrozenInstanceError):
         d.severity = "review"
     assert replace(d, severity="review").severity == "review"
+
+
+def test_parsed_columns_with_inner_cr_survive_replace():
+    # a CR inside a field reads back; only a misc ending in CR would not
+    text = ("1-2\tz\rm\t_\t_\t_\t_\t_\t_\t_\tA\rB\n"
+            "1\tz\ru\tz\ru\tADP\t_\t_\t0\troot\t_\tSpaceAfter=No\rX\n"
+            "2\tm\t_\tDET\t_\t_\t1\tdet\t_\t_\n\n")
+    doc = parse_document(text, "<cr>")
+    s = doc.sentences[0]
+    s.tokens[0] = replace(s.tokens[0], upos="ADP")
+    s.mwt_spans[0] = replace(s.mwt_spans[0], surface_form="z\rm")
+    assert serialize_document(doc) == text
+    with pytest.raises(ValueError, match="misc"):
+        replace(s.tokens[1], misc="_\r")
 
 
 def _sentence(heads, deprels=None, upos=None):

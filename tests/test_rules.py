@@ -527,6 +527,18 @@ def test_findings_take_the_severity_their_config_resolves(golden_text,
     assert len(labels) == len(configs)
 
 
+def test_severity_overrides_are_read_only():
+    overrides = {"META.*": "review"}
+    cfg = LintConfig(severity_overrides=overrides)
+    overrides["META.*"] = "error"  # the caller's dict is copied
+    with pytest.raises(TypeError):
+        cfg.severity_overrides["META.*"] = "error"
+    assert cfg.severity("META.GENRE") == "review"
+    assert cfg.rule_table["META.GENRE"][0] == "review"
+    assert replace(cfg, guideline_version="2.16").severity_overrides == \
+        {"META.*": "review"}
+
+
 def test_rule_table_is_not_compared_or_shown():
     cfg = LintConfig(severity_overrides={"META.*": "review"})
     stale = replace(cfg)
