@@ -60,40 +60,27 @@ class RunOptions:
     errout: object = None   # defaults to sys.stderr in run()
 
 
-@dataclass
-class CorpusStats:
-    """Exact counts over a parsed corpus; totals equal their breakdowns."""
-
-    sentences: int = 0
-    tokens: int = 0
-    mwt_spans: int = 0
-    upos: Counter = field(default_factory=Counter)
-    deprel: Counter = field(default_factory=Counter)
-    genre: Counter = field(default_factory=Counter)
-    dialect_group: Counter = field(default_factory=Counter)
-    rule_counts: Counter = field(default_factory=Counter)
-
-
 def compute_stats(docs: list[Document],
-                  diagnostics: list[Diagnostic] | None = None) -> CorpusStats:
-    """Count tokens, relations and metadata values across documents."""
-    stats = CorpusStats()
+                  diagnostics: list[Diagnostic] | None = None) -> dict:
+    """Count tokens, relations, metadata values and findings per rule id,
+    as report sections in order: ints first, then Counters. Totals equal
+    their breakdowns."""
+    stats = {"sentences": 0, "tokens": 0, "mwt_spans": 0, "upos": Counter(),
+             "deprel": Counter(), "genre": Counter(),
+             "dialect_group": Counter()}
     for doc in docs:
         for s in doc.sentences:
-            stats.sentences += 1
-            stats.mwt_spans += len(s.mwt_spans)
+            stats["sentences"] += 1
+            stats["tokens"] += len(s.tokens)
+            stats["mwt_spans"] += len(s.mwt_spans)
             for t in s.tokens:
-                stats.tokens += 1
-                stats.upos[t.upos] += 1
-                stats.deprel[t.deprel] += 1
-            genre = s.metadata_value("genre")
-            if genre is not None:
-                stats.genre[genre] += 1
-            dialect = s.metadata_value("dialect_group")
-            if dialect is not None:
-                stats.dialect_group[dialect] += 1
-    for d in diagnostics or []:
-        stats.rule_counts[d.rule_id] += 1
+                stats["upos"][t.upos] += 1
+                stats["deprel"][t.deprel] += 1
+            for key in ("genre", "dialect_group"):
+                value = s.metadata_value(key)
+                if value is not None:
+                    stats[key][value] += 1
+    stats["diagnostics"] = Counter(d.rule_id for d in diagnostics or [])
     return stats
 
 
@@ -105,19 +92,33 @@ def _read_input(path: str) -> tuple[str, str]:
         return f.read(), path
 
 
+def _read_reported(path: str, errout) -> tuple[str, str] | None:
+    """_read_input, or None after one error line naming an input that cannot
+    be read or is not UTF-8 (with the line of its first bad byte)."""
+    try:
+        return _read_input(path)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}", file=errout)
+    except UnicodeDecodeError as exc:
+        name = STDIN_NAME if path == "-" else path
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(f"error: {name}:{line}: not UTF-8: {exc.reason} "
+              f"0x{exc.object[exc.start]:02x}", file=errout)
+    return None
+
+
 def _load_documents(paths: list[str], errout) -> tuple[list[Document], bool]:
     """Parse every input; returns (documents, had_failures)."""
     docs: list[Document] = []
     failed = False
     for path in paths:
-        try:
-            text, name = _read_input(path)
-            docs.append(parse_document(text, name))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror or exc}",
-                  file=errout)
+        read = _read_reported(path, errout)
+        if read is None:
             failed = True
-        except (ParseError, UnicodeDecodeError) as exc:
+            continue
+        try:
+            docs.append(parse_document(*read))
+        except ParseError as exc:
             print(f"error: {exc}", file=errout)
             failed = True
     return docs, failed
@@ -137,7 +138,7 @@ def lint_documents(docs: list[Document], cfg: LintConfig) -> list[Diagnostic]:
             diags.extend(lint_sentence(s, cfg))
             diags.extend(validate_metadata(s, cfg))
     diags.extend(check_unique_sent_ids(docs, cfg))
-    diags.sort(key=lambda d: d.file_sort_key)
+    diags.sort(key=lambda d: d.sort_key)
     return diags
 
 
@@ -226,17 +227,11 @@ def cmd_tokenize(opts: RunOptions) -> int:
     lexicon = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
     exit_code = 0
     for path in opts.inputs:
-        try:
-            text, name = _read_input(path)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror or exc}",
-                  file=opts.errout)
+        read = _read_reported(path, opts.errout)
+        if read is None:
             exit_code = 2
             continue
-        except UnicodeDecodeError as exc:
-            print(f"error: {exc}", file=opts.errout)
-            exit_code = 2
-            continue
+        text, name = read
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         counter = 0
         for raw_line in text.split("\n"):
@@ -263,29 +258,15 @@ def cmd_stats(opts: RunOptions) -> int:
     stats = compute_stats(docs, diags)
     out = opts.output
     if opts.report_format == "json":
-        payload = {
-            "sentences": stats.sentences,
-            "tokens": stats.tokens,
-            "mwt_spans": stats.mwt_spans,
-            "upos": dict(sorted(stats.upos.items())),
-            "deprel": dict(sorted(stats.deprel.items())),
-            "genre": dict(sorted(stats.genre.items())),
-            "dialect_group": dict(sorted(stats.dialect_group.items())),
-            "diagnostics": dict(sorted(stats.rule_counts.items())),
-        }
-        json.dump(payload, out, ensure_ascii=False, indent=2, sort_keys=True)
+        json.dump(stats, out, ensure_ascii=False, indent=2, sort_keys=True)
         out.write("\n")
     else:
-        print(f"sentences\t{stats.sentences}", file=out)
-        print(f"tokens\t{stats.tokens}", file=out)
-        print(f"mwt_spans\t{stats.mwt_spans}", file=out)
-        for section, counter in (("upos", stats.upos),
-                                 ("deprel", stats.deprel),
-                                 ("genre", stats.genre),
-                                 ("dialect_group", stats.dialect_group),
-                                 ("diagnostics", stats.rule_counts)):
-            for key in sorted(counter):
-                print(f"{section}.{key}\t{counter[key]}", file=out)
+        for section, value in stats.items():
+            if isinstance(value, Counter):
+                for key in sorted(value):
+                    print(f"{section}.{key}\t{value[key]}", file=out)
+            else:
+                print(f"{section}\t{value}", file=out)
     return 2 if failed else 0
 
 
@@ -325,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "files against the MaiBaam annotation guidelines.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    parser.add_argument("--list-rules", action="store_true",
+    parser.add_argument("--list-rules", action="store_const", dest="subcommand",
+                        const="list-rules",
                         help="print the rule catalog and exit")
     for flag, example in (("--config", "lint"), ("--guideline-version", "lint"),
                           ("--format", "lint"), ("--fail-level", "lint"),
@@ -335,26 +317,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="subcommand")
 
-    options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--config", help="path to a key=value config file "
-                         f"(falls back to ${CONFIG_ENV_VAR})")
+    # options left out of the command line are left out of the namespace,
+    # so RunOptions holds the only defaults
+    quiet = {"add_help": False, "argument_default": argparse.SUPPRESS}
+    options = argparse.ArgumentParser(**quiet)
+    options.add_argument("--config", dest="config_path", metavar="CONFIG",
+                         help="path to a key=value config file "
+                              f"(falls back to ${CONFIG_ENV_VAR})")
     options.add_argument("--guideline-version", type=_guideline_version,
                          help="guideline version for version-gated rules "
                               "(default 2.17)")
-    common = argparse.ArgumentParser(add_help=False, parents=[options])
+    common = argparse.ArgumentParser(**quiet, parents=[options])
     common.add_argument("inputs", nargs="+", metavar="FILE",
                         help='input files ("-" for standard input)')
-    report = argparse.ArgumentParser(add_help=False, parents=[common])
-    report.add_argument("--format", dest="report_format", default="human",
+    report = argparse.ArgumentParser(**quiet, parents=[common])
+    report.add_argument("--format", dest="report_format",
                         choices=("human", "json", "tsv"))
 
     lint = sub.add_parser("lint", parents=[report],
+                          argument_default=argparse.SUPPRESS,
                           help="lint CoNLL-U files")
-    lint.add_argument("--fail-level", default="error",
-                      choices=("error", "warning", "review"),
+    lint.add_argument("--fail-level", choices=("error", "warning", "review"),
                       help="lowest severity that causes exit code 1")
 
     tok = sub.add_parser("tokenize", parents=[common],
+                         argument_default=argparse.SUPPRESS,
                          help="segment plain text into CoNLL-U skeletons")
     tok.add_argument("--lexicon", dest="lexicon_path",
                      help="path to a segmentation lexicon file")
@@ -369,31 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None, output=None, errout=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if getattr(args, "list_rules", False) and not args.subcommand:
-        args.subcommand = "list-rules"
     if not args.subcommand:
         parser.print_usage(file=errout or sys.stderr)
         return 2
 
     opts = RunOptions(
-        subcommand=args.subcommand,
-        inputs=getattr(args, "inputs", []),
-        report_format=getattr(args, "report_format", "human"),
-        config_path=getattr(args, "config", None),
-        fail_level=getattr(args, "fail_level", "error"),
-        guideline_version=getattr(args, "guideline_version", None),
-        lexicon_path=getattr(args, "lexicon_path", None),
+        **vars(args),
         output=output if output is not None else sys.stdout,
         errout=errout if errout is not None else sys.stderr,
     )
 
-    handlers = {
-        "lint": cmd_lint,
-        "tokenize": cmd_tokenize,
-        "stats": cmd_stats,
-        "list-rules": cmd_list_rules,
-    }
+    handlers = {"lint": cmd_lint, "tokenize": cmd_tokenize, "stats": cmd_stats,
+                "list-rules": cmd_list_rules}
     try:
         return handlers[opts.subcommand](opts)
     except (ValueError, OSError) as exc:

@@ -179,7 +179,7 @@ class Document:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    """One finding, totally ordered by (line, token_id, rule_id) per file."""
+    """One finding, totally ordered by (file, line, token_id, rule_id)."""
 
     rule_id: str
     severity: str
@@ -192,15 +192,8 @@ class Diagnostic:
 
     @property
     def sort_key(self) -> tuple:
-        return (self.line, self.token_id or 0, self.rule_id, self.message)
-
-    @property
-    def file_sort_key(self) -> tuple:
-        return (self.file,) + self.sort_key
-
-
-def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
-    return sorted(diags, key=lambda d: d.file_sort_key)
+        return (self.file, self.line, self.token_id or 0, self.rule_id,
+                self.message)
 
 
 _new = object.__new__

@@ -111,5 +111,5 @@ def check_unique_sent_ids(docs: list[Document],
     diags = [finding(cfg, s, "META.DUP_ID",
                      f"sent_id {sid!r} occurs {counts[sid]} times in this run")
              for s, sid in located if counts[sid] > 1]
-    diags.sort(key=lambda d: d.file_sort_key)
+    diags.sort(key=lambda d: d.sort_key)
     return diags

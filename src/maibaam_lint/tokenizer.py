@@ -70,8 +70,9 @@ def _intact(surface: str, hint: str | None = None,
 class TokenizerLexicon:
     """Lookup tables driving segment_token.
 
-    Read-only after construction: __post_init__ compiles the onset order and
-    the agreement-ending table from the tables given, and tokenize_sentence
+    Read-only after construction: __post_init__ derives terminal_parts,
+    rejects an entry that is also a split part, and compiles the onset order
+    and the agreement-ending table from the tables given; tokenize_sentence
     memoises its per-unit work on the lexicon, so later edits to a table are
     not seen.
     """
@@ -88,13 +89,22 @@ class TokenizerLexicon:
     intact_forms: dict[str, str | None] = field(default_factory=dict)
     nominalized_infinitives: set[str] = field(default_factory=set)
     units: set[str] = field(default_factory=set)
-    terminal_parts: set[str] = field(default_factory=set)
+    terminal_parts: set[str] = field(init=False)
     _onsets: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _agreement: dict[str, str] = field(init=False, repr=False, compare=False)
     _unit_memo: dict = field(init=False, default_factory=dict, repr=False,
                              compare=False)
 
     def __post_init__(self):
+        self.terminal_parts = set(self.clitic_onsets)
+        for table in (self.fused_adp_det, self.fused_inf, self.pronoun_clitics,
+                      self.sandhi_splits, self.ma_forms):
+            for parts in table.values():
+                self.terminal_parts.update(fold_apostrophes(f) for f, _ in parts)
+        clash = set(self.split_surfaces()) & self.terminal_parts
+        if clash:
+            raise ValueError(
+                f"lexicon entries are also split parts: {sorted(clash)}")
         self._onsets = tuple(sorted(self.clitic_onsets, key=len, reverse=True))
         # surface -> ending; setdefault keeps the first ending in this order
         agreement = dict.fromkeys(self.ma_forms, "ma")
@@ -171,24 +181,14 @@ def load_lexicon(source) -> TokenizerLexicon:
         else:
             raise ValueError(f"lexicon line {line_no}: unknown kind {kind!r}")
 
-    terminal_parts = set(clitic_onsets)
-    for table in part_tables.values():
-        for parts in table.values():
-            terminal_parts.update(fold_apostrophes(f) for f, _ in parts)
-
-    lex = TokenizerLexicon(
+    return TokenizerLexicon(
         fused_adp_det=part_tables["mwt"], fused_inf=part_tables["mwt-inf"],
         clitic_onsets=clitic_onsets, pronoun_clitics=part_tables["clitic"],
         sandhi_splits=part_tables["sandhi"],
         compagr_hosts=form_sets["host"], ma_forms=part_tables["ma-form"],
         review_forms=form_sets["review"], abbreviations=form_sets["abbrev"],
         intact_forms=intact_forms,
-        nominalized_infinitives=form_sets["nominf"], units=form_sets["unit"],
-        terminal_parts=terminal_parts)
-    clash = set(lex.split_surfaces()) & terminal_parts
-    if clash:
-        raise ValueError(f"lexicon entries are also split parts: {sorted(clash)}")
-    return lex
+        nominalized_infinitives=form_sets["nominf"], units=form_sets["unit"])
 
 
 def default_lexicon() -> TokenizerLexicon:

@@ -14,7 +14,7 @@ from maibaam_lint.cli import build_parser, compute_stats, lint_documents, run
 from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
 
-from conftest import DURCH_DES, GOLDEN
+from conftest import DURCH_DES, FIXTURES, GOLDEN
 
 # child processes import the package this process imported, installed or not
 CHILD_ENV = {**os.environ,
@@ -235,26 +235,30 @@ def test_tokenize_reports_undecodable_input_and_goes_on(tmp_path, monkeypatch):
     assert code == 2
     assert out == run_cli(["tokenize", "a.txt"])[1] + \
         run_cli(["tokenize", "b.txt"])[1]
-    [line] = err.splitlines()
-    assert line.startswith("error: 'utf-8' codec can't decode")
-    assert line == run_cli(["lint", "bad.txt"])[2].strip()
+    # the line names the input and the line of the first bad byte
+    assert err == "error: bad.txt:2: not UTF-8: invalid start byte 0xff\n"
+    assert run_cli(["lint", "bad.txt"])[2] == err
+    assert run_cli(["stats", "bad.txt"])[2] == err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xc3")))
+    assert run_cli(["tokenize", "-"])[2] == \
+        "error: <stdin>:1: not UTF-8: unexpected end of data 0xc3\n"
 
 
 def test_stats_counts(golden_doc):
     stats = compute_stats([golden_doc])
-    assert stats.sentences == 21
-    assert stats.upos["AUX"] >= 1
-    assert sum(stats.upos.values()) == stats.tokens
-    assert sum(stats.deprel.values()) == stats.tokens
-    assert stats.mwt_spans == 2
-    assert stats.genre["wiki"] >= 4
-    assert stats.dialect_group["central"] >= 5
+    assert stats["sentences"] == 21
+    assert stats["upos"]["AUX"] >= 1
+    assert sum(stats["upos"].values()) == stats["tokens"]
+    assert sum(stats["deprel"].values()) == stats["tokens"]
+    assert stats["mwt_spans"] == 2
+    assert stats["genre"]["wiki"] >= 4
+    assert stats["dialect_group"]["central"] >= 5
 
 
 def test_stats_empty_corpus():
     stats = compute_stats([])
-    assert (stats.sentences, stats.tokens, stats.mwt_spans) == (0, 0, 0)
-    assert not stats.upos and not stats.deprel
+    assert (stats["sentences"], stats["tokens"], stats["mwt_spans"]) == (0, 0, 0)
+    assert not stats["upos"] and not stats["deprel"]
 
 
 def test_stats_cli_json():
@@ -272,6 +276,16 @@ def test_stats_cli_tsv():
     lines = dict(line.split("\t") for line in out.splitlines())
     assert lines["sentences"] == "21"
     assert "upos.NOUN" in lines
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ([], "golden_stats.tsv"),
+    (["--format", "json"], "golden_stats.json"),
+])
+def test_stats_output_is_byte_stable(argv, golden):
+    code, out, err = run_cli(["stats", *argv, str(GOLDEN), str(DURCH_DES)])
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / golden).read_bytes().decode("utf-8")
 
 
 def test_bom_is_flagged_but_tolerated(tmp_path):

@@ -16,7 +16,6 @@ from maibaam_lint.conllu import (
     parse_document,
     reconstruct_text,
     serialize_document,
-    sort_diagnostics,
 )
 from maibaam_lint.rules import validate_structure
 
@@ -444,7 +443,7 @@ def test_diagnostic_ordering_independent_of_discovery_order(golden_doc):
     from maibaam_lint.rules import lint_sentence
     diags = lint_sentence(s)
     assert diags == sorted(diags, key=lambda d: d.sort_key)
-    assert sort_diagnostics(list(reversed(diags))) == diags
+    assert sorted(reversed(diags), key=lambda d: d.sort_key) == diags
 
 
 _form = st.text(

@@ -617,3 +617,24 @@ def test_diagnostic_is_built_only_by_finding():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += visitor.found
     assert found == ["rules.finding"]
+
+
+def test_finding_ids_are_literal_and_match_the_catalog():
+    # a literal id makes every id the program can emit visible to this scan,
+    # so a catalogued rule that nothing emits is caught as well
+    emitted, computed = set(), []
+    for path in sorted(Path(maibaam_lint.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None))
+                    == "finding"):
+                continue
+            args = node.args[2:3] + [k.value for k in node.keywords
+                                     if k.arg == "rule_id"]
+            if len(args) == 1 and isinstance(args[0], ast.Constant) \
+                    and isinstance(args[0].value, str):
+                emitted.add(args[0].value)
+            else:
+                computed.append(f"{path.stem}.py:{node.lineno}")
+    assert computed == []
+    assert emitted == {r.rule_id for r in RULES}

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -469,3 +469,15 @@ def test_hand_built_lexicon_is_compiled(lex):
     onsets = TokenizerLexicon(clitic_onsets={"d": None, "d'": "DET"})
     assert segment_token("d'neie", onsets).parts == (("d'", "DET"),
                                                      ("neie", None))
+
+
+def test_hand_built_lexicon_derives_terminal_parts(lex):
+    # the tables a caller passes; terminal_parts is derived from them
+    tables = {f.name: getattr(lex, f.name) for f in fields(TokenizerLexicon)
+              if f.init and f.name != "terminal_parts"}
+    hand = TokenizerLexicon(**tables)
+    assert hand.terminal_parts == lex.terminal_parts
+    assert segment_token("zu", hand) == segment_token("zu", lex)
+    with pytest.raises(ValueError, match="entries are also split parts"):
+        TokenizerLexicon(fused_adp_det={"zum": (("zu", "ADP"), ("m", "DET")),
+                                        "zu": (("z", "ADP"), ("u", "DET"))})
