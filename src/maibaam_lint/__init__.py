@@ -10,6 +10,7 @@ from .conllu import (
     ParseError,
     Sentence,
     Token,
+    iter_sentences,
     parse_document,
     reconstruct_text,
     serialize_document,
@@ -36,7 +37,8 @@ from .tokenizer import (
 
 __all__ = [
     "Diagnostic", "Document", "MwtSpan", "ParseError", "Sentence", "Token",
-    "parse_document", "reconstruct_text", "serialize_document",
+    "iter_sentences", "parse_document", "reconstruct_text",
+    "serialize_document",
     "check_unique_sent_ids", "validate_metadata",
     "RULES", "LintConfig", "RuleDescriptor", "lint_sentence", "load_config",
     "validate_structure",

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from . import __version__
@@ -21,7 +22,8 @@ from .conllu import (
     ParseError,
     SEVERITY_RANK,
     Sentence,
-    parse_document,
+    iter_sentences,
+    not_utf8,
     reconstruct_text,
     serialize_document,
 )
@@ -60,27 +62,36 @@ class RunOptions:
     errout: object = None   # defaults to sys.stderr in run()
 
 
-def compute_stats(docs: list[Document],
+def _new_stats() -> dict:
+    """Empty report sections in order: ints first, then Counters."""
+    return {"sentences": 0, "tokens": 0, "mwt_spans": 0, "upos": Counter(),
+            "deprel": Counter(), "genre": Counter(),
+            "dialect_group": Counter(), "diagnostics": Counter()}
+
+
+def _count_sentence(stats: dict, s: Sentence) -> None:
+    stats["sentences"] += 1
+    stats["tokens"] += len(s.tokens)
+    stats["mwt_spans"] += len(s.mwt_spans)
+    for t in s.tokens:
+        stats["upos"][t.upos] += 1
+        stats["deprel"][t.deprel] += 1
+    for key in ("genre", "dialect_group"):
+        value = s.metadata_value(key)
+        if value is not None:
+            stats[key][value] += 1
+
+
+def compute_stats(docs: Iterable[Document],
                   diagnostics: list[Diagnostic] | None = None) -> dict:
     """Count tokens, relations, metadata values and findings per rule id,
     as report sections in order: ints first, then Counters. Totals equal
     their breakdowns."""
-    stats = {"sentences": 0, "tokens": 0, "mwt_spans": 0, "upos": Counter(),
-             "deprel": Counter(), "genre": Counter(),
-             "dialect_group": Counter()}
+    stats = _new_stats()
     for doc in docs:
         for s in doc.sentences:
-            stats["sentences"] += 1
-            stats["tokens"] += len(s.tokens)
-            stats["mwt_spans"] += len(s.mwt_spans)
-            for t in s.tokens:
-                stats["upos"][t.upos] += 1
-                stats["deprel"][t.deprel] += 1
-            for key in ("genre", "dialect_group"):
-                value = s.metadata_value(key)
-                if value is not None:
-                    stats[key][value] += 1
-    stats["diagnostics"] = Counter(d.rule_id for d in diagnostics or [])
+            _count_sentence(stats, s)
+    stats["diagnostics"].update(d.rule_id for d in diagnostics or [])
     return stats
 
 
@@ -101,45 +112,94 @@ def _read_reported(path: str, errout) -> tuple[str, str] | None:
         print(f"error: cannot read {path}: {exc.strerror or exc}", file=errout)
     except UnicodeDecodeError as exc:
         name = STDIN_NAME if path == "-" else path
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        print(f"error: {name}:{line}: not UTF-8: {exc.reason} "
-              f"0x{exc.object[exc.start]:02x}", file=errout)
+        print(f"error: {not_utf8(name, exc)}", file=errout)
     return None
 
 
-def _load_documents(paths: list[str], errout) -> tuple[list[Document], bool]:
-    """Parse every input; returns (documents, had_failures)."""
-    docs: list[Document] = []
-    failed = False
-    for path in paths:
-        read = _read_reported(path, errout)
-        if read is None:
-            failed = True
-            continue
-        try:
-            docs.append(parse_document(*read))
-        except ParseError as exc:
-            print(f"error: {exc}", file=errout)
-            failed = True
-    return docs, failed
+class _LintRun:
+    """Lints documents one after another. Between documents it holds only
+    the findings, the file names, the (file, line) of each sent_id and, for
+    stats, the counts. A document's share is committed once all its
+    sentences have been read, so a ParseError midway adds nothing."""
+
+    def __init__(self, cfg: LintConfig, count: bool = False):
+        self.cfg = cfg
+        self.diags: list[Diagnostic] = []
+        self.files: list[str] = []
+        self.sent_ids: dict[str, list[tuple[str, int]]] = {}
+        self.stats = _new_stats() if count else None
+
+    def add(self, doc: Document, sentences: Iterable[Sentence]) -> None:
+        """Lint doc's sentences, which may come from iter_sentences still
+        filling in doc: its bom is read after the last one."""
+        cfg = self.cfg
+        diags: list[Diagnostic] = []
+        located: list[tuple[str, str, int]] = []
+        counts = None if self.stats is None else _new_stats()
+        first = None  # where a CORE.BOM finding goes
+        for s in sentences:
+            diags.extend(lint_sentence(s, cfg))
+            diags.extend(validate_metadata(s, cfg))
+            sid = s.sent_id
+            if first is None:
+                first = Sentence(file=s.file, metadata=[("sent_id", sid)])
+            if sid:
+                located.append((sid, s.file, s.line))
+            if counts is not None:
+                _count_sentence(counts, s)
+        if doc.bom and cfg.rule_enabled("CORE.BOM"):
+            diags.append(finding(cfg, first or Sentence(file=doc.file),
+                                 "CORE.BOM",
+                                 "byte-order mark stripped from input", line=1))
+        self.diags.extend(diags)
+        self.files.append(doc.file)
+        for sid, file, line in located:
+            self.sent_ids.setdefault(sid, []).append((file, line))
+        if counts is not None:
+            for key, value in counts.items():
+                self.stats[key] += value
+
+    def finish(self) -> list[Diagnostic]:
+        """All findings, the cross-file sent_id check's included, sorted by
+        (file, line, token id, rule id)."""
+        duplicates = {sid: located for sid, located in self.sent_ids.items()
+                      if len(located) > 1}
+        self.diags.extend(check_unique_sent_ids(duplicates, self.cfg))
+        self.diags.sort(key=lambda d: d.sort_key)
+        return self.diags
 
 
-def lint_documents(docs: list[Document], cfg: LintConfig) -> list[Diagnostic]:
+def lint_documents(docs: Iterable[Document],
+                   cfg: LintConfig) -> list[Diagnostic]:
     """Lint parsed documents: per-sentence rules, metadata checks,
     document-level flags, and the cross-file sent_id check; output sorted
     by (file, line, token id, rule id)."""
-    diags: list[Diagnostic] = []
+    run = _LintRun(cfg)
     for doc in docs:
-        if doc.bom and cfg.rule_enabled("CORE.BOM"):
-            first = doc.sentences[0] if doc.sentences else Sentence(file=doc.file)
-            diags.append(finding(cfg, first, "CORE.BOM",
-                                 "byte-order mark stripped from input", line=1))
-        for s in doc.sentences:
-            diags.extend(lint_sentence(s, cfg))
-            diags.extend(validate_metadata(s, cfg))
-    diags.extend(check_unique_sent_ids(docs, cfg))
-    diags.sort(key=lambda d: d.sort_key)
-    return diags
+        run.add(doc, doc.sentences)
+    return run.finish()
+
+
+def _lint_inputs(opts: RunOptions,
+                 count: bool = False) -> tuple[_LintRun, bool]:
+    """Read, parse and lint the inputs one sentence at a time; returns the
+    run and whether an input could not be read or parsed (such an input
+    adds nothing to the run)."""
+    run = _LintRun(_resolve_config(opts), count)
+    failed = False
+    for path in opts.inputs:
+        read = _read_reported(path, opts.errout)
+        if read is None:
+            failed = True
+            continue
+        text, name = read
+        doc = Document(file=name)
+        try:
+            run.add(doc, iter_sentences(text, name, doc))
+        except ParseError as exc:
+            print(f"error: {exc}", file=opts.errout)
+            failed = True
+    return run, failed
 
 
 def _severity_counts(diags: list[Diagnostic]) -> dict[str, int]:
@@ -206,12 +266,10 @@ def _resolve_config(opts: RunOptions) -> LintConfig:
 
 
 def cmd_lint(opts: RunOptions) -> int:
-    cfg = _resolve_config(opts)
-    docs, failed = _load_documents(opts.inputs, opts.errout)
-    diags = lint_documents(docs, cfg)
-    files = [d.file for d in docs]
+    run, failed = _lint_inputs(opts)
+    diags = run.finish()
     if opts.report_format == "json":
-        render_json(diags, files, opts.output)
+        render_json(diags, run.files, opts.output)
     elif opts.report_format == "tsv":
         render_tsv(diags, opts.output)
     else:
@@ -252,10 +310,9 @@ def cmd_tokenize(opts: RunOptions) -> int:
 
 
 def cmd_stats(opts: RunOptions) -> int:
-    cfg = _resolve_config(opts)
-    docs, failed = _load_documents(opts.inputs, opts.errout)
-    diags = lint_documents(docs, cfg)
-    stats = compute_stats(docs, diags)
+    run, failed = _lint_inputs(opts, count=True)
+    stats = run.stats
+    stats["diagnostics"].update(d.rule_id for d in run.finish())
     out = opts.output
     if opts.report_format == "json":
         json.dump(stats, out, ensure_ascii=False, indent=2, sort_keys=True)
@@ -299,8 +356,19 @@ class _AfterSubcommand(argparse.Action):
                      f"'maibaam-lint {self.const} {option_string} ... FILE'")
 
 
+class _TopParser(argparse.ArgumentParser):
+    """Lets a shown option win a prefix that a hidden one also matches, so
+    that --l abbreviates --list-rules rather than being ambiguous with the
+    hidden --lexicon; prefixes of hidden options alone still match them."""
+
+    def _get_option_tuples(self, option_string):
+        matches = super()._get_option_tuples(option_string)
+        shown = [m for m in matches if m[0].help != argparse.SUPPRESS]
+        return shown or matches
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _TopParser(
         prog="maibaam-lint",
         description="Parse, tokenize and lint Bavarian CoNLL-U treebank "
                     "files against the MaiBaam annotation guidelines.")

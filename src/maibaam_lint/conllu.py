@@ -35,6 +35,25 @@ class ParseError(Exception):
         self.line = line
 
 
+def not_utf8(name: str, exc: UnicodeDecodeError) -> str:
+    """The one message for input that is not UTF-8, naming the input and
+    the line of the first bad byte: 'NAME:LINE: not UTF-8: REASON 0xNN'.
+    exc comes from decoding the whole input at once."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return (f"{name}:{line}: not UTF-8: {exc.reason} "
+            f"0x{exc.object[exc.start]:02x}")
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file read whole, with universal newlines. A file that is
+    not UTF-8 raises ValueError with not_utf8's message."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(not_utf8(path, exc)) from None
+
+
 def column_value(col: str, key: str) -> str | None:
     """Value of the first ``key=value`` entry of a FEATS or MISC column.
 
@@ -243,9 +262,27 @@ def parse_document(source, file_name: str = "<string>") -> Document:
     merely non-conformant (enhanced dependencies, empty nodes) is kept and
     reported later as lint diagnostics.
     """
+    doc = Document(file=file_name)
+    doc.sentences = list(iter_sentences(source, file_name, doc))
+    return doc
+
+
+def iter_sentences(source, file_name: str = "<string>",
+                   doc: Document | None = None):
+    """Yield the sentences of CoNLL-U text (a string or a text stream), each
+    as soon as its closing blank line is read.
+
+    The text is checked as parse_document checks it: a ParseError is raised
+    when the malformed line is reached, after the sentences before it have
+    been yielded. doc, if given, gets bom and final_newline before the
+    first sentence and trailing_comments once the input has ended; its
+    sentences are left alone.
+    """
     text = source.read() if hasattr(source, "read") else source
-    bom = text.startswith("﻿")
-    if bom:
+    if doc is None:
+        doc = Document(file=file_name)
+    doc.bom = text.startswith("\ufeff")
+    if doc.bom:
         text = text[1:]
 
     crlf = text.find("\r\n")
@@ -254,11 +291,10 @@ def parse_document(source, file_name: str = "<string>") -> Document:
                          file_name, text.count("\n", 0, crlf) + 1)
 
     lines = text.split("\n") if text else []
-    final_newline = text.endswith("\n")
-    if final_newline:
+    doc.final_newline = text.endswith("\n")
+    if doc.final_newline:
         lines.pop()
 
-    doc = Document(file=file_name, bom=bom, final_newline=final_newline)
     comments: list[str] = []
     tokens: list[Token] = []
     spans: list[MwtSpan] = []
@@ -266,29 +302,25 @@ def parse_document(source, file_name: str = "<string>") -> Document:
     start_line = 0
     pending_last = 0  # highest token id promised by an open MWT span
 
-    def finalize(line_no: int):
-        nonlocal comments, tokens, spans, empties, start_line, pending_last
-        if pending_last > len(tokens):
-            raise ParseError("BAD_ID", "multiword range exceeds sentence length",
-                             file_name, spans[-1].line)
-        metadata = []
-        for c in comments:
-            m = _METADATA_RE.match(c)
-            if m:
-                metadata.append((m.group(1), m.group(2)))
-        doc.sentences.append(Sentence(
-            tokens=tokens, mwt_spans=spans, metadata=metadata,
-            comments=comments, empty_nodes=empties,
-            file=file_name, line=start_line,
-        ))
-        comments, tokens, spans, empties = [], [], [], []
-        start_line = 0
-        pending_last = 0
-
     for line_no, line in enumerate(lines, start=1):
         if line == "":
             if tokens:
-                finalize(line_no)
+                if pending_last > len(tokens):
+                    raise ParseError("BAD_ID",
+                                     "multiword range exceeds sentence length",
+                                     file_name, spans[-1].line)
+                metadata = []
+                for c in comments:
+                    m = _METADATA_RE.match(c)
+                    if m:
+                        metadata.append((m.group(1), m.group(2)))
+                yield Sentence(tokens=tokens, mwt_spans=spans,
+                               metadata=metadata, comments=comments,
+                               empty_nodes=empties, file=file_name,
+                               line=start_line)
+                comments, tokens, spans, empties = [], [], [], []
+                start_line = 0
+                pending_last = 0
             elif comments:
                 raise ParseError("EMPTY_SENTENCE",
                                  "comment block without token lines",
@@ -360,8 +392,6 @@ def parse_document(source, file_name: str = "<string>") -> Document:
                          file_name, len(lines))
     if comments:
         doc.trailing_comments = comments
-
-    return doc
 
 
 def _sentence_lines(s: Sentence) -> list[str]:

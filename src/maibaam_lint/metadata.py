@@ -4,10 +4,10 @@ vocabularies, sent_id uniqueness and text/token consistency."""
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections.abc import Mapping
 from urllib.parse import urlparse
 
-from .conllu import Diagnostic, Document, Sentence, reconstruct_text
+from .conllu import Diagnostic, Sentence, reconstruct_text
 from .rules import URL_GENRES, LintConfig, finding
 
 REQUIRED_KEYS = ("sent_id", "text", "genre", "dialect_group", "location",
@@ -97,19 +97,21 @@ def validate_metadata(s: Sentence,
     return diags
 
 
-def check_unique_sent_ids(docs: list[Document],
+def check_unique_sent_ids(duplicates: Mapping[str, list[tuple[str, int]]],
                           cfg: LintConfig | None = None) -> list[Diagnostic]:
     """Flag every sentence whose sent_id occurs more than once in the run.
 
-    Flagging all occurrences keeps the result independent of file order.
+    duplicates maps each such sent_id to the (file, line) of every sentence
+    that carries it. Flagging all occurrences keeps the result independent
+    of file order.
     """
     cfg = cfg or LintConfig()
     if not cfg.rule_enabled("META.DUP_ID"):
         return []
-    located = [(s, s.sent_id) for doc in docs for s in doc.sentences]
-    counts = Counter(sid for _, sid in located if sid)
-    diags = [finding(cfg, s, "META.DUP_ID",
-                     f"sent_id {sid!r} occurs {counts[sid]} times in this run")
-             for s, sid in located if counts[sid] > 1]
+    diags = [finding(cfg, Sentence(file=file, line=line,
+                                   metadata=[("sent_id", sid)]),
+                     "META.DUP_ID",
+                     f"sent_id {sid!r} occurs {len(located)} times in this run")
+             for sid, located in duplicates.items() for file, line in located]
     diags.sort(key=lambda d: d.sort_key)
     return diags

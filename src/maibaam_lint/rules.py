@@ -23,6 +23,7 @@ from .conllu import (
     SEVERITY_WARNING,
     Token,
     column_value,
+    read_text,
 )
 
 UPOS_TAGS = frozenset({
@@ -265,58 +266,57 @@ def load_config(path: str) -> LintConfig:
         "dialect_groups": ("dialect_order", "tuple"),
     }
 
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            flag = BOOLEANS.get(value.lower())
-            if key.startswith("rule.") and key.endswith((".severity", ".enabled")):
-                rule_id, setting = key[len("rule."):].rsplit(".", 1)
-                if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
-                    raise ValueError(f"{path}:{line_no}: unknown rule {rule_id!r}")
-                if setting == "enabled":
-                    if flag is None:
-                        raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
-                    (enabled if flag else disabled).add(rule_id)
-                elif value not in (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_REVIEW):
-                    raise ValueError(f"{path}:{line_no}: bad severity {value!r}")
-                else:
-                    overrides[rule_id] = value
-            elif key.startswith("lexicon.") and key.endswith(".path"):
-                name = key[len("lexicon."):-len(".path")]
-                if name == "tokenizer":
-                    fields["tokenizer_lexicon_path"] = os.path.join(base, value)
-                    continue
-                if name not in lexicon_fields:
-                    raise ValueError(f"{path}:{line_no}: unknown lexicon {name!r}")
-                attr, shape = lexicon_fields[name]
-                entries = _read_word_list(os.path.join(base, value))
-                if shape == "set":
-                    fields[attr] = frozenset(entries)
-                elif shape == "tuple":
-                    fields[attr] = tuple(entries)
-                else:
-                    fields[attr] = tuple(tuple(e.split()) for e in entries)
-            elif key == "guideline_version":
-                if not VERSION_RE.fullmatch(value):
-                    raise ValueError(f"{path}:{line_no}: bad guideline_version "
-                                     f"{value!r}")
-                fields["guideline_version"] = value
-            elif key == "typo_column":
-                if value not in ("feats", "misc", "either"):
-                    raise ValueError(f"{path}:{line_no}: bad typo_column {value!r}")
-                fields["typo_column"] = value
-            elif key == "punct_lemma_exempt":
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        flag = BOOLEANS.get(value.lower())
+        if key.startswith("rule.") and key.endswith((".severity", ".enabled")):
+            rule_id, setting = key[len("rule."):].rsplit(".", 1)
+            if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
+                raise ValueError(f"{path}:{line_no}: unknown rule {rule_id!r}")
+            if setting == "enabled":
                 if flag is None:
                     raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
-                fields["punct_lemma_exempt"] = flag
+                (enabled if flag else disabled).add(rule_id)
+            elif value not in (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_REVIEW):
+                raise ValueError(f"{path}:{line_no}: bad severity {value!r}")
             else:
-                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+                overrides[rule_id] = value
+        elif key.startswith("lexicon.") and key.endswith(".path"):
+            name = key[len("lexicon."):-len(".path")]
+            if name == "tokenizer":
+                fields["tokenizer_lexicon_path"] = os.path.join(base, value)
+                continue
+            if name not in lexicon_fields:
+                raise ValueError(f"{path}:{line_no}: unknown lexicon {name!r}")
+            attr, shape = lexicon_fields[name]
+            entries = _read_word_list(os.path.join(base, value))
+            if shape == "set":
+                fields[attr] = frozenset(entries)
+            elif shape == "tuple":
+                fields[attr] = tuple(entries)
+            else:
+                fields[attr] = tuple(tuple(e.split()) for e in entries)
+        elif key == "guideline_version":
+            if not VERSION_RE.fullmatch(value):
+                raise ValueError(f"{path}:{line_no}: bad guideline_version "
+                                 f"{value!r}")
+            fields["guideline_version"] = value
+        elif key == "typo_column":
+            if value not in ("feats", "misc", "either"):
+                raise ValueError(f"{path}:{line_no}: bad typo_column {value!r}")
+            fields["typo_column"] = value
+        elif key == "punct_lemma_exempt":
+            if flag is None:
+                raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
+            fields["punct_lemma_exempt"] = flag
+        else:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
 
     return LintConfig(severity_overrides=overrides,
                       disabled_rules=frozenset(disabled),
@@ -326,11 +326,10 @@ def load_config(path: str) -> LintConfig:
 
 def _read_word_list(path: str) -> list[str]:
     entries = []
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                entries.append(line)
+    for raw in read_text(path).split("\n"):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            entries.append(line)
     return entries
 
 

@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .conllu import MwtSpan, Sentence, Token
+from .conllu import MwtSpan, Sentence, Token, read_text
 
 KIND_INTACT = "intact"
 KIND_MWT = "mwt"
@@ -148,8 +148,7 @@ def load_lexicon(source) -> TokenizerLexicon:
     elif "\n" in source or "\t" in source:
         text = source
     else:
-        with open(source, encoding="utf-8") as f:
-            text = f.read()
+        text = read_text(source)
 
     part_tables: dict[str, dict[str, tuple[Part, ...]]] = {
         kind: {} for kind in ("mwt", "mwt-inf", "clitic", "sandhi", "ma-form")}

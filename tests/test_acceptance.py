@@ -8,7 +8,9 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import time
+from dataclasses import asdict
 
 from maibaam_lint.cli import lint_documents, run
 from maibaam_lint.conllu import (
@@ -204,6 +206,40 @@ def test_every_finding_agrees_with_the_catalog_and_config():
             assert d.rule_id in RULES_BY_ID, d
             assert d.guideline_ref == RULES_BY_ID[d.rule_id].guideline_ref, d
             assert d.severity == cfg.severity(d.rule_id), d
+
+
+def test_streamed_lint_equals_library_lint(tmp_path, monkeypatch):
+    """lint reads its inputs one sentence at a time; its findings equal
+    lint_documents over the same files parsed whole, in any file order."""
+    monkeypatch.chdir(tmp_path)
+    text = GOLDEN.read_text(encoding="utf-8")
+    files = {p.name: p.read_text(encoding="utf-8")
+             for p in (GOLDEN, DURCH_DES)}
+    for i, (_, _, sent_id, mutate) in enumerate(MUTATIONS):
+        doc = parse_document(text, "golden.conllu")
+        s = next(x for x in doc.sentences if x.sent_id == sent_id)
+        mutate(s)
+        s.comments = []  # written from the (maybe mutated) metadata
+        files[f"c4-{i:02d}.conllu"] = serialize_document(doc)
+    files["bom-only.conllu"] = "\ufeff"
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+
+    names = sorted(files)
+    for seed in range(3):
+        random.Random(seed).shuffle(names)
+        out = io.StringIO()
+        code = run(["lint", "--format", "json", *names], output=out,
+                   errout=io.StringIO())
+        expected = lint_documents(
+            [parse_document(files[n], n) for n in names], LintConfig())
+        assert json.loads(out.getvalue())["findings"] == \
+            [asdict(d) for d in expected]
+        assert code == 1
+    rules = {d.rule_id for d in expected}
+    assert {"CORE.BOM", "META.DUP_ID", "META.GENRE"} <= rules
+    print(f"\nstreamed lint equals library lint: PASS ({len(files)} files, "
+          f"{len(expected)} findings, 3 orders)")
 
 
 def test_c5_structural_oracle_equivalence():

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -5,11 +6,13 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import maibaam_lint
+from maibaam_lint import cli
 from maibaam_lint.cli import build_parser, compute_stats, lint_documents, run
 from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
@@ -157,8 +160,11 @@ def test_list_rules_subcommand_and_flag():
     assert len(first) == 4
     assert any(line.split("\t")[0] == "CLASS.COP" and "§6.6" in line
                for line in lines)
-    code2, out2, _ = run_cli(["--list-rules"])
-    assert code2 == 0 and out2 == out
+    for flag in ("--list-rules", "--l"):
+        # --l abbreviates --list-rules, though the hidden --lexicon also
+        # starts with it
+        code2, out2, _ = run_cli([flag])
+        assert code2 == 0 and out2 == out
 
 
 def test_no_subcommand_is_usage_error():
@@ -242,6 +248,34 @@ def test_tokenize_reports_undecodable_input_and_goes_on(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xc3")))
     assert run_cli(["tokenize", "-"])[2] == \
         "error: <stdin>:1: not UTF-8: unexpected end of data 0xc3\n"
+
+
+def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
+                                                          monkeypatch):
+    # the same line as for inputs: file, line of the first bad byte, exit 2
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    Path("bad.conf").write_bytes(b"# config\nguideline_version = 2.17\n"
+                                 b"# caf\xe9\n")
+    Path("list.conf").write_text("lexicon.copula.path = words.txt\n",
+                                 encoding="utf-8")
+    # the bad byte lies past the first 8 KiB that a text read decodes
+    Path("words.txt").write_bytes(b"sein\n" * 3000 + b"caf\xe9\n")
+    Path("bad.tsv").write_bytes(b"# lexicon\nzum\tmwt\tzu m\t_\n# caf\xe9\n")
+    Path("raw.txt").write_text("Servus\n", encoding="utf-8")
+
+    def error(name, line):
+        return (2, "", f"error: {name}:{line}: not UTF-8: invalid "
+                       "continuation byte 0xe9\n")
+
+    assert run_cli(["lint", "--config", "bad.conf", str(GOLDEN)]) == \
+        error("bad.conf", 3)
+    assert run_cli(["lint", "--config", "list.conf", str(GOLDEN)]) == \
+        error(tmp_path / "words.txt", 3001)
+    assert run_cli(["tokenize", "--lexicon", "bad.tsv", "raw.txt"]) == \
+        error("bad.tsv", 3)
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, "bad.conf")
+    assert run_cli(["stats", str(GOLDEN)]) == error("bad.conf", 3)
 
 
 def test_stats_counts(golden_doc):
@@ -416,3 +450,64 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: maibaam-lint "
                         f"{shlex.join(argv)}")
+
+
+def _one_token(sent_id, upos="NOUN"):
+    """A one-token sentence that lacks most required metadata, so that it
+    always carries findings."""
+    return (f"# sent_id = {sent_id}\n# text = Haus\n"
+            f"1\tHaus\t_\t{upos}\t_\t_\t0\troot\t_\tGermanLemma=Haus\n\n")
+
+
+@pytest.mark.parametrize("subcommand", ["lint", "stats"])
+def test_inputs_are_held_one_sentence_at_a_time(subcommand, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = GOLDEN.read_text(encoding="utf-8")
+    Path("a.conllu").write_text(golden, encoding="utf-8")
+    Path("b.conllu").write_text(golden, encoding="utf-8")
+    seen = []     # (file, sent_id, weak reference) of each linted sentence
+    alive = []    # earlier sentences still alive when a later one is linted
+    lint_sentence = cli.lint_sentence
+
+    def recorder(s, cfg):
+        gc.collect()
+        alive.extend((f, sid) for f, sid, ref in seen if ref() is not None)
+        seen.append((s.file, s.sent_id, weakref.ref(s)))
+        return lint_sentence(s, cfg)
+
+    monkeypatch.setattr(cli, "lint_sentence", recorder)
+    code, _, err = run_cli([subcommand, "a.conllu", "b.conllu"])
+    # every sentence's sent_id occurs twice: META.DUP_ID errors for lint
+    assert (code, err) == (1 if subcommand == "lint" else 0, "")
+    assert len(seen) == 2 * golden.count("# sent_id")
+    assert alive == []
+    gc.collect()
+    assert [sid for _, sid, ref in seen if ref() is not None] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lint"], ["lint", "--format", "json"], ["stats"],
+    ["stats", "--format", "json"],
+])
+def test_input_failing_to_parse_midway_adds_nothing(argv, tmp_path,
+                                                    monkeypatch):
+    # bad.conllu's first two sentences carry findings, and its first
+    # shares a sent_id with b.conllu; its third does not parse
+    monkeypatch.chdir(tmp_path)
+    Path("a.conllu").write_text(_one_token("a-1") + _one_token("a-2", "ZZZ"),
+                                encoding="utf-8")
+    Path("bad.conllu").write_text(
+        _one_token("shared-1", "ZZZ") + _one_token("bad-2") +
+        "1\tHaus\t_\tNOUN\n\n" + _one_token("bad-4"), encoding="utf-8")
+    Path("b.conllu").write_text(_one_token("shared-1") + _one_token("b-2"),
+                                encoding="utf-8")
+    code, out, err = run_cli([*argv, "a.conllu", "bad.conllu", "b.conllu"])
+    assert code == 2
+    assert err == ("error: bad.conllu:9: WRONG_COLUMN_COUNT: expected 10 "
+                   "tab-separated fields, got 4\n")
+    assert out == run_cli([*argv, "a.conllu", "b.conllu"])[1]
+    assert "bad" not in out
+    assert "META.DUP_ID" not in out
+    if argv == ["lint", "--format", "json"]:
+        assert json.loads(out)["summary"]["files"] == ["a.conllu", "b.conllu"]

@@ -13,6 +13,7 @@ from maibaam_lint.conllu import (
     Sentence,
     Token,
     column_value,
+    iter_sentences,
     parse_document,
     reconstruct_text,
     serialize_document,
@@ -68,6 +69,12 @@ def test_parse_errors(text, code, line):
     assert exc.value.code == code
     assert exc.value.line == line
     assert "t.conllu" in str(exc.value)
+    # streamed, the same error comes once the sentences before it are out
+    streamed = iter_sentences(MINIMAL + text, "t.conllu")
+    assert [t.form for t in next(streamed).tokens] == ["Minga"]
+    with pytest.raises(ParseError) as exc:
+        next(streamed)
+    assert (exc.value.code, exc.value.line) == (code, line + 2)
 
 
 def _line(id_field="1", head="0"):
@@ -485,6 +492,28 @@ def test_round_trip_property(doc):
     assert serialize_document(again) == once
 
 
+@settings(max_examples=60, deadline=None)
+@given(documents())
+def test_iter_sentences_yields_the_parsed_sentences(doc):
+    text = serialize_document(doc)
+    assert list(iter_sentences(text, "<property>")) == \
+        parse_document(text, "<property>").sentences
+
+
+def test_iter_sentences_fills_in_the_document():
+    text = "\ufeff" + MINIMAL + "# trailing"
+    doc = Document(file="t.conllu")
+    streamed = iter_sentences(text, "t.conllu", doc)
+    first = next(streamed)
+    assert (doc.bom, doc.final_newline, doc.sentences) == (True, False, [])
+    assert list(streamed) == []
+    assert doc.trailing_comments == ["# trailing"]
+    parsed = parse_document(text, "t.conllu")
+    assert [first] == parsed.sentences
+    doc.sentences = [first]
+    assert doc == parsed
+
+
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                             "\u0665\u0666\u0667\u0668\u0669")
 
@@ -533,6 +562,23 @@ def test_accepted_text_serializes_back_identically(text):
     except ParseError:
         return
     assert serialize_document(doc) == text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conllu_texts())
+def test_iter_sentences_fails_where_parse_document_fails(text):
+    streamed = []
+    try:
+        for s in iter_sentences(text, "<property>"):
+            streamed.append(s)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as parsed:
+            parse_document(text, "<property>")
+        assert (exc.code, exc.line) == (parsed.value.code, parsed.value.line)
+        # what came out before the error lies before its line
+        assert all(s.line < exc.line for s in streamed)
+    else:
+        assert streamed == parse_document(text, "<property>").sentences
 
 
 _safe_column = st.text(alphabet=st.sampled_from("ab_=| \u00fc\u00b2-"),

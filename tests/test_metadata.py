@@ -99,6 +99,16 @@ def test_policy_from_config():
     assert ids(validate_metadata(s, cfg)) == ["META.GENRE"]
 
 
+def duplicates(*docs):
+    """The sent_ids that occur more than once in docs, each with the
+    (file, line) of every occurrence in document order."""
+    located = {}
+    for doc in docs:
+        for s in doc.sentences:
+            located.setdefault(s.sent_id, []).append((s.file, s.line))
+    return {sid: where for sid, where in located.items() if len(where) > 1}
+
+
 def test_duplicate_sent_ids_across_files_order_independent():
     def doc(name, *sent_ids):
         d = Document(file=name)
@@ -109,16 +119,18 @@ def test_duplicate_sent_ids_across_files_order_independent():
 
     a = doc("a.conllu", "dup-1", "uniq-1")
     b = doc("b.conllu", "dup-1", "uniq-2")
-    forward = check_unique_sent_ids([a, b])
-    backward = check_unique_sent_ids([b, a])
+    forward = check_unique_sent_ids(duplicates(a, b))
+    backward = check_unique_sent_ids(duplicates(b, a))
     assert ids(forward) == ["META.DUP_ID", "META.DUP_ID"]
     assert sorted(d.file for d in forward) == ["a.conllu", "b.conllu"]
     assert forward == backward
+    assert {d.message for d in forward} == {
+        "sent_id 'dup-1' occurs 2 times in this run"}
 
 
 def test_duplicate_check_respects_disable():
     d = Document(file="a")
     d.sentences = [one_token_sentence(), one_token_sentence()]
     cfg = LintConfig(disabled_rules=frozenset({"META.DUP_ID"}))
-    assert check_unique_sent_ids([d], cfg) == []
-    assert len(check_unique_sent_ids([d])) == 2
+    assert check_unique_sent_ids(duplicates(d), cfg) == []
+    assert len(check_unique_sent_ids(duplicates(d))) == 2
