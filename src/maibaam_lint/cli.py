@@ -22,6 +22,7 @@ from .conllu import (
     ParseError,
     SEVERITY_RANK,
     Sentence,
+    _line_chunks,
     iter_sentences,
     not_utf8,
     reconstruct_text,
@@ -160,13 +161,18 @@ class _LintRun:
                 self.stats[key] += value
 
     def finish(self) -> list[Diagnostic]:
-        """All findings, the cross-file sent_id check's included, sorted by
-        (file, line, token id, rule id)."""
+        """All findings, the cross-file sent_id check's included, in no set
+        order. Called once, after the last add."""
         duplicates = {sid: located for sid, located in self.sent_ids.items()
                       if len(located) > 1}
         self.diags.extend(check_unique_sent_ids(duplicates, self.cfg))
-        self.diags.sort(key=lambda d: d.sort_key)
         return self.diags
+
+    def finish_sorted(self) -> list[Diagnostic]:
+        """finish's findings sorted by (file, line, token id, rule id)."""
+        diags = self.finish()
+        diags.sort(key=lambda d: d.sort_key)
+        return diags
 
 
 def lint_documents(docs: Iterable[Document],
@@ -177,7 +183,7 @@ def lint_documents(docs: Iterable[Document],
     run = _LintRun(cfg)
     for doc in docs:
         run.add(doc, doc.sentences)
-    return run.finish()
+    return run.finish_sorted()
 
 
 def _lint_inputs(opts: RunOptions,
@@ -267,7 +273,7 @@ def _resolve_config(opts: RunOptions) -> LintConfig:
 
 def cmd_lint(opts: RunOptions) -> int:
     run, failed = _lint_inputs(opts)
-    diags = run.finish()
+    diags = run.finish_sorted()
     if opts.report_format == "json":
         render_json(diags, run.files, opts.output)
     elif opts.report_format == "tsv":
@@ -292,20 +298,21 @@ def cmd_tokenize(opts: RunOptions) -> int:
         text, name = read
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         counter = 0
-        for raw_line in text.split("\n"):
-            if not raw_line.strip():
-                continue
-            counter += 1
-            try:
-                s = tokenize_sentence(raw_line, lexicon)
-            except EmptyInputError:
-                continue
-            attach_skeleton_heads(s)
-            s.metadata = [("sent_id", f"{stem}-{counter}"),
-                          ("text", reconstruct_text(s))]
-            s.file = name
-            # written per sentence, so memory does not grow with the input
-            opts.output.write(serialize_document(Document([s], file=name)))
+        for lines in _line_chunks(text, len(text)):
+            for raw_line in lines:
+                if not raw_line.strip():
+                    continue
+                counter += 1
+                try:
+                    s = tokenize_sentence(raw_line, lexicon)
+                except EmptyInputError:
+                    continue
+                attach_skeleton_heads(s)
+                s.metadata = [("sent_id", f"{stem}-{counter}"),
+                              ("text", reconstruct_text(s))]
+                s.file = name
+                # written per sentence, so memory does not grow with the input
+                opts.output.write(serialize_document(Document([s], file=name)))
     return exit_code
 
 

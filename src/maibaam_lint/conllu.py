@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 COLUMN_COUNT = 10
 
+# characters per chunk of lines the parser holds at a time (a chunk runs on
+# to the end of its last line)
+_CHUNK_CHARS = 1 << 16
+
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 SEVERITY_REVIEW = "review"
@@ -69,6 +73,29 @@ def column_value(col: str, key: str) -> str | None:
     start = at + len(prefix)
     end = col.find("|", start)
     return col[start:] if end == -1 else col[start:end]
+
+
+def _line_chunks(text: str, stop: int):
+    """Yield text[:stop].split("\n") as consecutive lists, each holding the
+    lines of about _CHUNK_CHARS characters and ending at a line break.
+
+    Only a chunk's own characters are copied, and a "\n" at stop is split
+    off, not sliced off. A text of up to two chunks is split whole: cutting
+    it would copy about a chunk to shorten the list by about as much.
+    """
+    start = 0
+    while stop > 2 * _CHUNK_CHARS and stop - start > _CHUNK_CHARS:
+        end = text.find("\n", start + _CHUNK_CHARS, stop)
+        if end == -1:
+            break
+        yield text[start:end].split("\n")
+        start = end + 1
+    if stop < len(text) and text[stop] == "\n":
+        lines = text[start:stop + 1].split("\n")
+        lines.pop()
+        yield lines
+    else:
+        yield text[start:stop].split("\n")
 
 
 _TOKEN_COLUMNS = ("form", "upos", "deprel", "misc", "lemma_col", "xpos_col",
@@ -276,7 +303,8 @@ def iter_sentences(source, file_name: str = "<string>",
     when the malformed line is reached, after the sentences before it have
     been yielded. doc, if given, gets bom and final_newline before the
     first sentence and trailing_comments once the input has ended; its
-    sentences are left alone.
+    sentences are left alone. Besides the text it holds one chunk of lines
+    (_line_chunks) and the sentence being read.
     """
     text = source.read() if hasattr(source, "read") else source
     if doc is None:
@@ -290,10 +318,8 @@ def iter_sentences(source, file_name: str = "<string>",
         raise ParseError("CRLF_LINE_ENDING", "CRLF line ending (use LF)",
                          file_name, text.count("\n", 0, crlf) + 1)
 
-    lines = text.split("\n") if text else []
     doc.final_newline = text.endswith("\n")
-    if doc.final_newline:
-        lines.pop()
+    chunks = _line_chunks(text, len(text) - doc.final_newline) if text else ()
 
     comments: list[str] = []
     tokens: list[Token] = []
@@ -301,95 +327,101 @@ def iter_sentences(source, file_name: str = "<string>",
     empties: list[EmptyNodeLine] = []
     start_line = 0
     pending_last = 0  # highest token id promised by an open MWT span
+    line_no = 0
 
-    for line_no, line in enumerate(lines, start=1):
-        if line == "":
-            if tokens:
-                if pending_last > len(tokens):
-                    raise ParseError("BAD_ID",
-                                     "multiword range exceeds sentence length",
-                                     file_name, spans[-1].line)
-                metadata = []
-                for c in comments:
-                    m = _METADATA_RE.match(c)
-                    if m:
-                        metadata.append((m.group(1), m.group(2)))
-                yield Sentence(tokens=tokens, mwt_spans=spans,
-                               metadata=metadata, comments=comments,
-                               empty_nodes=empties, file=file_name,
-                               line=start_line)
-                comments, tokens, spans, empties = [], [], [], []
-                start_line = 0
-                pending_last = 0
-            elif comments:
-                raise ParseError("EMPTY_SENTENCE",
-                                 "comment block without token lines",
+    for lines in chunks:
+        for line in lines:
+            line_no += 1
+            if line == "":
+                if tokens:
+                    if pending_last > len(tokens):
+                        raise ParseError("BAD_ID",
+                                         "multiword range exceeds sentence length",
+                                         file_name, spans[-1].line)
+                    metadata = []
+                    for c in comments:
+                        m = _METADATA_RE.match(c)
+                        if m:
+                            metadata.append((m.group(1), m.group(2)))
+                    yield Sentence(tokens=tokens, mwt_spans=spans,
+                                   metadata=metadata, comments=comments,
+                                   empty_nodes=empties, file=file_name,
+                                   line=start_line)
+                    comments, tokens, spans, empties = [], [], [], []
+                    start_line = 0
+                    pending_last = 0
+                elif comments:
+                    raise ParseError("EMPTY_SENTENCE",
+                                     "comment block without token lines",
+                                     file_name, line_no)
+                else:
+                    raise ParseError("EXTRA_BLANK_LINE", "stray blank line",
+                                     file_name, line_no)
+                continue
+
+            if start_line == 0:
+                start_line = line_no
+
+            if line.startswith("#"):
+                if tokens or spans or empties:
+                    raise ParseError("MISPLACED_COMMENT",
+                                     "comment after token lines", file_name, line_no)
+                comments.append(line)
+                continue
+
+            cols = line.split("\t")
+            if len(cols) != COLUMN_COUNT:
+                raise ParseError("WRONG_COLUMN_COUNT",
+                                 f"expected {COLUMN_COUNT} tab-separated fields, "
+                                 f"got {len(cols)}",
                                  file_name, line_no)
+            if "" in cols:
+                raise ParseError("EMPTY_FIELD",
+                                 f"field {cols.index('') + 1} is empty (use '_')",
+                                 file_name, line_no)
+
+            id_field = cols[0]
+            if id_field.isdigit() and id_field.isascii() and id_field[0] != "0":
+                token_id = int(id_field)
+                if token_id != len(tokens) + 1:
+                    raise ParseError("ID_SEQUENCE",
+                                     f"expected token id {len(tokens) + 1}, "
+                                     f"got {token_id}",
+                                     file_name, line_no)
+                head = cols[6]
+                if not (head.isdigit() and head.isascii()
+                        and (head[0] != "0" or head == "0")):
+                    raise ParseError("BAD_HEAD", f"bad HEAD value {head!r}",
+                                     file_name, line_no)
+                tokens.append(_parsed_token(cols, token_id, int(head), line_no))
+            elif m := _MWT_ID_RE.match(id_field):
+                first, last = int(m.group(1)), int(m.group(2))
+                if last < first:
+                    raise ParseError("BAD_ID", f"reversed multiword range {id_field}",
+                                     file_name, line_no)
+                if first != len(tokens) + 1:
+                    raise ParseError("ID_SEQUENCE",
+                                     "multiword range must start at token "
+                                     f"{len(tokens) + 1}",
+                                     file_name, line_no)
+                spans.append(_parsed_span(cols, first, last, line_no))
+                pending_last = max(pending_last, last)
+            elif m := _EMPTY_NODE_ID_RE.match(id_field):
+                # the serializer writes empty node N.k right after token N
+                anchor = int(m.group(1))
+                if anchor != len(tokens) or (spans and spans[-1].first_id > anchor):
+                    raise ParseError("ID_SEQUENCE",
+                                     f"empty node {id_field} after token {len(tokens)}",
+                                     file_name, line_no)
+                empties.append(EmptyNodeLine(anchor=anchor, raw=line, line=line_no))
             else:
-                raise ParseError("EXTRA_BLANK_LINE", "stray blank line",
+                raise ParseError("BAD_ID", f"bad ID field {id_field!r}",
                                  file_name, line_no)
-            continue
-
-        if start_line == 0:
-            start_line = line_no
-
-        if line.startswith("#"):
-            if tokens or spans or empties:
-                raise ParseError("MISPLACED_COMMENT",
-                                 "comment after token lines", file_name, line_no)
-            comments.append(line)
-            continue
-
-        cols = line.split("\t")
-        if len(cols) != COLUMN_COUNT:
-            raise ParseError("WRONG_COLUMN_COUNT",
-                             f"expected {COLUMN_COUNT} tab-separated fields, got {len(cols)}",
-                             file_name, line_no)
-        if "" in cols:
-            raise ParseError("EMPTY_FIELD",
-                             f"field {cols.index('') + 1} is empty (use '_')",
-                             file_name, line_no)
-
-        id_field = cols[0]
-        if id_field.isdigit() and id_field.isascii() and id_field[0] != "0":
-            token_id = int(id_field)
-            if token_id != len(tokens) + 1:
-                raise ParseError("ID_SEQUENCE",
-                                 f"expected token id {len(tokens) + 1}, got {token_id}",
-                                 file_name, line_no)
-            head = cols[6]
-            if not (head.isdigit() and head.isascii()
-                    and (head[0] != "0" or head == "0")):
-                raise ParseError("BAD_HEAD", f"bad HEAD value {head!r}",
-                                 file_name, line_no)
-            tokens.append(_parsed_token(cols, token_id, int(head), line_no))
-        elif m := _MWT_ID_RE.match(id_field):
-            first, last = int(m.group(1)), int(m.group(2))
-            if last < first:
-                raise ParseError("BAD_ID", f"reversed multiword range {id_field}",
-                                 file_name, line_no)
-            if first != len(tokens) + 1:
-                raise ParseError("ID_SEQUENCE",
-                                 f"multiword range must start at token {len(tokens) + 1}",
-                                 file_name, line_no)
-            spans.append(_parsed_span(cols, first, last, line_no))
-            pending_last = max(pending_last, last)
-        elif m := _EMPTY_NODE_ID_RE.match(id_field):
-            # the serializer writes empty node N.k right after token N
-            anchor = int(m.group(1))
-            if anchor != len(tokens) or (spans and spans[-1].first_id > anchor):
-                raise ParseError("ID_SEQUENCE",
-                                 f"empty node {id_field} after token {len(tokens)}",
-                                 file_name, line_no)
-            empties.append(EmptyNodeLine(anchor=anchor, raw=line, line=line_no))
-        else:
-            raise ParseError("BAD_ID", f"bad ID field {id_field!r}",
-                             file_name, line_no)
 
     if tokens or spans or empties:
         raise ParseError("UNTERMINATED_SENTENCE",
                          "end of input without sentence-final blank line",
-                         file_name, len(lines))
+                         file_name, line_no)
     if comments:
         doc.trailing_comments = comments
 

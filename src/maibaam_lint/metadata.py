@@ -12,6 +12,9 @@ from .rules import URL_GENRES, LintConfig, finding
 
 REQUIRED_KEYS = ("sent_id", "text", "genre", "dialect_group", "location",
                  "source")
+# one message object per key, shared by all its findings
+_MISSING_MESSAGES = tuple((key, f"missing required metadata key {key!r}")
+                          for key in REQUIRED_KEYS)
 
 _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 
@@ -54,10 +57,9 @@ def validate_metadata(s: Sentence,
     diags = []
     meta = dict(reversed(s.metadata))  # the first value of a key wins
 
-    for key in REQUIRED_KEYS:
+    for key, message in _MISSING_MESSAGES:
         if key not in meta:
-            diags.append(finding(cfg, s, "META.MISSING",
-                                 f"missing required metadata key {key!r}"))
+            diags.append(finding(cfg, s, "META.MISSING", message))
 
     genre = meta.get("genre")
     if genre is not None and genre not in cfg.genre_vocab:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import maibaam_lint
-from maibaam_lint import cli
+from maibaam_lint import cli, conllu
 from maibaam_lint.cli import build_parser, compute_stats, lint_documents, run
 from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
@@ -230,6 +230,22 @@ def test_tokenize_streams_documents_in_order(tmp_path, monkeypatch):
         " ".join(line.split()) for line in raw_lines]
 
 
+@pytest.mark.parametrize("raw", [
+    b"", b"\n \n\t\n", b"zum Beispiel\r\nServus\r\n\r\n",
+    b"zum Beispiel\n\nServus", b"Mia san do.\nI geh hoam.\n" * 8,
+], ids=["empty", "blank-only", "crlf", "no-final-newline", "many-lines"])
+def test_tokenize_does_not_depend_on_the_chunk_size(raw, tmp_path,
+                                                    monkeypatch):
+    path = tmp_path / "t.txt"
+    path.write_bytes(raw)
+    whole = run_cli(["tokenize", str(path)])
+    assert whole[0] == 0 and whole[2] == ""
+    assert (whole[1] == "") == (not raw.strip())
+    for size in (1, 2, 5, 13):
+        monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
+        assert run_cli(["tokenize", str(path)]) == whole
+
+
 def test_tokenize_reports_undecodable_input_and_goes_on(tmp_path, monkeypatch):
     # like lint and stats: one error line for the bad input, the other
     # inputs are still tokenized, and the run ends with exit 2
@@ -320,6 +336,31 @@ def test_stats_output_is_byte_stable(argv, golden):
     code, out, err = run_cli(["stats", *argv, str(GOLDEN), str(DURCH_DES)])
     assert (code, err) == (0, "")
     assert out == (FIXTURES / golden).read_bytes().decode("utf-8")
+
+
+def test_stats_counts_the_findings_lint_reports_without_sorting_them(
+        tmp_path, monkeypatch):
+    # two files sharing a sent_id, each missing most metadata keys
+    paths = []
+    for name in ("a.conllu", "b.conllu"):
+        f = tmp_path / name
+        f.write_text("# sent_id = s-1\n"
+                     "1\tHaus\t_\tNOUN\t_\t_\t0\troot\t_\t_\n\n",
+                     encoding="utf-8")
+        paths.append(str(f))
+    _, out, _ = run_cli(["lint", "--format", "json", *paths])
+    expected = {}
+    for f in json.loads(out)["findings"]:
+        expected[f["rule_id"]] = expected.get(f["rule_id"], 0) + 1
+    assert expected["META.DUP_ID"] == 2
+
+    def refuse(self):
+        raise AssertionError("stats sorted the findings it counts")
+
+    monkeypatch.setattr(cli._LintRun, "finish_sorted", refuse)
+    code, out, err = run_cli(["stats", "--format", "json", *paths])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["diagnostics"] == expected
 
 
 def test_bom_is_flagged_but_tolerated(tmp_path):

@@ -1,10 +1,13 @@
 import itertools
+import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maibaam_lint import conllu
 from maibaam_lint.conllu import (
     Diagnostic,
     Document,
@@ -19,6 +22,8 @@ from maibaam_lint.conllu import (
     serialize_document,
 )
 from maibaam_lint.rules import validate_structure
+
+from conftest import DURCH_DES, GOLDEN
 
 MINIMAL = "1\tMinga\t_\tPROPN\t_\t_\t0\troot\t_\t_\n\n"
 
@@ -512,6 +517,95 @@ def test_iter_sentences_fills_in_the_document():
     assert [first] == parsed.sentences
     doc.sentences = [first]
     assert doc == parsed
+
+
+def test_line_chunks_equal_one_split(monkeypatch):
+    for size in range(1, 5):
+        monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
+        for n in range(9):
+            for chars in itertools.product("a\n\r", repeat=n):
+                text = "".join(chars)
+                for stop in range(n + 1):
+                    assert sum(conllu._line_chunks(text, stop), []) == \
+                        text[:stop].split("\n")
+
+
+def test_line_chunks_split_a_short_text_without_copying_it():
+    # up to two chunks long and ending in "\n": a slice of all but the "\n"
+    # would be a second copy of the text next to its lines
+    text = ("x" * 10_000 + "\n") * 5
+    tracemalloc.start()
+    try:
+        chunks = list(conllu._line_chunks(text, len(text) - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks == [text[:-1].split("\n")]
+    assert peak < 1.5 * sys.getsizeof(text)
+
+
+@pytest.mark.parametrize("path", [GOLDEN, DURCH_DES], ids=lambda p: p.name)
+def test_parse_does_not_depend_on_the_chunk_size(path, monkeypatch):
+    text = path.read_text(encoding="utf-8")
+    whole = parse_document(text, path.name)
+    for size in (1, 2, 3, 5, 64, 1000):
+        monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
+        assert parse_document(text, path.name) == whole
+        assert parse_document(text + "# end", path.name) == \
+            replace(whole, final_newline=False, trailing_comments=["# end"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(), st.integers(1, 12))
+def test_parse_of_generated_documents_does_not_depend_on_the_chunk_size(
+        doc, size):
+    text = serialize_document(doc)
+    whole = parse_document(text, "<property>")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conllu, "_CHUNK_CHARS", size)
+        assert parse_document(text, "<property>") == whole
+
+
+_TOKEN_LINE = "1\tMinga\t_\tPROPN\t_\t_\t0\troot\t_\t_\n"
+
+
+@pytest.mark.parametrize("tail,code,line", [
+    ("\n" + MINIMAL, "EXTRA_BLANK_LINE", 5),
+    ("# sent_id = e\n\n" + MINIMAL, "EMPTY_SENTENCE", 6),
+    (_TOKEN_LINE, "UNTERMINATED_SENTENCE", 5),
+    (_TOKEN_LINE.rstrip("\n"), "UNTERMINATED_SENTENCE", 5),
+    ("1\tMinga\n\n", "WRONG_COLUMN_COUNT", 5),
+], ids=["extra-blank", "empty-sentence", "unterminated",
+        "unterminated-no-final-newline", "wrong-column-count"])
+def test_parse_errors_are_the_same_at_any_chunk_boundary(tail, code, line,
+                                                         monkeypatch):
+    text = MINIMAL * 2 + tail
+    first_lines = set()  # first line of each chunk and one past the last
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
+        with pytest.raises(ParseError) as exc:
+            parse_document(text, "t.conllu")
+        assert (exc.value.code, exc.value.line) == (code, line), size
+        chunks = conllu._line_chunks(text, len(text) - text.endswith("\n"))
+        first_lines.update(itertools.accumulate(
+            (len(chunk) for chunk in chunks), initial=1))
+    # some chunk size put a boundary just before, at and just after it
+    assert {line - 1, line, line + 1} <= first_lines
+
+
+def test_iter_sentences_holds_a_chunk_of_lines_not_the_whole_file(
+        golden_text):
+    # sentences are dropped as they come, so what the parser holds is its
+    # lines; a list of all of them would outweigh the text itself
+    text = golden_text * (1_000_000 // len(golden_text) + 1)
+    tracemalloc.start()
+    try:
+        for _ in iter_sentences(text, "big.conllu"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(text) / 2
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"

@@ -134,3 +134,13 @@ def test_duplicate_check_respects_disable():
     cfg = LintConfig(disabled_rules=frozenset({"META.DUP_ID"}))
     assert check_unique_sent_ids(duplicates(d), cfg) == []
     assert len(check_unique_sent_ids(duplicates(d))) == 2
+
+
+def test_missing_key_findings_share_one_message():
+    bare = Sentence(tokens=one_token_sentence().tokens)
+    first, second = validate_metadata(bare), validate_metadata(bare)
+    assert sorted(d.message for d in first) == sorted(
+        f"missing required metadata key {key!r}" for key in REQUIRED_KEYS)
+    for a, b in zip(first, second):
+        assert a.rule_id == b.rule_id == "META.MISSING"
+        assert a.message is b.message
