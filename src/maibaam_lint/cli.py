@@ -171,7 +171,7 @@ class _LintRun:
     def finish_sorted(self) -> list[Diagnostic]:
         """finish's findings sorted by (file, line, token id, rule id)."""
         diags = self.finish()
-        diags.sort(key=lambda d: d.sort_key)
+        diags.sort(key=Diagnostic.sort_key.fget)
         return diags
 
 
@@ -216,20 +216,20 @@ def _severity_counts(diags: list[Diagnostic]) -> dict[str, int]:
 
 
 def render_human(diags: list[Diagnostic], out) -> None:
-    for d in diags:
-        ref = f" ({d.guideline_ref})" if d.guideline_ref else ""
-        print(f"{d.file}:{d.line}: [{d.severity}] {d.rule_id} {d.message}{ref}",
-              file=out)
+    out.writelines(
+        f"{d.file}:{d.line}: [{d.severity}] {d.rule_id} {d.message}"
+        + (f" ({d.guideline_ref})\n" if d.guideline_ref else "\n")
+        for d in diags)
 
 
 def render_tsv(diags: list[Diagnostic], out) -> None:
-    print("file\tline\tsentence_id\ttoken_id\tseverity\trule_id\tmessage"
-          "\tguideline_ref", file=out)
-    for d in diags:
-        token_id = "" if d.token_id is None else str(d.token_id)
-        print("\t".join([d.file, str(d.line), d.sentence_id, token_id,
-                         d.severity, d.rule_id, d.message,
-                         d.guideline_ref or ""]), file=out)
+    out.write("file\tline\tsentence_id\ttoken_id\tseverity\trule_id\tmessage"
+              "\tguideline_ref\n")
+    out.writelines(
+        f"{d.file}\t{d.line}\t{d.sentence_id}\t"
+        f"{'' if d.token_id is None else d.token_id}\t{d.severity}\t"
+        f"{d.rule_id}\t{d.message}\t{d.guideline_ref or ''}\n"
+        for d in diags)
 
 
 def render_json(diags: list[Diagnostic], files: list[str], out) -> None:

@@ -9,6 +9,7 @@ diagnostic, never as a parse failure.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 COLUMN_COUNT = 10
@@ -223,18 +224,16 @@ class Document:
     final_newline: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    """One finding, totally ordered by (file, line, token_id, rule_id)."""
+class Diagnostic(namedtuple("Diagnostic", (
+        "rule_id", "severity", "file", "line", "sentence_id", "token_id",
+        "message", "guideline_ref"), defaults=(None,))):
+    """One finding, an immutable named tuple; token_id and guideline_ref
+    may be None. Reports order findings by sort_key, (file, line, token_id,
+    rule_id, message), not by the tuple's field order. A tuple rather than
+    a frozen dataclass because one is built per finding, and a frozen
+    dataclass's __init__ sets each field through object.__setattr__."""
 
-    rule_id: str
-    severity: str
-    file: str
-    line: int
-    sentence_id: str
-    token_id: int | None
-    message: str
-    guideline_ref: str | None = None
+    __slots__ = ()
 
     @property
     def sort_key(self) -> tuple:

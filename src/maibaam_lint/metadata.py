@@ -39,7 +39,12 @@ def _check_dialect_group(value: str,
 
 
 def _is_absolute_url(value: str) -> bool:
-    parsed = urlparse(value)
+    """Whether value has a scheme and a host. A value urlparse cannot
+    parse, such as "http://[oops", is not one."""
+    try:
+        parsed = urlparse(value)
+    except ValueError:
+        return False
     return bool(parsed.scheme) and bool(parsed.netloc)
 
 
@@ -95,7 +100,7 @@ def validate_metadata(s: Sentence,
 
     if cfg.disabled_rules:
         diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
-    diags.sort(key=lambda d: d.sort_key)
+    diags.sort(key=Diagnostic.sort_key.fget)
     return diags
 
 
@@ -115,5 +120,5 @@ def check_unique_sent_ids(duplicates: Mapping[str, list[tuple[str, int]]],
                      "META.DUP_ID",
                      f"sent_id {sid!r} occurs {len(located)} times in this run")
              for sid, located in duplicates.items() for file, line in located]
-    diags.sort(key=lambda d: d.sort_key)
+    diags.sort(key=Diagnostic.sort_key.fget)
     return diags

@@ -409,7 +409,7 @@ def validate_structure(s: Sentence,
                                  f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
                                  line=span2.line or s.line))
 
-    diags.sort(key=lambda d: d.sort_key)
+    diags.sort(key=Diagnostic.sort_key.fget)
     return diags
 
 
@@ -746,5 +746,5 @@ def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic
         diags.extend(rule(s, cfg))
     if cfg.disabled_rules:
         diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
-    diags.sort(key=lambda d: d.sort_key)
+    diags.sort(key=Diagnostic.sort_key.fget)
     return diags

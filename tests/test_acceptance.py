@@ -10,7 +10,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import asdict
 
 from maibaam_lint.cli import lint_documents, run
 from maibaam_lint.conllu import (
@@ -234,7 +233,7 @@ def test_streamed_lint_equals_library_lint(tmp_path, monkeypatch):
         expected = lint_documents(
             [parse_document(files[n], n) for n in names], LintConfig())
         assert json.loads(out.getvalue())["findings"] == \
-            [asdict(d) for d in expected]
+            [d._asdict() for d in expected]
         assert code == 1
     rules = {d.rule_id for d in expected}
     assert {"CORE.BOM", "META.DUP_ID", "META.GENRE"} <= rules

@@ -328,6 +328,78 @@ def test_stats_cli_tsv():
     assert "upos.NOUN" in lines
 
 
+@pytest.mark.parametrize("fmt, golden", [
+    ("human", "golden_lint.txt"),
+    ("tsv", "golden_lint.tsv"),
+    ("json", "golden_lint.json"),
+])
+def test_lint_output_is_byte_stable(fmt, golden, monkeypatch):
+    # skeleton.conllu is tokenize's output for four of golden.conllu's texts
+    monkeypatch.chdir(FIXTURES)
+    code, out, err = run_cli(["lint", "--format", fmt, "skeleton.conllu",
+                              "durch_des_fixed.conllu", "golden.conllu"])
+    assert (code, err) == (1, "")
+    assert out == (FIXTURES / golden).read_bytes().decode("utf-8")
+
+
+def test_structural_findings_render_without_a_citation(tmp_path,
+                                                       monkeypatch):
+    meta = ("# genre = grammar examples\n# dialect_group = central\n"
+            "# location = Munich\n# source = constructed\n")
+    (tmp_path / "h.conllu").write_text(
+        "# sent_id = h-1\n# text = Servus Servus\n" + meta +
+        "1\tServus\t_\tINTJ\t_\t_\t0\troot\t_\tGermanLemma=servus\n"
+        "2\tServus\t_\tINTJ\t_\t_\t5\tdiscourse\t_\tGermanLemma=servus\n\n"
+        "# sent_id = h-2\n# text = Servus\n" + meta +
+        "1\tServus\t_\tINTJ\t_\t_\t1\tdiscourse\t_\tGermanLemma=servus\n\n",
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["lint", "h.conllu"]) == (1, (
+        "h.conllu:8: [error] STRUCT.HEAD_RANGE head 5 exceeds sentence "
+        "length 2\n"
+        "h.conllu:10: [error] STRUCT.NO_ROOT no token has head 0\n"
+        "h.conllu:16: [error] STRUCT.CYCLE head chain through token 1 "
+        "revisits itself\n"), "")
+    code, out, err = run_cli(["lint", "--format", "tsv", "h.conllu"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "h.conllu\t8\th-1\t2\terror\tSTRUCT.HEAD_RANGE\t"
+        "head 5 exceeds sentence length 2\t",
+        "h.conllu\t10\th-2\t\terror\tSTRUCT.NO_ROOT\tno token has head 0\t",
+        "h.conllu\t16\th-2\t1\terror\tSTRUCT.CYCLE\t"
+        "head chain through token 1 revisits itself\t"]
+
+
+def _unparseable_source_file(tmp_path):
+    bad = tmp_path / "x.conllu"
+    bad.write_text("# sent_id = x-1\n# text = Servus\n# genre = wiki\n"
+                   "# dialect_group = central\n# location = Munich\n"
+                   "# source = http://[oops\n"
+                   "1\tServus\t_\tINTJ\t_\t_\t0\troot\t_\t"
+                   "GermanLemma=servus\n\n", encoding="utf-8")
+    return str(bad)
+
+
+def test_lint_reports_an_unparseable_source_and_goes_on(tmp_path):
+    bad = _unparseable_source_file(tmp_path)
+    code, out, err = run_cli(["lint", bad, str(GOLDEN), str(DURCH_DES)])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{DURCH_DES}:")
+    assert lines[1:] == [
+        f"{bad}:1: [warning] META.SOURCE source for genre 'wiki' should be "
+        "an absolute URL, got 'http://[oops' (§1.3)"]
+
+
+def test_stats_counts_an_unparseable_source(tmp_path):
+    bad = _unparseable_source_file(tmp_path)
+    code, out, err = run_cli(["stats", "--format", "json", bad, str(GOLDEN)])
+    assert (code, err) == (0, "")
+    stats = json.loads(out)
+    assert stats["diagnostics"] == {"META.SOURCE": 1}
+    assert stats["sentences"] == 22
+
+
 @pytest.mark.parametrize("argv, golden", [
     ([], "golden_stats.tsv"),
     (["--format", "json"], "golden_stats.json"),

@@ -88,6 +88,14 @@ def test_source_url_for_wiki_and_social_only():
         genre="social", source="https://bar.wikipedia.org/wiki/Diskussion:Minga")) == []
 
 
+@pytest.mark.parametrize("source", ["http://[oops", "https://[::1/x"])
+def test_unparseable_source_is_not_an_absolute_url(source):
+    # urlparse raises ValueError for an unclosed IPv6 host
+    diags = validate_metadata(one_token_sentence(source=source))
+    assert ids(diags) == ["META.SOURCE"]
+    assert repr(source) in diags[0].message
+
+
 def test_text_mismatch():
     s = one_token_sentence(text="Servas")
     assert ids(validate_metadata(s)) == ["META.TEXT_MISMATCH"]
