@@ -244,29 +244,30 @@ class Diagnostic(namedtuple("Diagnostic", (
 _new = object.__new__
 
 
-def _parsed_token(cols: list[str], token_id: int, head: int,
-                  line_no: int) -> Token:
-    """A Token from a node line the parser has checked, built without
-    re-running the constructor's checks."""
+def _unchecked_token(token_id: int, form: str, lemma_col: str, upos: str,
+                     xpos_col: str, feats_col: str, head: int, deprel: str,
+                     deps_col: str, misc: str, line: int) -> Token:
+    """A Token from columns in CoNLL-U order that its caller has checked,
+    built without re-running the constructor's checks."""
     t = _new(Token)
     t.id = token_id
-    t.form = cols[1]
-    t.lemma_col = cols[2]
-    t.upos = cols[3]
-    t.xpos_col = cols[4]
-    t.feats_col = cols[5]
+    t.form = form
+    t.lemma_col = lemma_col
+    t.upos = upos
+    t.xpos_col = xpos_col
+    t.feats_col = feats_col
     t.head = head
-    t.deprel = cols[7]
-    t.deps_col = cols[8]
-    t.misc = cols[9]
-    t.line = line_no
+    t.deprel = deprel
+    t.deps_col = deps_col
+    t.misc = misc
+    t.line = line
     return t
 
 
 def _parsed_span(cols: list[str], first: int, last: int,
                  line_no: int) -> MwtSpan:
     """An MwtSpan from a range line the parser has checked, built like
-    _parsed_token."""
+    _unchecked_token."""
     span = _new(MwtSpan)
     span.first_id = first
     span.last_id = last
@@ -392,7 +393,9 @@ def iter_sentences(source, file_name: str = "<string>",
                         and (head[0] != "0" or head == "0")):
                     raise ParseError("BAD_HEAD", f"bad HEAD value {head!r}",
                                      file_name, line_no)
-                tokens.append(_parsed_token(cols, token_id, int(head), line_no))
+                tokens.append(_unchecked_token(
+                    token_id, cols[1], cols[2], cols[3], cols[4], cols[5],
+                    int(head), cols[7], cols[8], cols[9], line_no))
             elif m := _MWT_ID_RE.match(id_field):
                 first, last = int(m.group(1)), int(m.group(2))
                 if last < first:
@@ -439,17 +442,19 @@ def _sentence_lines(s: Sentence) -> list[str]:
     for node in s.empty_nodes:
         empties_by_anchor.setdefault(node.anchor, []).append(node)
 
-    lines.extend(node.raw for node in empties_by_anchor.get(0, []))
+    if 0 in empties_by_anchor:
+        lines.extend(node.raw for node in empties_by_anchor[0])
     for t in s.tokens:
-        for span in spans_by_first.get(t.id, []):
-            cols = [f"{span.first_id}-{span.last_id}", span.surface_form,
-                    *span.other_cols, span.misc]
-            lines.append("\t".join(cols))
-        lines.append("\t".join([
-            str(t.id), t.form, t.lemma_col, t.upos, t.xpos_col, t.feats_col,
-            str(t.head), t.deprel, t.deps_col, t.misc,
-        ]))
-        lines.extend(node.raw for node in empties_by_anchor.get(t.id, []))
+        if t.id in spans_by_first:
+            for span in spans_by_first[t.id]:
+                lines.append("\t".join([f"{span.first_id}-{span.last_id}",
+                                        span.surface_form, *span.other_cols,
+                                        span.misc]))
+        lines.append(f"{t.id}\t{t.form}\t{t.lemma_col}\t{t.upos}\t{t.xpos_col}"
+                     f"\t{t.feats_col}\t{t.head}\t{t.deprel}\t{t.deps_col}"
+                     f"\t{t.misc}")
+        if t.id in empties_by_anchor:
+            lines.extend(node.raw for node in empties_by_anchor[t.id])
     return lines
 
 
@@ -491,6 +496,7 @@ def reconstruct_text(s: Sentence) -> str:
             unit = tokens[i - 1]
             pieces.append(unit.form)
             i += 1
-        pieces.append("" if column_value(unit.misc, "SpaceAfter") == "No"
-                      else " ")
+        misc = unit.misc
+        pieces.append(" " if misc == "_"
+                      or column_value(misc, "SpaceAfter") != "No" else "")
     return "".join(pieces[:-1])

@@ -14,7 +14,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .conllu import MwtSpan, Sentence, Token, read_text
+from .conllu import (MwtSpan, Sentence, Token, _check_columns,
+                     _unchecked_token, read_text)
 
 KIND_INTACT = "intact"
 KIND_MWT = "mwt"
@@ -32,6 +33,9 @@ _NUMBER_UNIT_RE = re.compile(r"^(\d+(?:[.,]\d+)?)([^\W\d_]+)$")
 
 AGREEMENT_SUFFIXES = ("sd", "st", "ds")
 FULL_1PL_PRONOUNS = frozenset({"mia", "mir"})
+
+# the Token columns a tokenizer row sets; the others are constants
+_ROW_COLUMNS = ("form", "upos", "misc")
 
 # tokenize_sentence's per-lexicon unit memo is emptied when it reaches this
 # many entries, which bounds its memory on high-diversity text
@@ -71,10 +75,10 @@ class TokenizerLexicon:
     """Lookup tables driving segment_token.
 
     Read-only after construction: __post_init__ derives terminal_parts,
-    rejects an entry that is also a split part, and compiles the onset order
-    and the agreement-ending table from the tables given; tokenize_sentence
-    memoises its per-unit work on the lexicon, so later edits to a table are
-    not seen.
+    rejects an entry that is also a split part, and compiles the onset order,
+    the agreement-ending table and the set of keys any rule reads from the
+    tables given; tokenize_sentence memoises its per-unit work on the
+    lexicon, so later edits to a table are not seen.
     """
 
     fused_adp_det: dict[str, tuple[Part, ...]] = field(default_factory=dict)
@@ -92,6 +96,7 @@ class TokenizerLexicon:
     terminal_parts: set[str] = field(init=False)
     _onsets: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _agreement: dict[str, str] = field(init=False, repr=False, compare=False)
+    _rule_keys: frozenset[str] = field(init=False, repr=False, compare=False)
     _unit_memo: dict = field(init=False, default_factory=dict, repr=False,
                              compare=False)
 
@@ -116,6 +121,10 @@ class TokenizerLexicon:
                     # the host's final "s" is shared: dass + sd -> dassd
                     agreement.setdefault(host + suffix[1:], suffix)
         self._agreement = agreement
+        self._rule_keys = frozenset().union(
+            self.terminal_parts, self.intact_forms, self.review_forms,
+            agreement, self.fused_adp_det, self.fused_inf,
+            self.pronoun_clitics, self.sandhi_splits)
 
     def split_surfaces(self) -> list[str]:
         """All surfaces for which some splitting rule fires."""
@@ -196,10 +205,14 @@ def default_lexicon() -> TokenizerLexicon:
 
 
 def _lookup_keys(surface: str) -> list[str]:
-    """Exact match first, then one case-folded retry."""
+    """Exact match first, then one case-folded retry. The retry is left out
+    when folding changes the length (U+0130 lower-cases to two code points):
+    rules slice the surface by lengths measured on the key."""
     key = fold_apostrophes(surface)
     folded = key.lower()
-    return [key] if folded == key else [key, folded]
+    if folded == key or len(folded) != len(key):
+        return [key]
+    return [key, folded]
 
 
 def _carve(surface: str, parts: tuple[Part, ...]) -> tuple[Part, ...]:
@@ -252,8 +265,14 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
     apostrophe clitic onset > verb/complementizer+pronoun > sandhi > intact.
     Unknown forms stay intact. Deterministic for a fixed lexicon.
     """
-    ctx = context or SegmentationContext()
     keys = _lookup_keys(surface)
+    for key in keys:
+        if key in lexicon._rule_keys or key.startswith(lexicon._onsets):
+            break
+    else:
+        return _intact(surface)  # no rule reads any of its keys
+
+    ctx = context or SegmentationContext()
 
     for key in keys:
         if key in lexicon.terminal_parts and key not in lexicon.clitic_onsets:
@@ -344,6 +363,8 @@ def _default_hint(form: str) -> str | None:
     """Fallback UPOS hint for segments the lexicon says nothing about."""
     if form.isdigit():
         return "NUM"
+    if form.isalpha():
+        return None
     categories = {unicodedata.category(c)[0] for c in form}
     if form == "%" or categories == {"S"}:
         return "SYM"
@@ -356,15 +377,19 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
     """Segment one whitespace unit given the unit after it (None at the end
     of the sentence).
 
-    Returns (pieces, mwt, core): the (form, UPOS hint) pieces in order, the
-    range of pieces that make up the unit's multi-word token (empty if none),
-    and the unit without its outer punctuation.
+    Returns (rows, span): one (form, UPOS, MISC) row per token in order,
+    whose columns pass Token's checks, and the unit's multi-word token as
+    (first, last, surface, MISC) with token positions counted from 1 within
+    the unit, or None.
     """
     leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
     pieces: list[Part] = [(ch, _punct_hint(ch)) for ch in leading]
     mwt = range(0)
-    numeric = _RANGE_RE.match(core)
-    unit_match = _NUMBER_UNIT_RE.match(core)
+    # both patterns start with \d, which matches exactly what isdecimal does
+    numeric = unit_match = None
+    if core[0].isdecimal():
+        numeric = _RANGE_RE.match(core)
+        unit_match = _NUMBER_UNIT_RE.match(core)
     if numeric:
         pieces.extend(zip(numeric.groups(), ("NUM", "ADP", "NUM")))
     elif unit_match and \
@@ -381,7 +406,20 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
             pieces.extend((form, hint or _default_hint(form))
                           for form, hint in seg.parts)
     pieces.extend((ch, _punct_hint(ch)) for ch in trailing)
-    return tuple(pieces), mwt, core
+
+    # pieces of one unit are glued together, whitespace follows the
+    # last; an MWT carries its SpaceAfter=No on the span line
+    last = len(pieces) - 1
+    rows = tuple((form, hint or "X",
+                  "_" if i == last or i in mwt else "SpaceAfter=No")
+                 for i, (form, hint) in enumerate(pieces))
+    for row in rows:
+        _check_columns(_ROW_COLUMNS, row)
+    span = None
+    if mwt:
+        span = (mwt.start + 1, mwt.stop, core,
+                "SpaceAfter=No" if mwt.stop <= last else "_")
+    return rows, span
 
 
 def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
@@ -395,41 +433,38 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
 
     A unit depends on the next unit only through two bits (is it a full 1pl
     pronoun, is it a nominalised infinitive) and on whether there is one, so
-    each distinct (unit, bits) is segmented once per lexicon.
+    each distinct (unit, bits) is segmented once per lexicon, and its token
+    columns are checked once.
     """
     if not raw.strip():
         raise EmptyInputError("input is empty or whitespace-only")
 
     memo = lexicon._unit_memo
+    nominalized = lexicon.nominalized_infinitives
     tokens: list[Token] = []
     spans: list[MwtSpan] = []
     units = raw.split()
-    for u_idx, unit in enumerate(units):
-        nxt = units[u_idx + 1] if u_idx + 1 < len(units) else None
-        if nxt is None:
-            bits = None
-        else:
-            next_key = fold_apostrophes(nxt).lower()
-            bits = (next_key in FULL_1PL_PRONOUNS,
-                    next_key in lexicon.nominalized_infinitives)
+    # no code point gains or loses whitespace when folded and lower-cased,
+    # so next_keys[i] is the lookup form of units[i]
+    next_keys = fold_apostrophes(raw).lower().split()
+    for unit, nxt, next_key in zip(units, units[1:] + [None],
+                                   next_keys[1:] + [None]):
+        bits = None if nxt is None else (next_key in FULL_1PL_PRONOUNS,
+                                         next_key in nominalized)
         entry = memo.get((unit, bits))
         if entry is None:
             if len(memo) >= UNIT_MEMO_LIMIT:
                 memo.clear()
             entry = memo[unit, bits] = _segment_unit(unit, nxt, lexicon)
-        pieces, mwt, core = entry
+        rows, span = entry
 
-        # pieces of one unit are glued together, whitespace follows the
-        # last; an MWT carries its SpaceAfter=No on the span line
-        base, last = len(tokens), len(pieces) - 1
-        for i, (form, hint) in enumerate(pieces):
-            glued = i != last and i not in mwt
-            tokens.append(Token(base + i + 1, form, hint or "X", 0, "dep",
-                                "SpaceAfter=No" if glued else "_"))
-        if mwt:
-            spans.append(MwtSpan(
-                base + mwt.start + 1, base + mwt.stop, core,
-                "SpaceAfter=No" if mwt.stop <= last else "_"))
+        base = len(tokens)
+        for token_id, (form, upos, misc) in enumerate(rows, base + 1):
+            tokens.append(_unchecked_token(token_id, form, "_", upos, "_", "_",
+                                           0, "dep", "_", misc, 0))
+        if span:
+            first, last, core, misc = span
+            spans.append(MwtSpan(base + first, base + last, core, misc))
 
     return Sentence(tokens=tokens, mwt_spans=spans)
 

@@ -207,6 +207,26 @@ def test_tokenize_custom_lexicon(tmp_path):
     assert out.splitlines()[2].startswith("1-2\tbeim")
 
 
+def test_tokenize_output_is_byte_stable(monkeypatch):
+    # one line per lexicon kind, with case and apostrophe variants
+    monkeypatch.chdir(FIXTURES)
+    assert run_cli(["tokenize", "golden_tokenize.txt"]) == (
+        0, (FIXTURES / "golden_tokenize.conllu").read_bytes().decode("utf-8"),
+        "")
+
+
+def test_tokenize_keeps_a_unit_whose_folded_key_is_longer(tmp_path):
+    # "İ" lower-cases to two code points, "i" + U+0307; a split measured on
+    # that key must not slice the surface
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("i̇\tonset\ti̇\tPRON\n", encoding="utf-8")
+    src = tmp_path / "raw.txt"
+    src.write_text("İx\n", encoding="utf-8")
+    assert run_cli(["tokenize", "--lexicon", str(lex), str(src)]) == (
+        0, "# sent_id = raw-1\n# text = İx\n"
+           "1\tİx\t_\tX\t_\t_\t0\troot\t_\t_\n\n", "")
+
+
 def test_tokenize_streams_documents_in_order(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     texts = {"a.txt": "Servus, wia gehts da heid z'Minga?\n\n"

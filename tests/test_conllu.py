@@ -12,6 +12,7 @@ from maibaam_lint import conllu
 from maibaam_lint.conllu import (
     Diagnostic,
     Document,
+    EmptyNodeLine,
     MwtSpan,
     ParseError,
     Sentence,
@@ -169,6 +170,34 @@ def test_empty_nodes_and_deps_survive_round_trip():
     assert len(s.tokens) == 2
     assert len(s.empty_nodes) == 1 and s.empty_nodes[0].anchor == 1
     assert serialize_document(doc) == text
+
+
+def test_serializer_writes_nested_spans_and_empty_nodes_in_place():
+    # two spans open at token 1, longest last as built; empty nodes before
+    # token 1 (anchor 0) and after token 2
+    before = "0.1\tja\t_\tINTJ\t_\t_\t_\t_\t0:discourse\t_"
+    after = "2.1\tgeht\t_\tVERB\t_\t_\t_\t_\t0:root\t_"
+    s = Sentence(
+        tokens=[Token(1, "gib", "VERB", 0, "root", "SpaceAfter=No"),
+                Token(2, "t", "PRON", 1, "obj", lemma_col="es"),
+                Token(3, "s", "PRON", 1, "nsubj", "SpaceAfter=No",
+                      feats_col="Case=Nom", deps_col="1:nsubj")],
+        mwt_spans=[MwtSpan(1, 2, "gibt"),
+                   MwtSpan(1, 3, "gibts", "SpaceAfter=No",
+                           ("_", "_", "_", "_", "_", "_", "X"))],
+        empty_nodes=[EmptyNodeLine(0, before), EmptyNodeLine(2, after)],
+        metadata=[("sent_id", "n-1"), ("text", "gibts")])
+    text = ("# sent_id = n-1\n# text = gibts\n"
+            f"{before}\n"
+            "1-2\tgibt\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "1-3\tgibts\t_\t_\t_\t_\t_\t_\tX\tSpaceAfter=No\n"
+            "1\tgib\t_\tVERB\t_\t_\t0\troot\t_\tSpaceAfter=No\n"
+            "2\tt\tes\tPRON\t_\t_\t1\tobj\t_\t_\n"
+            f"{after}\n"
+            "3\ts\t_\tPRON\t_\tCase=Nom\t1\tnsubj\t1:nsubj\tSpaceAfter=No\n"
+            "\n")
+    assert serialize_document(Document([s])) == text
+    assert serialize_document(parse_document(text, "t")) == text
 
 
 def test_trailing_comments_preserved():

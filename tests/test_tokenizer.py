@@ -1,11 +1,12 @@
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maibaam_lint.conllu import reconstruct_text
+from maibaam_lint.conllu import Token, reconstruct_text
 from maibaam_lint.rules import validate_structure
 from maibaam_lint import tokenizer
 from maibaam_lint.tokenizer import (
@@ -481,3 +482,186 @@ def test_hand_built_lexicon_derives_terminal_parts(lex):
     with pytest.raises(ValueError, match="entries are also split parts"):
         TokenizerLexicon(fused_adp_det={"zum": (("zu", "ADP"), ("m", "DET")),
                                         "zu": (("z", "ADP"), ("u", "DET"))})
+
+
+# -- rule-key gate and checked-once skeleton rows ----------------------------
+
+def _segment_oracle(surface, lexicon, context=None):
+    """The rule cascade of segment_token before it skipped units whose keys
+    no rule reads; kept as the reference for that gate."""
+    ctx = context or SegmentationContext()
+    key = fold_apostrophes(surface)
+    folded = key.lower()
+    keys = [key, folded] if folded != key and len(folded) == len(key) \
+        else [key]
+
+    for key in keys:
+        if key in lexicon.terminal_parts and key not in lexicon.clitic_onsets:
+            return tokenizer._intact(surface)
+        if key in lexicon.intact_forms:
+            return tokenizer._intact(surface, lexicon.intact_forms[key])
+        if key in lexicon.review_forms:
+            return tokenizer._intact(surface, note="review")
+
+    suffix = match_agreement_suffix(surface, lexicon)
+    if suffix is not None:
+        if suffix != "ma":
+            return tokenizer._intact(surface, "SCONJ")
+        next_key = (fold_apostrophes(ctx.next_surface).lower()
+                    if ctx.next_surface else None)
+        if next_key in tokenizer.FULL_1PL_PRONOUNS:
+            return tokenizer._intact(surface, "SCONJ")
+        for key in keys:
+            if key in lexicon.ma_forms:
+                return tokenizer.SegmentationResult(
+                    KIND_SPACE_AFTER_NO,
+                    tokenizer._carve(surface, lexicon.ma_forms[key]))
+        return tokenizer.SegmentationResult(
+            KIND_SPACE_AFTER_NO,
+            ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
+
+    infinitive_context = ctx.infinitive
+    if infinitive_context is None and ctx.next_surface:
+        next_key = fold_apostrophes(ctx.next_surface).lower()
+        infinitive_context = next_key in lexicon.nominalized_infinitives
+
+    fused = (lexicon.fused_adp_det, lexicon.fused_inf)
+    if infinitive_context:
+        fused = (lexicon.fused_inf,) + fused
+    for key in keys:
+        for table in fused:
+            if key in table:
+                return tokenizer.SegmentationResult(
+                    KIND_MWT, tokenizer._carve(surface, table[key]))
+
+    for key in keys:
+        for onset in sorted(lexicon.clitic_onsets, key=len, reverse=True):
+            if key.startswith(onset) and len(key) > len(onset):
+                return tokenizer.SegmentationResult(
+                    KIND_SPACE_AFTER_NO,
+                    ((surface[:len(onset)], lexicon.clitic_onsets[onset]),
+                     (surface[len(onset):], None)))
+
+    for table in (lexicon.pronoun_clitics, lexicon.sandhi_splits):
+        for key in keys:
+            if key in table:
+                return tokenizer.SegmentationResult(
+                    KIND_SPACE_AFTER_NO, tokenizer._carve(surface, table[key]))
+
+    return tokenizer._intact(surface)
+
+
+PLAIN_WORDS = ("Haus", "Minga", "kummst", "Beispiel", "a", "s", "ma", "Oa",
+               "Dogs", "ÄPFE", "Wuidsau", "İx", "8kg", "x'", "'", "–")
+
+
+def _gate_surfaces(lexicon):
+    out = set()
+    for form in _lexicon_forms(lexicon):
+        out |= {form, form.title()}
+        out |= {form.replace("'", apo) for apo in tokenizer.APOSTROPHES}
+    for onset in lexicon.clitic_onsets:
+        for word in PLAIN_WORDS[:4]:
+            for apo in tokenizer.APOSTROPHES:
+                joined = onset.replace("'", apo) + word
+                out |= {joined, joined.capitalize(), joined.upper()}
+    return sorted(out | set(PLAIN_WORDS))
+
+
+@pytest.mark.parametrize("hand_built", [False, True],
+                         ids=["default", "hand-built"])
+def test_gate_keeps_every_rule_outcome(lex, hand_built):
+    lexicon = TokenizerLexicon(
+        clitic_onsets={"d": None, "d'": "DET", "i̇": "PRON"},
+        compagr_hosts={"dass", "ob"}, ma_forms=WEMMA,
+        intact_forms={"Oa": "NUM"}, review_forms={"Dogs"},
+        sandhi_splits={"wiera": (("wier", None), ("a", "PRON"))},
+    ) if hand_built else lex
+    surfaces = sorted(set(_gate_surfaces(lexicon)) | set(_gate_surfaces(lex)))
+    cases = 0
+    for surface in surfaces:
+        for nxt in NEXT_WORDS:
+            for hint in (None, True, False):
+                ctx = SegmentationContext(next_surface=nxt, infinitive=hint)
+                assert segment_token(surface, lexicon, ctx) == \
+                    _segment_oracle(surface, lexicon, ctx), (surface, nxt, hint)
+                cases += 1
+    assert cases > 10000
+
+
+def test_lookup_keys_never_change_length():
+    # every rule slices the surface by lengths measured on a key
+    assert tokenizer._lookup_keys("İx") == ["İx"]
+    assert tokenizer._lookup_keys("Zum") == ["Zum", "zum"]
+    for c in ("İ", "ẞ", "Σ", "ǅ", "ﬀ"):
+        assert all(len(k) == 1 for k in tokenizer._lookup_keys(c)), c
+
+
+def _token_columns(t):
+    return (t.id, t.form, t.upos, t.head, t.deprel, t.misc, t.lemma_col,
+            t.xpos_col, t.feats_col, t.deps_col, t.line)
+
+
+def test_skeleton_tokens_equal_constructed_tokens(lex):
+    warm = _cold(lex)
+    sentences = _random_sentences(_lexicon_forms(lex), 300, seed=8)
+    for raw in sentences * 2:         # cold entries first, then memo hits
+        for t in tokenize_sentence(raw, warm).tokens:
+            assert t == Token(*_token_columns(t)), raw
+
+
+@pytest.mark.parametrize("lexicon, message", [
+    (TokenizerLexicon(intact_forms={"Haus": "NO\tUN"}),
+     "bad upos column: 'NO\\tUN'"),
+    # a hand-built entry whose parts outrun the surface carves an empty form
+    (TokenizerLexicon(pronoun_clitics={"ab": (("abx", None), ("c", None))}),
+     "bad form column: ''"),
+])
+def test_bad_skeleton_row_raises_on_every_use(lexicon, message):
+    # Token's column check runs once per memo entry; an entry that fails it
+    # fails again when the same unit comes back
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            tokenize_sentence("Haus ab Haus ab", lexicon)
+        assert str(exc.value) == message
+    assert len(tokenize_sentence("Hof", lexicon).tokens) == 1
+
+
+def test_fold_and_lower_keep_whitespace_in_place():
+    # tokenize_sentence splits the raw line and its folded, lower-cased copy
+    # on whitespace and pairs the units by position
+    for cp in range(0x110000):
+        c = chr(cp)
+        key = fold_apostrophes(c).lower()
+        if c.isspace():
+            assert key.isspace(), hex(cp)
+        else:
+            assert not any(k.isspace() for k in key), hex(cp)
+
+
+def test_numeric_patterns_start_only_at_isdecimal():
+    # _segment_unit tries the number patterns only when isdecimal holds for
+    # the first character; \d matches exactly those characters
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+
+
+def test_segment_token_runs_once_per_memo_miss(lex, monkeypatch):
+    # the module-level segment_token is the seam the benchmark traces;
+    # every miss on a non-numeric core must go through it
+    calls = []
+
+    def counting(surface, lexicon, context=None):
+        assert isinstance(context, SegmentationContext)
+        calls.append(surface)
+        return real(surface, lexicon, context)
+
+    real = tokenizer.segment_token
+    monkeypatch.setattr(tokenizer, "segment_token", counting)
+    cold = _cold(lex)
+    raw = "zum Beispiel, zum Beispiel gibts 8kg Haus Haus 400–500 wemma mia"
+    tokenize_sentence(raw, cold)
+    numeric = 2     # 8kg and 400–500 never reach segment_token
+    assert len(calls) == len(cold._unit_memo) - numeric == 7
+    tokenize_sentence(raw, cold)
+    assert len(calls) == 7
