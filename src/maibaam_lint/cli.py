@@ -83,19 +83,6 @@ def _count_sentence(stats: dict, s: Sentence) -> None:
             stats[key][value] += 1
 
 
-def compute_stats(docs: Iterable[Document],
-                  diagnostics: list[Diagnostic] | None = None) -> dict:
-    """Count tokens, relations, metadata values and findings per rule id,
-    as report sections in order: ints first, then Counters. Totals equal
-    their breakdowns."""
-    stats = _new_stats()
-    for doc in docs:
-        for s in doc.sentences:
-            _count_sentence(stats, s)
-    stats["diagnostics"].update(d.rule_id for d in diagnostics or [])
-    return stats
-
-
 def _read_input(path: str) -> tuple[str, str]:
     """Read one input as UTF-8 with its line endings untouched."""
     if path == "-":
@@ -169,7 +156,7 @@ class _LintRun:
         return self.diags
 
     def finish_sorted(self) -> list[Diagnostic]:
-        """finish's findings sorted by (file, line, token id, rule id)."""
+        """finish's findings by Diagnostic.sort_key: the run's only sort."""
         diags = self.finish()
         diags.sort(key=Diagnostic.sort_key.fget)
         return diags
@@ -296,6 +283,7 @@ def cmd_tokenize(opts: RunOptions) -> int:
             exit_code = 2
             continue
         text, name = read
+        text = text.removeprefix("\ufeff")  # as iter_sentences strips it
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         counter = 0
         for lines in _line_chunks(text, len(text)):

@@ -228,8 +228,9 @@ class Diagnostic(namedtuple("Diagnostic", (
         "rule_id", "severity", "file", "line", "sentence_id", "token_id",
         "message", "guideline_ref"), defaults=(None,))):
     """One finding, an immutable named tuple; token_id and guideline_ref
-    may be None. Reports order findings by sort_key, (file, line, token_id,
-    rule_id, message), not by the tuple's field order. A tuple rather than
+    may be None. Checks return findings unsorted; a report sorts them once
+    by sort_key, (file, line, token_id, rule_id, message), not by the
+    tuple's field order. A tuple rather than
     a frozen dataclass because one is built per finding, and a frozen
     dataclass's __init__ sets each field through object.__setattr__."""
 

@@ -55,8 +55,8 @@ def validate_metadata(s: Sentence,
     Emits META.MISSING per absent required key, META.GENRE / META.DIALECT /
     META.DIALECT_ORDER for bad values, META.SOURCE for non-URL sources of
     wiki/social sentences, and META.TEXT_MISMATCH when the text metadata
-    does not equal the reconstructed token surface. sent_id uniqueness is a
-    cross-file concern, see check_unique_sent_ids.
+    does not equal the reconstructed token surface, in that order.
+    sent_id uniqueness is a cross-file concern, see check_unique_sent_ids.
     """
     cfg = cfg or LintConfig()
     diags = []
@@ -100,7 +100,6 @@ def validate_metadata(s: Sentence,
 
     if cfg.disabled_rules:
         diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
-    diags.sort(key=Diagnostic.sort_key.fget)
     return diags
 
 
@@ -109,16 +108,14 @@ def check_unique_sent_ids(duplicates: Mapping[str, list[tuple[str, int]]],
     """Flag every sentence whose sent_id occurs more than once in the run.
 
     duplicates maps each such sent_id to the (file, line) of every sentence
-    that carries it. Flagging all occurrences keeps the result independent
-    of file order.
+    that carries it. Flagging all occurrences keeps the findings, in the
+    mapping's order, the same set whatever the file order.
     """
     cfg = cfg or LintConfig()
     if not cfg.rule_enabled("META.DUP_ID"):
         return []
-    diags = [finding(cfg, Sentence(file=file, line=line,
-                                   metadata=[("sent_id", sid)]),
-                     "META.DUP_ID",
-                     f"sent_id {sid!r} occurs {len(located)} times in this run")
-             for sid, located in duplicates.items() for file, line in located]
-    diags.sort(key=Diagnostic.sort_key.fget)
-    return diags
+    return [finding(cfg, Sentence(file=file, line=line,
+                                  metadata=[("sent_id", sid)]),
+                    "META.DUP_ID",
+                    f"sent_id {sid!r} occurs {len(located)} times in this run")
+            for sid, located in duplicates.items() for file, line in located]

@@ -408,8 +408,6 @@ def validate_structure(s: Sentence,
             diags.append(finding(cfg, s, "STRUCT.MWT_OVERLAP",
                                  f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
                                  line=span2.line or s.line))
-
-    diags.sort(key=Diagnostic.sort_key.fget)
     return diags
 
 
@@ -738,7 +736,7 @@ SENTENCE_RULES = (
 def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic]:
     """Run all enabled rules plus structural validation on one sentence.
 
-    Output is deterministically ordered by (line, token id, rule id).
+    Findings come in check order; reports sort them by Diagnostic.sort_key.
     """
     cfg = cfg or LintConfig()
     diags = validate_structure(s, cfg)
@@ -746,5 +744,4 @@ def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic
         diags.extend(rule(s, cfg))
     if cfg.disabled_rules:
         diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
-    diags.sort(key=Diagnostic.sort_key.fget)
     return diags

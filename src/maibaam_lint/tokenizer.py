@@ -37,6 +37,10 @@ FULL_1PL_PRONOUNS = frozenset({"mia", "mir"})
 # the Token columns a tokenizer row sets; the others are constants
 _ROW_COLUMNS = ("form", "upos", "misc")
 
+# the tables whose entries split a surface into parts
+_SPLIT_TABLES = ("fused_adp_det", "fused_inf", "pronoun_clitics",
+                 "sandhi_splits", "ma_forms")
+
 # tokenize_sentence's per-lexicon unit memo is emptied when it reaches this
 # many entries, which bounds its memory on high-diversity text
 UNIT_MEMO_LIMIT = 2 ** 16
@@ -74,10 +78,11 @@ def _intact(surface: str, hint: str | None = None,
 class TokenizerLexicon:
     """Lookup tables driving segment_token.
 
-    Read-only after construction: __post_init__ derives terminal_parts,
-    rejects an entry that is also a split part, and compiles the onset order,
-    the agreement-ending table and the set of keys any rule reads from the
-    tables given; tokenize_sentence memoises its per-unit work on the
+    Read-only after construction: __post_init__ rejects an empty onset and a
+    split entry whose parts are empty or do not join to its key, derives
+    terminal_parts, rejects an entry that is also a split part, and compiles
+    the onset order, the agreement-ending table and the set of keys any rule
+    reads from the tables given; tokenize_sentence memoises its per-unit work on the
     lexicon, so later edits to a table are not seen.
     """
 
@@ -101,11 +106,16 @@ class TokenizerLexicon:
                              compare=False)
 
     def __post_init__(self):
+        if "" in self.clitic_onsets:
+            raise ValueError("lexicon clitic_onsets: empty onset")
         self.terminal_parts = set(self.clitic_onsets)
-        for table in (self.fused_adp_det, self.fused_inf, self.pronoun_clitics,
-                      self.sandhi_splits, self.ma_forms):
-            for parts in table.values():
-                self.terminal_parts.update(fold_apostrophes(f) for f, _ in parts)
+        for name in _SPLIT_TABLES:
+            for key, parts in getattr(self, name).items():
+                forms = [fold_apostrophes(f) for f, _ in parts]
+                if "" in forms or "".join(forms) != fold_apostrophes(key):
+                    raise ValueError(f"lexicon {name} entry {key!r}: part forms "
+                                     f"{forms} are empty or do not join to it")
+                self.terminal_parts.update(forms)
         clash = set(self.split_surfaces()) & self.terminal_parts
         if clash:
             raise ValueError(
@@ -128,10 +138,8 @@ class TokenizerLexicon:
 
     def split_surfaces(self) -> list[str]:
         """All surfaces for which some splitting rule fires."""
-        keys = set(self.fused_adp_det) | set(self.fused_inf)
-        keys |= set(self.pronoun_clitics) | set(self.sandhi_splits)
-        keys |= set(self.ma_forms)
-        return sorted(keys)
+        return sorted(set().union(*(getattr(self, name)
+                                    for name in _SPLIT_TABLES)))
 
 
 def _parse_parts(parts_field: str, hints_field: str, surface: str,
@@ -174,6 +182,8 @@ def load_lexicon(source) -> TokenizerLexicon:
             raise ValueError(f"lexicon line {line_no}: expected 4 tab-separated "
                              f"columns, got {len(cols)}")
         surface, kind, parts_field, hints_field = cols
+        if not surface:
+            raise ValueError(f"lexicon line {line_no}: empty surface")
         key = fold_apostrophes(surface)
         if kind in part_tables:
             part_tables[kind][key] = _parse_parts(parts_field, hints_field,

@@ -13,7 +13,7 @@ import pytest
 
 import maibaam_lint
 from maibaam_lint import cli, conllu
-from maibaam_lint.cli import build_parser, compute_stats, lint_documents, run
+from maibaam_lint.cli import build_parser, lint_documents, run
 from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
 
@@ -207,6 +207,25 @@ def test_tokenize_custom_lexicon(tmp_path):
     assert out.splitlines()[2].startswith("1-2\tbeim")
 
 
+def test_tokenize_rejects_a_lexicon_line_without_surface(tmp_path):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("\tonset\t_\tADP\n", encoding="utf-8")
+    src = tmp_path / "raw.txt"
+    src.write_text("Haus\n", encoding="utf-8")
+    assert run_cli(["tokenize", "--lexicon", str(lex), str(src)]) == (
+        2, "", "error: lexicon line 1: empty surface\n")
+
+
+def test_tokenize_strips_a_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "raw.txt", tmp_path / "bom" / "raw.txt"
+    bom.parent.mkdir()
+    plain.write_text("zum Haus\nServus\n", encoding="utf-8")
+    bom.write_text("\ufeffzum Haus\nServus\n", encoding="utf-8")
+    expected = run_cli(["tokenize", str(plain)])
+    assert expected[0] == 0 and "1-2\tzum" in expected[1]
+    assert run_cli(["tokenize", str(bom)]) == expected
+
+
 def test_tokenize_output_is_byte_stable(monkeypatch):
     # one line per lexicon kind, with case and apostrophe variants
     monkeypatch.chdir(FIXTURES)
@@ -314,8 +333,10 @@ def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
     assert run_cli(["stats", str(GOLDEN)]) == error("bad.conf", 3)
 
 
-def test_stats_counts(golden_doc):
-    stats = compute_stats([golden_doc])
+def test_stats_counts():
+    code, out, _ = run_cli(["stats", "--format", "json", str(GOLDEN)])
+    assert code == 0
+    stats = json.loads(out)
     assert stats["sentences"] == 21
     assert stats["upos"]["AUX"] >= 1
     assert sum(stats["upos"].values()) == stats["tokens"]
@@ -325,8 +346,12 @@ def test_stats_counts(golden_doc):
     assert stats["dialect_group"]["central"] >= 5
 
 
-def test_stats_empty_corpus():
-    stats = compute_stats([])
+def test_stats_empty_corpus(tmp_path):
+    empty = tmp_path / "empty.conllu"
+    empty.write_bytes(b"")
+    code, out, _ = run_cli(["stats", "--format", "json", str(empty)])
+    assert code == 0
+    stats = json.loads(out)
     assert (stats["sentences"], stats["tokens"], stats["mwt_spans"]) == (0, 0, 0)
     assert not stats["upos"] and not stats["deprel"]
 

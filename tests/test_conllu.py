@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maibaam_lint import conllu
+from maibaam_lint.cli import lint_documents
 from maibaam_lint.conllu import (
     Diagnostic,
     Document,
@@ -23,7 +24,7 @@ from maibaam_lint.conllu import (
     reconstruct_text,
     serialize_document,
 )
-from maibaam_lint.rules import validate_structure
+from maibaam_lint.rules import LintConfig, validate_structure
 
 from conftest import DURCH_DES, GOLDEN
 
@@ -541,10 +542,29 @@ def test_diagnostic_ordering_independent_of_discovery_order(golden_doc):
              if x.sent_id == "maibaam-golden-014")
     s.tokens[0].head = 5  # keep a tree, shift attachment
     s.tokens[3].upos = "ZZZ"
-    from maibaam_lint.rules import lint_sentence
-    diags = lint_sentence(s)
-    assert diags == sorted(diags, key=lambda d: d.sort_key)
-    assert sorted(reversed(diags), key=lambda d: d.sort_key) == diags
+    # a token finding found before a sentence-level one on the same line
+    golden_doc.sentences[2].tokens[0].upos = "ZZZ"
+    golden_doc.sentences[2].metadata.insert(0, ("genre", "zzz"))
+    golden_doc.sentences[5].metadata.insert(
+        0, ("sent_id", golden_doc.sentences[3].sent_id))
+    # three files, so that findings come from several files and sentences
+    parts = [Document(golden_doc.sentences[i::3], file=f"part{i}.conllu")
+             for i in range(3)]
+    for doc in parts:
+        for sentence in doc.sentences:
+            sentence.file = doc.file
+
+    diags = lint_documents(parts, LintConfig())
+    assert len({d.file for d in diags}) == 3
+    assert {"META.DUP_ID", "META.GENRE", "VOCAB.UPOS"} <= \
+        {d.rule_id for d in diags}
+    assert diags == sorted(diags, key=Diagnostic.sort_key.fget)
+    for seed in range(5):
+        rng = random.Random(seed)
+        shuffled = [Document(rng.sample(doc.sentences, len(doc.sentences)),
+                             file=doc.file) for doc in parts]
+        rng.shuffle(shuffled)
+        assert lint_documents(shuffled, LintConfig()) == diags
 
 
 _form = st.text(

@@ -1,6 +1,6 @@
 import pytest
 
-from maibaam_lint.conllu import Document, Sentence, Token
+from maibaam_lint.conllu import Diagnostic, Document, Sentence, Token
 from maibaam_lint.metadata import (
     REQUIRED_KEYS,
     check_unique_sent_ids,
@@ -131,7 +131,10 @@ def test_duplicate_sent_ids_across_files_order_independent():
     backward = check_unique_sent_ids(duplicates(b, a))
     assert ids(forward) == ["META.DUP_ID", "META.DUP_ID"]
     assert sorted(d.file for d in forward) == ["a.conllu", "b.conllu"]
-    assert forward == backward
+    # the check returns findings unsorted; a report sorts them by sort_key
+    in_report_order = Diagnostic.sort_key.fget
+    assert sorted(forward, key=in_report_order) == \
+        sorted(backward, key=in_report_order)
     assert {d.message for d in forward} == {
         "sent_id 'dup-1' occurs 2 times in this run"}
 

@@ -255,6 +255,42 @@ def test_load_lexicon_rejects_empty_part_forms(parts):
         load_lexicon(f"# fused forms\nzum\tmwt\t{parts}\t_\n")
 
 
+def test_load_lexicon_rejects_an_empty_surface():
+    # as an onset an empty surface would match every unit
+    with pytest.raises(ValueError, match="^lexicon line 2: empty surface$"):
+        load_lexicon("# onsets\n\tonset\t_\tADP\n")
+
+
+def test_hand_built_lexicon_rejects_an_empty_onset():
+    with pytest.raises(ValueError) as exc:
+        TokenizerLexicon(clitic_onsets={"": "ADP"})
+    assert str(exc.value) == "lexicon clitic_onsets: empty onset"
+
+
+@pytest.mark.parametrize("table, key, parts, forms", [
+    ("fused_adp_det", "zum", (("zum", "ADP"), ("", "DET")), "['zum', '']"),
+    # parts that outrun the key would carve an empty form from the surface
+    ("pronoun_clitics", "ab", (("abx", None), ("c", None)), "['abx', 'c']"),
+    ("fused_inf", "zum", (("zu", "ADP"),), "['zu']"),
+    ("sandhi_splits", "wiera", (("wier", None), ("ra", "PRON")),
+     "['wier', 'ra']"),
+    ("ma_forms", "wemma", (), "[]"),
+], ids=["empty-part", "longer-parts", "shorter-parts", "other-parts",
+        "no-parts"])
+def test_hand_built_lexicon_rejects_a_bad_split_entry(table, key, parts,
+                                                      forms):
+    with pytest.raises(ValueError) as exc:
+        TokenizerLexicon(**{table: {key: parts}})
+    assert str(exc.value) == (f"lexicon {table} entry {key!r}: part forms "
+                              f"{forms} are empty or do not join to it")
+
+
+def test_hand_built_split_entry_parts_join_with_apostrophes_folded():
+    lexicon = TokenizerLexicon(
+        pronoun_clitics={"hob'i": (("hob’", None), ("i", "PRON"))})
+    assert segment_token("hob'i", lexicon).forms() == ("hob'", "i")
+
+
 def test_load_lexicon_rejects_key_part_clash(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("ab\tclitic\ta b\t_ _\na\tsandhi\t_ a\t_ _\n",
@@ -613,9 +649,6 @@ def test_skeleton_tokens_equal_constructed_tokens(lex):
 @pytest.mark.parametrize("lexicon, message", [
     (TokenizerLexicon(intact_forms={"Haus": "NO\tUN"}),
      "bad upos column: 'NO\\tUN'"),
-    # a hand-built entry whose parts outrun the surface carves an empty form
-    (TokenizerLexicon(pronoun_clitics={"ab": (("abx", None), ("c", None))}),
-     "bad form column: ''"),
 ])
 def test_bad_skeleton_row_raises_on_every_use(lexicon, message):
     # Token's column check runs once per memo entry; an entry that fails it
