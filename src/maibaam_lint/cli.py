@@ -166,7 +166,7 @@ def lint_documents(docs: Iterable[Document],
                    cfg: LintConfig) -> list[Diagnostic]:
     """Lint parsed documents: per-sentence rules, metadata checks,
     document-level flags, and the cross-file sent_id check; output sorted
-    by (file, line, token id, rule id)."""
+    by Diagnostic.sort_key."""
     run = _LintRun(cfg)
     for doc in docs:
         run.add(doc, doc.sentences)
@@ -220,19 +220,9 @@ def render_tsv(diags: list[Diagnostic], out) -> None:
 
 
 def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
-    findings = [{
-        "rule_id": d.rule_id,
-        "severity": d.severity,
-        "file": d.file,
-        "line": d.line,
-        "sentence_id": d.sentence_id,
-        "token_id": d.token_id,
-        "message": d.message,
-        "guideline_ref": d.guideline_ref,
-    } for d in diags]
     report = {
         "version": REPORT_VERSION,
-        "findings": findings,
+        "findings": [d._asdict() for d in diags],
         "summary": {
             "files": sorted(set(files)),
             "counts": _severity_counts(diags),
@@ -283,11 +273,12 @@ def cmd_tokenize(opts: RunOptions) -> int:
             exit_code = 2
             continue
         text, name = read
-        text = text.removeprefix("\ufeff")  # as iter_sentences strips it
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         counter = 0
         for lines in _line_chunks(text, len(text)):
             for raw_line in lines:
+                # a BOM opens each input, or each file of a concatenation
+                raw_line = raw_line.lstrip("\ufeff")
                 if not raw_line.strip():
                     continue
                 counter += 1

@@ -471,9 +471,9 @@ def serialize_document(doc: Document) -> str:
         lines.append("")
     lines.extend(doc.trailing_comments)
     if not lines:
-        return "﻿" if doc.bom else ""
+        return "\ufeff" if doc.bom else ""
     body = "\n".join(lines) + ("\n" if doc.final_newline else "")
-    return ("﻿" + body) if doc.bom else body
+    return ("\ufeff" + body) if doc.bom else body
 
 
 def reconstruct_text(s: Sentence) -> str:

@@ -19,25 +19,6 @@ _MISSING_MESSAGES = tuple((key, f"missing required metadata key {key!r}")
 _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 
 
-def _check_dialect_group(value: str,
-                         dialect_order: tuple[str, ...]) -> str | None:
-    """Return the violated rule id for a dialect_group value, if any."""
-    if value in dialect_order or value == "unk":
-        return None
-    m = _UNK_ELABORATION_RE.match(value)
-    if not m:
-        return "META.DIALECT"
-    members = m.group(1).split("/")
-    indices = []
-    for member in members:
-        if member not in dialect_order:
-            return "META.DIALECT"
-        indices.append(dialect_order.index(member))
-    if indices != sorted(indices) or len(set(indices)) != len(indices):
-        return "META.DIALECT_ORDER"
-    return None
-
-
 def _is_absolute_url(value: str) -> bool:
     """Whether value has a scheme and a host. A value urlparse cannot
     parse, such as "http://[oops", is not one."""
@@ -73,12 +54,16 @@ def validate_metadata(s: Sentence,
                              f"genre {genre!r} not in {{{allowed}}}"))
 
     dialect = meta.get("dialect_group")
-    if dialect is not None:
-        violated = _check_dialect_group(dialect, cfg.dialect_order)
-        if violated == "META.DIALECT":
+    order = cfg.dialect_order
+    if dialect is not None and dialect != "unk" and dialect not in order:
+        # an "unk (a/b)" elaboration names known groups, north to south
+        m = _UNK_ELABORATION_RE.match(dialect)
+        members = m.group(1).split("/") if m else []
+        indices = [order.index(g) for g in members if g in order]
+        if not members or len(indices) < len(members):
             diags.append(finding(cfg, s, "META.DIALECT",
                                  f"unknown dialect_group {dialect!r}"))
-        elif violated == "META.DIALECT_ORDER":
+        elif indices != sorted(set(indices)):
             diags.append(finding(cfg, s, "META.DIALECT_ORDER",
                                  f"dialect groups in {dialect!r} must be listed "
                                  f"north to south"))

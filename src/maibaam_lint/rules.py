@@ -423,14 +423,19 @@ def _has_typo_flag(t: Token, cfg: LintConfig) -> bool:
     return in_feats or in_misc
 
 
-def _goeswith_dependents(s: Sentence) -> dict[int, list[Token]]:
+def _dependents(s: Sentence, deprel: str) -> dict[int, list[Token]]:
+    """Head id -> its dependents with this deprel, in token order."""
     deps: dict[int, list[Token]] = {}
     for t in s.tokens:
-        if t.deprel == "goeswith":
+        if t.deprel == deprel:
             deps.setdefault(t.head, []).append(t)
-    for group in deps.values():
-        group.sort(key=lambda t: t.id)
     return deps
+
+
+def _follow(head: Token, deps: list[Token]) -> bool:
+    """Whether deps, in token order, are the tokens right after head. Ids
+    rise by one per token, so the first and the last id settle it."""
+    return deps[0].id == head.id + 1 and deps[-1].id == head.id + len(deps)
 
 
 def rule_upos_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
@@ -513,17 +518,11 @@ def _matches_sequence(span: list[Token], entry: tuple[str, ...]) -> bool:
 def rule_fixed_whitelist(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """REL.FIXED: fixed spans match the whitelist and follow their head."""
     diags = []
-    spans: dict[int, list[Token]] = {}
-    for t in s.tokens:
-        if t.deprel == "fixed":
-            spans.setdefault(t.head, []).append(t)
-    for head_id in sorted(spans):
+    for head_id, deps in sorted(_dependents(s, "fixed").items()):
         head = s.token_by_id(head_id)
         if head is None:
             continue
-        deps = sorted(spans[head_id], key=lambda t: t.id)
-        expected = list(range(head.id + 1, head.id + 1 + len(deps)))
-        if [t.id for t in deps] != expected:
+        if not _follow(head, deps):
             diags.append(finding(cfg, s, "REL.FIXED",
                                  "fixed dependents must immediately follow "
                                  "their head", deps[0]))
@@ -546,15 +545,14 @@ def rule_fixed_whitelist(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
 def rule_goeswith_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """REL.GOESWITH: parts follow a typo-marked, lemma-bearing head."""
     diags = []
-    for head_id, deps in sorted(_goeswith_dependents(s).items()):
+    for head_id, deps in sorted(_dependents(s, "goeswith").items()):
         head = s.token_by_id(head_id)
         if head is None:
             diags.append(finding(cfg, s, "REL.GOESWITH",
                                  "goeswith dependent without a head token",
                                  deps[0]))
             continue
-        expected = list(range(head.id + 1, head.id + 1 + len(deps)))
-        if [t.id for t in deps] != expected:
+        if not _follow(head, deps):
             diags.append(finding(cfg, s, "REL.GOESWITH",
                                  "goeswith parts must contiguously follow "
                                  "their head", deps[0]))
@@ -575,11 +573,10 @@ def rule_goeswith_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
 def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """LEMMA.*: GermanLemma presence, MWT exemption, and "nimma"."""
     diags = []
-    goeswith_ids = {t.id for t in s.tokens if t.deprel == "goeswith"}
     for t in s.tokens:
         lemma = t.german_lemma
         if lemma is None:
-            if t.id in goeswith_ids:
+            if t.deprel == "goeswith":
                 continue
             if t.upos == "PUNCT" and cfg.punct_lemma_exempt:
                 continue
@@ -600,7 +597,7 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
 def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """TYPO.*: CorrectSpaceAfter pairing and stray Typo=Yes flags."""
     diags = []
-    heads_with_goeswith = _goeswith_dependents(s)
+    heads_with_goeswith = _dependents(s, "goeswith")
     for t in s.tokens:
         correct_space = column_value(t.misc, "CorrectSpaceAfter")
         if correct_space == "Yes" and \

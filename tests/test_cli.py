@@ -226,6 +226,18 @@ def test_tokenize_strips_a_byte_order_mark(tmp_path):
     assert run_cli(["tokenize", str(bom)]) == expected
 
 
+def test_tokenize_strips_a_byte_order_mark_on_every_line(tmp_path):
+    # as `cat a.txt b.txt` leaves it when both files start with a BOM; a
+    # line holding only the BOM is blank and gets no sentence number
+    plain, bom = tmp_path / "raw.txt", tmp_path / "bom" / "raw.txt"
+    bom.parent.mkdir()
+    plain.write_text("Servus\nzum Haus\n", encoding="utf-8")
+    bom.write_text("\ufeffServus\n\ufeffzum Haus\n\ufeff\n", encoding="utf-8")
+    expected = run_cli(["tokenize", str(plain)])
+    assert expected[0] == 0 and "1-2\tzum" in expected[1]
+    assert run_cli(["tokenize", str(bom)]) == expected
+
+
 def test_tokenize_output_is_byte_stable(monkeypatch):
     # one line per lexicon kind, with case and apostrophe variants
     monkeypatch.chdir(FIXTURES)

@@ -1,5 +1,6 @@
 import ast
 import re
+import unicodedata
 from dataclasses import replace
 from pathlib import Path
 
@@ -588,53 +589,117 @@ def test_load_config_rejects_bad_values(tmp_path):
             load_config(str(conf))
 
 
-class _DiagnosticCalls(ast.NodeVisitor):
-    """Collect the enclosing function of every ``Diagnostic(...)`` call."""
+SOURCES = sorted(Path(maibaam_lint.__file__).parent.glob("*.py"))
 
-    def __init__(self, module: str):
+
+class _Calls(ast.NodeVisitor):
+    """Collect every call of ``callee`` with its enclosing class and
+    function names, as in ``cli._LintRun.add``."""
+
+    def __init__(self, module: str, callee: str):
         self.scope = [module]
-        self.found: list[str] = []
+        self.callee = callee
+        self.found: list[tuple[str, ast.Call]] = []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name == "Diagnostic":
-            self.found.append(".".join(self.scope))
+        if name == self.callee:
+            self.found.append((".".join(self.scope), node))
         self.generic_visit(node)
+
+
+def _calls(callee: str) -> list[tuple[str, ast.Call]]:
+    found = []
+    for path in SOURCES:
+        visitor = _Calls(path.stem, callee)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    return found
+
+
+def _finding_ids() -> tuple[dict[str, set[str]], list[str]]:
+    """Rule id -> the functions whose finding(...) calls name it literally,
+    and the calls whose id is not a string literal."""
+    emitters: dict[str, set[str]] = {}
+    computed = []
+    for scope, node in _calls("finding"):
+        args = node.args[2:3] + [k.value for k in node.keywords
+                                 if k.arg == "rule_id"]
+        if len(args) == 1 and isinstance(args[0], ast.Constant) \
+                and isinstance(args[0].value, str):
+            emitters.setdefault(args[0].value, set()).add(scope)
+        else:
+            computed.append(f"{scope}:{node.lineno}")
+    return emitters, computed
 
 
 def test_diagnostic_is_built_only_by_finding():
     # one constructor keeps severity and citation lookup in one place
-    found = []
-    for path in sorted(Path(maibaam_lint.__file__).parent.glob("*.py")):
-        visitor = _DiagnosticCalls(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += visitor.found
-    assert found == ["rules.finding"]
+    assert [scope for scope, _ in _calls("Diagnostic")] == ["rules.finding"]
 
 
 def test_finding_ids_are_literal_and_match_the_catalog():
     # a literal id makes every id the program can emit visible to this scan,
     # so a catalogued rule that nothing emits is caught as well
-    emitted, computed = set(), []
-    for path in sorted(Path(maibaam_lint.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None))
-                    == "finding"):
-                continue
-            args = node.args[2:3] + [k.value for k in node.keywords
-                                     if k.arg == "rule_id"]
-            if len(args) == 1 and isinstance(args[0], ast.Constant) \
-                    and isinstance(args[0].value, str):
-                emitted.add(args[0].value)
-            else:
-                computed.append(f"{path.stem}.py:{node.lineno}")
+    emitters, computed = _finding_ids()
     assert computed == []
-    assert emitted == {r.rule_id for r in RULES}
+    assert set(emitters) == {r.rule_id for r in RULES}
+
+
+# each check and the rule ids it alone emits
+CHECK_RULE_IDS = {
+    "cli._LintRun.add": {"CORE.BOM"},
+    "metadata.check_unique_sent_ids": {"META.DUP_ID"},
+    "metadata.validate_metadata": {
+        "META.DIALECT", "META.DIALECT_ORDER", "META.GENRE", "META.MISSING",
+        "META.SOURCE", "META.TEXT_MISMATCH"},
+    "rules.validate_structure": {
+        "STRUCT.CYCLE", "STRUCT.HEAD_RANGE", "STRUCT.MULTI_ROOT",
+        "STRUCT.MWT_OVERLAP", "STRUCT.NO_ROOT", "STRUCT.PUNCT_CHILD",
+        "STRUCT.ROOT_DEPREL"},
+    "rules.rule_upos_vocabulary": {"VOCAB.UPOS"},
+    "rules.rule_deprel_vocabulary": {"VOCAB.DEPREL"},
+    "rules.rule_copula": {"CLASS.COP"},
+    "rules.rule_part_closed_class": {"CLASS.PART"},
+    "rules.rule_aux_closed_class": {"CLASS.AUX"},
+    "rules.rule_fixed_whitelist": {"REL.FIXED"},
+    "rules.rule_goeswith_shape": {"REL.GOESWITH"},
+    "rules.rule_lemma_conventions": {
+        "LEMMA.MISSING", "LEMMA.NIMMA", "LEMMA.ON_MWT"},
+    "rules.rule_typo_features": {"TYPO.CORRECT_SPACE", "TYPO.REVIEW"},
+    "rules.rule_mwt_shape": {"MWT.SURFACE"},
+    "rules.rule_placeholder_tags": {"CLASS.PLACEHOLDER", "CLASS.USERNAME"},
+    "rules.rule_relative_marker": {"REL.RELMARK"},
+    "rules.rule_review_hints": {"REVIEW.APPOS_ORDER", "REVIEW.IOBJ"},
+    "rules.rule_core_columns": {"CORE.COLUMNS", "CORE.ENHANCED_UNSUPPORTED"},
+}
+
+
+def test_each_rule_id_is_emitted_by_one_check():
+    # a rule stated in one place: no id is shared between checks, and an
+    # id that moves to another function shows here
+    emitters, _ = _finding_ids()
+    assert {rule_id: scopes for rule_id, scopes in emitters.items()
+            if len(scopes) != 1} == {}
+    by_check: dict[str, set[str]] = {}
+    for rule_id, (scope,) in emitters.items():
+        by_check.setdefault(scope, set()).add(rule_id)
+    assert by_check == CHECK_RULE_IDS
+
+
+def test_source_has_no_invisible_characters():
+    # a format character such as U+FEFF or U+200B is written as an escape,
+    # so that a reader sees it
+    found = [f"{path.name}:{no}"
+             for path in SOURCES
+             for no, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), start=1)
+             if any(unicodedata.category(c) == "Cf" for c in line)]
+    assert found == []
