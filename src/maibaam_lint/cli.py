@@ -38,7 +38,6 @@ from .rules import (
     load_config,
 )
 from .tokenizer import (
-    EmptyInputError,
     attach_skeleton_heads,
     default_lexicon,
     load_lexicon,
@@ -282,11 +281,7 @@ def cmd_tokenize(opts: RunOptions) -> int:
                 if not raw_line.strip():
                     continue
                 counter += 1
-                try:
-                    s = tokenize_sentence(raw_line, lexicon)
-                except EmptyInputError:
-                    continue
-                attach_skeleton_heads(s)
+                s = attach_skeleton_heads(tokenize_sentence(raw_line, lexicon))
                 s.metadata = [("sent_id", f"{stem}-{counter}"),
                               ("text", reconstruct_text(s))]
                 s.file = name

@@ -8,6 +8,7 @@ diagnostic, never as a parse failure.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ def not_utf8(name: str, exc: UnicodeDecodeError) -> str:
             f"0x{exc.object[exc.start]:02x}")
 
 
-def read_text(path: str) -> str:
+def read_text(path: str | os.PathLike) -> str:
     """A UTF-8 text file read whole, with universal newlines. A file that is
     not UTF-8 raises ValueError with not_utf8's message."""
     with open(path, encoding="utf-8") as f:

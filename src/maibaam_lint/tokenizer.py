@@ -9,6 +9,7 @@ substring splits: part forms always concatenate back to the input.
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -37,9 +38,26 @@ FULL_1PL_PRONOUNS = frozenset({"mia", "mir"})
 # the Token columns a tokenizer row sets; the others are constants
 _ROW_COLUMNS = ("form", "upos", "misc")
 
+# each lexicon kind -> (the TokenizerLexicon table it fills, what a line
+# adds there: split parts, the first UPOS hint ("_" = none) or the surface)
+_LEXICON_KINDS = {
+    "mwt": ("fused_adp_det", "parts"),
+    "mwt-inf": ("fused_inf", "parts"),
+    "onset": ("clitic_onsets", "hint"),
+    "clitic": ("pronoun_clitics", "parts"),
+    "sandhi": ("sandhi_splits", "parts"),
+    "host": ("compagr_hosts", "surface"),
+    "ma-form": ("ma_forms", "parts"),
+    "review": ("review_forms", "surface"),
+    "abbrev": ("abbreviations", "surface"),
+    "intact": ("intact_forms", "hint"),
+    "nominf": ("nominalized_infinitives", "surface"),
+    "unit": ("units", "surface"),
+}
+
 # the tables whose entries split a surface into parts
-_SPLIT_TABLES = ("fused_adp_det", "fused_inf", "pronoun_clitics",
-                 "sandhi_splits", "ma_forms")
+_SPLIT_TABLES = tuple(name for name, adds in _LEXICON_KINDS.values()
+                      if adds == "parts")
 
 # tokenize_sentence's per-lexicon unit memo is emptied when it reaches this
 # many entries, which bounds its memory on high-diversity text
@@ -143,75 +161,56 @@ class TokenizerLexicon:
 
 
 def _parse_parts(parts_field: str, hints_field: str, surface: str,
-                 line_no: int) -> tuple[Part, ...]:
+                 where: str) -> tuple[Part, ...]:
     forms = parts_field.split(" ")
     if "" in forms:
-        raise ValueError(f"lexicon line {line_no}: empty part form in "
-                         f"{parts_field!r}")
+        raise ValueError(f"{where}: empty part form in {parts_field!r}")
     hints = hints_field.split(" ") if hints_field != "_" else ["_"] * len(forms)
     if len(hints) != len(forms):
-        raise ValueError(f"lexicon line {line_no}: {len(forms)} parts but "
-                         f"{len(hints)} hints")
+        raise ValueError(f"{where}: {len(forms)} parts but {len(hints)} hints")
     if "".join(forms) != surface:
-        raise ValueError(f"lexicon line {line_no}: parts do not concatenate "
-                         f"to surface {surface!r}")
+        raise ValueError(f"{where}: parts do not concatenate to surface "
+                         f"{surface!r}")
     return tuple((f, None if h == "_" else h) for f, h in zip(forms, hints))
 
 
-def load_lexicon(source) -> TokenizerLexicon:
-    """Load a lexicon from tab-separated text (a string, stream, or path)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif "\n" in source or "\t" in source:
-        text = source
-    else:
-        text = read_text(source)
-
-    part_tables: dict[str, dict[str, tuple[Part, ...]]] = {
-        kind: {} for kind in ("mwt", "mwt-inf", "clitic", "sandhi", "ma-form")}
-    form_sets: dict[str, set[str]] = {
-        kind: set() for kind in ("host", "review", "abbrev", "nominf", "unit")}
-    clitic_onsets: dict[str, str | None] = {}
-    intact_forms: dict[str, str | None] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
+    """Load a lexicon from the file at path. A malformed line raises
+    ValueError('PATH:LINE: message'). For lexicon text in memory, write a
+    file or build TokenizerLexicon from its tables."""
+    tables = {name: set() if adds == "surface" else {}
+              for name, adds in _LEXICON_KINDS.values()}
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.rstrip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{line_no}"
         cols = line.split("\t")
         if len(cols) != 4:
-            raise ValueError(f"lexicon line {line_no}: expected 4 tab-separated "
-                             f"columns, got {len(cols)}")
+            raise ValueError(f"{where}: expected 4 tab-separated columns, "
+                             f"got {len(cols)}")
         surface, kind, parts_field, hints_field = cols
         if not surface:
-            raise ValueError(f"lexicon line {line_no}: empty surface")
+            raise ValueError(f"{where}: empty surface")
+        if kind not in _LEXICON_KINDS:
+            raise ValueError(f"{where}: unknown kind {kind!r}")
+        name, adds = _LEXICON_KINDS[kind]
         key = fold_apostrophes(surface)
-        if kind in part_tables:
-            part_tables[kind][key] = _parse_parts(parts_field, hints_field,
-                                                  surface, line_no)
-        elif kind in form_sets:
-            form_sets[kind].add(key.lower() if kind == "abbrev" else key)
-        elif kind == "onset":
+        if adds == "parts":
+            tables[name][key] = _parse_parts(parts_field, hints_field,
+                                             surface, where)
+        elif adds == "hint":
             hint = hints_field.split(" ")[0]
-            clitic_onsets[key] = None if hint == "_" else hint
-        elif kind == "intact":
-            intact_forms[key] = (None if hints_field == "_"
-                                 else hints_field.split(" ")[0])
+            tables[name][key] = None if hint == "_" else hint
         else:
-            raise ValueError(f"lexicon line {line_no}: unknown kind {kind!r}")
-
-    return TokenizerLexicon(
-        fused_adp_det=part_tables["mwt"], fused_inf=part_tables["mwt-inf"],
-        clitic_onsets=clitic_onsets, pronoun_clitics=part_tables["clitic"],
-        sandhi_splits=part_tables["sandhi"],
-        compagr_hosts=form_sets["host"], ma_forms=part_tables["ma-form"],
-        review_forms=form_sets["review"], abbreviations=form_sets["abbrev"],
-        intact_forms=intact_forms,
-        nominalized_infinitives=form_sets["nominf"], units=form_sets["unit"])
+            tables[name].add(key.lower() if kind == "abbrev" else key)
+    return TokenizerLexicon(**tables)
 
 
 def default_lexicon() -> TokenizerLexicon:
     data = resources.files("maibaam_lint.data").joinpath("lexicon.tsv")
-    return load_lexicon(data.read_text(encoding="utf-8"))
+    with resources.as_file(data) as path:
+        return load_lexicon(path)
 
 
 def _lookup_keys(surface: str) -> list[str]:
@@ -292,12 +291,12 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
         if key in lexicon.review_forms:
             return _intact(surface, note="review")
 
+    next_key = (fold_apostrophes(ctx.next_surface).lower()
+                if ctx.next_surface else None)
     suffix = match_agreement_suffix(surface, lexicon)
     if suffix is not None:
         if suffix != "ma":
             return _intact(surface, "SCONJ")
-        next_key = (fold_apostrophes(ctx.next_surface).lower()
-                    if ctx.next_surface else None)
         if next_key in FULL_1PL_PRONOUNS:
             # doubly marked 1pl: the ending is inflection, keep it
             return _intact(surface, "SCONJ")
@@ -311,8 +310,7 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
             ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
 
     infinitive_context = ctx.infinitive
-    if infinitive_context is None and ctx.next_surface:
-        next_key = fold_apostrophes(ctx.next_surface).lower()
+    if infinitive_context is None:
         infinitive_context = next_key in lexicon.nominalized_infinitives
 
     fused = (lexicon.fused_adp_det, lexicon.fused_inf)
@@ -365,10 +363,6 @@ def _strip_punct(unit: str, lexicon: TokenizerLexicon, last_unit: bool):
     return leading, unit, trailing
 
 
-def _punct_hint(ch: str) -> str:
-    return "SYM" if ch == "%" else "PUNCT"
-
-
 def _default_hint(form: str) -> str | None:
     """Fallback UPOS hint for segments the lexicon says nothing about."""
     if form.isdigit():
@@ -393,7 +387,7 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
     the unit, or None.
     """
     leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
-    pieces: list[Part] = [(ch, _punct_hint(ch)) for ch in leading]
+    pieces: list[Part] = [(ch, _default_hint(ch)) for ch in leading]
     mwt = range(0)
     # both patterns start with \d, which matches exactly what isdecimal does
     numeric = unit_match = None
@@ -415,7 +409,7 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
         else:
             pieces.extend((form, hint or _default_hint(form))
                           for form, hint in seg.parts)
-    pieces.extend((ch, _punct_hint(ch)) for ch in trailing)
+    pieces.extend((ch, _default_hint(ch)) for ch in trailing)
 
     # pieces of one unit are glued together, whitespace follows the
     # last; an MWT carries its SpaceAfter=No on the span line

@@ -213,7 +213,7 @@ def test_tokenize_rejects_a_lexicon_line_without_surface(tmp_path):
     src = tmp_path / "raw.txt"
     src.write_text("Haus\n", encoding="utf-8")
     assert run_cli(["tokenize", "--lexicon", str(lex), str(src)]) == (
-        2, "", "error: lexicon line 1: empty surface\n")
+        2, "", f"error: {lex}:1: empty surface\n")
 
 
 def test_tokenize_strips_a_byte_order_mark(tmp_path):

@@ -224,6 +224,15 @@ def test_tokenize_username_hint(lex):
     assert [t.upos for t in s.tokens] == ["X", "PROPN", "PUNCT"]
 
 
+@pytest.mark.parametrize("unit", sorted(
+    [c + "Haus" for c in tokenizer.LEADING_PUNCT]
+    + ["Haus" + c for c in tokenizer.TRAILING_PUNCT]))
+def test_tokenize_detached_punctuation_hint(lex, unit):
+    ch = unit.replace("Haus", "")
+    rows = {(t.form, t.upos) for t in tokenize_sentence(unit, lex).tokens}
+    assert rows == {(ch, "SYM" if ch == "%" else "PUNCT"), ("Haus", "X")}
+
+
 def test_attach_skeleton_heads_yields_valid_tree(lex):
     for raw in ["Servus, Minga!", "( nur Klammern )", "zum Beispiel ned",
                 "Oans zwoa drei.", "z'Minga gibts 400–500 Leid!"]:
@@ -243,22 +252,75 @@ def test_attach_skeleton_heads_degenerate_all_punct(lex):
 def test_load_lexicon_rejects_bad_parts(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("zum\tmwt\tzu n\tADP DET\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:1: parts do "
+                       "not concatenate to surface 'zum'$"):
         load_lexicon(str(bad))
 
 
 @pytest.mark.parametrize("parts", ["zu  m", " zu m", "zu m "])
-def test_load_lexicon_rejects_empty_part_forms(parts):
+def test_load_lexicon_rejects_empty_part_forms(tmp_path, parts):
     # "".join still equals the surface, so only an explicit check sees
     # the empty part before tokenize emits an empty token
-    with pytest.raises(ValueError, match="lexicon line 2: empty part form"):
-        load_lexicon(f"# fused forms\nzum\tmwt\t{parts}\t_\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"# fused forms\nzum\tmwt\t{parts}\t_\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(bad))}:2: empty part form"):
+        load_lexicon(bad)
 
 
-def test_load_lexicon_rejects_an_empty_surface():
+def test_load_lexicon_rejects_an_empty_surface(tmp_path):
     # as an onset an empty surface would match every unit
-    with pytest.raises(ValueError, match="^lexicon line 2: empty surface$"):
-        load_lexicon("# onsets\n\tonset\t_\tADP\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("# onsets\n\tonset\t_\tADP\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(bad))}:2: empty surface$"):
+        load_lexicon(bad)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("zum\tmwt\tzu m", "expected 4 tab-separated columns, got 3"),
+    ("zum\tfused\tzu m\t_", "unknown kind 'fused'"),
+    ("zum\tmwt\tzu m\tADP", "2 parts but 1 hints"),
+], ids=["columns", "kind", "hints"])
+def test_load_lexicon_errors_name_the_file_and_line(tmp_path, line, message):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"beim\tmwt\tbei m\tADP DET\n\n{line}\n",
+                   encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_lexicon(str(bad))
+    assert str(exc.value) == f"{bad}:3: {message}"
+
+
+def test_load_lexicon_takes_a_path_object(tmp_path):
+    lex = tmp_path / "x.tsv"
+    lex.write_text("beim\tmwt\tbei m\tADP DET\n", encoding="utf-8")
+    assert segment_token("beim", load_lexicon(lex)).forms() == ("bei", "m")
+
+
+def test_lexicon_kinds_fill_every_table_once():
+    # a table no kind fills, or a kind naming no table, fails here
+    tables = [name for name, _ in tokenizer._LEXICON_KINDS.values()]
+    assert sorted(tables) == sorted(f.name for f in fields(TokenizerLexicon)
+                                    if f.init)
+
+
+@pytest.mark.parametrize("kind", ["intact", "onset"])
+@pytest.mark.parametrize("hints, upos", [
+    ("NOUN", "NOUN"), ("NOUN ADJ", "NOUN"), ("_", None), ("_ NOUN", None)])
+def test_load_lexicon_takes_the_first_hint(tmp_path, kind, hints, upos):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text(f"z'\t{kind}\t_\t{hints}\n", encoding="utf-8")
+    table = "intact_forms" if kind == "intact" else "clitic_onsets"
+    assert getattr(load_lexicon(lex), table) == {"z'": upos}
+
+
+def test_intact_line_with_a_leading_none_hint_gets_the_default_hint(tmp_path):
+    # "_" is no hint in any position, so the unit is tagged as if the line
+    # had none, never with the UPOS "_"
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("Servus\tintact\t_\t_ INTJ\n", encoding="utf-8")
+    s = tokenize_sentence("Servus", load_lexicon(lex))
+    assert [t.upos for t in s.tokens] == ["X"]
 
 
 def test_hand_built_lexicon_rejects_an_empty_onset():
