@@ -25,12 +25,11 @@ from .rules import (
     validate_structure,
 )
 from .tokenizer import (
-    SegmentationContext,
     SegmentationResult,
     TokenizerLexicon,
     default_lexicon,
-    is_complementizer_agreement,
     load_lexicon,
+    match_agreement_suffix,
     segment_token,
     tokenize_sentence,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "check_unique_sent_ids", "validate_metadata",
     "RULES", "LintConfig", "RuleDescriptor", "lint_sentence", "load_config",
     "validate_structure",
-    "SegmentationContext", "SegmentationResult", "TokenizerLexicon",
-    "default_lexicon", "is_complementizer_agreement", "load_lexicon",
-    "segment_token", "tokenize_sentence",
+    "SegmentationResult", "TokenizerLexicon", "default_lexicon",
+    "load_lexicon", "match_agreement_suffix", "segment_token",
+    "tokenize_sentence",
 ]

@@ -177,13 +177,12 @@ class MwtSpan:
         return column_value(self.misc, key)
 
 
-@dataclass
-class EmptyNodeLine:
-    """An enhanced-dependency empty node, kept verbatim for round-tripping."""
+class EmptyNodeLine(namedtuple("EmptyNodeLine", ("anchor", "raw", "line"),
+                               defaults=(0,))):
+    """An enhanced-dependency empty node, kept verbatim for round-tripping.
+    anchor is the integer part of the decimal id; 0 sorts before token 1."""
 
-    anchor: int  # integer part of the decimal id; 0 sorts before token 1
-    raw: str
-    line: int = 0
+    __slots__ = ()
 
 
 @dataclass
@@ -280,8 +279,8 @@ def _parsed_span(cols: list[str], first: int, last: int,
     return span
 
 
-def parse_document(source, file_name: str = "<string>") -> Document:
-    """Parse CoNLL-U text (a string or a text stream) into a Document.
+def parse_document(text: str, file_name: str = "<string>") -> Document:
+    """Parse CoNLL-U text into a Document.
 
     Raises ParseError on malformed input: WRONG_COLUMN_COUNT, BAD_ID,
     UNTERMINATED_SENTENCE and a few stricter shape errors (EMPTY_FIELD,
@@ -292,14 +291,14 @@ def parse_document(source, file_name: str = "<string>") -> Document:
     reported later as lint diagnostics.
     """
     doc = Document(file=file_name)
-    doc.sentences = list(iter_sentences(source, file_name, doc))
+    doc.sentences = list(iter_sentences(text, file_name, doc))
     return doc
 
 
-def iter_sentences(source, file_name: str = "<string>",
+def iter_sentences(text: str, file_name: str = "<string>",
                    doc: Document | None = None):
-    """Yield the sentences of CoNLL-U text (a string or a text stream), each
-    as soon as its closing blank line is read.
+    """Yield the sentences of CoNLL-U text, each as soon as its closing
+    blank line is read.
 
     The text is checked as parse_document checks it: a ParseError is raised
     when the malformed line is reached, after the sentences before it have
@@ -308,7 +307,6 @@ def iter_sentences(source, file_name: str = "<string>",
     sentences are left alone. Besides the text it holds one chunk of lines
     (_line_chunks) and the sentence being read.
     """
-    text = source.read() if hasattr(source, "read") else source
     if doc is None:
         doc = Document(file=file_name)
     doc.bom = text.startswith("\ufeff")

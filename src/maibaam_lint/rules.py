@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -45,12 +46,11 @@ DEPRELS = frozenset({
 UNKNOWN_LEMMA = "<unknown>"
 
 
-@dataclass(frozen=True)
-class RuleDescriptor:
-    rule_id: str
-    default_severity: str
-    guideline_ref: str | None
-    description: str
+class RuleDescriptor(namedtuple("RuleDescriptor", (
+        "rule_id", "default_severity", "guideline_ref", "description"))):
+    """One catalogued rule id; guideline_ref is None for structural checks."""
+
+    __slots__ = ()
 
 
 RULES: tuple[RuleDescriptor, ...] = (

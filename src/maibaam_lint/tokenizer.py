@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -75,13 +76,11 @@ def fold_apostrophes(s: str) -> str:
 Part = tuple[str, str | None]
 
 
-@dataclass(frozen=True)
-class SegmentationResult:
+class SegmentationResult(namedtuple(
+        "SegmentationResult", ("kind", "parts", "note"), defaults=(None,))):
     """Outcome of applying the splitting rules to one surface unit."""
 
-    kind: str
-    parts: tuple[Part, ...]
-    note: str | None = None
+    __slots__ = ()
 
     def forms(self) -> tuple[str, ...]:
         return tuple(form for form, _ in self.parts)
@@ -250,24 +249,12 @@ def match_agreement_suffix(surface: str,
     return None
 
 
-def is_complementizer_agreement(surface: str,
-                                lexicon: TokenizerLexicon) -> bool:
-    """True iff surface is a complementizer carrying an agreement ending;
-    such forms must not be split."""
-    return match_agreement_suffix(surface, lexicon) is not None
-
-
-@dataclass(frozen=True)
-class SegmentationContext:
-    """The next surface plus an optional explicit infinitive hint."""
-
-    next_surface: str | None = None
-    infinitive: bool | None = None
-
-
 def segment_token(surface: str, lexicon: TokenizerLexicon,
-                  context: SegmentationContext | None = None) -> SegmentationResult:
+                  next_surface: str | None = None,
+                  infinitive: bool | None = None) -> SegmentationResult:
     """Apply the highest-priority applicable splitting rule to one unit.
+    next_surface is the unit after it; infinitive True or False forces the
+    infinitival MWT reading on or off, None takes it from next_surface.
 
     Priority: complementizer-agreement exception (keep intact) > fused
     adposition+determiner MWT > infinitival particle+determiner MWT >
@@ -281,8 +268,6 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
     else:
         return _intact(surface)  # no rule reads any of its keys
 
-    ctx = context or SegmentationContext()
-
     for key in keys:
         if key in lexicon.terminal_parts and key not in lexicon.clitic_onsets:
             return _intact(surface)
@@ -291,8 +276,7 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
         if key in lexicon.review_forms:
             return _intact(surface, note="review")
 
-    next_key = (fold_apostrophes(ctx.next_surface).lower()
-                if ctx.next_surface else None)
+    next_key = fold_apostrophes(next_surface).lower() if next_surface else None
     suffix = match_agreement_suffix(surface, lexicon)
     if suffix is not None:
         if suffix != "ma":
@@ -309,12 +293,11 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
             KIND_SPACE_AFTER_NO,
             ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
 
-    infinitive_context = ctx.infinitive
-    if infinitive_context is None:
-        infinitive_context = next_key in lexicon.nominalized_infinitives
+    if infinitive is None:
+        infinitive = next_key in lexicon.nominalized_infinitives
 
     fused = (lexicon.fused_adp_det, lexicon.fused_inf)
-    if infinitive_context:
+    if infinitive:
         fused = (lexicon.fused_inf,) + fused
     for key in keys:
         for table in fused:
@@ -401,8 +384,7 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
         pieces.append((unit_match.group(1), "NUM"))
         pieces.append((unit_match.group(2), "NOUN"))
     else:
-        seg = segment_token(core, lexicon,
-                            SegmentationContext(next_surface=nxt))
+        seg = segment_token(core, lexicon, nxt)
         if seg.kind == KIND_MWT:
             mwt = range(len(pieces), len(pieces) + len(seg.parts))
             pieces.extend(seg.parts)

@@ -213,13 +213,6 @@ def test_round_trip_golden(golden_text):
     assert serialize_document(doc) == golden_text
 
 
-def test_parse_accepts_text_stream():
-    import io
-    doc = parse_document(io.StringIO(MINIMAL), "s.conllu")
-    assert len(doc.sentences) == 1
-    assert doc.sentences[0].file == "s.conllu"
-
-
 def test_serialize_empty_document():
     assert serialize_document(Document()) == ""
     assert serialize_document(Document(bom=True)) == "﻿"

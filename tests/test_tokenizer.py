@@ -15,12 +15,10 @@ from maibaam_lint.tokenizer import (
     KIND_MWT,
     KIND_SPACE_AFTER_NO,
     EmptyInputError,
-    SegmentationContext,
     TokenizerLexicon,
     attach_skeleton_heads,
     default_lexicon,
     fold_apostrophes,
-    is_complementizer_agreement,
     load_lexicon,
     match_agreement_suffix,
     segment_token,
@@ -68,10 +66,9 @@ def test_upos_hints(lex):
 def test_infinitival_zum_needs_context(lex):
     default = segment_token("zum", lex)
     assert [h for _, h in default.parts] == ["ADP", "DET"]
-    by_neighbor = segment_token("zum", lex,
-                                SegmentationContext(next_surface="oozöön"))
+    by_neighbor = segment_token("zum", lex, next_surface="oozöön")
     assert [h for _, h in by_neighbor.parts] == ["PART", "DET"]
-    by_hint = segment_token("zum", lex, SegmentationContext(infinitive=True))
+    by_hint = segment_token("zum", lex, infinitive=True)
     assert [h for _, h in by_hint.parts] == ["PART", "DET"]
     assert by_neighbor.forms() == ("zu", "m")
 
@@ -122,18 +119,18 @@ def test_surface_preservation_property(word):
 
 
 def test_complementizer_agreement(lex):
-    assert is_complementizer_agreement("dassd", lex)
-    assert is_complementizer_agreement("weilds", lex)
-    assert is_complementizer_agreement("wennsd", lex)
-    assert is_complementizer_agreement("das'st", lex)
-    assert is_complementizer_agreement("wemma", lex)
-    assert not is_complementizer_agreement("dass", lex)
-    assert not is_complementizer_agreement("Haus", lex)
-    assert not is_complementizer_agreement("gibts", lex)
+    assert match_agreement_suffix("dassd", lex) is not None
+    assert match_agreement_suffix("weilds", lex) is not None
+    assert match_agreement_suffix("wennsd", lex) is not None
+    assert match_agreement_suffix("das'st", lex) is not None
+    assert match_agreement_suffix("wemma", lex) is not None
+    assert match_agreement_suffix("dass", lex) is None
+    assert match_agreement_suffix("Haus", lex) is None
+    assert match_agreement_suffix("gibts", lex) is None
 
 
 def test_doubly_marked_1pl_stays_intact(lex):
-    doubled = segment_token("wemma", lex, SegmentationContext(next_surface="mia"))
+    doubled = segment_token("wemma", lex, next_surface="mia")
     assert doubled.kind == KIND_INTACT
     single = segment_token("wemma", lex)
     assert single.kind == KIND_SPACE_AFTER_NO
@@ -469,9 +466,9 @@ def test_memoised_tokenize_equals_cold_lexicon(lex):
     for form in forms_:
         for nxt in NEXT_WORDS:
             for hint in (None, True, False):
-                ctx = SegmentationContext(next_surface=nxt, infinitive=hint)
-                assert segment_token(form, warm, ctx) == \
-                    segment_token(form, _cold(lex), ctx), (form, nxt, hint)
+                ctx = {"next_surface": nxt, "infinitive": hint}
+                assert segment_token(form, warm, **ctx) == \
+                    segment_token(form, _cold(lex), **ctx), (form, nxt, hint)
                 cases += 1
     assert cases > 3000
 
@@ -487,8 +484,7 @@ def test_memoised_unit_matches_segment_token_in_context(lex):
             warm = _cold(lex)
             tokenize_sentence(f"{form} {first}", warm)
             s = tokenize_sentence(f"{form} {second}", warm)
-            seg = segment_token(form, lex,
-                                SegmentationContext(next_surface=second))
+            seg = segment_token(form, lex, next_surface=second)
             assert tuple(t.form for t in s.tokens[:-1]) == seg.forms(), form
 
 
@@ -559,9 +555,8 @@ def test_hand_built_lexicon_is_compiled(lex):
                             ma_forms=WEMMA)
     for surface in ("dassd", "wennsd", "das'st", "wemma"):
         for nxt in (None, "mia"):
-            ctx = SegmentationContext(next_surface=nxt)
-            assert segment_token(surface, hand, ctx) == \
-                segment_token(surface, lex, ctx), (surface, nxt)
+            assert segment_token(surface, hand, next_surface=nxt) == \
+                segment_token(surface, lex, next_surface=nxt), (surface, nxt)
     assert segment_token("wemma", hand).forms() == ("wem", "ma")
     assert segment_token("das'st", hand).kind == KIND_INTACT
     # onsets are tried longest first
@@ -584,10 +579,9 @@ def test_hand_built_lexicon_derives_terminal_parts(lex):
 
 # -- rule-key gate and checked-once skeleton rows ----------------------------
 
-def _segment_oracle(surface, lexicon, context=None):
+def _segment_oracle(surface, lexicon, next_surface=None, infinitive=None):
     """The rule cascade of segment_token before it skipped units whose keys
     no rule reads; kept as the reference for that gate."""
-    ctx = context or SegmentationContext()
     key = fold_apostrophes(surface)
     folded = key.lower()
     keys = [key, folded] if folded != key and len(folded) == len(key) \
@@ -605,8 +599,8 @@ def _segment_oracle(surface, lexicon, context=None):
     if suffix is not None:
         if suffix != "ma":
             return tokenizer._intact(surface, "SCONJ")
-        next_key = (fold_apostrophes(ctx.next_surface).lower()
-                    if ctx.next_surface else None)
+        next_key = (fold_apostrophes(next_surface).lower()
+                    if next_surface else None)
         if next_key in tokenizer.FULL_1PL_PRONOUNS:
             return tokenizer._intact(surface, "SCONJ")
         for key in keys:
@@ -618,13 +612,12 @@ def _segment_oracle(surface, lexicon, context=None):
             KIND_SPACE_AFTER_NO,
             ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
 
-    infinitive_context = ctx.infinitive
-    if infinitive_context is None and ctx.next_surface:
-        next_key = fold_apostrophes(ctx.next_surface).lower()
-        infinitive_context = next_key in lexicon.nominalized_infinitives
+    if infinitive is None and next_surface:
+        next_key = fold_apostrophes(next_surface).lower()
+        infinitive = next_key in lexicon.nominalized_infinitives
 
     fused = (lexicon.fused_adp_det, lexicon.fused_inf)
-    if infinitive_context:
+    if infinitive:
         fused = (lexicon.fused_inf,) + fused
     for key in keys:
         for table in fused:
@@ -680,9 +673,9 @@ def test_gate_keeps_every_rule_outcome(lex, hand_built):
     for surface in surfaces:
         for nxt in NEXT_WORDS:
             for hint in (None, True, False):
-                ctx = SegmentationContext(next_surface=nxt, infinitive=hint)
-                assert segment_token(surface, lexicon, ctx) == \
-                    _segment_oracle(surface, lexicon, ctx), (surface, nxt, hint)
+                ctx = {"next_surface": nxt, "infinitive": hint}
+                assert segment_token(surface, lexicon, **ctx) == \
+                    _segment_oracle(surface, lexicon, **ctx), (surface, nxt, hint)
                 cases += 1
     assert cases > 10000
 
@@ -746,10 +739,10 @@ def test_segment_token_runs_once_per_memo_miss(lex, monkeypatch):
     # every miss on a non-numeric core must go through it
     calls = []
 
-    def counting(surface, lexicon, context=None):
-        assert isinstance(context, SegmentationContext)
+    def counting(surface, lexicon, next_surface=None, infinitive=None):
+        assert infinitive is None
         calls.append(surface)
-        return real(surface, lexicon, context)
+        return real(surface, lexicon, next_surface, infinitive)
 
     real = tokenizer.segment_token
     monkeypatch.setattr(tokenizer, "segment_token", counting)
