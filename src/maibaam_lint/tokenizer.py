@@ -56,6 +56,11 @@ _LEXICON_KINDS = {
     "unit": ("units", "surface"),
 }
 
+# the kinds that decide how a surface itself splits: a surface may be
+# listed under one of them only, or under both readings of a fused form
+_FUSED = {"mwt", "mwt-inf"}
+_SELF_KINDS = _FUSED | {"clitic", "sandhi", "ma-form", "intact", "review"}
+
 # the tables whose entries split a surface into parts
 _SPLIT_TABLES = tuple(name for name, adds in _LEXICON_KINDS.values()
                       if adds == "parts")
@@ -174,11 +179,15 @@ def _parse_parts(parts_field: str, hints_field: str, surface: str,
 
 
 def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
-    """Load a lexicon from the file at path. A malformed line raises
+    """Load a lexicon from the file at path. A malformed line, a surface
+    repeated within a kind or under two _SELF_KINDS (mwt with mwt-inf
+    aside), and a split surface that is also a part or an onset raise
     ValueError('PATH:LINE: message'). For lexicon text in memory, write a
     file or build TokenizerLexicon from its tables."""
     tables = {name: set() if adds == "surface" else {}
               for name, adds in _LEXICON_KINDS.values()}
+    kinds: dict[str, dict[str, int]] = {}  # key -> {kind: first line}
+    part_of: dict[str, str] = {}  # folded part or onset -> "a part on line N"
     for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.rstrip()
         if not line or line.startswith("#"):
@@ -194,15 +203,33 @@ def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
         if kind not in _LEXICON_KINDS:
             raise ValueError(f"{where}: unknown kind {kind!r}")
         name, adds = _LEXICON_KINDS[kind]
-        key = fold_apostrophes(surface)
+        key = fold_apostrophes(surface.lower() if kind == "abbrev" else surface)
+        lines = kinds.setdefault(key, {})
+        for other, at in lines.items():
+            pair = {kind, other}
+            if other == kind or (pair <= _SELF_KINDS and pair != _FUSED):
+                raise ValueError(f"{where}: {kind} surface {surface!r} is "
+                                 f"also listed as {other} on line {at}")
+        lines[kind] = line_no
         if adds == "parts":
-            tables[name][key] = _parse_parts(parts_field, hints_field,
-                                             surface, where)
+            tables[name][key] = parts = _parse_parts(parts_field, hints_field,
+                                                     surface, where)
+            for form, _ in parts:
+                part_of.setdefault(fold_apostrophes(form),
+                                   f"a part on line {line_no}")
         elif adds == "hint":
             hint = hints_field.split(" ")[0]
             tables[name][key] = None if hint == "_" else hint
+            if kind == "onset":
+                part_of.setdefault(key, f"an onset on line {line_no}")
         else:
-            tables[name].add(key.lower() if kind == "abbrev" else key)
+            tables[name].add(key)
+    for key, lines in kinds.items():
+        split = [at for kind, at in lines.items()
+                 if _LEXICON_KINDS[kind][1] == "parts"]
+        if split and key in part_of:
+            raise ValueError(f"{path}:{split[0]}: split surface {key!r} is "
+                             f"also {part_of[key]}")
     return TokenizerLexicon(**tables)
 
 

@@ -358,6 +358,68 @@ def test_load_lexicon_rejects_key_part_clash(tmp_path):
         load_lexicon(str(bad))
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["zum\tmwt\tzu m\tADP DET", "zum\tintact\t_\tADP"],
+     "intact surface 'zum' is also listed as mwt on line 1"),
+    (["gibts\tclitic\tgibt s\tVERB PRON", "gibts\treview\t_\t_"],
+     "review surface 'gibts' is also listed as clitic on line 1"),
+    (["wemma\tma-form\twem ma\t_", "wemma\tsandhi\twem ma\t_"],
+     "sandhi surface 'wemma' is also listed as ma-form on line 1"),
+    (["zum\tmwt-inf\tzu m\tPART DET", "zum\tmwt\tzu m\tADP DET",
+      "zum\tclitic\tzu m\t_"],
+     "clitic surface 'zum' is also listed as mwt-inf on line 1"),
+    (["z'm\tmwt\tz' m\t_", "z’m\tmwt\tz’ m\t_"],
+     "mwt surface 'z’m' is also listed as mwt on line 1"),
+    (["Bsp.\tabbrev\t_\t_", "bsp.\tabbrev\t_\t_"],
+     "abbrev surface 'bsp.' is also listed as abbrev on line 1"),
+    (["dass\thost\t_\t_", "dass\thost\t_\t_"],
+     "host surface 'dass' is also listed as host on line 1"),
+], ids=["mwt-intact", "clitic-review", "ma-form-sandhi", "third-kind",
+        "apostrophe", "abbrev-case", "host"])
+def test_load_lexicon_rejects_a_repeated_surface(tmp_path, lines, message):
+    # a later line would replace the earlier entry, or be shadowed by the
+    # rule segment_token tries first
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("# header\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_lexicon(bad)
+    assert str(exc.value) == f"{bad}:{len(lines) + 1}: " + \
+        message.replace("line 1", "line 2")
+
+
+def test_load_lexicon_keeps_both_readings_of_a_fused_form(tmp_path):
+    # mwt with mwt-inf, and a kind that does not split the surface itself
+    # (host, nominf) next to one that does, are not repeats
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("zum\tmwt\tzu m\tADP DET\nzum\tmwt-inf\tzu m\tPART DET\n"
+                   "dass\thost\t_\t_\ndass\tintact\t_\tSCONJ\n"
+                   "essn\tnominf\t_\t_\nessn\tintact\t_\tNOUN\n",
+                   encoding="utf-8")
+    lexicon = load_lexicon(lex)
+    assert segment_token("zum", lexicon).parts == (("zu", "ADP"), ("m", "DET"))
+    assert segment_token("zum", lexicon, next_surface="Essn").parts == \
+        (("zu", "PART"), ("m", "DET"))
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["ab\tclitic\ta b\t_", "abc\tclitic\tab c\t_"],
+     "1: split surface 'ab' is also a part on line 2"),
+    (["abc\tclitic\tab c\t_", "ab\tclitic\ta b\t_"],
+     "2: split surface 'ab' is also a part on line 1"),
+    (["zum\tmwt\tzu m\t_", "gibt’s\tclitic\tgibt ’s\t_", "'s\tsandhi\t' s\t_"],
+     "3: split surface \"'s\" is also a part on line 2"),
+    (["z'\tonset\t_\tADP", "z'\tmwt\tz '\t_"],
+     "2: split surface \"z'\" is also an onset on line 1"),
+], ids=["part-later", "part-earlier", "apostrophe", "onset"])
+def test_load_lexicon_locates_a_split_surface_that_is_a_part(tmp_path, lines,
+                                                             message):
+    bad = tmp_path / "clash.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_lexicon(bad)
+    assert str(exc.value) == f"{bad}:{message}"
+
+
 def test_user_extension_lexicon(tmp_path):
     extra = tmp_path / "extra.tsv"
     extra.write_text("beim\tmwt\tbei m\tADP DET\n", encoding="utf-8")
