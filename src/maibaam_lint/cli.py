@@ -194,13 +194,6 @@ def _lint_inputs(opts: RunOptions,
     return run, failed
 
 
-def _severity_counts(diags: list[Diagnostic]) -> dict[str, int]:
-    counts = {"error": 0, "warning": 0, "review": 0}
-    for d in diags:
-        counts[d.severity] = counts.get(d.severity, 0) + 1
-    return counts
-
-
 def render_human(diags: list[Diagnostic], out) -> None:
     out.writelines(
         f"{d.file}:{d.line}: [{d.severity}] {d.rule_id} {d.message}"
@@ -224,7 +217,8 @@ def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
         "findings": [d._asdict() for d in diags],
         "summary": {
             "files": sorted(set(files)),
-            "counts": _severity_counts(diags),
+            "counts": {**dict.fromkeys(SEVERITY_RANK, 0),
+                       **Counter(d.severity for d in diags)},
             "total": len(diags),
         },
     }
@@ -234,9 +228,7 @@ def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
 
 def _exit_code(diags: list[Diagnostic], fail_level: str) -> int:
     threshold = SEVERITY_RANK[fail_level]
-    if any(SEVERITY_RANK[d.severity] >= threshold for d in diags):
-        return 1
-    return 0
+    return int(any(SEVERITY_RANK[d.severity] >= threshold for d in diags))
 
 
 def _resolve_config(opts: RunOptions) -> LintConfig:
@@ -256,9 +248,7 @@ def cmd_lint(opts: RunOptions) -> int:
         render_tsv(diags, opts.output)
     else:
         render_human(diags, opts.output)
-    if failed:
-        return 2
-    return _exit_code(diags, opts.fail_level)
+    return 2 if failed else _exit_code(diags, opts.fail_level)
 
 
 def cmd_tokenize(opts: RunOptions) -> int:
@@ -386,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser("lint", parents=[report],
                           argument_default=argparse.SUPPRESS,
                           help="lint CoNLL-U files")
-    lint.add_argument("--fail-level", choices=("error", "warning", "review"),
+    lint.add_argument("--fail-level",
+                      choices=tuple(reversed(SEVERITY_RANK)),
                       help="lowest severity that causes exit code 1")
 
     tok = sub.add_parser("tokenize", parents=[common],

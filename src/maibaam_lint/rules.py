@@ -20,6 +20,7 @@ from .conllu import (
     MwtSpan,
     Sentence,
     SEVERITY_ERROR,
+    SEVERITY_RANK,
     SEVERITY_REVIEW,
     SEVERITY_WARNING,
     Token,
@@ -283,7 +284,7 @@ def load_config(path: str) -> LintConfig:
                 if flag is None:
                     raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
                 (enabled if flag else disabled).add(rule_id)
-            elif value not in (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_REVIEW):
+            elif value not in SEVERITY_RANK:
                 raise ValueError(f"{path}:{line_no}: bad severity {value!r}")
             else:
                 overrides[rule_id] = value
