@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import weakref
@@ -214,6 +215,17 @@ def test_tokenize_rejects_a_lexicon_line_without_surface(tmp_path):
     src.write_text("Haus\n", encoding="utf-8")
     assert run_cli(["tokenize", "--lexicon", str(lex), str(src)]) == (
         2, "", f"error: {lex}:1: empty surface\n")
+
+
+def test_tokenize_names_the_lines_of_a_lexicon_clash(tmp_path):
+    lex = tmp_path / "clash.tsv"
+    lex.write_text("ab\tclitic\ta b\t_\nabc\tclitic\tab c\t_\n",
+                   encoding="utf-8")
+    src = tmp_path / "raw.txt"
+    src.write_text("abc\n", encoding="utf-8")
+    assert run_cli(["tokenize", "--lexicon", str(lex), str(src)]) == (
+        2, "", f"error: {lex}:1: split surface 'ab' is also a part on "
+               "line 2\n")
 
 
 def test_tokenize_strips_a_byte_order_mark(tmp_path):
@@ -620,6 +632,18 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: maibaam-lint "
                         f"{shlex.join(argv)}")
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    # warnings are errors here, so an example that leaves a file open fails
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    shutil.copy(GOLDEN, tmp_path / "corpus.conllu")
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+        gc.collect()
 
 
 def _one_token(sent_id, upos="NOUN"):
