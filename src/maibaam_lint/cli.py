@@ -8,12 +8,10 @@ independent of file order.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .conllu import (
@@ -49,17 +47,17 @@ REPORT_VERSION = 1
 STDIN_NAME = "<stdin>"
 
 
-@dataclass
-class RunOptions:
-    subcommand: str
-    inputs: list[str] = field(default_factory=list)
-    report_format: str = "human"
-    config_path: str | None = None
-    fail_level: str = "error"
-    guideline_version: str | None = None
-    lexicon_path: str | None = None
-    output: object = None   # defaults to sys.stdout in run()
-    errout: object = None   # defaults to sys.stderr in run()
+class RunOptions(argparse.Namespace):
+    """A subcommand's options: the namespace the parser fills in, holding
+    the one set of defaults for options left off the command line. output
+    and errout default to sys.stdout and sys.stderr in run()."""
+
+    def __init__(self, subcommand: str | None = None, **options):
+        super().__init__(subcommand=subcommand, **{
+            "inputs": (), "report_format": "human", "config_path": None,
+            "fail_level": "error", "guideline_version": None,
+            "lexicon_path": None, "output": None, "errout": None,
+            **options})
 
 
 def _new_stats() -> dict:
@@ -212,6 +210,8 @@ def render_tsv(diags: list[Diagnostic], out) -> None:
 
 
 def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
+    import json  # only JSON reports load it
+
     report = {
         "version": REPORT_VERSION,
         "findings": [d._asdict() for d in diags],
@@ -235,7 +235,7 @@ def _resolve_config(opts: RunOptions) -> LintConfig:
     path = opts.config_path or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config(path) if path else LintConfig()
     if opts.guideline_version:
-        cfg = replace(cfg, guideline_version=opts.guideline_version)
+        cfg = cfg._replace(guideline_version=opts.guideline_version)
     return cfg
 
 
@@ -286,6 +286,7 @@ def cmd_stats(opts: RunOptions) -> int:
     stats["diagnostics"].update(d.rule_id for d in run.finish())
     out = opts.output
     if opts.report_format == "json":
+        import json  # only JSON reports load it
         json.dump(stats, out, ensure_ascii=False, indent=2, sort_keys=True)
         out.write("\n")
     else:
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
 
     # options left out of the command line are left out of the namespace,
-    # so RunOptions holds the only defaults
+    # so the RunOptions that run() parses into keeps its defaults
     quiet = {"add_help": False, "argument_default": argparse.SUPPRESS}
     options = argparse.ArgumentParser(**quiet)
     options.add_argument("--config", dest="config_path", metavar="CONFIG",
@@ -395,16 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None, output=None, errout=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.subcommand:
-        parser.print_usage(file=errout or sys.stderr)
-        return 2
-
-    opts = RunOptions(
-        **vars(args),
+    opts = parser.parse_args(argv, RunOptions(
         output=output if output is not None else sys.stdout,
-        errout=errout if errout is not None else sys.stderr,
-    )
+        errout=errout if errout is not None else sys.stderr))
+    if not opts.subcommand:
+        parser.print_usage(file=opts.errout)
+        return 2
 
     handlers = {"lint": cmd_lint, "tokenize": cmd_tokenize, "stats": cmd_stats,
                 "list-rules": cmd_list_rules}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 COLUMN_COUNT = 10
 
@@ -117,30 +116,79 @@ def _check_columns(names: tuple[str, ...], cols: tuple[str, ...]) -> None:
                 raise ValueError(f"bad {name} column: {col!r}")
 
 
-@dataclass(slots=True)
-class Token:
+class _Record:
+    """Equality, repr and _replace over _fields, the constructor's arguments
+    in order, then _derived, fields computed from them. == holds between
+    records of one class only, and a record is unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name)
+                     for name in self._fields + self._derived)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in
+                          zip(self._fields + self._derived, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def _replace(self, **changes):
+        """A new record with changes applied to this one's fields, built
+        through the constructor and so through its checks."""
+        return type(self)(**{**{name: getattr(self, name)
+                                for name in self._fields}, **changes})
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        """The fields a call with args and kwargs names, bound by position
+        and name in _fields; for constructors that fill in the rest."""
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes at most {len(self._fields)} "
+                            f"arguments ({len(args)} given)")
+        values = dict(zip(self._fields, args))
+        for key, value in kwargs.items():
+            if key not in self._fields or key in values:
+                raise TypeError(f"{name} got an unexpected or repeated "
+                                f"argument {key!r}")
+            values[key] = value
+        return values
+
+
+class Token(_Record):
     """One syntactic word (a regular CoNLL-U node line)."""
 
-    id: int
-    form: str
-    upos: str
-    head: int
-    deprel: str
-    misc: str = "_"
-    lemma_col: str = "_"
-    xpos_col: str = "_"
-    feats_col: str = "_"
-    deps_col: str = "_"
-    line: int = 0
+    __slots__ = _fields = ("id", "form", "upos", "head", "deprel", "misc",
+                           "lemma_col", "xpos_col", "feats_col", "deps_col",
+                           "line")
 
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"token id must be >= 1, got {self.id}")
-        if self.head < 0:
-            raise ValueError(f"token head must be >= 0, got {self.head}")
-        _check_columns(_TOKEN_COLUMNS, (
-            self.form, self.upos, self.deprel, self.misc, self.lemma_col,
-            self.xpos_col, self.feats_col, self.deps_col))
+    def __init__(self, id: int, form: str, upos: str, head: int, deprel: str,
+                 misc: str = "_", lemma_col: str = "_", xpos_col: str = "_",
+                 feats_col: str = "_", deps_col: str = "_", line: int = 0):
+        if id < 1:
+            raise ValueError(f"token id must be >= 1, got {id}")
+        if head < 0:
+            raise ValueError(f"token head must be >= 0, got {head}")
+        _check_columns(_TOKEN_COLUMNS, (form, upos, deprel, misc, lemma_col,
+                                        xpos_col, feats_col, deps_col))
+        self.id = id
+        self.form = form
+        self.upos = upos
+        self.head = head
+        self.deprel = deprel
+        self.misc = misc
+        self.lemma_col = lemma_col
+        self.xpos_col = xpos_col
+        self.feats_col = feats_col
+        self.deps_col = deps_col
+        self.line = line
 
     def misc_value(self, key: str) -> str | None:
         return column_value(self.misc, key)
@@ -153,25 +201,27 @@ class Token:
         return column_value(self.feats_col, key)
 
 
-@dataclass(slots=True)
-class MwtSpan:
+class MwtSpan(_Record):
     """A multi-word token: one surface range covering consecutive token ids."""
 
-    first_id: int
-    last_id: int
-    surface_form: str
-    misc: str = "_"
-    other_cols: tuple[str, ...] = ("_",) * 7
-    line: int = 0
+    __slots__ = _fields = ("first_id", "last_id", "surface_form", "misc",
+                           "other_cols", "line")
 
-    def __post_init__(self):
-        if self.first_id < 1 or self.last_id < self.first_id:
-            raise ValueError(f"bad mwt range {self.first_id}-{self.last_id}")
-        if len(self.other_cols) != 7:
+    def __init__(self, first_id: int, last_id: int, surface_form: str,
+                 misc: str = "_", other_cols: tuple[str, ...] = ("_",) * 7,
+                 line: int = 0):
+        if first_id < 1 or last_id < first_id:
+            raise ValueError(f"bad mwt range {first_id}-{last_id}")
+        if len(other_cols) != 7:
             raise ValueError(f"other_cols must hold 7 columns, got "
-                             f"{len(self.other_cols)}")
-        _check_columns(_MWT_COLUMNS,
-                       (self.surface_form, self.misc, *self.other_cols))
+                             f"{len(other_cols)}")
+        _check_columns(_MWT_COLUMNS, (surface_form, misc, *other_cols))
+        self.first_id = first_id
+        self.last_id = last_id
+        self.surface_form = surface_form
+        self.misc = misc
+        self.other_cols = other_cols
+        self.line = line
 
     def misc_value(self, key: str) -> str | None:
         return column_value(self.misc, key)
@@ -185,17 +235,27 @@ class EmptyNodeLine(namedtuple("EmptyNodeLine", ("anchor", "raw", "line"),
     __slots__ = ()
 
 
-@dataclass
-class Sentence:
-    """Ordered tokens plus MWT spans and sentence-level metadata."""
+class Sentence(_Record):
+    """Ordered tokens plus MWT spans and sentence-level metadata. A list
+    left out is a new empty list."""
 
-    tokens: list[Token] = field(default_factory=list)
-    mwt_spans: list[MwtSpan] = field(default_factory=list)
-    metadata: list[tuple[str, str]] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
-    empty_nodes: list[EmptyNodeLine] = field(default_factory=list)
-    file: str = "<string>"
-    line: int = 0
+    _fields = ("tokens", "mwt_spans", "metadata", "comments", "empty_nodes",
+               "file", "line")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, tokens: list[Token] | None = None,
+                 mwt_spans: list[MwtSpan] | None = None,
+                 metadata: list[tuple[str, str]] | None = None,
+                 comments: list[str] | None = None,
+                 empty_nodes: list[EmptyNodeLine] | None = None,
+                 file: str = "<string>", line: int = 0):
+        self.tokens = [] if tokens is None else tokens
+        self.mwt_spans = [] if mwt_spans is None else mwt_spans
+        self.metadata = [] if metadata is None else metadata
+        self.comments = [] if comments is None else comments
+        self.empty_nodes = [] if empty_nodes is None else empty_nodes
+        self.file = file
+        self.line = line
 
     def metadata_value(self, key: str) -> str | None:
         for k, v in self.metadata:
@@ -213,15 +273,22 @@ class Sentence:
         return None
 
 
-@dataclass
-class Document:
+class Document(_Record):
     """A parsed CoNLL-U file; serialization reproduces the input exactly."""
 
-    sentences: list[Sentence] = field(default_factory=list)
-    trailing_comments: list[str] = field(default_factory=list)
-    file: str = "<string>"
-    bom: bool = False
-    final_newline: bool = True
+    __slots__ = _fields = ("sentences", "trailing_comments", "file", "bom",
+                           "final_newline")
+
+    def __init__(self, sentences: list[Sentence] | None = None,
+                 trailing_comments: list[str] | None = None,
+                 file: str = "<string>", bom: bool = False,
+                 final_newline: bool = True):
+        self.sentences = [] if sentences is None else sentences
+        self.trailing_comments = ([] if trailing_comments is None
+                                  else trailing_comments)
+        self.file = file
+        self.bom = bom
+        self.final_newline = final_newline
 
 
 class Diagnostic(namedtuple("Diagnostic", (
@@ -230,9 +297,8 @@ class Diagnostic(namedtuple("Diagnostic", (
     """One finding, an immutable named tuple; token_id and guideline_ref
     may be None. Checks return findings unsorted; a report sorts them once
     by sort_key, (file, line, token_id, rule_id, message), not by the
-    tuple's field order. A tuple rather than
-    a frozen dataclass because one is built per finding, and a frozen
-    dataclass's __init__ sets each field through object.__setattr__."""
+    tuple's field order. A tuple rather than a _Record because one is built
+    per finding: a tuple is built in one call and is immutable for free."""
 
     __slots__ = ()
 

@@ -12,7 +12,6 @@ import os
 import re
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .conllu import (
@@ -24,6 +23,7 @@ from .conllu import (
     SEVERITY_REVIEW,
     SEVERITY_WARNING,
     Token,
+    _Record,
     column_value,
     read_text,
 )
@@ -170,11 +170,11 @@ DIALECT_GROUPS_NORTH_TO_SOUTH = (
 URL_GENRES = frozenset({"wiki", "social"})
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Rule toggles, severity overrides and the closed-class lexicons."""
+class LintConfig(_Record):
+    """Rule toggles, severity overrides and the closed-class lexicons.
+    Immutable: copy one with a change by _replace."""
 
-    severity_overrides: Mapping[str, str] = field(default_factory=dict)
+    severity_overrides: Mapping[str, str] = MappingProxyType({})
     disabled_rules: frozenset[str] = frozenset()
     enabled_rules: frozenset[str] = frozenset()
     copula_lemmas: frozenset[str] = DEFAULT_COPULA_LEMMAS
@@ -191,18 +191,27 @@ class LintConfig:
     typo_column: str = "either"  # "feats", "misc" or "either"
     punct_lemma_exempt: bool = True
     tokenizer_lexicon_path: str | None = None
-    # every catalogued rule id -> (severity, citation), resolved once per
-    # config; dataclasses.replace builds a new config and so a new table
-    rule_table: dict[str, tuple[str, str | None]] = field(
-        init=False, repr=False, compare=False)
+    _fields = tuple(__annotations__)  # the fields above, in order
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        """Takes the fields above by position or name; those left out keep
+        their class defaults."""
+        values = self._bind(args, kwargs)
         # read-only, so that an edit cannot leave rule_table stale
-        object.__setattr__(self, "severity_overrides",
-                           MappingProxyType(dict(self.severity_overrides)))
-        object.__setattr__(self, "rule_table", {
+        values["severity_overrides"] = MappingProxyType(
+            dict(values.get("severity_overrides", {})))
+        self.__dict__.update(values)
+        # every catalogued rule id -> (severity, citation), resolved once
+        # per config; _replace builds a new config and so a new table
+        self.__dict__["rule_table"] = {
             r.rule_id: (self.severity(r.rule_id), r.guideline_ref)
-            for r in RULES})
+            for r in RULES}
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"LintConfig is immutable: cannot set or "
+                             f"delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def rule_enabled(self, rule_id: str) -> bool:
         for key in _setting_keys(rule_id):

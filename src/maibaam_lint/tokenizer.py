@@ -13,10 +13,9 @@ import os
 import re
 import unicodedata
 from collections import namedtuple
-from dataclasses import dataclass, field
 from importlib import resources
 
-from .conllu import (MwtSpan, Sentence, Token, _check_columns,
+from .conllu import (MwtSpan, Sentence, Token, _check_columns, _Record,
                      _unchecked_token, read_text)
 
 KIND_INTACT = "intact"
@@ -61,6 +60,10 @@ _LEXICON_KINDS = {
 _FUSED = {"mwt", "mwt-inf"}
 _SELF_KINDS = _FUSED | {"clitic", "sandhi", "ma-form", "intact", "review"}
 
+# the kinds whose surfaces the tokenizer looks up lower-cased, and so
+# stores lower-cased
+_LOWER_CASED = {"abbrev", "nominf", "unit"}
+
 # the tables whose entries split a surface into parts
 _SPLIT_TABLES = tuple(name for name, adds in _LEXICON_KINDS.values()
                       if adds == "parts")
@@ -96,38 +99,41 @@ def _intact(surface: str, hint: str | None = None,
     return SegmentationResult(KIND_INTACT, ((surface, hint),), note)
 
 
-@dataclass
-class TokenizerLexicon:
+class TokenizerLexicon(_Record):
     """Lookup tables driving segment_token.
 
-    Read-only after construction: __post_init__ rejects an empty onset and a
-    split entry whose parts are empty or do not join to its key, derives
-    terminal_parts, rejects an entry that is also a split part, and compiles
-    the onset order, the agreement-ending table and the set of keys any rule
-    reads from the tables given; tokenize_sentence memoises its per-unit work on the
-    lexicon, so later edits to a table are not seen.
+    The constructor takes the tables below by position or name; a table
+    left out is empty. Read-only after construction: the constructor
+    rejects an empty onset and a split entry whose parts are empty or do
+    not join to its key, derives terminal_parts, rejects an entry that is
+    also a split part, and compiles the onset order, the agreement-ending
+    table and the set of keys any rule reads from the tables given;
+    tokenize_sentence memoises its per-unit work on the lexicon, so later
+    edits to a table are not seen.
     """
 
-    fused_adp_det: dict[str, tuple[Part, ...]] = field(default_factory=dict)
-    fused_inf: dict[str, tuple[Part, ...]] = field(default_factory=dict)
-    clitic_onsets: dict[str, str | None] = field(default_factory=dict)
-    pronoun_clitics: dict[str, tuple[Part, ...]] = field(default_factory=dict)
-    sandhi_splits: dict[str, tuple[Part, ...]] = field(default_factory=dict)
-    compagr_hosts: set[str] = field(default_factory=set)
-    ma_forms: dict[str, tuple[Part, ...]] = field(default_factory=dict)
-    review_forms: set[str] = field(default_factory=set)
-    abbreviations: set[str] = field(default_factory=set)  # lower-cased
-    intact_forms: dict[str, str | None] = field(default_factory=dict)
-    nominalized_infinitives: set[str] = field(default_factory=set)
-    units: set[str] = field(default_factory=set)
-    terminal_parts: set[str] = field(init=False)
-    _onsets: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _agreement: dict[str, str] = field(init=False, repr=False, compare=False)
-    _rule_keys: frozenset[str] = field(init=False, repr=False, compare=False)
-    _unit_memo: dict = field(init=False, default_factory=dict, repr=False,
-                             compare=False)
+    fused_adp_det: dict[str, tuple[Part, ...]]
+    fused_inf: dict[str, tuple[Part, ...]]
+    clitic_onsets: dict[str, str | None]
+    pronoun_clitics: dict[str, tuple[Part, ...]]
+    sandhi_splits: dict[str, tuple[Part, ...]]
+    compagr_hosts: set[str]
+    ma_forms: dict[str, tuple[Part, ...]]
+    review_forms: set[str]
+    abbreviations: set[str]  # lower-cased
+    intact_forms: dict[str, str | None]
+    nominalized_infinitives: set[str]  # lower-cased
+    units: set[str]  # lower-cased
+    _fields = tuple(__annotations__)  # the tables above, in order
+    _derived = ("terminal_parts",)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        tables = self._bind(args, kwargs)
+        for name, adds in _LEXICON_KINDS.values():
+            if name not in tables:
+                tables[name] = set() if adds == "surface" else {}
+        self.__dict__.update(tables)
+        self._unit_memo = {}
         if "" in self.clitic_onsets:
             raise ValueError("lexicon clitic_onsets: empty onset")
         self.terminal_parts = set(self.clitic_onsets)
@@ -203,7 +209,8 @@ def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
         if kind not in _LEXICON_KINDS:
             raise ValueError(f"{where}: unknown kind {kind!r}")
         name, adds = _LEXICON_KINDS[kind]
-        key = fold_apostrophes(surface.lower() if kind == "abbrev" else surface)
+        key = fold_apostrophes(surface.lower() if kind in _LOWER_CASED
+                               else surface)
         lines = kinds.setdefault(key, {})
         for other, at in lines.items():
             pair = {kind, other}

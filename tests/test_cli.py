@@ -558,6 +558,20 @@ def test_console_entry_point_runs():
     assert "VOCAB.UPOS" in proc.stdout
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # measured against a bare interpreter, so that modules a site-packages
+    # .pth file loads do not count
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=CHILD_ENV, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import maibaam_lint.cli") - loaded("pass")
+    assert "maibaam_lint.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
+
+
 def test_family_severity_in_lint_and_list_rules(tmp_path):
     conf = tmp_path / "lint.conf"
     conf.write_text("rule.META.*.severity=review\n"

@@ -2,7 +2,6 @@ import itertools
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -407,11 +406,11 @@ def test_parsed_columns_with_inner_cr_survive_replace():
             "2\tm\t_\tDET\t_\t_\t1\tdet\t_\t_\n\n")
     doc = parse_document(text, "<cr>")
     s = doc.sentences[0]
-    s.tokens[0] = replace(s.tokens[0], upos="ADP")
-    s.mwt_spans[0] = replace(s.mwt_spans[0], surface_form="z\rm")
+    s.tokens[0] = s.tokens[0]._replace(upos="ADP")
+    s.mwt_spans[0] = s.mwt_spans[0]._replace(surface_form="z\rm")
     assert serialize_document(doc) == text
     with pytest.raises(ValueError, match="misc"):
-        replace(s.tokens[1], misc="_\r")
+        s.tokens[1]._replace(misc="_\r")
 
 
 def _sentence(heads, deprels=None, upos=None):
@@ -654,7 +653,7 @@ def test_parse_does_not_depend_on_the_chunk_size(path, monkeypatch):
         monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
         assert parse_document(text, path.name) == whole
         assert parse_document(text + "# end", path.name) == \
-            replace(whole, final_newline=False, trailing_comments=["# end"])
+            whole._replace(final_newline=False, trailing_comments=["# end"])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,6 @@
 import ast
 import re
 import unicodedata
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -499,7 +498,7 @@ def _faulty_golden(golden_text):
 def test_findings_take_the_severity_their_config_resolves(golden_text,
                                                           tmp_path):
     # the per-config rule table must agree with cfg.severity for configs
-    # built every way: defaults, a config file, and dataclasses.replace
+    # built every way: defaults, a config file, and _replace
     conf = tmp_path / "lint.conf"
     conf.write_text("rule.META.*.severity=review\n"
                     "rule.META.DUP_ID.severity=warning\n"
@@ -509,11 +508,11 @@ def test_findings_take_the_severity_their_config_resolves(golden_text,
     configs = [
         LintConfig(),
         loaded,
-        replace(loaded, severity_overrides={"LEMMA.*": "warning",
+        loaded._replace(severity_overrides={"LEMMA.*": "warning",
                                             "VOCAB.UPOS": "review",
                                             "CORE.BOM": "error"}),
-        replace(LintConfig(guideline_version="2.16"),
-                severity_overrides={"META.MISSING": "error"}),
+        LintConfig(guideline_version="2.16")._replace(
+            severity_overrides={"META.MISSING": "error"}),
     ]
     doc = _faulty_golden(golden_text)
     labels = set()
@@ -536,17 +535,17 @@ def test_severity_overrides_are_read_only():
         cfg.severity_overrides["META.*"] = "error"
     assert cfg.severity("META.GENRE") == "review"
     assert cfg.rule_table["META.GENRE"][0] == "review"
-    assert replace(cfg, guideline_version="2.16").severity_overrides == \
+    assert cfg._replace(guideline_version="2.16").severity_overrides == \
         {"META.*": "review"}
 
 
 def test_rule_table_is_not_compared_or_shown():
     cfg = LintConfig(severity_overrides={"META.*": "review"})
-    stale = replace(cfg)
+    stale = cfg._replace()
     object.__setattr__(stale, "rule_table", {})
     assert stale == cfg
     assert repr(stale) == repr(cfg)
-    assert replace(stale).rule_table == cfg.rule_table
+    assert stale._replace().rule_table == cfg.rule_table
 
 
 def test_rule_enabled_resolution_order():

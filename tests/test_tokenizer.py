@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -297,8 +296,7 @@ def test_load_lexicon_takes_a_path_object(tmp_path):
 def test_lexicon_kinds_fill_every_table_once():
     # a table no kind fills, or a kind naming no table, fails here
     tables = [name for name, _ in tokenizer._LEXICON_KINDS.values()]
-    assert sorted(tables) == sorted(f.name for f in fields(TokenizerLexicon)
-                                    if f.init)
+    assert sorted(tables) == sorted(TokenizerLexicon._fields)
 
 
 @pytest.mark.parametrize("kind", ["intact", "onset"])
@@ -351,10 +349,17 @@ def test_hand_built_split_entry_parts_join_with_apostrophes_folded():
 
 
 def test_load_lexicon_rejects_key_part_clash(tmp_path):
+    # each line loads alone; together, the clitic surface "ab" is also a
+    # part of the sandhi entry
+    lines = ["ab\tclitic\ta b\t_ _", "abc\tsandhi\tab c\t_ _"]
+    for i, line in enumerate(lines):
+        alone = tmp_path / f"alone{i}.tsv"
+        alone.write_text(line + "\n", encoding="utf-8")
+        load_lexicon(alone)
     bad = tmp_path / "bad.tsv"
-    bad.write_text("ab\tclitic\ta b\t_ _\na\tsandhi\t_ a\t_ _\n",
-                   encoding="utf-8")
-    with pytest.raises(ValueError):
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:1: split surface 'ab' "
+                                         r"is also a part on line 2$"):
         load_lexicon(str(bad))
 
 
@@ -374,8 +379,10 @@ def test_load_lexicon_rejects_key_part_clash(tmp_path):
      "2: abbrev surface 'bsp.' is also listed as abbrev on line 1"),
     (["dass\thost\t_\t_", "dass\thost\t_\t_"],
      "2: host surface 'dass' is also listed as host on line 1"),
+    (["MB\tunit\t_\t_", "mb\tunit\t_\t_"],
+     "2: unit surface 'mb' is also listed as unit on line 1"),
 ], ids=["mwt-intact", "clitic-review", "ma-form-sandhi", "third-kind",
-        "apostrophe", "abbrev-case", "host"])
+        "apostrophe", "abbrev-case", "host", "unit-case"])
 def test_load_lexicon_rejects_a_repeated_surface(tmp_path, lines, message):
     # a later line would replace the earlier entry, or be shadowed by the
     # rule segment_token tries first
@@ -398,6 +405,29 @@ def test_load_lexicon_keeps_both_readings_of_a_fused_form(tmp_path):
     assert segment_token("zum", lexicon).parts == (("zu", "ADP"), ("m", "DET"))
     assert segment_token("zum", lexicon, next_surface="Essn").parts == \
         (("zu", "PART"), ("m", "DET"))
+
+
+def test_load_lexicon_lower_cases_nominf_surfaces(tmp_path):
+    # the word after a fused form is looked up lower-cased
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("zum\tmwt\tzu m\tADP DET\nzum\tmwt-inf\tzu m\tPART DET\n"
+                   "Essn\tnominf\t_\t_\n", encoding="utf-8")
+    lexicon = load_lexicon(lex)
+    assert lexicon.nominalized_infinitives == {"essn"}
+    s = tokenize_sentence("zum Essn", lexicon)
+    assert [(t.form, t.upos) for t in s.tokens[:2]] == [("zu", "PART"),
+                                                        ("m", "DET")]
+
+
+def test_load_lexicon_lower_cases_unit_surfaces(tmp_path):
+    # the unit after a number is looked up lower-cased
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("MB\tunit\t_\t_\n", encoding="utf-8")
+    lexicon = load_lexicon(lex)
+    assert lexicon.units == {"mb"}
+    s = tokenize_sentence("8MB", lexicon)
+    assert [(t.form, t.upos) for t in s.tokens] == [("8", "NUM"),
+                                                    ("MB", "NOUN")]
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -459,7 +489,7 @@ def test_tokenize_mwt_glue_moves_to_span(lex):
 
 def _cold(lexicon):
     """A copy of lexicon with its own, empty unit memo."""
-    return replace(lexicon)
+    return lexicon._replace()
 
 
 def _skeleton(s):
@@ -628,8 +658,7 @@ def test_hand_built_lexicon_is_compiled(lex):
 
 def test_hand_built_lexicon_derives_terminal_parts(lex):
     # the tables a caller passes; terminal_parts is derived from them
-    tables = {f.name: getattr(lex, f.name) for f in fields(TokenizerLexicon)
-              if f.init and f.name != "terminal_parts"}
+    tables = {name: getattr(lex, name) for name in TokenizerLexicon._fields}
     hand = TokenizerLexicon(**tables)
     assert hand.terminal_parts == lex.terminal_parts
     assert segment_token("zu", hand) == segment_token("zu", lex)
