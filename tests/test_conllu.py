@@ -132,6 +132,18 @@ def test_lines_the_serializer_would_move_are_rejected(text, code, line):
     assert (exc.value.code, exc.value.line) == (code, line)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1-3\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n" + _line() + _line("2", "1")
+     + "\n", "t.conllu:1: BAD_ID: multiword range exceeds sentence length"),
+    (_line() + "3-4\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n" + _line("2", "1")
+     + "\n", "t.conllu:2: ID_SEQUENCE: multiword range must start at token 2"),
+])
+def test_multiword_range_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text, "t.conllu")
+    assert str(exc.value) == message
+
+
 def test_empty_input_is_an_empty_document():
     doc = parse_document("", "t.conllu")
     assert doc.sentences == [] and doc.trailing_comments == []

@@ -588,6 +588,95 @@ def test_load_config_rejects_bad_values(tmp_path):
             load_config(str(conf))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("guideline_version", "expected key=value"),
+    ("rule.LEMMA.MISSING.severity=fatal", "bad severity 'fatal'"),
+    ("rule.META.*.severity=Error", "bad severity 'Error'"),
+    ("typo_column=feat", "bad typo_column 'feat'"),
+    ("guideline_version=2.17a", "bad guideline_version '2.17a'"),
+    ("rule.LEMMA.MISSING.enabled=ture", "bad boolean 'ture'"),
+    ("punct_lemma_exempt=maybe", "bad boolean 'maybe'"),
+    ("rule.LEMMA.MISING.severity=review", "unknown rule 'LEMMA.MISING'"),
+    ("rule.NOPE.*.enabled=false", "unknown rule 'NOPE.*'"),
+    # the rule id is checked before the value
+    ("rule.NOPE.enabled=maybe", "unknown rule 'NOPE'"),
+    ("rule.NOPE.severity=fatal", "unknown rule 'NOPE'"),
+    ("lexicon.interjections.path=words.txt", "unknown lexicon 'interjections'"),
+    ("no_such_option=1", "unknown key 'no_such_option'"),
+])
+def test_load_config_error_messages(tmp_path, line, message):
+    (tmp_path / "words.txt").write_text("gell\n", encoding="utf-8")
+    conf = tmp_path / "lint.conf"
+    conf.write_text("# typo below\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_config(str(conf))
+    assert str(exc.value) == f"{conf}:2: {message}"
+
+
+def test_load_config_resolves_lexicon_paths_against_its_directory(tmp_path):
+    (tmp_path / "lists").mkdir()
+    (tmp_path / "lists" / "groups.txt").write_text(
+        "# north to south\nnorth\nsouth\n", encoding="utf-8")
+    conf = tmp_path / "lint.conf"
+    conf.write_text("lexicon.tokenizer.path = lists/seg.tsv\n"
+                    "lexicon.dialect_groups.path = lists/groups.txt\n",
+                    encoding="utf-8")
+    cfg = load_config(str(conf))
+    # the tokenizer lexicon is only named here; tokenize reads it
+    assert cfg.tokenizer_lexicon_path == str(tmp_path / "lists" / "seg.tsv")
+    assert cfg.dialect_order == ("north", "south")
+
+
+def test_typo_column_misc_reads_only_misc():
+    in_feats = goeswith_sentence()
+    in_misc = sent(("wer", "AUX", 3, "aux", "werden", ["Typo=Yes"]),
+                   ("den", "X", 1, "goeswith", None),
+                   ("kumma", "VERB", 0, "root", "kommen"))
+    misc_only = LintConfig(typo_column="misc")
+    assert lint_sentence(in_misc, misc_only) == []
+    assert [d.message for d in lint_sentence(in_feats, misc_only)] == [
+        "goeswith head must carry Typo=Yes"]
+
+
+def test_lint_config_is_immutable():
+    cfg = LintConfig()
+    with pytest.raises(AttributeError) as exc:
+        cfg.guideline_version = "2.16"
+    assert str(exc.value) == ("LintConfig is immutable: cannot set or "
+                              "delete 'guideline_version'")
+    with pytest.raises(AttributeError) as exc:
+        del cfg.typo_column
+    assert str(exc.value) == ("LintConfig is immutable: cannot set or "
+                              "delete 'typo_column'")
+    assert cfg == LintConfig()
+
+
+def test_core_columns_names_xpos_and_feats():
+    s = sent(("Haus", "NOUN", 0, "root", "Haus"))
+    s.tokens[0].xpos_col = "NN"
+    s.tokens[0].feats_col = "Case=Nom"
+    assert [d.message for d in lint_sentence(s)] == [
+        "unexpected content in XPOS/FEATS; annotations live in UPOS, HEAD, "
+        "DEPREL and MISC"]
+
+
+def test_core_enhanced_unsupported_on_an_empty_node():
+    s = parse_document("1\tHaus\t_\tNOUN\t_\t_\t0\troot\t_\t"
+                       "GermanLemma=Haus\n"
+                       "1.1\tis\t_\tAUX\t_\t_\t_\t_\t0:root\t_\n\n",
+                       "t.conllu").sentences[0]
+    diags = lint_sentence(s)
+    assert [(d.rule_id, d.line, d.message) for d in diags] == [
+        ("CORE.ENHANCED_UNSUPPORTED", 2, "empty nodes are not annotated")]
+
+
+def test_goeswith_dependent_without_a_head_token():
+    s = goeswith_sentence(dep_head=9)
+    assert [(d.token_id, d.message) for d in lint_sentence(s)
+            if d.rule_id == "REL.GOESWITH"] == [
+        (3, "goeswith dependent without a head token")]
+
+
 SOURCES = sorted(Path(maibaam_lint.__file__).parent.glob("*.py"))
 
 
