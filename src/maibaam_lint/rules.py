@@ -195,17 +195,35 @@ class LintConfig(_Record):
 
     def __init__(self, *args, **kwargs):
         """Takes the fields above by position or name; those left out keep
-        their class defaults."""
+        their class defaults. A rule id, severity or value a config cannot
+        hold raises ValueError."""
         values = self._bind(args, kwargs)
         # read-only, so that an edit cannot leave rule_table stale
         values["severity_overrides"] = MappingProxyType(
             dict(values.get("severity_overrides", {})))
         self.__dict__.update(values)
-        # every catalogued rule id -> (severity, citation), resolved once
-        # per config; _replace builds a new config and so a new table
+        for rule_id in (*self.severity_overrides, *self.disabled_rules,
+                        *self.enabled_rules):
+            if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
+                raise ValueError(f"unknown rule {rule_id!r}")
+        for severity in self.severity_overrides.values():
+            if severity not in SEVERITY_RANK:
+                raise ValueError(f"bad severity {severity!r}")
+        if not VERSION_RE.fullmatch(self.guideline_version):
+            raise ValueError(f"bad guideline_version "
+                             f"{self.guideline_version!r}")
+        if self.typo_column not in ("feats", "misc", "either"):
+            raise ValueError(f"bad typo_column {self.typo_column!r}")
+        # each catalogued rule resolved once per config (_replace builds a
+        # new one): rule id -> (severity, citation), and the enabled ids
+        toggles = {**dict.fromkeys(self.disabled_rules, False),
+                   **dict.fromkeys(self.enabled_rules, True)}
         self.__dict__["rule_table"] = {
-            r.rule_id: (self.severity(r.rule_id), r.guideline_ref)
+            r.rule_id: (_resolve(self.severity_overrides, r.rule_id,
+                                 r.default_severity), r.guideline_ref)
             for r in RULES}
+        self.__dict__["enabled_ids"] = frozenset(
+            r.rule_id for r in RULES if _resolve(toggles, r.rule_id, True))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"LintConfig is immutable: cannot set or "
@@ -214,32 +232,44 @@ class LintConfig(_Record):
     __delattr__ = __setattr__
 
     def rule_enabled(self, rule_id: str) -> bool:
-        for key in _setting_keys(rule_id):
-            if key in self.enabled_rules:
-                return True
-            if key in self.disabled_rules:
-                return False
-        return True
+        return rule_id in self.enabled_ids
 
     def severity(self, rule_id: str) -> str:
-        for key in _setting_keys(rule_id):
-            if key in self.severity_overrides:
-                return self.severity_overrides[key]
-        return RULES_BY_ID[rule_id].default_severity
+        return self.rule_table[rule_id][0]
 
     def version_at_least(self, threshold: str) -> bool:
         return _version_tuple(self.guideline_version) >= _version_tuple(threshold)
 
 
-def _setting_keys(rule_id: str) -> tuple[str, str]:
-    """Config keys that can set a rule, most specific first: the exact id,
-    then its FAMILY.* wildcard."""
-    return rule_id, rule_id.split(".")[0] + ".*"
+def _resolve(settings: Mapping, rule_id: str, default):
+    """A rule's setting: the one for its exact id, else the one for its
+    FAMILY.* wildcard, else default."""
+    family = rule_id[:rule_id.index(".")] + ".*"
+    return settings.get(rule_id, settings.get(family, default))
 
 
 VERSION_RE = re.compile(r"[0-9]+(\.[0-9]+)*")
 BOOLEANS = {"1": True, "true": True, "yes": True,
             "0": False, "false": False, "no": False}
+
+
+def _sequences(lines: list[str]) -> tuple[tuple[str, ...], ...]:
+    return tuple(tuple(line.split()) for line in lines)
+
+
+# lexicon.<name>.path -> the field its word list replaces, and its shape
+_WORD_LISTS = {
+    "copula": ("copula_lemmas", frozenset),
+    "part": ("part_lemmas", frozenset),
+    "aux": ("aux_lemmas", frozenset),
+    "fixed": ("fixed_whitelist", _sequences),
+    "fixed_versioned": ("fixed_versioned", _sequences),
+    "placeholder_x": ("placeholder_x_forms", frozenset),
+    "placeholder_sym": ("placeholder_sym_forms", frozenset),
+    "relative_markers": ("relative_markers", frozenset),
+    "genres": ("genre_vocab", frozenset),
+    "dialect_groups": ("dialect_order", tuple),
+}
 
 
 def _version_tuple(version: str) -> tuple[int, ...]:
@@ -255,83 +285,53 @@ def load_config(path: str) -> LintConfig:
     pointing at plain word-list files (one entry per line, # comments;
     fixed-expression lists hold one space-separated sequence per line).
     Booleans are 1/0/true/false/yes/no in any case; guideline_version is
-    dot-separated ASCII digits such as 2.17.
+    dot-separated ASCII digits such as 2.17. Each line is applied by
+    _replace, so LintConfig checks it; an error names the file and line.
     """
-    overrides: dict[str, str] = {}
-    disabled: set[str] = set()
-    enabled: set[str] = set()
-    fields: dict[str, object] = {}
+    cfg = LintConfig()
     base = os.path.dirname(os.path.abspath(path))
-
-    lexicon_fields = {
-        "copula": ("copula_lemmas", "set"),
-        "part": ("part_lemmas", "set"),
-        "aux": ("aux_lemmas", "set"),
-        "fixed": ("fixed_whitelist", "sequences"),
-        "fixed_versioned": ("fixed_versioned", "sequences"),
-        "placeholder_x": ("placeholder_x_forms", "set"),
-        "placeholder_sym": ("placeholder_sym_forms", "set"),
-        "relative_markers": ("relative_markers", "set"),
-        "genres": ("genre_vocab", "set"),
-        "dialect_groups": ("dialect_order", "tuple"),
-    }
-
     for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
         flag = BOOLEANS.get(value.lower())
-        if key.startswith("rule.") and key.endswith((".severity", ".enabled")):
-            rule_id, setting = key[len("rule."):].rsplit(".", 1)
-            if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
-                raise ValueError(f"{path}:{line_no}: unknown rule {rule_id!r}")
-            if setting == "enabled":
-                if flag is None:
-                    raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
-                (enabled if flag else disabled).add(rule_id)
-            elif value not in SEVERITY_RANK:
-                raise ValueError(f"{path}:{line_no}: bad severity {value!r}")
+        kind, _, rest = key.partition(".")
+        name, _, last = rest.rpartition(".")
+        slot = (kind, last)  # ("rule", "severity") for rule.LEMMA.*.severity
+        if eq and slot == ("lexicon", "path") and name in _WORD_LISTS:
+            # read outside the try, so that its errors name the word list
+            lines = _read_word_list(os.path.join(base, value))
+        try:
+            if not eq:
+                raise ValueError("expected key=value")
+            if slot == ("rule", "severity"):
+                change = {"severity_overrides": {**cfg.severity_overrides,
+                                                 name: value}}
+            elif slot == ("rule", "enabled"):
+                toggles = "disabled_rules" if flag is False else "enabled_rules"
+                change = {toggles: getattr(cfg, toggles) | {name}}
+            elif slot == ("lexicon", "path") and name == "tokenizer":
+                change = {"tokenizer_lexicon_path": os.path.join(base, value)}
+            elif slot == ("lexicon", "path"):
+                if name not in _WORD_LISTS:
+                    raise ValueError(f"unknown lexicon {name!r}")
+                field, shape = _WORD_LISTS[name]
+                change = {field: shape(lines)}
+            elif key in ("guideline_version", "typo_column"):
+                change = {key: value}
+            elif key == "punct_lemma_exempt":
+                change = {key: flag}
             else:
-                overrides[rule_id] = value
-        elif key.startswith("lexicon.") and key.endswith(".path"):
-            name = key[len("lexicon."):-len(".path")]
-            if name == "tokenizer":
-                fields["tokenizer_lexicon_path"] = os.path.join(base, value)
-                continue
-            if name not in lexicon_fields:
-                raise ValueError(f"{path}:{line_no}: unknown lexicon {name!r}")
-            attr, shape = lexicon_fields[name]
-            entries = _read_word_list(os.path.join(base, value))
-            if shape == "set":
-                fields[attr] = frozenset(entries)
-            elif shape == "tuple":
-                fields[attr] = tuple(entries)
-            else:
-                fields[attr] = tuple(tuple(e.split()) for e in entries)
-        elif key == "guideline_version":
-            if not VERSION_RE.fullmatch(value):
-                raise ValueError(f"{path}:{line_no}: bad guideline_version "
-                                 f"{value!r}")
-            fields["guideline_version"] = value
-        elif key == "typo_column":
-            if value not in ("feats", "misc", "either"):
-                raise ValueError(f"{path}:{line_no}: bad typo_column {value!r}")
-            fields["typo_column"] = value
-        elif key == "punct_lemma_exempt":
-            if flag is None:
-                raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
-            fields["punct_lemma_exempt"] = flag
-        else:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-
-    return LintConfig(severity_overrides=overrides,
-                      disabled_rules=frozenset(disabled),
-                      enabled_rules=frozenset(enabled),
-                      **fields)  # type: ignore[arg-type]
+                raise ValueError(f"unknown key {key!r}")
+            cfg = cfg._replace(**change)
+            # a boolean is checked after the rule id it sets
+            if flag is None and (slot == ("rule", "enabled")
+                                 or key == "punct_lemma_exempt"):
+                raise ValueError(f"bad boolean {value!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return cfg
 
 
 def _read_word_list(path: str) -> list[str]:

@@ -4,6 +4,8 @@ import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maibaam_lint
 from maibaam_lint.cli import lint_documents
@@ -12,6 +14,7 @@ from maibaam_lint.metadata import validate_metadata
 from maibaam_lint.rules import (
     DEPRELS,
     RULES,
+    RULE_FAMILIES,
     RULES_BY_ID,
     UPOS_TAGS,
     LintConfig,
@@ -611,6 +614,62 @@ def test_load_config_error_messages(tmp_path, line, message):
     with pytest.raises(ValueError) as exc:
         load_config(str(conf))
     assert str(exc.value) == f"{conf}:2: {message}"
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"guideline_version": "2.17a"}, "bad guideline_version '2.17a'"),
+    ({"disabled_rules": frozenset({"REL.FIXD"})}, "unknown rule 'REL.FIXD'"),
+    ({"enabled_rules": frozenset({"REL"})}, "unknown rule 'REL'"),
+    ({"severity_overrides": {"META.*": "fatal"}}, "bad severity 'fatal'"),
+    ({"severity_overrides": {"META": "review"}}, "unknown rule 'META'"),
+    ({"typo_column": "feat"}, "bad typo_column 'feat'"),
+])
+def test_lint_config_checks_what_it_is_given(settings, message):
+    # the same checks, and messages, as a config file gets, without the
+    # file and line
+    with pytest.raises(ValueError) as exc:
+        LintConfig(**settings)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        LintConfig()._replace(**settings)
+    assert str(exc.value) == message
+
+
+def test_load_config_locates_a_rule_setting_without_an_id(tmp_path):
+    conf = tmp_path / "lint.conf"
+    for line in ("rule.severity=review", "rule.enabled=false"):
+        conf.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_config(str(conf))
+        assert str(exc.value) == f"{conf}:1: unknown rule ''"
+
+
+def _setting_by_loops(cfg, rule_id):
+    """severity and enabling as separate lookups: exact id, then family."""
+    keys = (rule_id, rule_id.split(".")[0] + ".*")
+    enabled = next((key in cfg.enabled_rules for key in keys
+                    if key in cfg.enabled_rules | cfg.disabled_rules), True)
+    severity = next((cfg.severity_overrides[key] for key in keys
+                     if key in cfg.severity_overrides),
+                    RULES_BY_ID[rule_id].default_severity)
+    return severity, enabled
+
+
+SETTING_KEYS = sorted(RULES_BY_ID) + sorted(RULE_FAMILIES)
+
+
+@given(st.dictionaries(st.sampled_from(SETTING_KEYS),
+                       st.sampled_from(("error", "warning", "review"))),
+       st.frozensets(st.sampled_from(SETTING_KEYS)),
+       st.frozensets(st.sampled_from(SETTING_KEYS)))
+def test_rule_settings_resolve_as_exact_id_then_family(overrides, disabled,
+                                                       enabled):
+    cfg = LintConfig(severity_overrides=overrides, disabled_rules=disabled,
+                     enabled_rules=enabled)
+    for rule_id in RULES_BY_ID:
+        assert (cfg.severity(rule_id), cfg.rule_enabled(rule_id)) == \
+            _setting_by_loops(cfg, rule_id)
+    assert cfg.enabled_ids == {r for r in RULES_BY_ID if cfg.rule_enabled(r)}
 
 
 def test_load_config_resolves_lexicon_paths_against_its_directory(tmp_path):
