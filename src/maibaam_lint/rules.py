@@ -231,6 +231,12 @@ class LintConfig(_Record):
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        """Pickled and copied by the constructor, and so through its checks;
+        the read-only severity_overrides travels as a plain dict."""
+        rest = (getattr(self, name) for name in self._fields[1:])
+        return type(self), (dict(self.severity_overrides), *rest)
+
     def rule_enabled(self, rule_id: str) -> bool:
         return rule_id in self.enabled_ids
 

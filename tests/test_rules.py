@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import re
 import unicodedata
 from pathlib import Path
@@ -549,6 +551,24 @@ def test_rule_table_is_not_compared_or_shown():
     assert stale == cfg
     assert repr(stale) == repr(cfg)
     assert stale._replace().rule_table == cfg.rule_table
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda cfg: pickle.loads(pickle.dumps(cfg)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_lint_config_pickles_and_copies(duplicate):
+    cfg = LintConfig(severity_overrides={"META.*": "review"},
+                     disabled_rules=frozenset({"LEMMA.*"}),
+                     enabled_rules=frozenset({"LEMMA.NIMMA"}),
+                     guideline_version="2.16")
+    twin = duplicate(cfg)
+    assert twin == cfg and twin is not cfg
+    assert twin.rule_table == cfg.rule_table
+    assert twin.enabled_ids == cfg.enabled_ids
+    with pytest.raises(TypeError):
+        twin.severity_overrides["META.*"] = "error"
 
 
 def test_rule_enabled_resolution_order():
