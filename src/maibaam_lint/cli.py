@@ -1,7 +1,8 @@
 """Command-line frontend: lint, tokenize, stats and list-rules.
 
 Exit codes: 0 clean, 1 findings at or above --fail-level, 2 I/O or parse
-failure. Reports are byte-deterministic for fixed inputs and config,
+failure, 141 standard output closed early (as for a writer killed by
+SIGPIPE). Reports are byte-deterministic for fixed inputs and config,
 independent of file order.
 """
 
@@ -407,13 +408,22 @@ def run(argv: list[str] | None = None, output=None, errout=None) -> int:
                 "list-rules": cmd_list_rules}
     try:
         return handlers[opts.subcommand](opts)
+    except BrokenPipeError:
+        raise  # the reader stopped early; the inputs are not at fault
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=opts.errout)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the exit flush writes to devnull instead and so cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, what a shell reports for such a writer
+    sys.exit(code)
 
 
 if __name__ == "__main__":

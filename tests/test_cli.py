@@ -558,6 +558,21 @@ def test_console_entry_point_runs():
     assert "VOCAB.UPOS" in proc.stdout
 
 
+def test_closed_output_pipe_exits_141_without_an_error_line(tmp_path):
+    # about 5 MB of output, far more than a pipe holds, so the program is
+    # still writing when the reader goes away
+    text = tmp_path / "big.txt"
+    text.write_text("zum Beispiel\n" * 50_000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "maibaam_lint.cli", "tokenize", str(text)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    assert proc.stdout.readline() == b"# sent_id = big-1\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141
+    proc.stderr.close()
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # measured against a bare interpreter, so that modules a site-packages
     # .pth file loads do not count
