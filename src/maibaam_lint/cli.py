@@ -133,10 +133,9 @@ class _LintRun:
                 located.append((sid, s.file, s.line))
             if counts is not None:
                 _count_sentence(counts, s)
-        if doc.bom and cfg.rule_enabled("CORE.BOM"):
-            diags.append(finding(cfg, first or Sentence(file=doc.file),
-                                 "CORE.BOM",
-                                 "byte-order mark stripped from input", line=1))
+        if doc.bom:
+            finding(diags, cfg, first or Sentence(file=doc.file), "CORE.BOM",
+                    "byte-order mark stripped from input", line=1)
         self.diags.extend(diags)
         self.files.append(doc.file)
         for sid, file, line in located:

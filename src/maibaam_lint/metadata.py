@@ -36,7 +36,8 @@ def validate_metadata(s: Sentence,
     Emits META.MISSING per absent required key, META.GENRE / META.DIALECT /
     META.DIALECT_ORDER for bad values, META.SOURCE for non-URL sources of
     wiki/social sentences, and META.TEXT_MISMATCH when the text metadata
-    does not equal the reconstructed token surface, in that order.
+    does not equal the reconstructed token surface, in that order; a rule
+    the config disables emits nothing.
     sent_id uniqueness is a cross-file concern, see check_unique_sent_ids.
     """
     cfg = cfg or LintConfig()
@@ -45,13 +46,13 @@ def validate_metadata(s: Sentence,
 
     for key, message in _MISSING_MESSAGES:
         if key not in meta:
-            diags.append(finding(cfg, s, "META.MISSING", message))
+            finding(diags, cfg, s, "META.MISSING", message)
 
     genre = meta.get("genre")
     if genre is not None and genre not in cfg.genre_vocab:
         allowed = ", ".join(sorted(cfg.genre_vocab))
-        diags.append(finding(cfg, s, "META.GENRE",
-                             f"genre {genre!r} not in {{{allowed}}}"))
+        finding(diags, cfg, s, "META.GENRE",
+                f"genre {genre!r} not in {{{allowed}}}")
 
     dialect = meta.get("dialect_group")
     order = cfg.dialect_order
@@ -61,30 +62,27 @@ def validate_metadata(s: Sentence,
         members = m.group(1).split("/") if m else []
         indices = [order.index(g) for g in members if g in order]
         if not members or len(indices) < len(members):
-            diags.append(finding(cfg, s, "META.DIALECT",
-                                 f"unknown dialect_group {dialect!r}"))
+            finding(diags, cfg, s, "META.DIALECT",
+                    f"unknown dialect_group {dialect!r}")
         elif indices != sorted(set(indices)):
-            diags.append(finding(cfg, s, "META.DIALECT_ORDER",
-                                 f"dialect groups in {dialect!r} must be listed "
-                                 f"north to south"))
+            finding(diags, cfg, s, "META.DIALECT_ORDER",
+                    f"dialect groups in {dialect!r} must be listed "
+                    f"north to south")
 
     source = meta.get("source")
     if genre in URL_GENRES and source is not None and \
             not _is_absolute_url(source):
-        diags.append(finding(cfg, s, "META.SOURCE",
-                             f"source for genre {genre!r} should be an absolute "
-                             f"URL, got {source!r}"))
+        finding(diags, cfg, s, "META.SOURCE",
+                f"source for genre {genre!r} should be an absolute "
+                f"URL, got {source!r}")
 
     text = meta.get("text")
     if text is not None and s.tokens:
         rebuilt = reconstruct_text(s)
         if rebuilt != text:
-            diags.append(finding(cfg, s, "META.TEXT_MISMATCH",
-                                 f"text metadata {text!r} differs from token "
-                                 f"surface {rebuilt!r}"))
-
-    if cfg.disabled_rules:
-        diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
+            finding(diags, cfg, s, "META.TEXT_MISMATCH",
+                    f"text metadata {text!r} differs from token "
+                    f"surface {rebuilt!r}")
     return diags
 
 
@@ -97,10 +95,11 @@ def check_unique_sent_ids(duplicates: Mapping[str, list[tuple[str, int]]],
     mapping's order, the same set whatever the file order.
     """
     cfg = cfg or LintConfig()
-    if not cfg.rule_enabled("META.DUP_ID"):
-        return []
-    return [finding(cfg, Sentence(file=file, line=line,
-                                  metadata=[("sent_id", sid)]),
+    diags: list[Diagnostic] = []
+    for sid, located in duplicates.items():
+        for file, line in located:
+            finding(diags, cfg, Sentence(file=file, line=line,
+                                         metadata=[("sent_id", sid)]),
                     "META.DUP_ID",
                     f"sent_id {sid!r} occurs {len(located)} times in this run")
-            for sid, located in duplicates.items() for file, line in located]
+    return diags

@@ -349,10 +349,15 @@ def _read_word_list(path: str) -> list[str]:
     return entries
 
 
-def finding(cfg: LintConfig, s: Sentence, rule_id: str, message: str,
-            token: Token | None = None, line: int | None = None) -> Diagnostic:
-    """The one constructor of sentence findings: severity and citation from
-    the config's rule table, location from the token or sentence."""
+def finding(out: list[Diagnostic], cfg: LintConfig, s: Sentence,
+            rule_id: str, message: str, token: Token | None = None,
+            line: int | None = None) -> None:
+    """The one constructor of findings, and the one place that decides
+    whether a finding exists: appends it to out unless the config disables
+    its rule. Severity and citation come from the config's rule table,
+    location from the token or sentence."""
+    if rule_id not in cfg.enabled_ids:
+        return
     severity, ref = cfg.rule_table[rule_id]
     if token is None:
         token_id = None
@@ -362,8 +367,8 @@ def finding(cfg: LintConfig, s: Sentence, rule_id: str, message: str,
         token_id = token.id
         if line is None:
             line = token.line
-    return Diagnostic(rule_id, severity, s.file, line, s.sent_id, token_id,
-                      message, ref)
+    out.append(Diagnostic(rule_id, severity, s.file, line, s.sent_id,
+                          token_id, message, ref))
 
 
 def validate_structure(s: Sentence,
@@ -378,22 +383,22 @@ def validate_structure(s: Sentence,
 
     roots = [t for t in s.tokens if t.head == 0]
     if n and not roots:
-        diags.append(finding(cfg, s, "STRUCT.NO_ROOT", "no token has head 0"))
+        finding(diags, cfg, s, "STRUCT.NO_ROOT", "no token has head 0")
     elif len(roots) > 1:
         ids = ", ".join(str(t.id) for t in roots)
-        diags.append(finding(cfg, s, "STRUCT.MULTI_ROOT",
-                             f"{len(roots)} tokens have head 0 (ids {ids})"))
+        finding(diags, cfg, s, "STRUCT.MULTI_ROOT",
+                f"{len(roots)} tokens have head 0 (ids {ids})")
 
     for t in s.tokens:
         if t.head > n:
-            diags.append(finding(cfg, s, "STRUCT.HEAD_RANGE",
-                                 f"head {t.head} exceeds sentence length {n}", t))
+            finding(diags, cfg, s, "STRUCT.HEAD_RANGE",
+                    f"head {t.head} exceeds sentence length {n}", t)
         if t.head == 0 and t.deprel != "root":
-            diags.append(finding(cfg, s, "STRUCT.ROOT_DEPREL",
-                                 f'head 0 requires deprel "root", got "{t.deprel}"', t))
+            finding(diags, cfg, s, "STRUCT.ROOT_DEPREL",
+                    f'head 0 requires deprel "root", got "{t.deprel}"', t)
         if 1 <= t.head <= n and s.tokens[t.head - 1].upos == "PUNCT":
-            diags.append(finding(cfg, s, "STRUCT.PUNCT_CHILD",
-                                 f"token headed by punctuation token {t.head}", t))
+            finding(diags, cfg, s, "STRUCT.PUNCT_CHILD",
+                    f"token headed by punctuation token {t.head}", t)
 
     # Cycle detection over the head map; heads out of range end their chain.
     state = [0] * (n + 1)  # 0 unvisited, 1 on stack, 2 done
@@ -413,17 +418,17 @@ def validate_structure(s: Sentence,
         for visited in path:
             state[visited] = 2
     for anchor in sorted(cycle_starts):
-        diags.append(finding(cfg, s, "STRUCT.CYCLE",
-                             f"head chain through token {anchor} revisits itself",
-                             s.tokens[anchor - 1]))
+        finding(diags, cfg, s, "STRUCT.CYCLE",
+                f"head chain through token {anchor} revisits itself",
+                s.tokens[anchor - 1])
 
     covered: list[tuple[int, int, MwtSpan]] = sorted(
         (span.first_id, span.last_id, span) for span in s.mwt_spans)
     for (f1, l1, _), (f2, l2, span2) in zip(covered, covered[1:]):
         if f2 <= l1:
-            diags.append(finding(cfg, s, "STRUCT.MWT_OVERLAP",
-                                 f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
-                                 line=span2.line or s.line))
+            finding(diags, cfg, s, "STRUCT.MWT_OVERLAP",
+                    f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
+                    line=span2.line or s.line)
     return diags
 
 
@@ -456,10 +461,12 @@ def _follow(head: Token, deps: list[Token]) -> bool:
 
 def rule_upos_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """VOCAB.UPOS: every UPOS value is one of the 17 universal tags."""
-    return [
-        finding(cfg, s, "VOCAB.UPOS", f"unknown UPOS tag {t.upos!r}", t)
-        for t in s.tokens if t.upos not in UPOS_TAGS
-    ]
+    diags = []
+    for t in s.tokens:
+        if t.upos not in UPOS_TAGS:
+            finding(diags, cfg, s, "VOCAB.UPOS",
+                    f"unknown UPOS tag {t.upos!r}", t)
+    return diags
 
 
 def rule_deprel_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
@@ -467,11 +474,11 @@ def rule_deprel_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for t in s.tokens:
         if t.deprel not in DEPRELS:
-            diags.append(finding(cfg, s, "VOCAB.DEPREL",
-                                 f"unknown deprel {t.deprel!r}", t))
+            finding(diags, cfg, s, "VOCAB.DEPREL",
+                    f"unknown deprel {t.deprel!r}", t)
         elif t.deprel == "root" and t.head != 0:
-            diags.append(finding(cfg, s, "VOCAB.DEPREL",
-                                 f'deprel "root" on token with head {t.head}', t))
+            finding(diags, cfg, s, "VOCAB.DEPREL",
+                    f'deprel "root" on token with head {t.head}', t)
     return diags
 
 
@@ -489,9 +496,9 @@ def rule_copula(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.deprel == "cop":
             lemma = _checkable_lemma(t)
             if lemma is not None and lemma not in cfg.copula_lemmas:
-                diags.append(finding(cfg, s, "CLASS.COP",
-                                     f"copula lemma {lemma!r} is not allowed; "
-                                     f"verbs like werden/bleiben are full verbs", t))
+                finding(diags, cfg, s, "CLASS.COP",
+                        f"copula lemma {lemma!r} is not allowed; "
+                        f"verbs like werden/bleiben are full verbs", t)
     return diags
 
 
@@ -502,9 +509,9 @@ def rule_part_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.upos == "PART":
             lemma = _checkable_lemma(t)
             if lemma is not None and lemma not in cfg.part_lemmas:
-                diags.append(finding(cfg, s, "CLASS.PART",
-                                     f"PART with lemma {lemma!r}; modal particles "
-                                     f"are tagged ADV", t))
+                finding(diags, cfg, s, "CLASS.PART",
+                        f"PART with lemma {lemma!r}; modal particles "
+                        f"are tagged ADV", t)
     return diags
 
 
@@ -515,9 +522,9 @@ def rule_aux_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.upos == "AUX":
             lemma = _checkable_lemma(t)
             if lemma is not None and lemma not in cfg.aux_lemmas:
-                diags.append(finding(cfg, s, "CLASS.AUX",
-                                     f"AUX with lemma {lemma!r} outside the "
-                                     f"auxiliary set", t))
+                finding(diags, cfg, s, "CLASS.AUX",
+                        f"AUX with lemma {lemma!r} outside the "
+                        f"auxiliary set", t)
     return diags
 
 
@@ -539,22 +546,21 @@ def rule_fixed_whitelist(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if head is None:
             continue
         if not _follow(head, deps):
-            diags.append(finding(cfg, s, "REL.FIXED",
-                                 "fixed dependents must immediately follow "
-                                 "their head", deps[0]))
+            finding(diags, cfg, s, "REL.FIXED",
+                    "fixed dependents must immediately follow "
+                    "their head", deps[0])
             continue
         span = [head] + deps
         words = " ".join(t.form for t in span)
         if any(_matches_sequence(span, e) for e in cfg.fixed_versioned):
             if cfg.version_at_least("2.17"):
-                diags.append(finding(cfg, s, "REL.FIXED",
-                                     f'"{words}" is no longer annotated as a '
-                                     f"fixed expression", head))
+                finding(diags, cfg, s, "REL.FIXED",
+                        f'"{words}" is no longer annotated as a '
+                        f"fixed expression", head)
             continue
         if not any(_matches_sequence(span, e) for e in cfg.fixed_whitelist):
-            diags.append(finding(cfg, s, "REL.FIXED",
-                                 f'"{words}" is not a whitelisted fixed '
-                                 f"expression", head))
+            finding(diags, cfg, s, "REL.FIXED",
+                    f'"{words}" is not a whitelisted fixed expression', head)
     return diags
 
 
@@ -564,25 +570,23 @@ def rule_goeswith_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     for head_id, deps in sorted(_dependents(s, "goeswith").items()):
         head = s.token_by_id(head_id)
         if head is None:
-            diags.append(finding(cfg, s, "REL.GOESWITH",
-                                 "goeswith dependent without a head token",
-                                 deps[0]))
+            finding(diags, cfg, s, "REL.GOESWITH",
+                    "goeswith dependent without a head token", deps[0])
             continue
         if not _follow(head, deps):
-            diags.append(finding(cfg, s, "REL.GOESWITH",
-                                 "goeswith parts must contiguously follow "
-                                 "their head", deps[0]))
+            finding(diags, cfg, s, "REL.GOESWITH",
+                    "goeswith parts must contiguously follow "
+                    "their head", deps[0])
         if not _has_typo_flag(head, cfg):
-            diags.append(finding(cfg, s, "REL.GOESWITH",
-                                 "goeswith head must carry Typo=Yes", head))
+            finding(diags, cfg, s, "REL.GOESWITH",
+                    "goeswith head must carry Typo=Yes", head)
         if head.german_lemma is None:
-            diags.append(finding(cfg, s, "REL.GOESWITH",
-                                 "goeswith head carries the lemma of the whole "
-                                 "word", head))
+            finding(diags, cfg, s, "REL.GOESWITH",
+                    "goeswith head carries the lemma of the whole word", head)
         for d in deps:
             if d.german_lemma is not None:
-                diags.append(finding(cfg, s, "REL.GOESWITH",
-                                     "goeswith dependents are not lemmatized", d))
+                finding(diags, cfg, s, "REL.GOESWITH",
+                        "goeswith dependents are not lemmatized", d)
     return diags
 
 
@@ -596,17 +600,17 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
                 continue
             if t.upos == "PUNCT" and cfg.punct_lemma_exempt:
                 continue
-            diags.append(finding(cfg, s, "LEMMA.MISSING",
-                                 "token has no GermanLemma", t))
+            finding(diags, cfg, s, "LEMMA.MISSING",
+                    "token has no GermanLemma", t)
         elif t.form.casefold() == "nimma" and lemma != "nicht mehr":
-            diags.append(finding(cfg, s, "LEMMA.NIMMA",
-                                 f'"nimma" must be lemmatized "nicht mehr", '
-                                 f"got {lemma!r}", t))
+            finding(diags, cfg, s, "LEMMA.NIMMA",
+                    f'"nimma" must be lemmatized "nicht mehr", '
+                    f"got {lemma!r}", t)
     for span in s.mwt_spans:
         if span.misc_value("GermanLemma") is not None:
-            diags.append(finding(cfg, s, "LEMMA.ON_MWT",
-                                 "multi-word token lines carry no lemma",
-                                 line=span.line or s.line))
+            finding(diags, cfg, s, "LEMMA.ON_MWT",
+                    "multi-word token lines carry no lemma",
+                    line=span.line or s.line)
     return diags
 
 
@@ -618,14 +622,13 @@ def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         correct_space = column_value(t.misc, "CorrectSpaceAfter")
         if correct_space == "Yes" and \
                 column_value(t.misc, "SpaceAfter") != "No":
-            diags.append(finding(cfg, s, "TYPO.CORRECT_SPACE",
-                                 "CorrectSpaceAfter=Yes requires SpaceAfter=No "
-                                 "on the same token", t))
+            finding(diags, cfg, s, "TYPO.CORRECT_SPACE",
+                    "CorrectSpaceAfter=Yes requires SpaceAfter=No "
+                    "on the same token", t)
         if correct_space is None and t.id not in heads_with_goeswith and \
                 _has_typo_flag(t, cfg):
-            diags.append(finding(cfg, s, "TYPO.REVIEW",
-                                 "Typo=Yes without goeswith parts: check the "
-                                 "form", t))
+            finding(diags, cfg, s, "TYPO.REVIEW",
+                    "Typo=Yes without goeswith parts: check the form", t)
     return diags
 
 
@@ -634,18 +637,17 @@ def rule_mwt_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for span in s.mwt_spans:
         if span.last_id == span.first_id or span.last_id > len(s.tokens):
-            diags.append(finding(cfg, s, "MWT.SURFACE",
-                                 f"range {span.first_id}-{span.last_id} must "
-                                 f"cover at least two tokens",
-                                 line=span.line or s.line))
+            finding(diags, cfg, s, "MWT.SURFACE",
+                    f"range {span.first_id}-{span.last_id} must "
+                    f"cover at least two tokens", line=span.line or s.line)
             continue
         covered = "".join(t.form for t in s.tokens[span.first_id - 1:span.last_id])
         if covered != span.surface_form:
-            diags.append(finding(cfg, s, "MWT.SURFACE",
-                                 f"token forms {covered!r} do not concatenate to "
-                                 f"surface {span.surface_form!r} (split into "
-                                 f"substrings, do not normalize)",
-                                 line=span.line or s.line))
+            finding(diags, cfg, s, "MWT.SURFACE",
+                    f"token forms {covered!r} do not concatenate to "
+                    f"surface {span.surface_form!r} (split into "
+                    f"substrings, do not normalize)",
+                    line=span.line or s.line)
     return diags
 
 
@@ -655,17 +657,16 @@ def rule_placeholder_tags(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     for t in s.tokens:
         if t.form == "USERNAME":
             if t.upos != "PROPN":
-                diags.append(finding(cfg, s, "CLASS.USERNAME",
-                                     f"USERNAME must be PROPN, got {t.upos}", t))
+                finding(diags, cfg, s, "CLASS.USERNAME",
+                        f"USERNAME must be PROPN, got {t.upos}", t)
         elif t.form in cfg.placeholder_x_forms and t.upos != "X":
-            diags.append(finding(cfg, s, "CLASS.PLACEHOLDER",
-                                 f"{t.form!r} looks like a dummy placeholder; "
-                                 f"those are tagged X", t))
+            finding(diags, cfg, s, "CLASS.PLACEHOLDER",
+                    f"{t.form!r} looks like a dummy placeholder; "
+                    f"those are tagged X", t)
         elif t.form in cfg.placeholder_sym_forms and \
                 t.upos not in ("SYM", "PUNCT"):
-            diags.append(finding(cfg, s, "CLASS.PLACEHOLDER",
-                                 f"{t.form!r} used as a name placeholder is "
-                                 f"tagged SYM", t))
+            finding(diags, cfg, s, "CLASS.PLACEHOLDER",
+                    f"{t.form!r} used as a name placeholder is tagged SYM", t)
     return diags
 
 
@@ -676,13 +677,13 @@ def rule_relative_marker(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.deprel != "mark":
             continue
         if t.upos == "PRON":
-            diags.append(finding(cfg, s, "REL.RELMARK",
-                                 "PRON with deprel mark: relative markers are "
-                                 "SCONJ, relative pronouns take nsubj/obj/...", t))
+            finding(diags, cfg, s, "REL.RELMARK",
+                    "PRON with deprel mark: relative markers are "
+                    "SCONJ, relative pronouns take nsubj/obj/...", t)
         elif t.form.casefold() in cfg.relative_markers and t.upos != "SCONJ":
-            diags.append(finding(cfg, s, "REL.RELMARK",
-                                 f"relative marker {t.form!r} must be SCONJ, "
-                                 f"got {t.upos}", t))
+            finding(diags, cfg, s, "REL.RELMARK",
+                    f"relative marker {t.form!r} must be SCONJ, "
+                    f"got {t.upos}", t)
     return diags
 
 
@@ -691,14 +692,14 @@ def rule_review_hints(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for t in s.tokens:
         if t.deprel == "iobj":
-            diags.append(finding(cfg, s, "REVIEW.IOBJ",
-                                 "iobj is reserved for the rare second "
-                                 "accusative; dative objects take obl:arg", t))
+            finding(diags, cfg, s, "REVIEW.IOBJ",
+                    "iobj is reserved for the rare second "
+                    "accusative; dative objects take obl:arg", t)
         if t.deprel == "appos":
             head = s.token_by_id(t.head)
             if head is not None and head.id > t.id:
-                diags.append(finding(cfg, s, "REVIEW.APPOS_ORDER",
-                                     "apposition precedes its head", t))
+                finding(diags, cfg, s, "REVIEW.APPOS_ORDER",
+                        "apposition precedes its head", t)
     return diags
 
 
@@ -714,17 +715,15 @@ def rule_core_columns(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if t.feats_col not in ("_", "Typo=Yes"):
             unexpected.append("FEATS")
         if unexpected:
-            diags.append(finding(cfg, s, "CORE.COLUMNS",
-                                 f"unexpected content in {'/'.join(unexpected)}; "
-                                 f"annotations live in UPOS, HEAD, DEPREL and "
-                                 f"MISC", t))
+            finding(diags, cfg, s, "CORE.COLUMNS",
+                    f"unexpected content in {'/'.join(unexpected)}; "
+                    f"annotations live in UPOS, HEAD, DEPREL and MISC", t)
         if t.deps_col != "_":
-            diags.append(finding(cfg, s, "CORE.ENHANCED_UNSUPPORTED",
-                                 "enhanced dependencies are not annotated", t))
+            finding(diags, cfg, s, "CORE.ENHANCED_UNSUPPORTED",
+                    "enhanced dependencies are not annotated", t)
     for node in s.empty_nodes:
-        diags.append(finding(cfg, s, "CORE.ENHANCED_UNSUPPORTED",
-                             "empty nodes are not annotated",
-                             line=node.line or s.line))
+        finding(diags, cfg, s, "CORE.ENHANCED_UNSUPPORTED",
+                "empty nodes are not annotated", line=node.line or s.line)
     return diags
 
 
@@ -747,14 +746,12 @@ SENTENCE_RULES = (
 
 
 def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic]:
-    """Run all enabled rules plus structural validation on one sentence.
-
+    """Run structural validation and every sentence rule on one sentence.
+    A rule the config disables has no findings here, as in each check.
     Findings come in check order; reports sort them by Diagnostic.sort_key.
     """
     cfg = cfg or LintConfig()
     diags = validate_structure(s, cfg)
     for rule in SENTENCE_RULES:
         diags.extend(rule(s, cfg))
-    if cfg.disabled_rules:
-        diags = [d for d in diags if cfg.rule_enabled(d.rule_id)]
     return diags

@@ -6,7 +6,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maibaam_lint
@@ -797,7 +797,7 @@ def _finding_ids() -> tuple[dict[str, set[str]], list[str]]:
     emitters: dict[str, set[str]] = {}
     computed = []
     for scope, node in _calls("finding"):
-        args = node.args[2:3] + [k.value for k in node.keywords
+        args = node.args[3:4] + [k.value for k in node.keywords
                                  if k.arg == "rule_id"]
         if len(args) == 1 and isinstance(args[0], ast.Constant) \
                 and isinstance(args[0].value, str):
@@ -870,3 +870,104 @@ def test_source_has_no_invisible_characters():
                  path.read_text(encoding="utf-8").splitlines(), start=1)
              if any(unicodedata.category(c) == "Cf" for c in line)]
     assert found == []
+
+
+# three sentences on which each sentence check emits every one of its ids
+FAULTY = """\
+# sent_id = f1
+# text = nicht passend
+# genre = blog
+# dialect_group = unk (south/north)
+# source = x
+1-3\tzum\t_\t_\t_\t_\t_\t_\t_\tGermanLemma=zu dem
+1\tz\t_\tNOUN\t_\t_\t2\tnsubj\t_\tGermanLemma=z
+2-3\tmer\t_\t_\t_\t_\t_\t_\t_\t_
+2\tx\t_\tVERB\t_\t_\t1\tobj\t_\tGermanLemma=x
+3\t.\t_\tPUNCT\t_\t_\t9\tpunct\t_\t_
+4\tb\t_\tADV\t_\t_\t3\tdep\t_\tGermanLemma=b
+5\tnimma\t_\tADV\t_\t_\t0\tadvmod\t_\tGermanLemma=nie
+
+# sent_id = f2
+# text = x
+# genre = wiki
+# dialect_group = nowhere
+# location = Minga
+# source = no-url
+1\tis\tsein\tAUX\tVAFIN\tCase=Nom\t0\troot\t2:dep\tGermanLemma=sein
+2\twird\t_\tVERB\t_\t_\t0\troot\t_\tGermanLemma=werden
+3\twird\t_\tAUX\t_\t_\t2\tcop\t_\tGermanLemma=werden
+4\tja\t_\tPART\t_\t_\t2\tadvmod\t_\tGermanLemma=ja
+5\tsoin\t_\tAUX\t_\t_\t2\taux\t_\tGermanLemma=sollten
+6\tUSERNAME\t_\tNOUN\t_\t_\t2\tnsubj\t_\tGermanLemma=USERNAME
+7\tXYZ\t_\tNOUN\t_\t_\t2\tobj\t_\tGermanLemma=XYZ
+8\t…\t_\tNOUN\t_\t_\t2\tobj\t_\tGermanLemma=…
+9\tdea\t_\tPRON\t_\t_\t2\tmark\t_\tGermanLemma=der
+10\two\t_\tADV\t_\t_\t2\tmark\t_\tGermanLemma=wo
+11\tihm\t_\tPRON\t_\t_\t2\tiobj\t_\tGermanLemma=er
+12\tHans\t_\tPROPN\t_\t_\t13\tappos\t_\tGermanLemma=Hans
+13\tMo\t_\tNOUN\t_\t_\t2\tobj\t_\tGermanLemma=Mann
+14\tgroß\t_\tADJD\t_\t_\t2\tfoo\t_\tGermanLemma=groß
+15\tda\t_\tADV\t_\t_\t2\troot\t_\tGermanLemma=da
+16\tund\t_\tCCONJ\t_\t_\t2\tcc\t_\tGermanLemma=und
+17\tzwoa\t_\tADV\t_\t_\t19\tfixed\t_\tGermanLemma=zwar
+18\tgeht\t_\tVERB\t_\t_\t2\tconj\t_\tGermanLemma=gehen|CorrectSpaceAfter=Yes
+19\tfoi\t_\tADV\t_\t_\t2\tadvmod\t_\tGermanLemma=voll|Typo=Yes
+20\tge\t_\tX\t_\t_\t2\tgoeswith\t_\tGermanLemma=ge
+20.1\tis\t_\tAUX\t_\t_\t_\t_\t0:root\t_
+
+# sent_id = f3
+1\ta\t_\tNOUN\t_\t_\t1\tdep\t_\t_
+
+"""
+
+# each check a caller can run directly: all but the document-level CORE.BOM
+DIRECT_CHECKS = sorted(set(CHECK_RULE_IDS) - {"cli._LintRun.add"})
+
+
+def _direct_findings(check: str, cfg: LintConfig) -> list:
+    """The findings of check, a CHECK_RULE_IDS key, called directly: on
+    FAULTY's sentences, or on a sent_id found twice."""
+    module, name = check.split(".")
+    fn = getattr(getattr(maibaam_lint, module), name)
+    if name == "check_unique_sent_ids":
+        return fn({"f1": [("a.conllu", 1), ("b.conllu", 1)]}, cfg)
+    return [d for s in parse_document(FAULTY, "faulty.conllu").sentences
+            for d in fn(s, cfg)]
+
+
+@pytest.mark.parametrize("check", DIRECT_CHECKS)
+def test_a_check_called_directly_emits_no_disabled_rule(check):
+    own = CHECK_RULE_IDS[check]
+    assert {d.rule_id for d in _direct_findings(check, LintConfig())} == own
+    assert _direct_findings(check, LintConfig(disabled_rules=own)) == []
+    families = frozenset(rule_id.split(".")[0] + ".*" for rule_id in own)
+    assert _direct_findings(check, LintConfig(disabled_rules=families)) == []
+    for rule_id in own:
+        cfg = LintConfig(disabled_rules=frozenset({rule_id}))
+        assert {d.rule_id for d in _direct_findings(check, cfg)} == \
+            own - {rule_id}
+
+
+def test_an_id_enabled_in_a_disabled_family_is_emitted():
+    cfg = LintConfig(disabled_rules=frozenset({"LEMMA.*"}),
+                     enabled_rules=frozenset({"LEMMA.NIMMA"}))
+    found = _direct_findings("rules.rule_lemma_conventions", cfg)
+    assert {d.rule_id for d in found} == {"LEMMA.NIMMA"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.frozensets(st.sampled_from(SETTING_KEYS)),
+       st.frozensets(st.sampled_from(SETTING_KEYS)),
+       st.dictionaries(st.sampled_from(SETTING_KEYS),
+                       st.sampled_from(("error", "warning", "review"))))
+def test_enabling_keeps_the_default_findings_of_enabled_ids(golden_text,
+                                                            disabled, enabled,
+                                                            overrides):
+    # what a filter over the default findings would give: those of enabled
+    # ids, each with the severity the config gives its rule
+    cfg = LintConfig(severity_overrides=overrides, disabled_rules=disabled,
+                     enabled_rules=enabled)
+    everything = lint_documents([_faulty_golden(golden_text)], LintConfig())
+    assert lint_documents([_faulty_golden(golden_text)], cfg) == [
+        d._replace(severity=cfg.severity(d.rule_id)) for d in everything
+        if d.rule_id in cfg.enabled_ids]
