@@ -392,7 +392,6 @@ def iter_sentences(text: str, file_name: str = "<string>",
     spans: list[MwtSpan] = []
     empties: list[EmptyNodeLine] = []
     start_line = 0
-    pending_last = 0  # highest token id promised by an open MWT span
     line_no = 0
 
     for lines in chunks:
@@ -400,10 +399,13 @@ def iter_sentences(text: str, file_name: str = "<string>",
             line_no += 1
             if line == "":
                 if tokens:
-                    if pending_last > len(tokens):
-                        raise ParseError("BAD_ID",
-                                         "multiword range exceeds sentence length",
-                                         file_name, spans[-1].line)
+                    # the first range, in input order, that overruns
+                    for span in spans:
+                        if span.last_id > len(tokens):
+                            raise ParseError(
+                                "BAD_ID",
+                                "multiword range exceeds sentence length",
+                                file_name, span.line)
                     metadata = []
                     for c in comments:
                         m = _METADATA_RE.match(c)
@@ -415,7 +417,6 @@ def iter_sentences(text: str, file_name: str = "<string>",
                                    line=start_line)
                     comments, tokens, spans, empties = [], [], [], []
                     start_line = 0
-                    pending_last = 0
                 elif comments:
                     raise ParseError("EMPTY_SENTENCE",
                                      "comment block without token lines",
@@ -473,7 +474,6 @@ def iter_sentences(text: str, file_name: str = "<string>",
                                      f"{len(tokens) + 1}",
                                      file_name, line_no)
                 spans.append(_parsed_span(cols, first, last, line_no))
-                pending_last = max(pending_last, last)
             elif m := _EMPTY_NODE_ID_RE.match(id_field):
                 # the serializer writes empty node N.k right after token N
                 anchor = int(m.group(1))

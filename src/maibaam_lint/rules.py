@@ -196,12 +196,25 @@ class LintConfig(_Record):
     def __init__(self, *args, **kwargs):
         """Takes the fields above by position or name; those left out keep
         their class defaults. A rule id, severity or value a config cannot
-        hold raises ValueError."""
+        hold raises ValueError; a str where a collection belongs, or a
+        punct_lemma_exempt other than True or False, raises TypeError."""
         values = self._bind(args, kwargs)
         # read-only, so that an edit cannot leave rule_table stale
         values["severity_overrides"] = MappingProxyType(
             dict(values.get("severity_overrides", {})))
         self.__dict__.update(values)
+        # a str would pass for the collection of its letters
+        for name, shape in (("disabled_rules", frozenset),
+                            ("enabled_rules", frozenset),
+                            *_WORD_LISTS.values()):
+            value = getattr(self, name)
+            for item in (value, *(value if shape is _sequences else ())):
+                if isinstance(item, str):
+                    raise TypeError(f"{name} got the str {item!r} where it "
+                                    f"takes a collection")
+        if not isinstance(self.punct_lemma_exempt, bool):
+            raise TypeError(f"punct_lemma_exempt must be True or False, not "
+                            f"{self.punct_lemma_exempt!r}")
         for rule_id in (*self.severity_overrides, *self.disabled_rules,
                         *self.enabled_rules):
             if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
@@ -327,13 +340,14 @@ def load_config(path: str) -> LintConfig:
             elif key in ("guideline_version", "typo_column"):
                 change = {key: value}
             elif key == "punct_lemma_exempt":
+                if flag is None:
+                    raise ValueError(f"bad boolean {value!r}")
                 change = {key: flag}
             else:
                 raise ValueError(f"unknown key {key!r}")
             cfg = cfg._replace(**change)
             # a boolean is checked after the rule id it sets
-            if flag is None and (slot == ("rule", "enabled")
-                                 or key == "punct_lemma_exempt"):
+            if flag is None and slot == ("rule", "enabled"):
                 raise ValueError(f"bad boolean {value!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None

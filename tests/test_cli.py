@@ -112,6 +112,22 @@ def test_tsv_report_format(tmp_path):
     assert lines[1].split("\t")[3] == "1"  # token id column
 
 
+def test_tsv_rows_keep_eight_fields(tmp_path):
+    # a tab, LF or CR in a file name or sent_id would add fields or rows
+    f = tmp_path / "x\ty\nz.conllu"
+    f.write_text("# sent_id = a\tb\rc\n"
+                 "1\tHaus\t_\tADJD\t_\t_\t0\troot\t_\tGermanLemma=Haus\n\n",
+                 encoding="utf-8")
+    code, out, err = run_cli(["lint", "--format", "tsv", str(f)])
+    assert (code, err) == (1, "")
+    rows = out.split("\n")
+    assert rows.pop() == ""
+    assert [len(row.split("\t")) for row in rows] == [8] * 7
+    name = str(tmp_path / "x\\ty\\nz.conllu")
+    assert {tuple(row.split("\t")[:3:2]) for row in rows[1:]} == {
+        (name, "a\\tb\\rc")}
+
+
 def test_fail_level_warning(tmp_path):
     f = tmp_path / "w.conllu"
     f.write_text("# sent_id = w-1\n# text = Haus\n"

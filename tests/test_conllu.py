@@ -135,6 +135,11 @@ def test_lines_the_serializer_would_move_are_rejected(text, code, line):
 @pytest.mark.parametrize("text, message", [
     ("1-3\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n" + _line() + _line("2", "1")
      + "\n", "t.conllu:1: BAD_ID: multiword range exceeds sentence length"),
+    # the overrunning range is reported, not the last one read
+    ("1-5\tabc\t_\t_\t_\t_\t_\t_\t_\t_\n" + _line()
+     + "2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n" + _line("2", "1")
+     + _line("3", "1") + "\n",
+     "t.conllu:1: BAD_ID: multiword range exceeds sentence length"),
     (_line() + "3-4\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n" + _line("2", "1")
      + "\n", "t.conllu:2: ID_SEQUENCE: multiword range must start at token 2"),
 ])

@@ -655,6 +655,38 @@ def test_lint_config_checks_what_it_is_given(settings, message):
     assert str(exc.value) == message
 
 
+# the fields that take a collection of words or rule ids
+COLLECTION_FIELDS = (
+    "disabled_rules", "enabled_rules", "copula_lemmas", "part_lemmas",
+    "aux_lemmas", "placeholder_x_forms", "placeholder_sym_forms",
+    "relative_markers", "genre_vocab", "dialect_order", "fixed_whitelist",
+    "fixed_versioned")
+
+
+TYPE_CASES = [
+    *(({name: "sein"}, f"{name} got the str 'sein' where it takes a "
+       f"collection") for name in COLLECTION_FIELDS),
+    *(({name: ("ein paar",)}, f"{name} got the str 'ein paar' where it "
+       f"takes a collection")
+      for name in ("fixed_whitelist", "fixed_versioned")),
+    ({"punct_lemma_exempt": "no"},
+     "punct_lemma_exempt must be True or False, not 'no'"),
+    ({"punct_lemma_exempt": 1},
+     "punct_lemma_exempt must be True or False, not 1"),
+]
+
+
+@pytest.mark.parametrize("settings, message", TYPE_CASES,
+                         ids=[repr(settings) for settings, _ in TYPE_CASES])
+def test_lint_config_checks_the_types_it_is_given(settings, message):
+    # a str passes for the collection of its letters: "se" would be in
+    # copula_lemmas="sein", and "R" an unknown rule in disabled_rules
+    for build in (LintConfig, LintConfig()._replace):
+        with pytest.raises(TypeError) as exc:
+            build(**settings)
+        assert str(exc.value) == message
+
+
 def test_load_config_locates_a_rule_setting_without_an_id(tmp_path):
     conf = tmp_path / "lint.conf"
     for line in ("rule.severity=review", "rule.enabled=false"):
