@@ -199,19 +199,25 @@ def render_human(diags: list[Diagnostic], out) -> None:
         for d in diags)
 
 
-# a tab, LF or CR in a file name or sent_id is written as \t, \n or \r, so
-# that each row keeps its 8 fields
-_TSV_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# a backslash, tab, LF or CR in a file name, sent_id or message is written
+# as \\, \t, \n or \r, so that each row keeps its 8 fields and a reader can
+# undo the escapes; the backslash goes first
+_TSV_ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
+
+
+def _tsv_field(s: str) -> str:
+    for raw, escaped in _TSV_ESCAPES:
+        s = s.replace(raw, escaped)
+    return s
 
 
 def render_tsv(diags: list[Diagnostic], out) -> None:
     out.write("file\tline\tsentence_id\ttoken_id\tseverity\trule_id\tmessage"
               "\tguideline_ref\n")
     out.writelines(
-        f"{d.file.translate(_TSV_ESCAPES)}\t{d.line}\t"
-        f"{d.sentence_id.translate(_TSV_ESCAPES)}\t"
+        f"{_tsv_field(d.file)}\t{d.line}\t{_tsv_field(d.sentence_id)}\t"
         f"{'' if d.token_id is None else d.token_id}\t{d.severity}\t"
-        f"{d.rule_id}\t{d.message}\t{d.guideline_ref or ''}\n"
+        f"{d.rule_id}\t{_tsv_field(d.message)}\t{d.guideline_ref or ''}\n"
         for d in diags)
 
 

@@ -563,6 +563,9 @@ def reconstruct_text(s: Sentence) -> str:
             pieces.append(unit.form)
             i += 1
         misc = unit.misc
-        pieces.append(" " if misc == "_"
-                      or column_value(misc, "SpaceAfter") != "No" else "")
+        if misc == "SpaceAfter=No":  # the tokenizer's glue, read as is
+            pieces.append("")
+        else:
+            pieces.append(" " if misc == "_" or column_value(
+                misc, "SpaceAfter") != "No" else "")
     return "".join(pieces[:-1])

@@ -23,7 +23,10 @@ KIND_MWT = "mwt"
 KIND_SPACE_AFTER_NO = "space_after_no"
 
 APOSTROPHES = "'’´`ʼ"
-_APOSTROPHE_MAP = str.maketrans({c: "'" for c in APOSTROPHES})
+# the apostrophes fold_apostrophes replaces: the ASCII ones, which are all
+# an ASCII string can hold, then all of them
+_ASCII_FOLDS = tuple(c for c in APOSTROPHES if c != "'" and c.isascii())
+_ALL_FOLDS = _ASCII_FOLDS + tuple(c for c in APOSTROPHES if not c.isascii())
 
 LEADING_PUNCT = set("\"„“”«»‹›¿¡([{/")
 TRAILING_PUNCT = set(".,;:!?…\"“”«»‹›)]}/%")
@@ -78,7 +81,10 @@ class EmptyInputError(ValueError):
 
 
 def fold_apostrophes(s: str) -> str:
-    return s.translate(_APOSTROPHE_MAP)
+    """s with every character of APOSTROPHES written as "'"."""
+    for c in _ASCII_FOLDS if s.isascii() else _ALL_FOLDS:
+        s = s.replace(c, "'")
+    return s
 
 
 Part = tuple[str, str | None]
@@ -423,23 +429,25 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
             mwt = range(len(pieces), len(pieces) + len(seg.parts))
             pieces.extend(seg.parts)
         else:
-            pieces.extend((form, hint or _default_hint(form))
-                          for form, hint in seg.parts)
-    pieces.extend((ch, _default_hint(ch)) for ch in trailing)
+            for form, hint in seg.parts:
+                pieces.append((form, hint or _default_hint(form)))
+    for ch in trailing:
+        pieces.append((ch, _default_hint(ch)))
 
     # pieces of one unit are glued together, whitespace follows the
     # last; an MWT carries its SpaceAfter=No on the span line
     last = len(pieces) - 1
-    rows = tuple((form, hint or "X",
-                  "_" if i == last or i in mwt else "SpaceAfter=No")
-                 for i, (form, hint) in enumerate(pieces))
-    for row in rows:
+    rows = []
+    for i, (form, hint) in enumerate(pieces):
+        row = (form, hint or "X",
+               "_" if i == last or i in mwt else "SpaceAfter=No")
         _check_columns(_ROW_COLUMNS, row)
+        rows.append(row)
     span = None
     if mwt:
         span = (mwt.start + 1, mwt.stop, core,
                 "SpaceAfter=No" if mwt.stop <= last else "_")
-    return rows, span
+    return tuple(rows), span  # a tuple is smaller to keep in the memo
 
 
 def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:

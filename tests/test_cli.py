@@ -11,6 +11,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maibaam_lint
 from maibaam_lint import cli, conllu
@@ -126,6 +128,45 @@ def test_tsv_rows_keep_eight_fields(tmp_path):
     name = str(tmp_path / "x\\ty\\nz.conllu")
     assert {tuple(row.split("\t")[:3:2]) for row in rows[1:]} == {
         (name, "a\\tb\\rc")}
+
+
+def test_tsv_message_keeps_eight_fields(tmp_path):
+    # a config word list may hold a tab inside an entry, and META.GENRE
+    # quotes the genre list in its message
+    (tmp_path / "genres.txt").write_text("fan\tfiction\n", encoding="utf-8")
+    conf = tmp_path / "lint.conf"
+    conf.write_text("lexicon.genres.path = genres.txt\n", encoding="utf-8")
+    f = tmp_path / "g.conllu"
+    f.write_text("# sent_id = g-1\n# text = Haus\n# genre = blog\n"
+                 "1\tHaus\t_\tNOUN\t_\t_\t0\troot\t_\tGermanLemma=Haus\n\n",
+                 encoding="utf-8")
+    _, out, err = run_cli(["lint", "--format", "tsv", "--config",
+                           str(conf), str(f)])
+    assert err == ""
+    rows = [row.split("\t") for row in out.splitlines()]
+    assert [len(row) for row in rows] == [8] * len(rows)
+    genre = [row[6] for row in rows if row[5] == "META.GENRE"]
+    assert genre == ["genre 'blog' not in {fan\\tfiction}"]
+
+
+def _tsv_unescape(field):
+    return re.sub(r"\\(.)", lambda m: {"t": "\t", "n": "\n", "r": "\r",
+                                       "\\": "\\"}[m.group(1)], field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab\\\t\n\rtnr")))
+def test_tsv_fields_round_trip(text):
+    # each escaped field reads back as it was, so a sent_id typed as
+    # backslash-t and one holding a real tab are written apart
+    out = io.StringIO()
+    cli.render_tsv([Diagnostic("X.Y", "error", text, 1, text, None, text)],
+                   out)
+    header, row, end = out.getvalue().split("\n")
+    assert end == ""
+    fields = row.split("\t")
+    assert len(fields) == 8
+    assert [_tsv_unescape(fields[i]) for i in (0, 2, 6)] == [text] * 3
 
 
 def test_fail_level_warning(tmp_path):

@@ -535,6 +535,26 @@ def test_reconstruct_text_mwt():
     assert reconstruct_text(s) == "zum Beispiel"
 
 
+@pytest.mark.parametrize("misc, glued", [
+    ("_", False),
+    ("SpaceAfter=No", True),
+    ("SpaceAfter=No|X=1", True),
+    ("X=1|SpaceAfter=No", True),
+    ("SpaceAfter=Yes", False),
+])
+@pytest.mark.parametrize("on_span", [False, True])
+def test_reconstruct_text_reads_space_after(misc, glued, on_span):
+    # the MISC of token 2, or of the MWT line covering tokens 1-2
+    s = Sentence(tokens=[
+        Token(id=1, form="zu", upos="ADP", head=3, deprel="case"),
+        Token(id=2, form="m", upos="DET", head=3, deprel="det",
+              misc="_" if on_span else misc),
+        Token(id=3, form="Beispiel", upos="NOUN", head=0, deprel="root"),
+    ], mwt_spans=[MwtSpan(1, 2, "zum", misc)] if on_span else [])
+    first = "zum" if on_span else "zu m"
+    assert reconstruct_text(s) == first + ("" if glued else " ") + "Beispiel"
+
+
 def test_reconstruct_text_single_token():
     s = Sentence(tokens=[Token(id=1, form="Servus", upos="INTJ", head=0,
                                deprel="root")])

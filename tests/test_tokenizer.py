@@ -463,6 +463,18 @@ def test_fold_apostrophes():
     assert fold_apostrophes("d’neie") == "d'neie"
 
 
+_FOLD_BY_TRANSLATE = str.maketrans({c: "'" for c in tokenizer.APOSTROPHES})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=127),
+    st.sampled_from(tokenizer.APOSTROPHES),
+    st.characters(min_codepoint=128, categories=("Lu", "Ll", "Lo")))))
+def test_fold_apostrophes_equals_translate(text):
+    assert fold_apostrophes(text) == text.translate(_FOLD_BY_TRANSLATE)
+
+
 @pytest.mark.parametrize("raw, heads", [
     ("(zum) Beispiel", [2, 0, 2, 3, 3]),
     ("„Servus“ sogt er.", [2, 0, 2, 2, 4, 5]),
