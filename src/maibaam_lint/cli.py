@@ -194,9 +194,9 @@ def _lint_inputs(opts: RunOptions,
 
 def render_human(diags: list[Diagnostic], out) -> None:
     out.writelines(
-        f"{d.file}:{d.line}: [{d.severity}] {d.rule_id} {d.message}"
-        + (f" ({d.guideline_ref})\n" if d.guideline_ref else "\n")
-        for d in diags)
+        f"{file}:{line}: [{severity}] {rule_id} {message} ({ref})\n" if ref
+        else f"{file}:{line}: [{severity}] {rule_id} {message}\n"
+        for rule_id, severity, file, line, _, _, message, ref in diags)
 
 
 # a backslash, tab, LF or CR in a file name, sent_id or message is written

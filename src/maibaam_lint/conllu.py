@@ -28,6 +28,10 @@ SEVERITY_RANK = {SEVERITY_REVIEW: 0, SEVERITY_WARNING: 1, SEVERITY_ERROR: 2}
 _MWT_ID_RE = re.compile(r"^([1-9][0-9]*)-([1-9][0-9]*)$")
 _EMPTY_NODE_ID_RE = re.compile(r"^(0|[1-9][0-9]*)\.[1-9][0-9]*$")
 _METADATA_RE = re.compile(r"^# ([A-Za-z_][A-Za-z0-9_.-]*) = (.*)$")
+# canonical spellings of the ids and heads of sentences of up to 255 tokens:
+# a token line whose id and head are found here needs no other check, and
+# every other line takes the checked branch
+_DECIMALS = {str(i): i for i in range(256)}
 
 
 class ParseError(Exception):
@@ -265,7 +269,11 @@ class Sentence(_Record):
 
     @property
     def sent_id(self) -> str:
-        return self.metadata_value("sent_id") or ""
+        # read once per finding, so it scans without metadata_value's call
+        for k, v in self.metadata:
+            if k == "sent_id":
+                return v or ""
+        return ""
 
     def token_by_id(self, token_id: int) -> Token | None:
         if 1 <= token_id <= len(self.tokens):
@@ -387,6 +395,7 @@ def iter_sentences(text: str, file_name: str = "<string>",
     doc.final_newline = text.endswith("\n")
     chunks = _line_chunks(text, len(text) - doc.final_newline) if text else ()
 
+    decimal = _DECIMALS.get
     comments: list[str] = []
     tokens: list[Token] = []
     spans: list[MwtSpan] = []
@@ -448,7 +457,14 @@ def iter_sentences(text: str, file_name: str = "<string>",
                                  file_name, line_no)
 
             id_field = cols[0]
-            if id_field.isdigit() and id_field.isascii() and id_field[0] != "0":
+            token_id = decimal(id_field)
+            if token_id == len(tokens) + 1 and \
+                    (head := decimal(cols[6])) is not None:
+                tokens.append(_unchecked_token(
+                    token_id, cols[1], cols[2], cols[3], cols[4], cols[5],
+                    head, cols[7], cols[8], cols[9], line_no))
+            elif id_field.isdigit() and id_field.isascii() and \
+                    id_field[0] != "0":
                 token_id = int(id_field)
                 if token_id != len(tokens) + 1:
                     raise ParseError("ID_SEQUENCE",
@@ -563,9 +579,9 @@ def reconstruct_text(s: Sentence) -> str:
             pieces.append(unit.form)
             i += 1
         misc = unit.misc
-        if misc == "SpaceAfter=No":  # the tokenizer's glue, read as is
-            pieces.append("")
-        else:
-            pieces.append(" " if misc == "_" or column_value(
-                misc, "SpaceAfter") != "No" else "")
+        # a MISC without the text "SpaceAfter=No" holds no such entry; the
+        # tokenizer's glue is read as is
+        glued = "SpaceAfter=No" in misc and (
+            misc == "SpaceAfter=No" or column_value(misc, "SpaceAfter") == "No")
+        pieces.append("" if glued else " ")
     return "".join(pieces[:-1])

@@ -381,8 +381,9 @@ def finding(out: list[Diagnostic], cfg: LintConfig, s: Sentence,
         token_id = token.id
         if line is None:
             line = token.line
-    out.append(Diagnostic(rule_id, severity, s.file, line, s.sent_id,
-                          token_id, message, ref))
+    # tuple.__new__ skips the frame of the named tuple's generated __new__
+    out.append(tuple.__new__(Diagnostic, (rule_id, severity, s.file, line,
+                                          s.sent_id, token_id, message, ref)))
 
 
 def validate_structure(s: Sentence,
@@ -608,7 +609,9 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """LEMMA.*: GermanLemma presence, MWT exemption, and "nimma"."""
     diags = []
     for t in s.tokens:
-        lemma = t.german_lemma
+        misc = t.misc
+        lemma = (column_value(misc, "GermanLemma")
+                 if "GermanLemma=" in misc else None)
         if lemma is None:
             if t.deprel == "goeswith":
                 continue
@@ -633,9 +636,11 @@ def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     heads_with_goeswith = _dependents(s, "goeswith")
     for t in s.tokens:
-        correct_space = column_value(t.misc, "CorrectSpaceAfter")
+        misc = t.misc
+        correct_space = (column_value(misc, "CorrectSpaceAfter")
+                         if "CorrectSpaceAfter=" in misc else None)
         if correct_space == "Yes" and \
-                column_value(t.misc, "SpaceAfter") != "No":
+                column_value(misc, "SpaceAfter") != "No":
             finding(diags, cfg, s, "TYPO.CORRECT_SPACE",
                     "CorrectSpaceAfter=Yes requires SpaceAfter=No "
                     "on the same token", t)

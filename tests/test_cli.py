@@ -529,6 +529,8 @@ def test_stats_counts_an_unparseable_source(tmp_path):
 @pytest.mark.parametrize("argv, golden", [
     ([], "golden_stats.tsv"),
     (["--format", "json"], "golden_stats.json"),
+    # README: --format tsv prints the same name<TAB>count lines as human
+    (["--format", "tsv"], "golden_stats.tsv"),
 ])
 def test_stats_output_is_byte_stable(argv, golden):
     code, out, err = run_cli(["stats", *argv, str(GOLDEN), str(DURCH_DES)])

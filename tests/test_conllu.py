@@ -813,6 +813,74 @@ def test_iter_sentences_fails_where_parse_document_fails(text):
         assert streamed == parse_document(text, "<property>").sentences
 
 
+def _parse_outcome(text: str):
+    """The Document text parses to, or the code, line and message of the
+    ParseError it raises."""
+    try:
+        return parse_document(text, "t.conllu")
+    except ParseError as exc:
+        return exc.code, exc.line, str(exc)
+
+
+def _outcome_without_id_table(text: str):
+    # every token line then takes the parser's checked branch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conllu, "_DECIMALS", {})
+        return _parse_outcome(text)
+
+
+@pytest.mark.parametrize("path", [GOLDEN, DURCH_DES], ids=lambda p: p.name)
+def test_parse_does_not_depend_on_the_id_table(path):
+    text = path.read_text(encoding="utf-8")
+    whole = _parse_outcome(text)
+    assert isinstance(whole, Document)
+    assert _outcome_without_id_table(text) == whole
+    first = text.index("\n1\t") + 1  # the first token line
+    for broken in (text.replace("\t0\troot", "\t00\troot", 1),
+                   text.replace("\n2\t", "\n3\t", 1),
+                   text[:first] + "0" + text[first:],
+                   text + _TOKEN_LINE):
+        outcome = _parse_outcome(broken)
+        assert isinstance(outcome, tuple), broken
+        assert _outcome_without_id_table(broken) == outcome
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(documents().map(serialize_document), conllu_texts()))
+def test_parse_of_generated_texts_does_not_depend_on_the_id_table(text):
+    assert _outcome_without_id_table(text) == _parse_outcome(text)
+
+
+def _chain(n: int) -> str:
+    """A sentence of n tokens, each headed by the one before it."""
+    return "".join(f"{i}\tw{i}\t_\tX\t_\t_\t{i - 1}\t"
+                   f"{'root' if i == 1 else 'dep'}\t_\t_\n"
+                   for i in range(1, n + 1)) + "\n"
+
+
+def test_a_sentence_longer_than_the_id_table_parses_as_when_checked():
+    assert len(conllu._DECIMALS) < 300
+    text = "# sent_id = long\n" + _chain(300)
+    doc = parse_document(text, "t.conllu")
+    assert serialize_document(doc) == text
+    [s] = doc.sentences
+    assert [(t.id, t.head, t.line) for t in s.tokens] == \
+        [(i, i - 1, i + 1) for i in range(1, 301)]
+    checked = _outcome_without_id_table(text)
+    assert checked.sentences[0].tokens == s.tokens
+    assert checked == doc
+
+
+def test_a_head_past_the_id_table_parses_and_lints_as_out_of_range():
+    text = _chain(1)[:-1] + "2\tx\t_\tX\t_\t_\t9999\tdep\t_\t_\n\n"
+    doc = parse_document(text, "t.conllu")
+    assert serialize_document(doc) == text
+    assert [t.head for t in doc.sentences[0].tokens] == [0, 9999]
+    assert [(d.token_id, d.message) for d in lint_documents([doc], LintConfig())
+            if d.rule_id == "STRUCT.HEAD_RANGE"] == [
+        (2, "head 9999 exceeds sentence length 2")]
+
+
 _safe_column = st.text(alphabet=st.sampled_from("ab_=| \u00fc\u00b2-"),
                        min_size=1, max_size=5)
 # text that the parser may not read back: empty, or with a tab or line break

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import maibaam_lint
 from maibaam_lint.cli import lint_documents
-from maibaam_lint.conllu import MwtSpan, Sentence, Token, parse_document
+from maibaam_lint.conllu import (
+    Diagnostic,
+    MwtSpan,
+    Sentence,
+    Token,
+    column_value,
+    parse_document,
+    reconstruct_text,
+)
 from maibaam_lint.metadata import validate_metadata
 from maibaam_lint.rules import (
     DEPRELS,
@@ -20,6 +28,7 @@ from maibaam_lint.rules import (
     RULES_BY_ID,
     UPOS_TAGS,
     LintConfig,
+    finding,
     lint_sentence,
     load_config,
 )
@@ -263,6 +272,33 @@ def test_typo_correct_space_pairing():
                 ["CorrectSpaceAfter=Yes"]),
                ("is", "VERB", 0, "root", "sein"))
     assert ids(lint_sentence(bad)) == ["TYPO.CORRECT_SPACE"]
+
+
+@pytest.mark.parametrize("misc, glued, lemma, correct_space", [
+    ("XGermanLemma=a", False, None, None),
+    ("GermanLemma=SpaceAfter=No", False, "SpaceAfter=No", None),
+    ("CorrectSpaceAfter=No", False, None, "No"),
+    ("SpaceAfter=Nope", False, None, None),
+    ("A=1|SpaceAfter=No|GermanLemma=x", True, "x", None),
+    ("CorrectSpaceAfter=Yes", False, None, "Yes"),
+    ("CorrectSpaceAfter=Yes|SpaceAfter=No", True, None, "Yes"),
+    ("A=1|CorrectSpaceAfter=Yes", False, None, "Yes"),
+])
+def test_misc_keys_are_read_at_entry_boundaries(misc, glued, lemma,
+                                                correct_space):
+    # a key's text inside another entry, or a longer value, is no entry
+    assert (column_value(misc, "SpaceAfter") == "No") == glued
+    assert column_value(misc, "GermanLemma") == lemma
+    assert column_value(misc, "CorrectSpaceAfter") == correct_space
+    s = Sentence(tokens=[
+        Token(id=1, form="a", upos="X", head=0, deprel="root", misc=misc),
+        Token(id=2, form="b", upos="X", head=1, deprel="dep",
+              misc="GermanLemma=b")])
+    assert reconstruct_text(s) == ("ab" if glued else "a b")
+    found = [(d.rule_id, d.token_id) for d in lint_sentence(s)]
+    assert (("LEMMA.MISSING", 1) in found) == (lemma is None)
+    assert (("TYPO.CORRECT_SPACE", 1) in found) == \
+        (correct_space == "Yes" and not glued)
 
 
 def test_typo_without_goeswith_is_review():
@@ -791,9 +827,15 @@ def test_goeswith_dependent_without_a_head_token():
 SOURCES = sorted(Path(maibaam_lint.__file__).parent.glob("*.py"))
 
 
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 class _Calls(ast.NodeVisitor):
-    """Collect every call of ``callee`` with its enclosing class and
-    function names, as in ``cli._LintRun.add``."""
+    """Collect every call of ``callee``, and every call passing the name
+    ``callee`` as an argument (as in ``tuple.__new__(Diagnostic, ...)``),
+    with its enclosing class and function names, as in
+    ``cli._LintRun.add``."""
 
     def __init__(self, module: str, callee: str):
         self.scope = [module]
@@ -808,8 +850,8 @@ class _Calls(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name == self.callee:
+        passed = [*node.args, *(k.value for k in node.keywords)]
+        if self.callee in map(_name, [node.func, *passed]):
             self.found.append((".".join(self.scope), node))
         self.generic_visit(node)
 
@@ -842,6 +884,31 @@ def _finding_ids() -> tuple[dict[str, set[str]], list[str]]:
 def test_diagnostic_is_built_only_by_finding():
     # one constructor keeps severity and citation lookup in one place
     assert [scope for scope, _ in _calls("Diagnostic")] == ["rules.finding"]
+
+
+@pytest.mark.parametrize("rule_id, located", [
+    ("STRUCT.HEAD_RANGE", True), ("STRUCT.NO_ROOT", False),
+    ("CLASS.COP", True), ("META.MISSING", False)])
+def test_finding_builds_what_the_keyword_constructor_builds(rule_id, located):
+    token = Token(id=2, form="is", upos="AUX", head=0, deprel="root", line=7)
+    s = Sentence(tokens=[token], metadata=[("sent_id", "s-1")],
+                 file="f.conllu", line=5)
+    cfg = LintConfig()
+    out = []
+    finding(out, cfg, s, rule_id, "a message", token if located else None)
+    severity, ref = cfg.rule_table[rule_id]
+    fields = dict(rule_id=rule_id, severity=severity, file="f.conllu",
+                  line=7 if located else 5, sentence_id="s-1",
+                  token_id=2 if located else None, message="a message")
+    # STRUCT.* rules have no citation: guideline_ref is left at its default
+    expected = (Diagnostic(**fields) if ref is None
+                else Diagnostic(**fields, guideline_ref=ref))
+    [built] = out
+    assert type(built) is Diagnostic
+    assert built == expected
+    assert built._asdict() == expected._asdict()
+    assert built.sort_key == expected.sort_key
+    assert built.guideline_ref == ref
 
 
 def test_finding_ids_are_literal_and_match_the_catalog():
