@@ -240,23 +240,25 @@ class EmptyNodeLine(namedtuple("EmptyNodeLine", ("anchor", "raw", "line"),
 
 
 class Sentence(_Record):
-    """Ordered tokens plus MWT spans and sentence-level metadata. A list
-    left out is a new empty list."""
+    """Ordered tokens plus MWT spans and the sentence's comment block.
 
-    _fields = ("tokens", "mwt_spans", "metadata", "comments", "empty_nodes",
-               "file", "line")
+    metadata holds every comment line of the block, in order: a
+    "# key = value" line as (key, value), any other as (None, line). The
+    serializer writes it back line for line. A list left out is a new empty
+    list."""
+
+    _fields = ("tokens", "mwt_spans", "metadata", "empty_nodes", "file",
+               "line")
     __slots__ = _fields + ("__weakref__",)
 
     def __init__(self, tokens: list[Token] | None = None,
                  mwt_spans: list[MwtSpan] | None = None,
-                 metadata: list[tuple[str, str]] | None = None,
-                 comments: list[str] | None = None,
+                 metadata: list[tuple[str | None, str]] | None = None,
                  empty_nodes: list[EmptyNodeLine] | None = None,
                  file: str = "<string>", line: int = 0):
         self.tokens = [] if tokens is None else tokens
         self.mwt_spans = [] if mwt_spans is None else mwt_spans
         self.metadata = [] if metadata is None else metadata
-        self.comments = [] if comments is None else comments
         self.empty_nodes = [] if empty_nodes is None else empty_nodes
         self.file = file
         self.line = line
@@ -415,15 +417,11 @@ def iter_sentences(text: str, file_name: str = "<string>",
                                 "BAD_ID",
                                 "multiword range exceeds sentence length",
                                 file_name, span.line)
-                    metadata = []
-                    for c in comments:
-                        m = _METADATA_RE.match(c)
-                        if m:
-                            metadata.append((m.group(1), m.group(2)))
+                    metadata = [m.groups() if (m := _METADATA_RE.match(c))
+                                else (None, c) for c in comments]
                     yield Sentence(tokens=tokens, mwt_spans=spans,
-                                   metadata=metadata, comments=comments,
-                                   empty_nodes=empties, file=file_name,
-                                   line=start_line)
+                                   metadata=metadata, empty_nodes=empties,
+                                   file=file_name, line=start_line)
                     comments, tokens, spans, empties = [], [], [], []
                     start_line = 0
                 elif comments:
@@ -511,11 +509,8 @@ def iter_sentences(text: str, file_name: str = "<string>",
 
 
 def _sentence_lines(s: Sentence) -> list[str]:
-    lines: list[str] = []
-    if s.comments:
-        lines.extend(s.comments)
-    else:
-        lines.extend(f"# {k} = {v}" for k, v in s.metadata)
+    lines = [line if key is None else f"# {key} = {line}"
+             for key, line in s.metadata]
 
     spans_by_first: dict[int, list[MwtSpan]] = {}
     for span in s.mwt_spans:

@@ -54,8 +54,17 @@ def test_parse_metadata_and_comments():
     s = parse_document(text, "t").sentences[0]
     assert s.metadata_value("sent_id") == "x-1"
     assert s.metadata_value("text") == "Minga"
-    assert "# free comment" in s.comments
+    assert s.metadata[2] == (None, "# free comment")
     assert s.line == 1
+
+
+def test_metadata_is_the_one_record_of_the_comment_block():
+    assert Sentence._fields == ("tokens", "mwt_spans", "metadata",
+                                "empty_nodes", "file", "line")
+    assert not hasattr(Sentence(), "comments")
+    doc = parse_document("# sent_id = a\n# free\n" + MINIMAL, "t")
+    doc.sentences[0].metadata[0] = ("sent_id", "b")
+    assert serialize_document(doc) == "# sent_id = b\n# free\n" + MINIMAL
 
 
 @pytest.mark.parametrize("text,code,line", [
@@ -167,7 +176,7 @@ def test_misplaced_comment_needs_open_sentence():
     # a comment between sentences belongs to the next sentence
     text = MINIMAL + "# next\n" + MINIMAL
     doc = parse_document(text, "t")
-    assert doc.sentences[1].comments == ["# next"]
+    assert doc.sentences[1].metadata == [(None, "# next")]
 
 
 def test_bom_stripped_flagged_and_round_tripped():
