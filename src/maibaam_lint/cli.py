@@ -275,6 +275,7 @@ def cmd_tokenize(opts: RunOptions) -> int:
             continue
         text, name = read
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
+        stem = stem.replace("\n", "\\n")  # a sent_id is one line
         counter = 0
         for lines in _line_chunks(text, len(text)):
             for raw_line in lines:
@@ -305,7 +306,8 @@ def cmd_stats(opts: RunOptions) -> int:
         for section, value in stats.items():
             if isinstance(value, Counter):
                 for key in sorted(value):
-                    print(f"{section}.{key}\t{value[key]}", file=out)
+                    print(f"{section}.{_tsv_field(key)}\t{value[key]}",
+                          file=out)
             else:
                 print(f"{section}\t{value}", file=out)
     return 2 if failed else 0

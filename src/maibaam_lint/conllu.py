@@ -511,6 +511,12 @@ def iter_sentences(text: str, file_name: str = "<string>",
 def _sentence_lines(s: Sentence) -> list[str]:
     lines = [line if key is None else f"# {key} = {line}"
              for key, line in s.metadata]
+    for entry, line in zip(s.metadata, lines):
+        # the parser reads back only lines that start with "#" and hold no
+        # LF or final CR (which would write a CRLF line end)
+        if "\n" in line or line.endswith("\r") or not line.startswith("#"):
+            raise ValueError(f"bad metadata entry {entry!r}: not written "
+                             "as one comment line")
 
     spans_by_first: dict[int, list[MwtSpan]] = {}
     for span in s.mwt_spans:
@@ -539,7 +545,9 @@ def serialize_document(doc: Document) -> str:
     """Render a Document back to CoNLL-U text.
 
     For documents produced by parse_document the output is byte-identical
-    to the original input.
+    to the original input. Raises ValueError naming a metadata entry whose
+    line would not parse back: one that holds an LF, ends in CR, or does
+    not start with "#".
     """
     lines: list[str] = []
     for s in doc.sentences:

@@ -256,6 +256,20 @@ def test_tokenize_output_shape(tmp_path):
     assert lines[3].split("\t")[7] == "root"
 
 
+def test_tokenize_writes_a_line_break_in_the_file_name_as_backslash_n(
+        tmp_path):
+    src = tmp_path / "a\nb.txt"
+    src.write_text("zum Beispiel\n", encoding="utf-8")
+    code, out, err = run_cli(["tokenize", str(src)])
+    assert (code, err) == (0, "")
+    [s] = parse_document(out, "skeleton").sentences
+    assert s.sent_id == "a\\nb-1"
+    skeleton = tmp_path / "skeleton.conllu"
+    skeleton.write_text(out, encoding="utf-8")
+    code, _, err = run_cli(["lint", str(skeleton)])
+    assert code <= 1 and err == ""
+
+
 def test_tokenize_custom_lexicon(tmp_path):
     lex = tmp_path / "lex.tsv"
     lex.write_text("beim\tmwt\tbei m\tADP DET\n", encoding="utf-8")
@@ -524,6 +538,21 @@ def test_stats_counts_an_unparseable_source(tmp_path):
     stats = json.loads(out)
     assert stats["diagnostics"] == {"META.SOURCE": 1}
     assert stats["sentences"] == 22
+
+
+@pytest.mark.parametrize("fmt", ["human", "tsv"])
+def test_stats_escapes_keys_so_each_line_keeps_two_fields(tmp_path, fmt):
+    src = tmp_path / "keys.conllu"
+    src.write_text("# sent_id = k-1\n# genre = fan\tfic\n"
+                   "# dialect_group = a\\b\n"
+                   "1\tHaus\t_\tNO\rUN\t_\t_\t0\troot\t_\t_\n\n",
+                   encoding="utf-8", newline="")
+    code, out, err = run_cli(["stats", "--format", fmt, str(src)])
+    assert (code, err) == (0, "")
+    lines = out.split("\n")[:-1]
+    assert all(len(line.split("\t")) == 2 for line in lines), lines
+    assert {"genre.fan\\tfic\t1", "dialect_group.a\\\\b\t1",
+            "upos.NO\\rUN\t1"} <= set(lines)
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 
@@ -65,6 +66,30 @@ def test_metadata_is_the_one_record_of_the_comment_block():
     doc = parse_document("# sent_id = a\n# free\n" + MINIMAL, "t")
     doc.sentences[0].metadata[0] = ("sent_id", "b")
     assert serialize_document(doc) == "# sent_id = b\n# free\n" + MINIMAL
+
+
+@pytest.mark.parametrize("entry", [
+    ("sent_id", "a\nb"),       # an LF cuts the line in two
+    ("text", "Minga\r"),       # a final CR writes a CRLF line end
+    ("k\n", "v"),
+    (None, "# a\nb"),
+    (None, "# free\r"),
+    (None, "free comment"),     # not a comment line
+    (None, ""),                 # a blank line would end the sentence
+], ids=repr)
+def test_serializer_rejects_a_metadata_line_that_would_not_parse_back(entry):
+    s = parse_document("# sent_id = a\n" + MINIMAL, "t").sentences[0]
+    s.metadata.append(entry)
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        serialize_document(Document([s]))
+
+
+def test_serializer_writes_parsed_comment_lines_with_inner_cr_and_tab():
+    text = "# text = a\rb\tc\n#\r#\n# k=v\n#\n" + MINIMAL
+    doc = parse_document(text, "t")
+    assert doc.sentences[0].metadata == [
+        ("text", "a\rb\tc"), (None, "#\r#"), (None, "# k=v"), (None, "#")]
+    assert serialize_document(doc) == text
 
 
 @pytest.mark.parametrize("text,code,line", [
@@ -766,9 +791,18 @@ def _int_variants(value: int) -> list[str]:
             s.translate(_ARABIC_INDIC), s[0] + s[1:].translate(_ARABIC_INDIC)]
 
 
+# comment lines that are, or nearly are, "# key = value" metadata
+_NEAR_METADATA = ("# k=v", "#k = v", "# k = ", "# a = b = c", "# 1x = y", "#",
+                  "# k.v-1 = x", "#  k = v", "# k  = v", "# k = v ")
+_comment_lines = st.one_of(
+    st.sampled_from(_NEAR_METADATA),
+    st.text(alphabet="#a1_ =\t\r", max_size=6).map("#".__add__))
+
+
 @st.composite
 def conllu_texts(draw):
-    """CoNLL-U-shaped text whose ID and HEAD fields may be non-canonical.
+    """CoNLL-U-shaped text whose ID and HEAD fields may be non-canonical,
+    each sentence opened by comment lines, some of them near-miss metadata.
 
     At most one integer field per text is respelled, so about half the
     texts are well-formed and the rest probe a single variant.
@@ -778,6 +812,8 @@ def conllu_texts(draw):
         n = draw(st.integers(1, 11))
         mwt_first = draw(st.integers(0, n - 1))  # 0: no multiword token
         rows.append([f"# sent_id = p-{k}"])
+        rows.extend([line] for line in
+                    draw(st.lists(_comment_lines, max_size=3)))
         if draw(st.booleans()):
             rows.append(["0.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_"])
         for i in range(1, n + 1):
@@ -803,6 +839,42 @@ def test_accepted_text_serializes_back_identically(text):
     except ParseError:
         return
     assert serialize_document(doc) == text
+
+
+_metadata_entries = st.one_of(
+    st.tuples(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,3}", fullmatch=True),
+              st.text(alphabet="a =#\t\r", max_size=4)
+              .filter(lambda v: not v.endswith("\r"))),
+    st.tuples(st.none(), _comment_lines.filter(
+        lambda line: not line.endswith("\r")
+        and not conllu._METADATA_RE.match(line))))
+
+
+@st.composite
+def metadata_edits(draw):
+    """A parsed document after random set, insert and delete edits to its
+    sentences' metadata."""
+    text = serialize_document(draw(documents()))
+    doc = parse_document(text, "<property>")
+    for _ in range(draw(st.integers(1, 6))):
+        meta = draw(st.sampled_from(doc.sentences)).metadata
+        op = draw(st.sampled_from(("set", "insert", "delete")))
+        if op == "insert" or not meta:
+            meta.insert(draw(st.integers(0, len(meta))),
+                        draw(_metadata_entries))
+        elif op == "set":
+            meta[draw(st.integers(0, len(meta) - 1))] = draw(_metadata_entries)
+        else:
+            del meta[draw(st.integers(0, len(meta) - 1))]
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(metadata_edits())
+def test_edited_metadata_is_what_the_written_text_reads_back(doc):
+    reparsed = parse_document(serialize_document(doc), "<property>")
+    assert [s.metadata for s in reparsed.sentences] == \
+        [s.metadata for s in doc.sentences]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
