@@ -10,6 +10,7 @@ from .conllu import (
     ParseError,
     Sentence,
     Token,
+    column_value,
     iter_sentences,
     parse_document,
     reconstruct_text,
@@ -36,7 +37,7 @@ from .tokenizer import (
 
 __all__ = [
     "Diagnostic", "Document", "MwtSpan", "ParseError", "Sentence", "Token",
-    "iter_sentences", "parse_document", "reconstruct_text",
+    "column_value", "iter_sentences", "parse_document", "reconstruct_text",
     "serialize_document",
     "check_unique_sent_ids", "validate_metadata",
     "RULES", "LintConfig", "RuleDescriptor", "lint_sentence", "load_config",

@@ -121,18 +121,16 @@ def _check_columns(names: tuple[str, ...], cols: tuple[str, ...]) -> None:
 
 
 class _Record:
-    """Equality, repr and _replace over _fields, the constructor's arguments
-    in order, then _derived, fields computed from them. == holds between
-    records of one class only, and a record is unhashable."""
+    """Equality, repr and _replace over _fields, the constructor's
+    arguments in order. == holds between records of one class only, and a
+    record is unhashable."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _derived: tuple[str, ...] = ()
     __hash__ = None
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name)
-                     for name in self._fields + self._derived)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -141,7 +139,7 @@ class _Record:
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in
-                          zip(self._fields + self._derived, self._values()))
+                          zip(self._fields, self._values()))
         return f"{type(self).__name__}({shown})"
 
     def _replace(self, **changes):
@@ -150,20 +148,13 @@ class _Record:
         return type(self)(**{**{name: getattr(self, name)
                                 for name in self._fields}, **changes})
 
-    def _bind(self, args: tuple, kwargs: dict) -> dict:
-        """The fields a call with args and kwargs names, bound by position
-        and name in _fields; for constructors that fill in the rest."""
-        name = type(self).__name__
-        if len(args) > len(self._fields):
-            raise TypeError(f"{name} takes at most {len(self._fields)} "
-                            f"arguments ({len(args)} given)")
-        values = dict(zip(self._fields, args))
-        for key, value in kwargs.items():
-            if key not in self._fields or key in values:
-                raise TypeError(f"{name} got an unexpected or repeated "
-                                f"argument {key!r}")
-            values[key] = value
-        return values
+    def _check_names(self, fields: dict) -> None:
+        """Reject a keyword that names none of _fields; for constructors
+        that take their fields by name only."""
+        for name in fields:
+            if name not in self._fields:
+                raise TypeError(f"{type(self).__name__} got an unexpected "
+                                f"argument {name!r}")
 
 
 class Token(_Record):
@@ -194,15 +185,9 @@ class Token(_Record):
         self.deps_col = deps_col
         self.line = line
 
-    def misc_value(self, key: str) -> str | None:
-        return column_value(self.misc, key)
-
     @property
     def german_lemma(self) -> str | None:
         return column_value(self.misc, "GermanLemma")
-
-    def feats_value(self, key: str) -> str | None:
-        return column_value(self.feats_col, key)
 
 
 class MwtSpan(_Record):
@@ -226,9 +211,6 @@ class MwtSpan(_Record):
         self.misc = misc
         self.other_cols = other_cols
         self.line = line
-
-    def misc_value(self, key: str) -> str | None:
-        return column_value(self.misc, key)
 
 
 class EmptyNodeLine(namedtuple("EmptyNodeLine", ("anchor", "raw", "line"),

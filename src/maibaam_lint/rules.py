@@ -8,6 +8,7 @@ is stable. Rule output is a pure function of (sentence, config).
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from collections import namedtuple
@@ -193,12 +194,13 @@ class LintConfig(_Record):
     tokenizer_lexicon_path: str | None = None
     _fields = tuple(__annotations__)  # the fields above, in order
 
-    def __init__(self, *args, **kwargs):
-        """Takes the fields above by position or name; those left out keep
-        their class defaults. A rule id, severity or value a config cannot
-        hold raises ValueError; a str where a collection belongs, or a
-        punct_lemma_exempt other than True or False, raises TypeError."""
-        values = self._bind(args, kwargs)
+    def __init__(self, **values):
+        """Takes the fields above by name only; those left out keep their
+        class defaults. A rule id, severity or value a config cannot hold
+        raises ValueError; an unknown name, a str where a collection
+        belongs, or a punct_lemma_exempt other than True or False, raises
+        TypeError."""
+        self._check_names(values)
         # read-only, so that an edit cannot leave rule_table stale
         values["severity_overrides"] = MappingProxyType(
             dict(values.get("severity_overrides", {})))
@@ -247,11 +249,9 @@ class LintConfig(_Record):
     def __reduce__(self):
         """Pickled and copied by the constructor, and so through its checks;
         the read-only severity_overrides travels as a plain dict."""
-        rest = (getattr(self, name) for name in self._fields[1:])
-        return type(self), (dict(self.severity_overrides), *rest)
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        return rule_id in self.enabled_ids
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields["severity_overrides"] = dict(self.severity_overrides)
+        return functools.partial(type(self), **fields), ()
 
     def severity(self, rule_id: str) -> str:
         return self.rule_table[rule_id][0]
@@ -450,8 +450,8 @@ def validate_structure(s: Sentence,
 def _has_typo_flag(t: Token, cfg: LintConfig) -> bool:
     if "Typo=" not in t.feats_col and "Typo=" not in t.misc:
         return False
-    in_feats = t.feats_value("Typo") == "Yes"
-    in_misc = t.misc_value("Typo") == "Yes"
+    in_feats = column_value(t.feats_col, "Typo") == "Yes"
+    in_misc = column_value(t.misc, "Typo") == "Yes"
     if cfg.typo_column == "feats":
         return in_feats
     if cfg.typo_column == "misc":
@@ -624,7 +624,7 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
                     f'"nimma" must be lemmatized "nicht mehr", '
                     f"got {lemma!r}", t)
     for span in s.mwt_spans:
-        if span.misc_value("GermanLemma") is not None:
+        if column_value(span.misc, "GermanLemma") is not None:
             finding(diags, cfg, s, "LEMMA.ON_MWT",
                     "multi-word token lines carry no lemma",
                     line=span.line or s.line)

@@ -108,8 +108,8 @@ def _intact(surface: str, hint: str | None = None,
 class TokenizerLexicon(_Record):
     """Lookup tables driving segment_token.
 
-    The constructor takes the tables below by position or name; a table
-    left out is empty. Read-only after construction: the constructor
+    The constructor takes the tables below by name only; a table left out
+    is empty. Read-only after construction: the constructor
     rejects an empty onset and a split entry whose parts are empty or do
     not join to its key, derives terminal_parts, rejects an entry that is
     also a split part, and compiles the onset order, the agreement-ending
@@ -131,10 +131,9 @@ class TokenizerLexicon(_Record):
     nominalized_infinitives: set[str]  # lower-cased
     units: set[str]  # lower-cased
     _fields = tuple(__annotations__)  # the tables above, in order
-    _derived = ("terminal_parts",)
 
-    def __init__(self, *args, **kwargs):
-        tables = self._bind(args, kwargs)
+    def __init__(self, **tables):
+        self._check_names(tables)
         for name, adds in _LEXICON_KINDS.values():
             if name not in tables:
                 tables[name] = set() if adds == "surface" else {}
@@ -290,11 +289,10 @@ def match_agreement_suffix(surface: str,
 
 
 def segment_token(surface: str, lexicon: TokenizerLexicon,
-                  next_surface: str | None = None,
-                  infinitive: bool | None = None) -> SegmentationResult:
+                  next_surface: str | None = None) -> SegmentationResult:
     """Apply the highest-priority applicable splitting rule to one unit.
-    next_surface is the unit after it; infinitive True or False forces the
-    infinitival MWT reading on or off, None takes it from next_surface.
+    next_surface is the unit after it; a nominalized infinitive there
+    selects the infinitival MWT reading.
 
     Priority: complementizer-agreement exception (keep intact) > fused
     adposition+determiner MWT > infinitival particle+determiner MWT >
@@ -333,11 +331,8 @@ def segment_token(surface: str, lexicon: TokenizerLexicon,
             KIND_SPACE_AFTER_NO,
             ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
 
-    if infinitive is None:
-        infinitive = next_key in lexicon.nominalized_infinitives
-
     fused = (lexicon.fused_adp_det, lexicon.fused_inf)
-    if infinitive:
+    if next_key in lexicon.nominalized_infinitives:
         fused = (lexicon.fused_inf,) + fused
     for key in keys:
         for table in fused:

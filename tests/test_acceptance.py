@@ -15,6 +15,7 @@ from maibaam_lint.cli import lint_documents, run
 from maibaam_lint.conllu import (
     Sentence,
     Token,
+    column_value,
     parse_document,
     reconstruct_text,
     serialize_document,
@@ -317,7 +318,8 @@ def test_c8_text_reconstruction():
     for s in doc.sentences:
         assert reconstruct_text(s) == s.metadata_value("text"), s.sent_id
         with_mwt += bool(s.mwt_spans)
-        with_glue += any(t.misc_value("SpaceAfter") == "No" for t in s.tokens)
+        with_glue += any(column_value(t.misc, "SpaceAfter") == "No"
+                         for t in s.tokens)
     assert with_mwt >= 1 and with_glue >= 1
     print(f"\nC8 text reconstruction: PASS ({len(doc.sentences)} sentences, "
           f"{with_mwt} with MWTs, {with_glue} with SpaceAfter=No)")

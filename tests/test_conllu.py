@@ -301,9 +301,9 @@ def test_column_lookup_and_round_trip(col, lookups):
     assert (t.misc, t.feats_col, span.misc) == (col, col, col)
     for key, value in lookups.items():
         assert column_value(col, key) == value
-        assert t.misc_value(key) == value
-        assert t.feats_value(key) == value
-        assert span.misc_value(key) == value
+        assert column_value(t.misc, key) == value
+        assert column_value(t.feats_col, key) == value
+        assert column_value(span.misc, key) == value
     assert t.german_lemma == lookups.get("GermanLemma")
     glued = lookups.get("SpaceAfter") == "No"
     assert reconstruct_text(s) == ("wxy" if glued else "wx y")

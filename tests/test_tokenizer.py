@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maibaam_lint.conllu import Token, reconstruct_text
+from maibaam_lint.conllu import Token, column_value, reconstruct_text
 from maibaam_lint.rules import validate_structure
 from maibaam_lint import tokenizer
 from maibaam_lint.tokenizer import (
@@ -67,8 +67,6 @@ def test_infinitival_zum_needs_context(lex):
     assert [h for _, h in default.parts] == ["ADP", "DET"]
     by_neighbor = segment_token("zum", lex, next_surface="oozöön")
     assert [h for _, h in by_neighbor.parts] == ["PART", "DET"]
-    by_hint = segment_token("zum", lex, infinitive=True)
-    assert [h for _, h in by_hint.parts] == ["PART", "DET"]
     assert by_neighbor.forms() == ("zu", "m")
 
 
@@ -190,9 +188,9 @@ def test_tokenize_phonetic_transcription_brackets(lex):
 def test_tokenize_detaches_punctuation_and_glues(lex):
     s = tokenize_sentence("Servus, Minga!", lex)
     assert forms(s) == ["Servus", ",", "Minga", "!"]
-    assert s.tokens[0].misc_value("SpaceAfter") == "No"
-    assert s.tokens[1].misc_value("SpaceAfter") is None
-    assert s.tokens[2].misc_value("SpaceAfter") == "No"
+    assert column_value(s.tokens[0].misc, "SpaceAfter") == "No"
+    assert column_value(s.tokens[1].misc, "SpaceAfter") is None
+    assert column_value(s.tokens[2].misc, "SpaceAfter") == "No"
 
 
 def test_tokenize_produces_mwt_span(lex):
@@ -552,8 +550,8 @@ def _random_sentences(forms, n, seed=6):
 
 def test_memoised_tokenize_equals_cold_lexicon(lex):
     # every lexicon form x next word, tokenized on one warm lexicon, equals
-    # the same sentence on a lexicon that has memoised nothing; the explicit
-    # infinitive hint, which only segment_token takes, is crossed in too
+    # the same sentence on a lexicon that has memoised nothing, and so does
+    # segment_token on each form and next word
     warm = _cold(lex)
     forms_ = _lexicon_forms(lex)
     sentences = [form if nxt is None else f"{form} {nxt}"
@@ -568,11 +566,9 @@ def test_memoised_tokenize_equals_cold_lexicon(lex):
         cases += 1
     for form in forms_:
         for nxt in NEXT_WORDS:
-            for hint in (None, True, False):
-                ctx = {"next_surface": nxt, "infinitive": hint}
-                assert segment_token(form, warm, **ctx) == \
-                    segment_token(form, _cold(lex), **ctx), (form, nxt, hint)
-                cases += 1
+            assert segment_token(form, warm, nxt) == \
+                segment_token(form, _cold(lex), nxt), (form, nxt)
+            cases += 1
     assert cases > 3000
 
 
@@ -681,7 +677,7 @@ def test_hand_built_lexicon_derives_terminal_parts(lex):
 
 # -- rule-key gate and checked-once skeleton rows ----------------------------
 
-def _segment_oracle(surface, lexicon, next_surface=None, infinitive=None):
+def _segment_oracle(surface, lexicon, next_surface=None):
     """The rule cascade of segment_token before it skipped units whose keys
     no rule reads; kept as the reference for that gate."""
     key = fold_apostrophes(surface)
@@ -714,7 +710,8 @@ def _segment_oracle(surface, lexicon, next_surface=None, infinitive=None):
             KIND_SPACE_AFTER_NO,
             ((surface[:-2], "SCONJ"), (surface[-2:], "PRON")))
 
-    if infinitive is None and next_surface:
+    infinitive = False
+    if next_surface:
         next_key = fold_apostrophes(next_surface).lower()
         infinitive = next_key in lexicon.nominalized_infinitives
 
@@ -773,12 +770,12 @@ def test_gate_keeps_every_rule_outcome(lex, hand_built):
     surfaces = sorted(set(_gate_surfaces(lexicon)) | set(_gate_surfaces(lex)))
     cases = 0
     for surface in surfaces:
-        for nxt in NEXT_WORDS:
-            for hint in (None, True, False):
-                ctx = {"next_surface": nxt, "infinitive": hint}
-                assert segment_token(surface, lexicon, **ctx) == \
-                    _segment_oracle(surface, lexicon, **ctx), (surface, nxt, hint)
-                cases += 1
+        # the next word alone selects the infinitival reading, so its
+        # spellings stand in for the removed explicit hint
+        for nxt in NEXT_WORDS + ("OOZÖÖN", "oozöön."):
+            assert segment_token(surface, lexicon, nxt) == \
+                _segment_oracle(surface, lexicon, nxt), (surface, nxt)
+            cases += 1
     assert cases > 10000
 
 
@@ -841,10 +838,9 @@ def test_segment_token_runs_once_per_memo_miss(lex, monkeypatch):
     # every miss on a non-numeric core must go through it
     calls = []
 
-    def counting(surface, lexicon, next_surface=None, infinitive=None):
-        assert infinitive is None
+    def counting(surface, lexicon, next_surface=None):
         calls.append(surface)
-        return real(surface, lexicon, next_surface, infinitive)
+        return real(surface, lexicon, next_surface)
 
     real = tokenizer.segment_token
     monkeypatch.setattr(tokenizer, "segment_token", counting)
