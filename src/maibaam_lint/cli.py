@@ -275,7 +275,9 @@ def cmd_tokenize(opts: RunOptions) -> int:
             continue
         text, name = read
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
-        stem = stem.replace("\n", "\\n")  # a sent_id is one line
+        # escaped like a TSV field: the sent_id stays one line, and stems
+        # that differ stay distinct
+        stem = _tsv_field(stem)
         counter = 0
         for lines in _line_chunks(text, len(text)):
             for raw_line in lines:

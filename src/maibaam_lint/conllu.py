@@ -490,13 +490,19 @@ def iter_sentences(text: str, file_name: str = "<string>",
         doc.trailing_comments = comments
 
 
+def _comment_line(line: str) -> bool:
+    """Whether the parser reads line back as one comment line: it starts
+    with "#" and holds no LF or final CR (which would write a CRLF line
+    end)."""
+    return line.startswith("#") and "\n" not in line and \
+        not line.endswith("\r")
+
+
 def _sentence_lines(s: Sentence) -> list[str]:
     lines = [line if key is None else f"# {key} = {line}"
              for key, line in s.metadata]
     for entry, line in zip(s.metadata, lines):
-        # the parser reads back only lines that start with "#" and hold no
-        # LF or final CR (which would write a CRLF line end)
-        if "\n" in line or line.endswith("\r") or not line.startswith("#"):
+        if not _comment_line(line):
             raise ValueError(f"bad metadata entry {entry!r}: not written "
                              "as one comment line")
 
@@ -505,6 +511,16 @@ def _sentence_lines(s: Sentence) -> list[str]:
         spans_by_first.setdefault(span.first_id, []).append(span)
     empties_by_anchor: dict[int, list[EmptyNodeLine]] = {}
     for node in s.empty_nodes:
+        # the parser reads the line back after token anchor only if it has
+        # the columns of a token line and an id anchor.k
+        cols = node.raw.split("\t")
+        m = _EMPTY_NODE_ID_RE.match(cols[0])
+        if (len(cols) != COLUMN_COUNT or "" in cols or "\n" in node.raw
+                or node.raw.endswith("\r") or m is None
+                or not (int(m.group(1)) == node.anchor <= len(s.tokens))):
+            raise ValueError(f"bad empty node {node!r}: not written as a "
+                             f"line read back after token {node.anchor} of "
+                             f"{len(s.tokens)}")
         empties_by_anchor.setdefault(node.anchor, []).append(node)
 
     if 0 in empties_by_anchor:
@@ -527,15 +543,25 @@ def serialize_document(doc: Document) -> str:
     """Render a Document back to CoNLL-U text.
 
     For documents produced by parse_document the output is byte-identical
-    to the original input. Raises ValueError naming a metadata entry whose
-    line would not parse back: one that holds an LF, ends in CR, or does
-    not start with "#".
+    to the original input. Raises ValueError naming what would not parse
+    back: a metadata entry or trailing comment whose line holds an LF,
+    ends in CR, or does not start with "#"; an empty node whose line is
+    not an empty node line with its anchor's id, or whose anchor exceeds
+    its sentence's token count; and final_newline False with a sentence
+    last, whose closing blank line needs a line end.
     """
     lines: list[str] = []
     for s in doc.sentences:
         lines.extend(_sentence_lines(s))
         lines.append("")
+    for line in doc.trailing_comments:
+        if not _comment_line(line):
+            raise ValueError(f"bad trailing comment {line!r}: not written "
+                             "as one comment line")
     lines.extend(doc.trailing_comments)
+    if lines and lines[-1] == "" and not doc.final_newline:
+        raise ValueError("final_newline is False but a sentence comes last: "
+                         "its closing blank line needs a line end")
     if not lines:
         return "\ufeff" if doc.bom else ""
     body = "\n".join(lines) + ("\n" if doc.final_newline else "")

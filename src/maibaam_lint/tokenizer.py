@@ -63,9 +63,8 @@ _LEXICON_KINDS = {
 _FUSED = {"mwt", "mwt-inf"}
 _SELF_KINDS = _FUSED | {"clitic", "sandhi", "ma-form", "intact", "review"}
 
-# the kinds whose surfaces the tokenizer looks up lower-cased, and so
-# stores lower-cased
-_LOWER_CASED = {"abbrev", "nominf", "unit"}
+# the tables the tokenizer looks up lower-cased
+_LOWER_CASED = {"abbreviations", "nominalized_infinitives", "units"}
 
 # the tables whose entries split a surface into parts
 _SPLIT_TABLES = tuple(name for name, adds in _LEXICON_KINDS.values()
@@ -85,6 +84,14 @@ def fold_apostrophes(s: str) -> str:
     for c in _ASCII_FOLDS if s.isascii() else _ALL_FOLDS:
         s = s.replace(c, "'")
     return s
+
+
+def _table_key(name: str, surface: str) -> str:
+    """The key under which TokenizerLexicon table name stores surface: the
+    form its lookups read, apostrophes folded and, in _LOWER_CASED tables,
+    lower-cased."""
+    return fold_apostrophes(surface.lower() if name in _LOWER_CASED
+                            else surface)
 
 
 Part = tuple[str, str | None]
@@ -109,13 +116,15 @@ class TokenizerLexicon(_Record):
     """Lookup tables driving segment_token.
 
     The constructor takes the tables below by name only; a table left out
-    is empty. Read-only after construction: the constructor
-    rejects an empty onset and a split entry whose parts are empty or do
-    not join to its key, derives terminal_parts, rejects an entry that is
-    also a split part, and compiles the onset order, the agreement-ending
-    table and the set of keys any rule reads from the tables given;
-    tokenize_sentence memoises its per-unit work on the lexicon, so later
-    edits to a table are not seen.
+    is empty. It stores each table under the keys its lookups read
+    (_table_key) and rejects two entries that land on one key. Read-only
+    after construction: the constructor rejects an empty onset and a split
+    entry whose parts are empty or do not join to its key, derives
+    terminal_parts, rejects an entry that is also a split part, and
+    compiles the onset order, the agreement-ending table and the set of
+    keys any rule reads from the tables given; tokenize_sentence memoises
+    its per-unit work on the lexicon, so later edits to a table are not
+    seen.
     """
 
     fused_adp_det: dict[str, tuple[Part, ...]]
@@ -135,9 +144,16 @@ class TokenizerLexicon(_Record):
     def __init__(self, **tables):
         self._check_names(tables)
         for name, adds in _LEXICON_KINDS.values():
-            if name not in tables:
-                tables[name] = set() if adds == "surface" else {}
-        self.__dict__.update(tables)
+            given = tables.get(name, ())
+            keyed = {}  # key -> the surface given for it
+            for surface in given:
+                key = _table_key(name, surface)
+                if key in keyed:
+                    raise ValueError(f"lexicon {name}: {keyed[key]!r} and "
+                                     f"{surface!r} are one key {key!r}")
+                keyed[key] = surface
+            setattr(self, name, set(keyed) if adds == "surface" else
+                    {key: given[surface] for key, surface in keyed.items()})
         self._unit_memo = {}
         if "" in self.clitic_onsets:
             raise ValueError("lexicon clitic_onsets: empty onset")
@@ -214,8 +230,7 @@ def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
         if kind not in _LEXICON_KINDS:
             raise ValueError(f"{where}: unknown kind {kind!r}")
         name, adds = _LEXICON_KINDS[kind]
-        key = fold_apostrophes(surface.lower() if kind in _LOWER_CASED
-                               else surface)
+        key = _table_key(name, surface)
         lines = kinds.setdefault(key, {})
         for other, at in lines.items():
             pair = {kind, other}

@@ -270,6 +270,22 @@ def test_tokenize_writes_a_line_break_in_the_file_name_as_backslash_n(
     assert code <= 1 and err == ""
 
 
+def test_tokenize_gives_distinct_names_distinct_sent_ids(tmp_path):
+    # a line break and a backslash followed by n, a tab and a backslash
+    # followed by t, and a CR: each pair would share a sent_id unescaped
+    names = ["a\nb.txt", "a\\nb.txt", "c\td.txt", "c\\td.txt", "e\r.txt"]
+    for name in names:
+        (tmp_path / name).write_text("zum Beispiel\n", encoding="utf-8")
+    code, out, err = run_cli(["tokenize", *(str(tmp_path / n) for n in names)])
+    assert (code, err) == (0, "")
+    ids = [s.sent_id for s in parse_document(out, "skeleton").sentences]
+    assert ids == ["a\\nb-1", "a\\\\nb-1", "c\\td-1", "c\\\\td-1", "e\\r-1"]
+    skeleton = tmp_path / "skeleton.conllu"
+    skeleton.write_text(out, encoding="utf-8")
+    _, report, _ = run_cli(["lint", str(skeleton)])
+    assert "META.DUP_ID" not in report
+
+
 def test_tokenize_custom_lexicon(tmp_path):
     lex = tmp_path / "lex.tsv"
     lex.write_text("beim\tmwt\tbei m\tADP DET\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import re
@@ -82,6 +83,45 @@ def test_serializer_rejects_a_metadata_line_that_would_not_parse_back(entry):
     s.metadata.append(entry)
     with pytest.raises(ValueError, match=re.escape(repr(entry))):
         serialize_document(Document([s]))
+
+
+@pytest.mark.parametrize("line", ["oops", "", "# a\nb", "# end\r"], ids=repr)
+def test_serializer_rejects_a_trailing_comment_that_would_not_parse_back(
+        line):
+    doc = parse_document(MINIMAL, "t")
+    doc.trailing_comments = ["# fine", line]
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        serialize_document(doc)
+
+
+NODE_COLUMNS = "\tx\t_\t_\t_\t_\t_\t_\t_\t_"
+
+
+@pytest.mark.parametrize("node", [
+    EmptyNodeLine(1, "garbage"),
+    EmptyNodeLine(5, "5.1" + NODE_COLUMNS),    # no token 5 to follow
+    EmptyNodeLine(-1, "0.1" + NODE_COLUMNS),
+    EmptyNodeLine(0, "1.1" + NODE_COLUMNS),    # its id names another anchor
+    EmptyNodeLine(1, "1.0" + NODE_COLUMNS),
+    EmptyNodeLine(1, "01.1" + NODE_COLUMNS),
+    EmptyNodeLine(1, "1.1\t\t_\t_\t_\t_\t_\t_\t_\t_"),
+    EmptyNodeLine(1, "1.1" + NODE_COLUMNS + "\t_"),
+    EmptyNodeLine(1, "1.1" + NODE_COLUMNS + "\r"),
+    EmptyNodeLine(1, "1.1" + NODE_COLUMNS + "\n1.2" + NODE_COLUMNS),
+], ids=repr)
+def test_serializer_rejects_an_empty_node_that_would_not_parse_back(node):
+    doc = parse_document(MINIMAL, "t")
+    doc.sentences[0].empty_nodes.append(node)
+    with pytest.raises(ValueError, match=re.escape(repr(node))):
+        serialize_document(doc)
+
+
+def test_serializer_rejects_a_sentence_last_without_a_final_newline():
+    doc = parse_document(MINIMAL + "# end", "t")
+    assert serialize_document(doc) == MINIMAL + "# end"
+    doc.trailing_comments = []
+    with pytest.raises(ValueError, match="final_newline"):
+        serialize_document(doc)
 
 
 def test_serializer_writes_parsed_comment_lines_with_inner_cr_and_tab():
@@ -875,6 +915,72 @@ def test_edited_metadata_is_what_the_written_text_reads_back(doc):
     reparsed = parse_document(serialize_document(doc), "<property>")
     assert [s.metadata for s in reparsed.sentences] == \
         [s.metadata for s in doc.sentences]
+
+
+_BAD_TRAILING = ("", "oops", "# a\nb", "# end\r", "#\r")
+_GOOD_TRAILING = _comment_lines.filter(lambda line: not line.endswith("\r"))
+# empty node lines whose "{}" takes the id's integer part; only the first
+# two are well-formed
+_EMPTY_NODE_LINES = ("{}.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_",
+                     "{}.2\tE\t_\tX\t_\t_\t_\t_\t_\tSpaceAfter=No",
+                     "garbage {}", "{}.1\tE", "{}.0\tE" + "\t_" * 8,
+                     "0{}.1\tE" + "\t_" * 8, "{}.1\t\t_" + "\t_" * 7,
+                     "{}.1\tE" + "\t_" * 8 + "\r",
+                     "{}.1\tE" + "\t_" * 8 + "\n{}.2\tE" + "\t_" * 8)
+
+
+@st.composite
+def document_edits(draw):
+    """A document after metadata_edits and random edits to its trailing
+    comments, empty nodes and final line end, with whether any edit left
+    something the parser would not read back."""
+    doc = draw(metadata_edits())
+    bad = False
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("trailing", "empty", "final_newline")))
+        if op == "trailing":
+            doc.trailing_comments = draw(st.lists(st.one_of(
+                _GOOD_TRAILING, st.sampled_from(_BAD_TRAILING)), max_size=3))
+        elif op == "empty":
+            s = draw(st.sampled_from(doc.sentences))
+            anchor = draw(st.integers(-1, len(s.tokens) + 1))
+            named = draw(st.sampled_from((anchor, anchor, anchor + 1)))
+            shape = draw(st.integers(0, len(_EMPTY_NODE_LINES) - 1))
+            bad |= not (shape < 2 and named == anchor
+                        and 0 <= anchor <= len(s.tokens))
+            # kept in anchor order, as the parser reads them
+            anchors = [node.anchor for node in s.empty_nodes]
+            at = draw(st.integers(bisect.bisect_left(anchors, anchor),
+                                  bisect.bisect_right(anchors, anchor)))
+            s.empty_nodes.insert(at, EmptyNodeLine(
+                anchor, _EMPTY_NODE_LINES[shape].format(named, named)))
+        else:
+            doc.final_newline = draw(st.booleans())
+    bad |= any(line in _BAD_TRAILING for line in doc.trailing_comments)
+    bad |= not (doc.final_newline or doc.trailing_comments)
+    return doc, bad
+
+
+def _content(doc):
+    """What a document holds, every line number left out."""
+    return (doc.bom, doc.final_newline, doc.trailing_comments,
+            [(s.metadata, [t._replace(line=0) for t in s.tokens],
+              [span._replace(line=0) for span in s.mwt_spans],
+              [node._replace(line=0) for node in s.empty_nodes])
+             for s in doc.sentences])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(document_edits())
+def test_edited_document_reads_back_or_is_rejected(edited):
+    # the serializer raises exactly when some edit would not read back
+    doc, bad = edited
+    if bad:
+        with pytest.raises(ValueError):
+            serialize_document(doc)
+    else:
+        reparsed = parse_document(serialize_document(doc), "<property>")
+        assert _content(reparsed) == _content(doc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -607,6 +607,22 @@ def test_lint_config_pickles_and_copies(duplicate):
         twin.severity_overrides["META.*"] = "error"
 
 
+@pytest.mark.parametrize("cls, first", [
+    (LintConfig, "severity_overrides"),
+    (maibaam_lint.TokenizerLexicon, "fused_adp_det"),
+])
+def test_config_records_take_their_fields_by_name_only(cls, first):
+    assert cls._fields[0] == first
+    assert cls(**{first: {}}) == cls()
+    with pytest.raises(TypeError):
+        cls({})
+    with pytest.raises(TypeError, match=f"{cls.__name__} got an unexpected "
+                                        "argument 'colour'"):
+        cls(colour={})
+    with pytest.raises(TypeError, match="unexpected argument 'colour'"):
+        cls()._replace(colour={})
+
+
 def test_rule_enabled_resolution_order():
     both = frozenset({"LEMMA.MISSING"})
     # an explicit enable beats a disable at the same level

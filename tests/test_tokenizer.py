@@ -346,6 +346,39 @@ def test_hand_built_split_entry_parts_join_with_apostrophes_folded():
     assert segment_token("hob'i", lexicon).forms() == ("hob'", "i")
 
 
+def test_hand_built_lexicon_keys_its_tables_as_the_loader_does(tmp_path):
+    # every table is stored under the keys its lookups read, so an entry
+    # built in code matches wherever the same line in a file would
+    hand = TokenizerLexicon(
+        fused_adp_det={"aus’n": (("aus", "ADP"), ("’n", "DET")),
+                       "zum": (("zu", "ADP"), ("m", "DET"))},
+        fused_inf={"zum": (("zu", "PART"), ("m", "DET"))},
+        nominalized_infinitives={"Essn"}, units={"MB"},
+        abbreviations={"Z.B."})
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("aus’n\tmwt\taus ’n\tADP DET\nzum\tmwt\tzu m\tADP DET\n"
+                   "zum\tmwt-inf\tzu m\tPART DET\nEssn\tnominf\t_\t_\n"
+                   "MB\tunit\t_\t_\nZ.B.\tabbrev\t_\t_\n", encoding="utf-8")
+    assert hand == load_lexicon(lex)
+    for surface in ("aus’n", "aus'n", "Aus`n"):
+        assert segment_token(surface, hand).kind == KIND_MWT, surface
+    assert segment_token("zum", hand, next_surface="essn").parts == (
+        ("zu", "PART"), ("m", "DET"))
+    assert forms(tokenize_sentence("8MB 8mb z.B. da", hand)) == \
+        ["8", "MB", "8", "mb", "z.B.", "da"]
+
+
+@pytest.mark.parametrize("tables", [
+    {"units": {"MB", "mb"}},
+    {"fused_adp_det": {"aus’n": (("aus", "ADP"), ("’n", "DET")),
+                       "aus'n": (("aus", "ADP"), ("'n", "DET"))}},
+    {"intact_forms": {"d'Leit": None, "d`Leit": "NOUN"}},
+], ids=["case", "apostrophe", "hint-table"])
+def test_hand_built_lexicon_rejects_two_entries_on_one_key(tables):
+    with pytest.raises(ValueError, match="are one key"):
+        TokenizerLexicon(**tables)
+
+
 def test_load_lexicon_rejects_key_part_clash(tmp_path):
     # each line loads alone; together, the clitic surface "ab" is also a
     # part of the sandhi entry
