@@ -558,10 +558,10 @@ def serialize_document(doc: Document) -> str:
         if not _comment_line(line):
             raise ValueError(f"bad trailing comment {line!r}: not written "
                              "as one comment line")
-    lines.extend(doc.trailing_comments)
-    if lines and lines[-1] == "" and not doc.final_newline:
+    if doc.sentences and not doc.trailing_comments and not doc.final_newline:
         raise ValueError("final_newline is False but a sentence comes last: "
                          "its closing blank line needs a line end")
+    lines.extend(doc.trailing_comments)
     if not lines:
         return "\ufeff" if doc.bom else ""
     body = "\n".join(lines) + ("\n" if doc.final_newline else "")
