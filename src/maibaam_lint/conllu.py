@@ -490,12 +490,12 @@ def iter_sentences(text: str, file_name: str = "<string>",
         doc.trailing_comments = comments
 
 
-def _comment_line(line: str) -> bool:
+def _comment_line(line: str, line_end: bool = True) -> bool:
     """Whether the parser reads line back as one comment line: it starts
-    with "#" and holds no LF or final CR (which would write a CRLF line
-    end)."""
+    with "#", holds no LF and, if a line end follows it, does not end in
+    CR (which would write a CRLF line end)."""
     return line.startswith("#") and "\n" not in line and \
-        not line.endswith("\r")
+        not (line_end and line.endswith("\r"))
 
 
 def _sentence_lines(s: Sentence) -> list[str]:
@@ -545,23 +545,27 @@ def serialize_document(doc: Document) -> str:
     For documents produced by parse_document the output is byte-identical
     to the original input. Raises ValueError naming what would not parse
     back: a metadata entry or trailing comment whose line holds an LF,
-    ends in CR, or does not start with "#"; an empty node whose line is
-    not an empty node line with its anchor's id, or whose anchor exceeds
-    its sentence's token count; and final_newline False with a sentence
-    last, whose closing blank line needs a line end.
+    does not start with "#", or ends in CR with a line end after it; an
+    empty node whose line is not an empty node line with its anchor's id,
+    or whose anchor exceeds its sentence's token count; and final_newline
+    False with a sentence last, whose closing blank line needs a line end.
+    A document with no sentences and no trailing comments is written as
+    "" (or the BOM alone) whatever its final_newline, and reads back with
+    final_newline False.
     """
     lines: list[str] = []
     for s in doc.sentences:
         lines.extend(_sentence_lines(s))
         lines.append("")
-    for line in doc.trailing_comments:
-        if not _comment_line(line):
+    trailing = doc.trailing_comments
+    for i, line in enumerate(trailing, 1):
+        if not _comment_line(line, i < len(trailing) or doc.final_newline):
             raise ValueError(f"bad trailing comment {line!r}: not written "
                              "as one comment line")
-    if doc.sentences and not doc.trailing_comments and not doc.final_newline:
+    if doc.sentences and not trailing and not doc.final_newline:
         raise ValueError("final_newline is False but a sentence comes last: "
                          "its closing blank line needs a line end")
-    lines.extend(doc.trailing_comments)
+    lines.extend(trailing)
     if not lines:
         return "\ufeff" if doc.bom else ""
     body = "\n".join(lines) + ("\n" if doc.final_newline else "")

@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maibaam_lint import conllu
@@ -91,6 +91,22 @@ def test_serializer_rejects_a_trailing_comment_that_would_not_parse_back(
     doc = parse_document(MINIMAL, "t")
     doc.trailing_comments = ["# fine", line]
     with pytest.raises(ValueError, match=re.escape(repr(line))):
+        serialize_document(doc)
+
+
+def test_serializer_rejects_a_final_cr_only_before_a_line_end():
+    # without a line end after it, a comment's final CR reads back
+    for text in ("# c\r", "#\r\r", MINIMAL + "# c\r", MINIMAL + "# b\n# c\r"):
+        doc = parse_document(text, "t")
+        assert doc.trailing_comments[-1].endswith("\r")
+        assert serialize_document(doc) == text
+    doc = parse_document(MINIMAL + "# c\r", "t")
+    doc.trailing_comments.append("# d")
+    with pytest.raises(ValueError, match=re.escape(repr("# c\r"))):
+        serialize_document(doc)
+    doc.trailing_comments.pop()
+    doc.final_newline = True
+    with pytest.raises(ValueError, match=re.escape(repr("# c\r"))):
         serialize_document(doc)
 
 
@@ -306,6 +322,11 @@ def test_round_trip_golden(golden_text):
 def test_serialize_empty_document():
     assert serialize_document(Document()) == ""
     assert serialize_document(Document(bom=True)) == "﻿"
+    # final_newline is not written without a line; it reads back False
+    for doc in (Document(), Document(bom=True, final_newline=False)):
+        back = parse_document(serialize_document(doc), "t")
+        assert (back.bom, back.final_newline, back.sentences,
+                back.trailing_comments) == (doc.bom, False, [], [])
 
 
 def test_misc_round_trip():
@@ -917,8 +938,11 @@ def test_edited_metadata_is_what_the_written_text_reads_back(doc):
         [s.metadata for s in doc.sentences]
 
 
-_BAD_TRAILING = ("", "oops", "# a\nb", "# end\r", "#\r")
-_GOOD_TRAILING = _comment_lines.filter(lambda line: not line.endswith("\r"))
+_BAD_TRAILING = ("", "oops", "# a\nb")
+# comment lines, some ending in CR, which reads back only without a line
+# end after it
+_TRAILING = st.one_of(_comment_lines, st.sampled_from(("# end\r", "#\r")),
+                      _comment_lines.map(lambda line: line + "\r"))
 # empty node lines whose "{}" takes the id's integer part; only the first
 # two are well-formed
 _EMPTY_NODE_LINES = ("{}.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_",
@@ -931,17 +955,15 @@ _EMPTY_NODE_LINES = ("{}.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_",
 
 @st.composite
 def document_edits(draw):
-    """A document after metadata_edits and random edits to its trailing
-    comments, empty nodes and final line end, with whether any edit left
-    something the parser would not read back."""
+    """A document after metadata_edits, perhaps with its sentences dropped,
+    and random edits to its trailing comments, empty nodes and final line
+    end, with whether any edit left something the parser would not read
+    back."""
     doc = draw(metadata_edits())
+    if draw(st.integers(0, 4)) == 4:
+        doc.sentences = []
     bad = False
-    for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(("trailing", "empty", "final_newline")))
-        if op == "trailing":
-            doc.trailing_comments = draw(st.lists(st.one_of(
-                _GOOD_TRAILING, st.sampled_from(_BAD_TRAILING)), max_size=3))
-        elif op == "empty":
+    for _ in range(draw(st.integers(0, 1)) if doc.sentences else 0):
             s = draw(st.sampled_from(doc.sentences))
             anchor = draw(st.integers(-1, len(s.tokens) + 1))
             named = draw(st.sampled_from((anchor, anchor, anchor + 1)))
@@ -954,16 +976,23 @@ def document_edits(draw):
                                   bisect.bisect_right(anchors, anchor)))
             s.empty_nodes.insert(at, EmptyNodeLine(
                 anchor, _EMPTY_NODE_LINES[shape].format(named, named)))
-        else:
-            doc.final_newline = draw(st.booleans())
-    bad |= any(line in _BAD_TRAILING for line in doc.trailing_comments)
-    bad |= not (doc.final_newline or doc.trailing_comments)
+    if draw(st.booleans()):
+        doc.trailing_comments = draw(st.lists(st.one_of(
+            _TRAILING, st.sampled_from(_BAD_TRAILING)), max_size=3))
+    doc.final_newline = draw(st.sampled_from((True, True, False)))
+    trailing = doc.trailing_comments
+    bad |= any(line in _BAD_TRAILING for line in trailing)
+    bad |= any(line.endswith("\r") and (i < len(trailing) or doc.final_newline)
+               for i, line in enumerate(trailing, 1))
+    bad |= bool(doc.sentences) and not (doc.final_newline or trailing)
     return doc, bad
 
 
 def _content(doc):
-    """What a document holds, every line number left out."""
-    return (doc.bom, doc.final_newline, doc.trailing_comments,
+    """What a document holds, every line number left out; final_newline
+    only where a line is written."""
+    written = bool(doc.sentences or doc.trailing_comments)
+    return (doc.bom, doc.final_newline and written, doc.trailing_comments,
             [(s.metadata, [t._replace(line=0) for t in s.tokens],
               [span._replace(line=0) for span in s.mwt_spans],
               [node._replace(line=0) for node in s.empty_nodes])
@@ -972,6 +1001,10 @@ def _content(doc):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(document_edits())
+# rarely drawn: a last comment's final CR with no line end after it, and
+# a document with no line but final_newline True
+@example((Document([], ["# b", "# c\r"], final_newline=False), False))
+@example((Document(final_newline=True), False))
 def test_edited_document_reads_back_or_is_rejected(edited):
     # the serializer raises exactly when some edit would not read back
     doc, bad = edited
