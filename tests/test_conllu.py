@@ -963,19 +963,19 @@ def document_edits(draw):
     if draw(st.integers(0, 4)) == 4:
         doc.sentences = []
     bad = False
-    for _ in range(draw(st.integers(0, 1)) if doc.sentences else 0):
-            s = draw(st.sampled_from(doc.sentences))
-            anchor = draw(st.integers(-1, len(s.tokens) + 1))
-            named = draw(st.sampled_from((anchor, anchor, anchor + 1)))
-            shape = draw(st.integers(0, len(_EMPTY_NODE_LINES) - 1))
-            bad |= not (shape < 2 and named == anchor
-                        and 0 <= anchor <= len(s.tokens))
-            # kept in anchor order, as the parser reads them
-            anchors = [node.anchor for node in s.empty_nodes]
-            at = draw(st.integers(bisect.bisect_left(anchors, anchor),
-                                  bisect.bisect_right(anchors, anchor)))
-            s.empty_nodes.insert(at, EmptyNodeLine(
-                anchor, _EMPTY_NODE_LINES[shape].format(named, named)))
+    for _ in range(draw(st.integers(0, 2)) if doc.sentences else 0):
+        s = draw(st.sampled_from(doc.sentences))
+        anchor = draw(st.integers(-1, len(s.tokens) + 1))
+        named = draw(st.sampled_from((anchor, anchor, anchor + 1)))
+        shape = draw(st.integers(0, len(_EMPTY_NODE_LINES) - 1))
+        bad |= not (shape < 2 and named == anchor
+                    and 0 <= anchor <= len(s.tokens))
+        # kept in anchor order, as the parser reads them
+        anchors = [node.anchor for node in s.empty_nodes]
+        at = draw(st.integers(bisect.bisect_left(anchors, anchor),
+                              bisect.bisect_right(anchors, anchor)))
+        s.empty_nodes.insert(at, EmptyNodeLine(
+            anchor, _EMPTY_NODE_LINES[shape].format(named, named)))
     if draw(st.booleans()):
         doc.trailing_comments = draw(st.lists(st.one_of(
             _TRAILING, st.sampled_from(_BAD_TRAILING)), max_size=3))
