@@ -41,8 +41,9 @@ FULL_1PL_PRONOUNS = frozenset({"mia", "mir"})
 # the Token columns a tokenizer row sets; the others are constants
 _ROW_COLUMNS = ("form", "upos", "misc")
 
-# each lexicon kind -> (the TokenizerLexicon table it fills, what a line
-# adds there: split parts, the first UPOS hint ("_" = none) or the surface)
+# each lexicon kind -> (the TokenizerLexicon table it fills, what an entry
+# adds there: split parts, a tuple of (form, UPOS hint) pairs; a UPOS hint
+# or None; or the surface alone). The order is TokenizerLexicon._fields.
 _LEXICON_KINDS = {
     "mwt": ("fused_adp_det", "parts"),
     "mwt-inf": ("fused_inf", "parts"),
@@ -112,68 +113,96 @@ def _intact(surface: str, hint: str | None = None,
     return SegmentationResult(KIND_INTACT, ((surface, hint),), note)
 
 
+def _keyed_tables(entries, path=None) -> dict:
+    """The TokenizerLexicon tables of entries (kind, surface, value, line),
+    taken in order, each stored under its _table_key. These are the rules
+    of every lexicon, however it is made:
+    - a surface is not empty;
+    - a surface is listed once per kind, and under at most one of
+      _SELF_KINDS, mwt with mwt-inf aside;
+    - the part forms of a split entry are not empty and, apostrophes
+      folded, join to its surface;
+    - a split surface is not also a part form or an onset.
+    The first entry that breaks one raises ValueError; with a path, as
+    'PATH:LINE: message on line N', N naming the other entry's line."""
+    def fail(line, message, other_line=None):
+        if path is not None:
+            message = f"{path}:{line}: {message}"
+            if other_line is not None:
+                message += f" on line {other_line}"
+        raise ValueError(message)
+
+    tables = {name: set() if adds == "surface" else {}
+              for name, adds in _LEXICON_KINDS.values()}
+    kinds: dict[str, dict] = {}  # key -> {kind: first line}
+    part_of: dict[str, tuple] = {}  # folded part or onset -> (what, line)
+    for kind, surface, value, line in entries:
+        if not surface:
+            fail(line, "empty surface")
+        name, adds = _LEXICON_KINDS[kind]
+        key = _table_key(name, surface)
+        lines = kinds.setdefault(key, {})
+        for other, at in lines.items():
+            pair = {kind, other}
+            if other == kind or (pair <= _SELF_KINDS and pair != _FUSED):
+                fail(line, f"{kind} surface {surface!r} is also listed as "
+                     f"{other}", at)
+        lines[kind] = line
+        if adds == "parts":
+            forms = [form for form, _ in value]
+            if "" in forms:
+                fail(line, f"empty part form in {' '.join(forms)!r}")
+            if fold_apostrophes("".join(forms)) != key:
+                fail(line, f"parts do not concatenate to surface {surface!r}")
+            for form in forms:
+                part_of.setdefault(fold_apostrophes(form), ("a part", line))
+        elif kind == "onset":
+            part_of.setdefault(key, ("an onset", line))
+        if adds == "surface":
+            tables[name].add(key)
+        else:
+            tables[name][key] = value
+    for key, lines in kinds.items():
+        split = [at for kind, at in lines.items()
+                 if _LEXICON_KINDS[kind][1] == "parts"]
+        if split and key in part_of:
+            what, at = part_of[key]
+            fail(split[0], f"split surface {key!r} is also {what}", at)
+    return tables
+
+
 class TokenizerLexicon(_Record):
     """Lookup tables driving segment_token.
 
-    The constructor takes the tables below by name only; a table left out
-    is empty. It stores each table under the keys its lookups read
-    (_table_key) and rejects two entries that land on one key. Read-only
-    after construction: the constructor rejects an empty onset and a split
-    entry whose parts are empty or do not join to its key, derives
-    terminal_parts, rejects an entry that is also a split part, and
-    compiles the onset order, the agreement-ending table and the set of
-    keys any rule reads from the tables given; tokenize_sentence memoises
-    its per-unit work on the lexicon, so later edits to a table are not
-    seen.
+    The constructor takes the tables of _LEXICON_KINDS by name only; a
+    table left out is empty. A split table maps surfaces to (form, UPOS
+    hint) pairs, clitic_onsets and intact_forms map them to a UPOS hint or
+    None, and the other tables are sets of surfaces. The constructor keys
+    and checks them as _keyed_tables does, so it raises load_lexicon's
+    message without the file and lines. It derives terminal_parts (the
+    onsets and every folded part form) and compiles the onset order, the
+    agreement-ending table and the set of keys any rule reads. Read-only
+    after construction: tokenize_sentence memoises its per-unit work on
+    the lexicon, so later edits to a table are not seen.
     """
 
-    fused_adp_det: dict[str, tuple[Part, ...]]
-    fused_inf: dict[str, tuple[Part, ...]]
-    clitic_onsets: dict[str, str | None]
-    pronoun_clitics: dict[str, tuple[Part, ...]]
-    sandhi_splits: dict[str, tuple[Part, ...]]
-    compagr_hosts: set[str]
-    ma_forms: dict[str, tuple[Part, ...]]
-    review_forms: set[str]
-    abbreviations: set[str]  # lower-cased
-    intact_forms: dict[str, str | None]
-    nominalized_infinitives: set[str]  # lower-cased
-    units: set[str]  # lower-cased
-    _fields = tuple(__annotations__)  # the tables above, in order
+    _fields = tuple(name for name, _ in _LEXICON_KINDS.values())
 
     def __init__(self, **tables):
         self._check_names(tables)
-        for name, adds in _LEXICON_KINDS.values():
-            given = tables.get(name, ())
-            keyed = {}  # key -> the surface given for it
-            for surface in given:
-                key = _table_key(name, surface)
-                if key in keyed:
-                    raise ValueError(f"lexicon {name}: {keyed[key]!r} and "
-                                     f"{surface!r} are one key {key!r}")
-                keyed[key] = surface
-            setattr(self, name, set(keyed) if adds == "surface" else
-                    {key: given[surface] for key, surface in keyed.items()})
+        vars(self).update(_keyed_tables(
+            (kind, surface, None if adds == "surface" else given[surface], None)
+            for kind, (name, adds) in _LEXICON_KINDS.items()
+            for given in [tables.get(name, ())] for surface in given))
         self._unit_memo = {}
-        if "" in self.clitic_onsets:
-            raise ValueError("lexicon clitic_onsets: empty onset")
-        self.terminal_parts = set(self.clitic_onsets)
-        for name in _SPLIT_TABLES:
-            for key, parts in getattr(self, name).items():
-                forms = [fold_apostrophes(f) for f, _ in parts]
-                if "" in forms or "".join(forms) != fold_apostrophes(key):
-                    raise ValueError(f"lexicon {name} entry {key!r}: part forms "
-                                     f"{forms} are empty or do not join to it")
-                self.terminal_parts.update(forms)
-        clash = set(self.split_surfaces()) & self.terminal_parts
-        if clash:
-            raise ValueError(
-                f"lexicon entries are also split parts: {sorted(clash)}")
+        self.terminal_parts = set(self.clitic_onsets).union(
+            fold_apostrophes(form) for name in _SPLIT_TABLES
+            for parts in getattr(self, name).values() for form, _ in parts)
         self._onsets = tuple(sorted(self.clitic_onsets, key=len, reverse=True))
         # surface -> ending; setdefault keeps the first ending in this order
         agreement = dict.fromkeys(self.ma_forms, "ma")
         for suffix in AGREEMENT_SUFFIXES + ("ma",):
-            for host in filter(None, self.compagr_hosts):
+            for host in self.compagr_hosts:
                 agreement.setdefault(host + suffix, suffix)
                 agreement.setdefault(host + "'" + suffix, suffix)
                 if suffix.startswith("s") and host.endswith("s"):
@@ -191,30 +220,10 @@ class TokenizerLexicon(_Record):
                                     for name in _SPLIT_TABLES)))
 
 
-def _parse_parts(parts_field: str, hints_field: str, surface: str,
-                 where: str) -> tuple[Part, ...]:
-    forms = parts_field.split(" ")
-    if "" in forms:
-        raise ValueError(f"{where}: empty part form in {parts_field!r}")
-    hints = hints_field.split(" ") if hints_field != "_" else ["_"] * len(forms)
-    if len(hints) != len(forms):
-        raise ValueError(f"{where}: {len(forms)} parts but {len(hints)} hints")
-    if "".join(forms) != surface:
-        raise ValueError(f"{where}: parts do not concatenate to surface "
-                         f"{surface!r}")
-    return tuple((f, None if h == "_" else h) for f, h in zip(forms, hints))
-
-
-def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
-    """Load a lexicon from the file at path. A malformed line, a surface
-    repeated within a kind or under two _SELF_KINDS (mwt with mwt-inf
-    aside), and a split surface that is also a part or an onset raise
-    ValueError('PATH:LINE: message'). For lexicon text in memory, write a
-    file or build TokenizerLexicon from its tables."""
-    tables = {name: set() if adds == "surface" else {}
-              for name, adds in _LEXICON_KINDS.values()}
-    kinds: dict[str, dict[str, int]] = {}  # key -> {kind: first line}
-    part_of: dict[str, str] = {}  # folded part or onset -> "a part on line N"
+def _file_entries(path):
+    """The entries of the lexicon file at path for _keyed_tables, read one
+    line at a time; a line that is not an entry raises
+    ValueError('PATH:LINE: message')."""
     for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.rstrip()
         if not line or line.startswith("#"):
@@ -225,39 +234,28 @@ def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
             raise ValueError(f"{where}: expected 4 tab-separated columns, "
                              f"got {len(cols)}")
         surface, kind, parts_field, hints_field = cols
-        if not surface:
-            raise ValueError(f"{where}: empty surface")
         if kind not in _LEXICON_KINDS:
             raise ValueError(f"{where}: unknown kind {kind!r}")
-        name, adds = _LEXICON_KINDS[kind]
-        key = _table_key(name, surface)
-        lines = kinds.setdefault(key, {})
-        for other, at in lines.items():
-            pair = {kind, other}
-            if other == kind or (pair <= _SELF_KINDS and pair != _FUSED):
-                raise ValueError(f"{where}: {kind} surface {surface!r} is "
-                                 f"also listed as {other} on line {at}")
-        lines[kind] = line_no
+        adds = _LEXICON_KINDS[kind][1]
+        hints = [None if h == "_" else h for h in hints_field.split(" ")]
+        value = hints[0] if adds == "hint" else None
         if adds == "parts":
-            tables[name][key] = parts = _parse_parts(parts_field, hints_field,
-                                                     surface, where)
-            for form, _ in parts:
-                part_of.setdefault(fold_apostrophes(form),
-                                   f"a part on line {line_no}")
-        elif adds == "hint":
-            hint = hints_field.split(" ")[0]
-            tables[name][key] = None if hint == "_" else hint
-            if kind == "onset":
-                part_of.setdefault(key, f"an onset on line {line_no}")
-        else:
-            tables[name].add(key)
-    for key, lines in kinds.items():
-        split = [at for kind, at in lines.items()
-                 if _LEXICON_KINDS[kind][1] == "parts"]
-        if split and key in part_of:
-            raise ValueError(f"{path}:{split[0]}: split surface {key!r} is "
-                             f"also {part_of[key]}")
-    return TokenizerLexicon(**tables)
+            forms = parts_field.split(" ")
+            if hints_field == "_":
+                hints *= len(forms)
+            if len(hints) != len(forms):
+                raise ValueError(f"{where}: {len(forms)} parts but "
+                                 f"{len(hints)} hints")
+            value = tuple(zip(forms, hints))
+        yield kind, surface, value, line_no
+
+
+def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
+    """Load a lexicon from the file at path. A malformed line, or the first
+    line that breaks a rule of _keyed_tables, raises
+    ValueError('PATH:LINE: message'). For lexicon text in memory, write a
+    file or build TokenizerLexicon from its tables."""
+    return TokenizerLexicon(**_keyed_tables(_file_entries(path), path))
 
 
 def default_lexicon() -> TokenizerLexicon:

@@ -292,9 +292,9 @@ def test_load_lexicon_takes_a_path_object(tmp_path):
 
 
 def test_lexicon_kinds_fill_every_table_once():
-    # a table no kind fills, or a kind naming no table, fails here
-    tables = [name for name, _ in tokenizer._LEXICON_KINDS.values()]
-    assert sorted(tables) == sorted(TokenizerLexicon._fields)
+    # the tables are the kinds' tables, so two kinds naming one table
+    # fail here
+    assert len(set(TokenizerLexicon._fields)) == len(tokenizer._LEXICON_KINDS)
 
 
 @pytest.mark.parametrize("kind", ["intact", "onset"])
@@ -319,25 +319,27 @@ def test_intact_line_with_a_leading_none_hint_gets_the_default_hint(tmp_path):
 def test_hand_built_lexicon_rejects_an_empty_onset():
     with pytest.raises(ValueError) as exc:
         TokenizerLexicon(clitic_onsets={"": "ADP"})
-    assert str(exc.value) == "lexicon clitic_onsets: empty onset"
+    assert str(exc.value) == "empty surface"
 
 
-@pytest.mark.parametrize("table, key, parts, forms", [
-    ("fused_adp_det", "zum", (("zum", "ADP"), ("", "DET")), "['zum', '']"),
+@pytest.mark.parametrize("table, key, parts, message", [
+    ("fused_adp_det", "zum", (("zum", "ADP"), ("", "DET")),
+     "empty part form in 'zum '"),
     # parts that outrun the key would carve an empty form from the surface
-    ("pronoun_clitics", "ab", (("abx", None), ("c", None)), "['abx', 'c']"),
-    ("fused_inf", "zum", (("zu", "ADP"),), "['zu']"),
+    ("pronoun_clitics", "ab", (("abx", None), ("c", None)),
+     "parts do not concatenate to surface 'ab'"),
+    ("fused_inf", "zum", (("zu", "ADP"),),
+     "parts do not concatenate to surface 'zum'"),
     ("sandhi_splits", "wiera", (("wier", None), ("ra", "PRON")),
-     "['wier', 'ra']"),
-    ("ma_forms", "wemma", (), "[]"),
+     "parts do not concatenate to surface 'wiera'"),
+    ("ma_forms", "wemma", (), "parts do not concatenate to surface 'wemma'"),
 ], ids=["empty-part", "longer-parts", "shorter-parts", "other-parts",
         "no-parts"])
 def test_hand_built_lexicon_rejects_a_bad_split_entry(table, key, parts,
-                                                      forms):
+                                                      message):
     with pytest.raises(ValueError) as exc:
         TokenizerLexicon(**{table: {key: parts}})
-    assert str(exc.value) == (f"lexicon {table} entry {key!r}: part forms "
-                              f"{forms} are empty or do not join to it")
+    assert str(exc.value) == message
 
 
 def test_hand_built_split_entry_parts_join_with_apostrophes_folded():
@@ -375,7 +377,7 @@ def test_hand_built_lexicon_keys_its_tables_as_the_loader_does(tmp_path):
     {"intact_forms": {"d'Leit": None, "d`Leit": "NOUN"}},
 ], ids=["case", "apostrophe", "hint-table"])
 def test_hand_built_lexicon_rejects_two_entries_on_one_key(tables):
-    with pytest.raises(ValueError, match="are one key"):
+    with pytest.raises(ValueError, match="is also listed as"):
         TokenizerLexicon(**tables)
 
 
@@ -394,7 +396,7 @@ def test_load_lexicon_rejects_key_part_clash(tmp_path):
         load_lexicon(str(bad))
 
 
-@pytest.mark.parametrize("lines, message", [
+REPEATED_SURFACES = [
     (["zum\tmwt\tzu m\tADP DET", "zum\tintact\t_\tADP"],
      "2: intact surface 'zum' is also listed as mwt on line 1"),
     (["gibts\tclitic\tgibt s\tVERB PRON", "gibts\treview\t_\t_"],
@@ -412,8 +414,14 @@ def test_load_lexicon_rejects_key_part_clash(tmp_path):
      "2: host surface 'dass' is also listed as host on line 1"),
     (["MB\tunit\t_\t_", "mb\tunit\t_\t_"],
      "2: unit surface 'mb' is also listed as unit on line 1"),
-], ids=["mwt-intact", "clitic-review", "ma-form-sandhi", "third-kind",
-        "apostrophe", "abbrev-case", "host", "unit-case"])
+]
+REPEATED_SURFACE_IDS = ["mwt-intact", "clitic-review", "ma-form-sandhi",
+                        "third-kind", "apostrophe", "abbrev-case", "host",
+                        "unit-case"]
+
+
+@pytest.mark.parametrize("lines, message", REPEATED_SURFACES,
+                         ids=REPEATED_SURFACE_IDS)
 def test_load_lexicon_rejects_a_repeated_surface(tmp_path, lines, message):
     # a later line would replace the earlier entry, or be shadowed by the
     # rule segment_token tries first
@@ -461,7 +469,7 @@ def test_load_lexicon_lower_cases_unit_surfaces(tmp_path):
                                                     ("MB", "NOUN")]
 
 
-@pytest.mark.parametrize("lines, message", [
+SPLIT_SURFACE_PARTS = [
     (["ab\tclitic\ta b\t_", "abc\tclitic\tab c\t_"],
      "1: split surface 'ab' is also a part on line 2"),
     (["abc\tclitic\tab c\t_", "ab\tclitic\ta b\t_"],
@@ -470,7 +478,12 @@ def test_load_lexicon_lower_cases_unit_surfaces(tmp_path):
      "3: split surface \"'s\" is also a part on line 2"),
     (["z'\tonset\t_\tADP", "z'\tmwt\tz '\t_"],
      "2: split surface \"z'\" is also an onset on line 1"),
-], ids=["part-later", "part-earlier", "apostrophe", "onset"])
+]
+SPLIT_SURFACE_PART_IDS = ["part-later", "part-earlier", "apostrophe", "onset"]
+
+
+@pytest.mark.parametrize("lines, message", SPLIT_SURFACE_PARTS,
+                         ids=SPLIT_SURFACE_PART_IDS)
 def test_load_lexicon_locates_a_split_surface_that_is_a_part(tmp_path, lines,
                                                              message):
     bad = tmp_path / "clash.tsv"
@@ -478,6 +491,80 @@ def test_load_lexicon_locates_a_split_surface_that_is_a_part(tmp_path, lines,
     with pytest.raises(ValueError) as exc:
         load_lexicon(bad)
     assert str(exc.value) == f"{bad}:{message}"
+
+
+def _tables_of(lines):
+    """The tables a caller would build in code for lexicon lines, surfaces
+    as written: a dict for a split or hint kind, a list for a surface kind
+    (so a repeated surface stays repeated)."""
+    tables = {}
+    for line in lines:
+        surface, kind, parts, hints = line.split("\t")
+        name, adds = tokenizer._LEXICON_KINDS[kind]
+        if adds == "surface":
+            tables.setdefault(name, []).append(surface)
+            continue
+        table = tables.setdefault(name, {})
+        assert surface not in table
+        hints = [None if h == "_" else h for h in hints.split(" ")]
+        forms = parts.split(" ")
+        if len(hints) != len(forms):
+            hints = [None] * len(forms)
+        table[surface] = hints[0] if adds == "hint" else tuple(zip(forms,
+                                                                   hints))
+    return tables
+
+
+@pytest.mark.parametrize("lines", [lines for lines, _ in REPEATED_SURFACES]
+                         + [lines for lines, _ in SPLIT_SURFACE_PARTS] + [
+    ["ab\tclitic\ta b\t_ _", "abc\tsandhi\tab c\t_ _"],
+    ["zum\tmwt\tzu n\tADP DET"],
+    ["zum\tmwt\tzu  m\t_"],
+    ["\tonset\t_\tADP"],
+    # rejected only by load_lexicon before both used one checker
+    ["gibts\tclitic\tgibt s\tVERB PRON", "gibts\tintact\t_\tVERB"],
+    ["zum\tmwt\tzu m\tADP DET", "zum\treview\t_\t_"],
+    ["\thost\t_\t_"],
+    ["\tintact\t_\tNOUN"],
+    ["\tmwt\t\t_"],
+    # accepted by both
+    ["zum\tmwt\tzu m\tADP DET", "zum\tmwt-inf\tzu m\tPART DET",
+     "dass\thost\t_\t_", "dass\tintact\t_\tSCONJ"],
+    ["aus’n\tmwt\taus 'n\tADP DET"],
+], ids=[f"repeated-{i}" for i in REPEATED_SURFACE_IDS]
+    + [f"split-part-{i}" for i in SPLIT_SURFACE_PART_IDS]
+    + ["key-part-clash", "bad-parts", "empty-part", "empty-onset",
+       "clitic-intact", "mwt-review", "empty-host", "empty-intact",
+       "empty-mwt", "good", "apostrophe-join"])
+def test_hand_built_lexicon_keeps_the_file_rules(tmp_path, lines):
+    # the same tables load from a file exactly when they construct, and the
+    # constructor raises the file's message without 'PATH:LINE: ' and
+    # ' on line N'. Tables built in code keep no order across tables, so
+    # the file lists its lines in table order.
+    order = list(tokenizer._LEXICON_KINDS)
+    lines = sorted(lines, key=lambda line: order.index(line.split("\t")[1]))
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        loaded = load_lexicon(lex)
+    except ValueError as exc:
+        message = re.fullmatch(rf"{re.escape(str(lex))}:\d+: (.*?)"
+                               r"(?: on line \d+)?", str(exc)).group(1)
+        with pytest.raises(ValueError) as built:
+            TokenizerLexicon(**_tables_of(lines))
+        assert str(built.value) == message
+    else:
+        assert TokenizerLexicon(**_tables_of(lines)) == loaded
+
+
+def test_load_lexicon_joins_parts_with_apostrophes_folded(tmp_path):
+    # the parts are measured on the entry and carved from the unit, so the
+    # output keeps the unit's apostrophe
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("aus’n\tmwt\taus 'n\tADP DET\n", encoding="utf-8")
+    lexicon = load_lexicon(lex)
+    assert segment_token("aus’n", lexicon).forms() == ("aus", "’n")
+    assert segment_token("aus'n", lexicon).forms() == ("aus", "'n")
 
 
 def test_user_extension_lexicon(tmp_path):
@@ -667,7 +754,7 @@ WEMMA = {"wemma": (("wem", "SCONJ"), ("ma", "PRON"))}
 
 @pytest.mark.parametrize("hosts, ma_forms", [
     (None, None),                                  # the default lexicon
-    ({"dass", "das", "s", "as", "", "wo"}, WEMMA),  # shared s, empty host
+    ({"dass", "das", "s", "as", "wo"}, WEMMA),      # shared s
     ({"das'", "Wenn", "ob"}, WEMMA),               # apostrophe, capitals
     # an ma-form entry wins over the host + ending it also spells
     ({"wo", "ob"}, {**WEMMA, "wost": (("wo", "SCONJ"), ("st", "PRON"))}),
@@ -703,7 +790,7 @@ def test_hand_built_lexicon_derives_terminal_parts(lex):
     hand = TokenizerLexicon(**tables)
     assert hand.terminal_parts == lex.terminal_parts
     assert segment_token("zu", hand) == segment_token("zu", lex)
-    with pytest.raises(ValueError, match="entries are also split parts"):
+    with pytest.raises(ValueError, match="split surface 'zu' is also a part$"):
         TokenizerLexicon(fused_adp_det={"zum": (("zu", "ADP"), ("m", "DET")),
                                         "zu": (("z", "ADP"), ("u", "DET"))})
 
