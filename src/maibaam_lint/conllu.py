@@ -499,15 +499,24 @@ def _comment_line(line: str, line_end: bool = True) -> bool:
 
 
 def _sentence_lines(s: Sentence) -> list[str]:
+    if not s.tokens:
+        raise ValueError("bad sentence: no tokens to write as token lines")
     lines = [line if key is None else f"# {key} = {line}"
              for key, line in s.metadata]
     for entry, line in zip(s.metadata, lines):
         if not _comment_line(line):
             raise ValueError(f"bad metadata entry {entry!r}: not written "
                              "as one comment line")
+        m = _METADATA_RE.match(line)
+        if (m.group(1) if m else None) != entry[0]:
+            raise ValueError(f"bad metadata entry {entry!r}: read back as "
+                             f"{m.groups() if m else (None, line)!r}")
 
     spans_by_first: dict[int, list[MwtSpan]] = {}
     for span in s.mwt_spans:
+        if span.last_id > len(s.tokens):
+            raise ValueError(f"bad multiword token {span!r}: its range "
+                             f"exceeds the sentence's {len(s.tokens)} tokens")
         spans_by_first.setdefault(span.first_id, []).append(span)
     empties_by_anchor: dict[int, list[EmptyNodeLine]] = {}
     for node in s.empty_nodes:
@@ -525,7 +534,10 @@ def _sentence_lines(s: Sentence) -> list[str]:
 
     if 0 in empties_by_anchor:
         lines.extend(node.raw for node in empties_by_anchor[0])
-    for t in s.tokens:
+    for position, t in enumerate(s.tokens, 1):
+        if t.id != position:
+            raise ValueError(f"bad token {t!r}: its id is not its position "
+                             f"{position}")
         if t.id in spans_by_first:
             for span in spans_by_first[t.id]:
                 lines.append("\t".join([f"{span.first_id}-{span.last_id}",
@@ -544,10 +556,14 @@ def serialize_document(doc: Document) -> str:
 
     For documents produced by parse_document the output is byte-identical
     to the original input. Raises ValueError naming what would not parse
-    back: a metadata entry or trailing comment whose line holds an LF,
-    does not start with "#", or ends in CR with a line end after it; an
-    empty node whose line is not an empty node line with its anchor's id,
-    or whose anchor exceeds its sentence's token count; and final_newline
+    back: a sentence without tokens; a metadata entry or trailing comment
+    whose line holds an LF, does not start with "#", or ends in CR with a
+    line end after it; a metadata entry whose key would read back
+    otherwise (a key that is not a metadata key, or a None-keyed line
+    shaped "# key = value"); a multiword token whose range exceeds its
+    sentence's token count; a token whose id is not its position; an empty
+    node whose line is not an empty node line with its anchor's id, or
+    whose anchor exceeds its sentence's token count; and final_newline
     False with a sentence last, whose closing blank line needs a line end.
     A document with no sentences and no trailing comments is written as
     "" (or the BOM alone) whatever its final_newline, and reads back with

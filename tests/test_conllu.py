@@ -60,6 +60,21 @@ def test_parse_metadata_and_comments():
     assert s.line == 1
 
 
+def test_a_record_equals_records_of_its_own_class_only():
+    token = Token(1, "a", "X", 0, "root")
+    values = tuple(getattr(token, name) for name in Token._fields)
+    assert token == Token(*values)
+    assert token != values and values != token
+    assert token != MwtSpan(1, 1, "a") and MwtSpan(1, 1, "a") != token
+
+    class Config(LintConfig):
+        pass
+
+    assert LintConfig() == LintConfig()
+    assert LintConfig() != Config() and Config() != LintConfig()
+    assert LintConfig() != Document() and Document() != LintConfig()
+
+
 def test_metadata_is_the_one_record_of_the_comment_block():
     assert Sentence._fields == ("tokens", "mwt_spans", "metadata",
                                 "empty_nodes", "file", "line")
@@ -77,6 +92,12 @@ def test_metadata_is_the_one_record_of_the_comment_block():
     (None, "# free\r"),
     (None, "free comment"),     # not a comment line
     (None, ""),                 # a blank line would end the sentence
+    # read back as another entry
+    ("my key", "v"),            # as (None, "# my key = v")
+    ("1k", "v"),
+    ("", "v"),
+    ("k = x", "v"),             # as ("k", "x = v")
+    (None, "# sent_id = x"),    # as ("sent_id", "x")
 ], ids=repr)
 def test_serializer_rejects_a_metadata_line_that_would_not_parse_back(entry):
     s = parse_document("# sent_id = a\n" + MINIMAL, "t").sentences[0]
@@ -108,6 +129,29 @@ def test_serializer_rejects_a_final_cr_only_before_a_line_end():
     doc.final_newline = True
     with pytest.raises(ValueError, match=re.escape(repr("# c\r"))):
         serialize_document(doc)
+
+
+@pytest.mark.parametrize("sentence, message", [
+    # a range past the last token was dropped, or written and read back as
+    # BAD_ID
+    (Sentence([Token(1, "ab", "X", 0, "root")], [MwtSpan(2, 3, "ab")]),
+     "bad multiword token MwtSpan(first_id=2, last_id=3, "),
+    (Sentence([Token(1, "ab", "X", 0, "root")], [MwtSpan(1, 3, "ab")]),
+     "bad multiword token MwtSpan(first_id=1, last_id=3, "),
+    # read back as ID_SEQUENCE
+    (Sentence([Token(2, "ab", "X", 0, "root")]),
+     "bad token Token(id=2, .*: its id is not its position 1$"),
+    (Sentence([Token(1, "a", "X", 0, "root"), Token(1, "b", "X", 1, "dep")]),
+     "bad token Token(id=1, .*: its id is not its position 2$"),
+    # read back as EMPTY_SENTENCE, or EXTRA_BLANK_LINE without metadata
+    (Sentence([], metadata=[("sent_id", "a")]), "bad sentence: no tokens"),
+    (Sentence(), "bad sentence: no tokens"),
+], ids=["span-after-last", "span-past-last", "first-id", "repeated-id",
+        "no-tokens", "nothing"])
+def test_serializer_rejects_a_sentence_that_would_not_parse_back(sentence,
+                                                                 message):
+    with pytest.raises(ValueError, match="^" + message.replace("(", r"\(")):
+        serialize_document(Document([sentence]))
 
 
 NODE_COLUMNS = "\tx\t_\t_\t_\t_\t_\t_\t_\t_"
@@ -911,20 +955,38 @@ _metadata_entries = st.one_of(
         and not conllu._METADATA_RE.match(line))))
 
 
+# entries that would read back as other entries: a key the parser does
+# not read as one, or a None-keyed line shaped "# key = value"
+_METADATA_KEY = r"[A-Za-z_][A-Za-z0-9_.-]*"
+_misread_metadata_entries = st.one_of(
+    st.tuples(st.text(alphabet="aZ1_.- =#\t", max_size=4)
+              .filter(lambda k: not re.fullmatch(_METADATA_KEY, k)),
+              st.text(alphabet="a =", max_size=3)),
+    st.tuples(st.none(), st.tuples(
+        st.from_regex(_METADATA_KEY, fullmatch=True),
+        st.text(alphabet="a =#\t", max_size=3)).map("# {0[0]} = {0[1]}".format)))
+
+
+def _misread(entry):
+    key, line = entry
+    if key is None:
+        return re.match(rf"# {_METADATA_KEY} = ", line) is not None
+    return not re.fullmatch(_METADATA_KEY, key)
+
+
 @st.composite
-def metadata_edits(draw):
-    """A parsed document after random set, insert and delete edits to its
-    sentences' metadata."""
+def metadata_edits(draw, entries=_metadata_entries):
+    """A parsed document after random set, insert and delete edits, drawn
+    from entries, to its sentences' metadata."""
     text = serialize_document(draw(documents()))
     doc = parse_document(text, "<property>")
     for _ in range(draw(st.integers(1, 6))):
         meta = draw(st.sampled_from(doc.sentences)).metadata
         op = draw(st.sampled_from(("set", "insert", "delete")))
         if op == "insert" or not meta:
-            meta.insert(draw(st.integers(0, len(meta))),
-                        draw(_metadata_entries))
+            meta.insert(draw(st.integers(0, len(meta))), draw(entries))
         elif op == "set":
-            meta[draw(st.integers(0, len(meta) - 1))] = draw(_metadata_entries)
+            meta[draw(st.integers(0, len(meta) - 1))] = draw(entries)
         else:
             del meta[draw(st.integers(0, len(meta) - 1))]
     return doc
@@ -955,14 +1017,34 @@ _EMPTY_NODE_LINES = ("{}.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_",
 
 @st.composite
 def document_edits(draw):
-    """A document after metadata_edits, perhaps with its sentences dropped,
-    and random edits to its trailing comments, empty nodes and final line
-    end, with whether any edit left something the parser would not read
-    back."""
-    doc = draw(metadata_edits())
+    """A document after metadata_edits, some of whose entries read back
+    as others, perhaps with its sentences dropped, and random edits to its
+    multiword tokens, token ids, empty nodes, trailing comments and final
+    line end, or a sentence's tokens dropped, with whether any edit left
+    something the parser would not read back."""
+    doc = draw(metadata_edits(st.one_of(
+        _metadata_entries, _metadata_entries, _misread_metadata_entries)))
+    bad = any(_misread(entry) for s in doc.sentences for entry in s.metadata)
     if draw(st.integers(0, 4)) == 4:
         doc.sentences = []
-    bad = False
+        bad = False
+    for _ in range(draw(st.integers(0, 2)) if doc.sentences else 0):
+        s = draw(st.sampled_from(doc.sentences))
+        first = draw(st.integers(1, len(s.tokens) + 1))
+        last = draw(st.integers(first, len(s.tokens) + 1))
+        bad |= last > len(s.tokens)
+        # kept in first_id order, as the parser reads them
+        firsts = [span.first_id for span in s.mwt_spans]
+        s.mwt_spans.insert(bisect.bisect_right(firsts, first),
+                           MwtSpan(first, last, "ab"))
+    if doc.sentences and draw(st.integers(0, 3)) == 3:
+        tokens = draw(st.sampled_from(doc.sentences)).tokens
+        position = draw(st.integers(1, len(tokens)))
+        tokens[position - 1].id = draw(st.integers(1, len(tokens) + 1))
+        bad |= tokens[position - 1].id != position
+    if doc.sentences and draw(st.integers(0, 5)) == 5:
+        draw(st.sampled_from(doc.sentences)).tokens = []
+        bad = True
     for _ in range(draw(st.integers(0, 2)) if doc.sentences else 0):
         s = draw(st.sampled_from(doc.sentences))
         anchor = draw(st.integers(-1, len(s.tokens) + 1))
