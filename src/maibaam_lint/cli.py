@@ -29,6 +29,7 @@ from .conllu import (
 )
 from .metadata import check_unique_sent_ids, validate_metadata
 from .rules import (
+    _DEFAULT_CONFIG,
     RULES,
     VERSION_RE,
     LintConfig,
@@ -245,7 +246,7 @@ def _exit_code(diags: list[Diagnostic], fail_level: str) -> int:
 
 def _resolve_config(opts: RunOptions) -> LintConfig:
     path = opts.config_path or os.environ.get(CONFIG_ENV_VAR)
-    cfg = load_config(path) if path else LintConfig()
+    cfg = load_config(path) if path else _DEFAULT_CONFIG
     if opts.guideline_version:
         cfg = cfg._replace(guideline_version=opts.guideline_version)
     return cfg

@@ -8,7 +8,7 @@ from collections.abc import Mapping
 from urllib.parse import urlparse
 
 from .conllu import Diagnostic, Sentence, reconstruct_text
-from .rules import URL_GENRES, LintConfig, finding
+from .rules import _DEFAULT_CONFIG, URL_GENRES, LintConfig, finding
 
 REQUIRED_KEYS = ("sent_id", "text", "genre", "dialect_group", "location",
                  "source")
@@ -40,7 +40,7 @@ def validate_metadata(s: Sentence,
     the config disables emits nothing.
     sent_id uniqueness is a cross-file concern, see check_unique_sent_ids.
     """
-    cfg = cfg or LintConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     diags = []
     meta = dict(reversed(s.metadata))  # the first value of a key wins
 
@@ -94,7 +94,7 @@ def check_unique_sent_ids(duplicates: Mapping[str, list[tuple[str, int]]],
     that carries it. Flagging all occurrences keeps the findings, in the
     mapping's order, the same set whatever the file order.
     """
-    cfg = cfg or LintConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     diags: list[Diagnostic] = []
     for sid, located in duplicates.items():
         for file, line in located:

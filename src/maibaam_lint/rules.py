@@ -295,6 +295,11 @@ def _version_tuple(version: str) -> tuple[int, ...]:
     return tuple(map(int, version.split(".")))
 
 
+# the config of a check called without one, built once: LintConfig is
+# immutable
+_DEFAULT_CONFIG = LintConfig()
+
+
 def load_config(path: str) -> LintConfig:
     """Load a flat key=value config file.
 
@@ -307,7 +312,7 @@ def load_config(path: str) -> LintConfig:
     dot-separated ASCII digits such as 2.17. Each line is applied by
     _replace, so LintConfig checks it; an error names the file and line.
     """
-    cfg = LintConfig()
+    cfg = _DEFAULT_CONFIG
     base = os.path.dirname(os.path.abspath(path))
     for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
@@ -392,7 +397,7 @@ def validate_structure(s: Sentence,
     root deprel pairing, no tokens headed by punctuation, no overlapping
     MWT spans. Crossing arcs are deliberately not flagged.
     """
-    cfg = cfg or LintConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     diags: list[Diagnostic] = []
     n = len(s.tokens)
 
@@ -769,7 +774,7 @@ def lint_sentence(s: Sentence, cfg: LintConfig | None = None) -> list[Diagnostic
     A rule the config disables has no findings here, as in each check.
     Findings come in check order; reports sort them by Diagnostic.sort_key.
     """
-    cfg = cfg or LintConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     diags = validate_structure(s, cfg)
     for rule in SENTENCE_RULES:
         diags.extend(rule(s, cfg))

@@ -20,7 +20,7 @@ from maibaam_lint.conllu import (
     parse_document,
     reconstruct_text,
 )
-from maibaam_lint.metadata import validate_metadata
+from maibaam_lint.metadata import check_unique_sent_ids, validate_metadata
 from maibaam_lint.rules import (
     DEPRELS,
     RULES,
@@ -31,6 +31,7 @@ from maibaam_lint.rules import (
     finding,
     lint_sentence,
     load_config,
+    validate_structure,
 )
 
 
@@ -169,6 +170,39 @@ def test_fixed_version_gating():
 def test_fixed_version_gating_later_versions_still_ban():
     cfg = LintConfig(guideline_version="2.18")
     assert "REL.FIXED" in ids(lint_sentence(durch_des_sentence(), cfg))
+
+
+@pytest.mark.parametrize("head, structural", [
+    (0, "STRUCT.ROOT_DEPREL"), (3, "STRUCT.HEAD_RANGE")])
+def test_fixed_dependent_without_a_head_token_is_left_to_the_tree_check(
+        head, structural):
+    # no head token to match a span from: the structural check reports it
+    s = sent(("Leid", "NOUN", 0, "root", "Leute"),
+             ("boa", "ADJ", head, "fixed", "paar"))
+    found = ids(lint_sentence(s))
+    assert "REL.FIXED" not in found
+    assert structural in found
+
+
+def test_an_omitted_config_is_the_default_built_once(golden_doc,
+                                                     monkeypatch):
+    cfg = LintConfig()
+    built = []
+    init = LintConfig.__init__
+
+    def counting(self, **values):
+        built.append(values)
+        init(self, **values)
+
+    monkeypatch.setattr(LintConfig, "__init__", counting)
+    for s in golden_doc.sentences:
+        assert lint_sentence(s) == lint_sentence(s, cfg)
+        assert validate_structure(s) == validate_structure(s, cfg)
+        assert validate_metadata(s) == validate_metadata(s, cfg)
+    duplicates = {"a-1": [("a.conllu", 1), ("b.conllu", 4)]}
+    assert check_unique_sent_ids(duplicates) == \
+        check_unique_sent_ids(duplicates, cfg) != []
+    assert built == []
 
 
 def goeswith_sentence(**tweaks):
