@@ -27,7 +27,8 @@ SEVERITY_RANK = {SEVERITY_REVIEW: 0, SEVERITY_WARNING: 1, SEVERITY_ERROR: 2}
 # serializes back to the same characters
 _MWT_ID_RE = re.compile(r"^([1-9][0-9]*)-([1-9][0-9]*)$")
 _EMPTY_NODE_ID_RE = re.compile(r"^(0|[1-9][0-9]*)\.[1-9][0-9]*$")
-_METADATA_RE = re.compile(r"^# ([A-Za-z_][A-Za-z0-9_.-]*) = (.*)$")
+_METADATA_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_METADATA_RE = re.compile(rf"^# ({_METADATA_KEY_RE.pattern}) = (.*)$")
 # canonical spellings of the ids and heads of sentences of up to 255 tokens:
 # a token line whose id and head are found here needs no other check, and
 # every other line takes the checked branch
@@ -507,8 +508,10 @@ def _sentence_lines(s: Sentence) -> list[str]:
         if not _comment_line(line):
             raise ValueError(f"bad metadata entry {entry!r}: not written "
                              "as one comment line")
-        m = _METADATA_RE.match(line)
-        if (m.group(1) if m else None) != entry[0]:
+        key = entry[0]
+        if (_METADATA_RE.match(line) if key is None
+                else not _METADATA_KEY_RE.fullmatch(key)):
+            m = _METADATA_RE.match(line)
             raise ValueError(f"bad metadata entry {entry!r}: read back as "
                              f"{m.groups() if m else (None, line)!r}")
 

@@ -957,21 +957,20 @@ _metadata_entries = st.one_of(
 
 # entries that would read back as other entries: a key the parser does
 # not read as one, or a None-keyed line shaped "# key = value"
-_METADATA_KEY = r"[A-Za-z_][A-Za-z0-9_.-]*"
 _misread_metadata_entries = st.one_of(
     st.tuples(st.text(alphabet="aZ1_.- =#\t", max_size=4)
-              .filter(lambda k: not re.fullmatch(_METADATA_KEY, k)),
+              .filter(lambda k: not conllu._METADATA_KEY_RE.fullmatch(k)),
               st.text(alphabet="a =", max_size=3)),
     st.tuples(st.none(), st.tuples(
-        st.from_regex(_METADATA_KEY, fullmatch=True),
+        st.from_regex(conllu._METADATA_KEY_RE, fullmatch=True),
         st.text(alphabet="a =#\t", max_size=3)).map("# {0[0]} = {0[1]}".format)))
 
 
 def _misread(entry):
     key, line = entry
     if key is None:
-        return re.match(rf"# {_METADATA_KEY} = ", line) is not None
-    return not re.fullmatch(_METADATA_KEY, key)
+        return conllu._METADATA_RE.match(line) is not None
+    return not conllu._METADATA_KEY_RE.fullmatch(key)
 
 
 @st.composite
