@@ -1,9 +1,9 @@
 """Command-line frontend: lint, tokenize, stats and list-rules.
 
 Exit codes: 0 clean, 1 findings at or above --fail-level, 2 I/O or parse
-failure, 141 standard output closed early (as for a writer killed by
-SIGPIPE). Reports are byte-deterministic for fixed inputs and config,
-independent of file order.
+failure, 141 standard output or error closed early (as for a writer
+killed by SIGPIPE). Reports are byte-deterministic for fixed inputs and
+config, independent of file order.
 """
 
 from __future__ import annotations
@@ -432,14 +432,21 @@ def run(argv: list[str] | None = None, output=None, errout=None) -> int:
 
 
 def main() -> None:
+    """The console script: run() on sys.argv, then flush standard output
+    and error and end the process with os._exit and run()'s exit code (141
+    if either stream was closed early). os._exit skips the interpreter's
+    teardown, about 9 ms, which nothing here needs: the run keeps no file
+    open and has no atexit handler, thread or child process. Any other
+    exception leaves main as usual, with its traceback. An embedding
+    program calls run(argv, output=..., errout=...), which returns."""
     try:
         code = run()
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        # a closed pipe shows here, not at exit; nothing flushes after _exit
+        sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # the exit flush writes to devnull instead and so cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141  # 128 + SIGPIPE, what a shell reports for such a writer
-    sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

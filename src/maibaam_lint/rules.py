@@ -453,8 +453,6 @@ def validate_structure(s: Sentence,
 
 
 def _has_typo_flag(t: Token, cfg: LintConfig) -> bool:
-    if "Typo=" not in t.feats_col and "Typo=" not in t.misc:
-        return False
     in_feats = column_value(t.feats_col, "Typo") == "Yes"
     in_misc = column_value(t.misc, "Typo") == "Yes"
     if cfg.typo_column == "feats":
@@ -639,7 +637,7 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
 def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """TYPO.*: CorrectSpaceAfter pairing and stray Typo=Yes flags."""
     diags = []
-    heads_with_goeswith = _dependents(s, "goeswith")
+    heads_with_goeswith = None  # built for the first flagged token
     for t in s.tokens:
         misc = t.misc
         correct_space = (column_value(misc, "CorrectSpaceAfter")
@@ -649,10 +647,14 @@ def rule_typo_features(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
             finding(diags, cfg, s, "TYPO.CORRECT_SPACE",
                     "CorrectSpaceAfter=Yes requires SpaceAfter=No "
                     "on the same token", t)
-        if correct_space is None and t.id not in heads_with_goeswith and \
+        if correct_space is None and \
+                ("Typo=" in t.feats_col or "Typo=" in misc) and \
                 _has_typo_flag(t, cfg):
-            finding(diags, cfg, s, "TYPO.REVIEW",
-                    "Typo=Yes without goeswith parts: check the form", t)
+            if heads_with_goeswith is None:
+                heads_with_goeswith = _dependents(s, "goeswith")
+            if t.id not in heads_with_goeswith:
+                finding(diags, cfg, s, "TYPO.REVIEW",
+                        "Typo=Yes without goeswith parts: check the form", t)
     return diags
 
 

@@ -193,7 +193,8 @@ class TokenizerLexicon(_Record):
         vars(self).update(_keyed_tables(
             (kind, surface, None if adds == "surface" else given[surface], None)
             for kind, (name, adds) in _LEXICON_KINDS.items()
-            for given in [tables.get(name, ())] for surface in given))
+            # sorted, so that a clash names the same surface on every run
+            for given in [tables.get(name, ())] for surface in sorted(given)))
         self._unit_memo = {}
         self.terminal_parts = set(self.clitic_onsets).union(
             fold_apostrophes(form) for name in _SPLIT_TABLES

@@ -677,6 +677,66 @@ def test_closed_output_pipe_exits_141_without_an_error_line(tmp_path):
     proc.stderr.close()
 
 
+# PYTHONUNBUFFERED would have every write reach the file at once; without
+# it, output that main() failed to flush before os._exit would be lost
+BUFFERED_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _in_process(argv):
+    """run_cli's exit code, standard output as bytes and standard error."""
+    code, out, err = run_cli(argv)
+    return code, out.encode("utf-8"), err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lint", "--format", "json", "{golden}"], 0),
+    (["lint", "{bad}"], 1),
+    (["stats", "--format", "tsv", "{bad}", "{golden}"], 0),
+    (["lint", "--format", "tsv", "{bad}", "/no/such/file.conllu"], 2),
+    (["tokenize", "/no/such/file.txt"], 2),
+])
+def test_console_exit_matches_run(argv, code, tmp_path):
+    # main() ends the process with os._exit: whatever run() wrote must
+    # still reach both streams, with run()'s exit code
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(BAD_UPOS_FILE, encoding="utf-8")
+    argv = [a.format(golden=GOLDEN, bad=bad) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "maibaam_lint.cli", *argv],
+                          capture_output=True, env=BUFFERED_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == \
+        _in_process(argv)
+    assert proc.returncode == code
+
+
+def test_console_tokenize_into_a_file_is_complete(tmp_path):
+    # more than 1 MB, many times what one buffer holds
+    text = tmp_path / "big.txt"
+    text.write_text("zum Beispiel, gibts z'Minga\n" * 8_000, encoding="utf-8")
+    out = tmp_path / "big.conllu"
+    with open(out, "wb") as f:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maibaam_lint.cli", "tokenize", str(text)],
+            stdout=f, stderr=subprocess.PIPE, env=BUFFERED_ENV)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    written = out.read_bytes()
+    assert len(written) > 1_000_000
+    assert written.endswith(b"\n\n")
+    assert written == _in_process(["tokenize", str(text)])[1]
+
+
+def test_closed_error_pipe_exits_141(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maibaam_lint.cli", "lint",
+             str(tmp_path / "missing.conllu")],
+            stdout=subprocess.PIPE, stderr=write_end, env=BUFFERED_ENV)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (141, b"")
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # measured against a bare interpreter, so that modules a site-packages
     # .pth file loads do not count

@@ -342,6 +342,14 @@ def test_typo_without_goeswith_is_review():
     assert diags[0].severity == "review"
 
 
+def test_typo_review_skips_a_flagged_goeswith_head_only():
+    # token 2 heads goeswith parts, token 4 stands alone: both carry Typo=Yes
+    s = goeswith_sentence()
+    s.tokens[3].misc += "|Typo=Yes"
+    assert [(d.rule_id, d.token_id) for d in lint_sentence(s)] == [
+        ("TYPO.REVIEW", 4)]
+
+
 def test_mwt_surface_substring():
     ok = sent(("zu", "ADP", 3, "case", "zu"),
               ("m", "DET", 3, "det", "der"),

@@ -1,5 +1,9 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -320,6 +324,21 @@ def test_hand_built_lexicon_rejects_an_empty_onset():
     with pytest.raises(ValueError) as exc:
         TokenizerLexicon(clitic_onsets={"": "ADP"})
     assert str(exc.value) == "empty surface"
+
+
+def test_hand_built_lexicon_clash_message_does_not_depend_on_hashing():
+    # set order changes with PYTHONHASHSEED; under seeds 1 and 4 the two
+    # surfaces come out of this set in opposite orders
+    code = ("from maibaam_lint.tokenizer import TokenizerLexicon\n"
+            "try:\n    TokenizerLexicon(units={'MB', 'mb'})\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    package = str(Path(tokenizer.__file__).parents[1])
+    messages = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": package,
+                         "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "4")}
+    assert messages == {"unit surface 'mb' is also listed as unit\n"}
 
 
 @pytest.mark.parametrize("table, key, parts, message", [
