@@ -291,7 +291,7 @@ def cmd_tokenize(opts: RunOptions) -> int:
                 s.metadata = [("sent_id", f"{stem}-{counter}"),
                               ("text", reconstruct_text(s))]
                 s.file = name
-                # written per sentence, so memory does not grow with the input
+                # written per sentence, so output does not build up in memory
                 opts.output.write(serialize_document(Document([s], file=name)))
     return exit_code
 

@@ -72,7 +72,8 @@ _SPLIT_TABLES = tuple(name for name, adds in _LEXICON_KINDS.values()
                       if adds == "parts")
 
 # tokenize_sentence's per-lexicon unit memo is emptied when it reaches this
-# many entries, which bounds its memory on high-diversity text
+# many entries, which bounds its memory on high-diversity text: an entry and
+# its key take about 240 bytes on the benchmark's text, a full memo 16 MB
 UNIT_MEMO_LIMIT = 2 ** 16
 
 
@@ -179,22 +180,35 @@ class TokenizerLexicon(_Record):
     hint) pairs, clitic_onsets and intact_forms map them to a UPOS hint or
     None, and the other tables are sets of surfaces. The constructor keys
     and checks them as _keyed_tables does, so it raises load_lexicon's
-    message without the file and lines. It derives terminal_parts (the
-    onsets and every folded part form) and compiles the onset order, the
-    agreement-ending table and the set of keys any rule reads. Read-only
-    after construction: tokenize_sentence memoises its per-unit work on
-    the lexicon, so later edits to a table are not seen.
+    message without the file and lines, and a surface that is not a str
+    raises TypeError naming it and its table. It derives terminal_parts
+    (the onsets and every folded part form) and compiles the onset order,
+    the agreement-ending table and the set of keys any rule reads.
+    Read-only after construction: tokenize_sentence memoises its per-unit
+    work on the lexicon, so later edits to a table are not seen.
     """
 
     _fields = tuple(name for name, _ in _LEXICON_KINDS.values())
 
     def __init__(self, **tables):
         self._check_names(tables)
-        vars(self).update(_keyed_tables(
+        for name, given in tables.items():
+            # before the sort below, which cannot order mixed types; the
+            # least repr, so that the message does not depend on hashing
+            wrong = sorted(repr(s) for s in given if not isinstance(s, str))
+            if wrong:
+                raise TypeError(f"surface {wrong[0]} in table {name} is not "
+                                "a str")
+        self._compile(_keyed_tables(
             (kind, surface, None if adds == "surface" else given[surface], None)
             for kind, (name, adds) in _LEXICON_KINDS.items()
             # sorted, so that a clash names the same surface on every run
             for given in [tables.get(name, ())] for surface in sorted(given)))
+
+    def _compile(self, tables: dict) -> None:
+        """Hold tables as _keyed_tables returns them, keyed and checked,
+        and derive the rest from them."""
+        vars(self).update(tables)
         self._unit_memo = {}
         self.terminal_parts = set(self.clitic_onsets).union(
             fold_apostrophes(form) for name in _SPLIT_TABLES
@@ -256,7 +270,9 @@ def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
     line that breaks a rule of _keyed_tables, raises
     ValueError('PATH:LINE: message'). For lexicon text in memory, write a
     file or build TokenizerLexicon from its tables."""
-    return TokenizerLexicon(**_keyed_tables(_file_entries(path), path))
+    lexicon = TokenizerLexicon.__new__(TokenizerLexicon)
+    lexicon._compile(_keyed_tables(_file_entries(path), path))
+    return lexicon
 
 
 def default_lexicon() -> TokenizerLexicon:
@@ -413,10 +429,10 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
     """Segment one whitespace unit given the unit after it (None at the end
     of the sentence).
 
-    Returns (rows, span): one (form, UPOS, MISC) row per token in order,
-    whose columns pass Token's checks, and the unit's multi-word token as
-    (first, last, surface, MISC) with token positions counted from 1 within
-    the unit, or None.
+    Returns one flat tuple, the smallest thing to keep in the memo: the
+    form, UPOS and MISC of each token in order, columns that pass Token's
+    checks, then the unit's multi-word token as (first, last, surface,
+    MISC) with token positions counted from 1 within the unit, or None.
     """
     leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
     pieces: list[Part] = [(ch, _default_hint(ch)) for ch in leading]
@@ -446,17 +462,18 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
     # pieces of one unit are glued together, whitespace follows the
     # last; an MWT carries its SpaceAfter=No on the span line
     last = len(pieces) - 1
-    rows = []
+    columns = []
     for i, (form, hint) in enumerate(pieces):
         row = (form, hint or "X",
                "_" if i == last or i in mwt else "SpaceAfter=No")
         _check_columns(_ROW_COLUMNS, row)
-        rows.append(row)
+        columns.extend(row)
     span = None
     if mwt:
         span = (mwt.start + 1, mwt.stop, core,
                 "SpaceAfter=No" if mwt.stop <= last else "_")
-    return tuple(rows), span  # a tuple is smaller to keep in the memo
+    columns.append(span)
+    return tuple(columns)
 
 
 def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
@@ -471,7 +488,9 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
     A unit depends on the next unit only through two bits (is it a full 1pl
     pronoun, is it a nominalised infinitive) and on whether there is one, so
     each distinct (unit, bits) is segmented once per lexicon, and its token
-    columns are checked once.
+    columns are checked once. The memo keys the common case, a next unit
+    with neither bit, by the unit string alone, and the others by a tuple,
+    so most lookups build no key.
     """
     if not raw.strip():
         raise EmptyInputError("input is empty or whitespace-only")
@@ -486,19 +505,27 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
     next_keys = fold_apostrophes(raw).lower().split()
     for unit, nxt, next_key in zip(units, units[1:] + [None],
                                    next_keys[1:] + [None]):
-        bits = None if nxt is None else (next_key in FULL_1PL_PRONOUNS,
-                                         next_key in nominalized)
-        entry = memo.get((unit, bits))
+        if nxt is None:
+            key = (unit,)
+        elif next_key in FULL_1PL_PRONOUNS or next_key in nominalized:
+            key = (unit, next_key in FULL_1PL_PRONOUNS,
+                   next_key in nominalized)
+        else:
+            key = unit
+        entry = memo.get(key)
         if entry is None:
             if len(memo) >= UNIT_MEMO_LIMIT:
                 memo.clear()
-            entry = memo[unit, bits] = _segment_unit(unit, nxt, lexicon)
-        rows, span = entry
+            entry = memo[key] = _segment_unit(unit, nxt, lexicon)
 
         base = len(tokens)
-        for token_id, (form, upos, misc) in enumerate(rows, base + 1):
+        # zip stops at the span, which is left after the last whole row
+        columns = iter(entry)
+        for token_id, (form, upos, misc) in enumerate(
+                zip(columns, columns, columns), base + 1):
             tokens.append(_unchecked_token(token_id, form, "_", upos, "_", "_",
                                            0, "dep", "_", misc, 0))
+        span = entry[-1]
         if span:
             first, last, core, misc = span
             spans.append(MwtSpan(base + first, base + last, core, misc))

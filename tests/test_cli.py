@@ -25,6 +25,9 @@ from conftest import DURCH_DES, FIXTURES, GOLDEN
 # child processes import the package this process imported, installed or not
 CHILD_ENV = {**os.environ,
              "PYTHONPATH": str(Path(maibaam_lint.__file__).parents[1])}
+# PYTHONUNBUFFERED would have every write reach the file at once; without
+# it, output that main() failed to flush before os._exit would be lost
+BUFFERED_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 def run_cli(argv):
@@ -648,7 +651,7 @@ def test_stdin_input():
         [sys.executable, "-m", "maibaam_lint.cli", "lint", "--format",
          "json", "-"],
         input=GOLDEN.read_text(encoding="utf-8"),
-        capture_output=True, text=True, env=CHILD_ENV)
+        capture_output=True, text=True, env=BUFFERED_ENV)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["summary"]["files"] == ["<stdin>"]
@@ -669,17 +672,12 @@ def test_closed_output_pipe_exits_141_without_an_error_line(tmp_path):
     text.write_text("zum Beispiel\n" * 50_000, encoding="utf-8")
     proc = subprocess.Popen(
         [sys.executable, "-m", "maibaam_lint.cli", "tokenize", str(text)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV)
     assert proc.stdout.readline() == b"# sent_id = big-1\n"
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 141
     proc.stderr.close()
-
-
-# PYTHONUNBUFFERED would have every write reach the file at once; without
-# it, output that main() failed to flush before os._exit would be lost
-BUFFERED_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 def _in_process(argv):

@@ -1,8 +1,10 @@
 import os
 import random
 import re
+import string
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,21 @@ def test_hand_built_lexicon_rejects_an_empty_onset():
     with pytest.raises(ValueError) as exc:
         TokenizerLexicon(clitic_onsets={"": "ADP"})
     assert str(exc.value) == "empty surface"
+
+
+@pytest.mark.parametrize("tables, message", [
+    ({"units": {5}}, "surface 5 in table units is not a str"),
+    # a None among str surfaces cannot be sorted with them
+    ({"clitic_onsets": {None: "X", "a": "Y"}},
+     "surface None in table clitic_onsets is not a str"),
+    ({"abbreviations": {"usw.", b"z.B."}},
+     "surface b'z.B.' in table abbreviations is not a str"),
+], ids=["int", "none-beside-str", "bytes"])
+def test_hand_built_lexicon_rejects_a_surface_that_is_not_a_str(tables,
+                                                                message):
+    with pytest.raises(TypeError) as exc:
+        TokenizerLexicon(**tables)
+    assert str(exc.value) == message
 
 
 def test_hand_built_lexicon_clash_message_does_not_depend_on_hashing():
@@ -739,6 +756,107 @@ def test_unit_memo_is_bounded(lex, monkeypatch):
         assert len(small._unit_memo) <= 8
 
 
+def _distinct_words(rng, n, lengths):
+    """n distinct random lower-case words, their lengths drawn from lengths,
+    in random order."""
+    words = set()
+    while len(words) < n:
+        words.add("".join(rng.choice(string.ascii_lowercase)
+                          for _ in range(rng.choice(lengths))))
+    words = sorted(words)
+    rng.shuffle(words)
+    return words
+
+
+def test_unit_memo_entry_is_small(lex):
+    # an entry holds the unit's columns in one flat tuple, under the unit
+    # itself when the next unit sets no bit; the figure counts the unit
+    # string, the entry and its share of the dict
+    words = _distinct_words(random.Random(27), 3000, [8])
+    lines = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
+    cold = _cold(lex)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for raw in lines:
+            tokenize_sentence(raw, cold)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cold._unit_memo) == len(words)
+    assert grown / len(words) < 260
+
+
+def test_unit_memo_empties_at_its_real_limit(lex):
+    # more distinct units than UNIT_MEMO_LIMIT, with lexicon forms and the
+    # words that set the bits mixed in: the memo empties, and what is
+    # tokenized after that equals a lexicon that never emptied
+    rng = random.Random(28)
+    words = _distinct_words(rng, tokenizer.UNIT_MEMO_LIMIT + 4000,
+                            range(3, 11))
+    lines = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
+    forms_ = _random_sentences(_lexicon_forms(lex), 600, seed=28)
+    for i, raw in enumerate(forms_):
+        lines.insert(i * 10, raw)
+    warm = _cold(lex)
+    emptied = None
+    for n, raw in enumerate(lines):
+        size = len(warm._unit_memo)
+        tokenize_sentence(raw, warm)
+        assert len(warm._unit_memo) <= tokenizer.UNIT_MEMO_LIMIT
+        if emptied is None and len(warm._unit_memo) < size:
+            emptied = n
+    assert emptied is not None and len(warm._unit_memo) < len(words)
+    # across the emptying, then units memoised before it (misses now),
+    # twice, so that the second round hits what the first round added
+    after = lines[emptied - 50:] + lines[:300] * 2
+    fresh = _cold(lex)
+    for raw in after:
+        assert _skeleton(tokenize_sentence(raw, warm)) == \
+            _skeleton(tokenize_sentence(raw, fresh)), raw
+
+
+def test_unit_gets_segment_token_result_in_every_context(lex):
+    # before a full 1pl pronoun, a nominalised infinitive or an ordinary
+    # word, and at the end of a sentence: four memo keys for one unit, none
+    # of which may serve another
+    contexts = ("mia", "oozöön", "Haus", None)
+    assert segment_token("wemma", lex, "mia") != \
+        segment_token("wemma", lex, "Haus")
+    assert segment_token("zum", lex, "oozöön") != \
+        segment_token("zum", lex, "Haus")
+    for form in _lexicon_forms(lex):
+        if not form.isalpha() and "'" not in form and "’" not in form:
+            continue
+        warm = _cold(lex)
+        for _ in range(2):              # misses first, then memo hits
+            for nxt in contexts:
+                s = tokenize_sentence(form if nxt is None else
+                                      f"{form} {nxt}", warm)
+                seg = segment_token(form, lex, next_surface=nxt)
+                unit = s.tokens if nxt is None else s.tokens[:-1]
+                mwt = seg.kind == KIND_MWT
+                assert tuple(t.form for t in unit) == seg.forms(), \
+                    (form, nxt)
+                assert [t.upos for t in unit] == [
+                    hint or (None if mwt else tokenizer._default_hint(f))
+                    or "X" for f, hint in seg.parts], (form, nxt)
+                assert bool(s.mwt_spans) == mwt, (form, nxt)
+    # a next word may set both bits, here where mir is also an infinitive
+    both = lex._replace(nominalized_infinitives={"mir"})
+    for nxt in ("mia", "mir") * 2:
+        s = tokenize_sentence(f"zum {nxt}", both)
+        assert [t.upos for t in s.tokens[:2]] == \
+            [hint for _, hint in segment_token("zum", both, nxt).parts]
+    assert s.tokens[0].upos == "PART"
+    # an ordinal's period stays on it inside a sentence only
+    warm = _cold(lex)
+    for _ in range(2):
+        assert forms(tokenize_sentence("am 31. Mai", warm)) == \
+            ["am", "31.", "Mai"]
+        assert forms(tokenize_sentence("am 31.", warm)) == ["am", "31", "."]
+
+
 def _agreement_oracle(surface, lexicon):
     """The search match_agreement_suffix made before the lexicon compiled
     its surface -> ending table; kept as the reference."""
@@ -815,6 +933,30 @@ def test_hand_built_lexicon_derives_terminal_parts(lex):
     with pytest.raises(ValueError, match="split surface 'zu' is also a part$"):
         TokenizerLexicon(fused_adp_det={"zum": (("zu", "ADP"), ("m", "DET")),
                                         "zu": (("z", "ADP"), ("u", "DET"))})
+
+
+def test_load_lexicon_keys_and_checks_its_entries_once(monkeypatch):
+    calls = []
+
+    def counting(entries, path=None):
+        calls.append(path)
+        return real(entries, path)
+
+    real = tokenizer._keyed_tables
+    monkeypatch.setattr(tokenizer, "_keyed_tables", counting)
+    loaded = default_lexicon()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # what the loader holds and derives equals a lexicon built from its tables
+    built = TokenizerLexicon(**{name: getattr(loaded, name)
+                                for name in TokenizerLexicon._fields})
+    assert loaded == built
+    for name in ("terminal_parts", "_agreement", "_rule_keys", "_unit_memo"):
+        assert getattr(loaded, name) == getattr(built, name), name
+    # onsets of one length never prefix one key, so their order is free
+    assert sorted(loaded._onsets) == sorted(built._onsets)
+    assert [len(o) for o in loaded._onsets] == \
+        sorted(map(len, loaded._onsets), reverse=True)
 
 
 # -- rule-key gate and checked-once skeleton rows ----------------------------
