@@ -55,9 +55,10 @@ def not_utf8(name: str, exc: UnicodeDecodeError) -> str:
 
 
 def read_text(path: str | os.PathLike) -> str:
-    """A UTF-8 text file read whole, with universal newlines. A file that is
-    not UTF-8 raises ValueError with not_utf8's message."""
-    with open(path, encoding="utf-8") as f:
+    """A UTF-8 text file read whole, with universal newlines and without
+    the one byte-order mark it may start with. A file that is not UTF-8
+    raises ValueError with not_utf8's message."""
+    with open(path, encoding="utf-8-sig") as f:
         try:
             return f.read()
         except UnicodeDecodeError as exc:

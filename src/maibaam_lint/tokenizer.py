@@ -13,7 +13,6 @@ import os
 import re
 import unicodedata
 from collections import namedtuple
-from importlib import resources
 
 from .conllu import (MwtSpan, Sentence, Token, _check_columns, _Record,
                      _unchecked_token, read_text)
@@ -180,10 +179,11 @@ class TokenizerLexicon(_Record):
     hint) pairs, clitic_onsets and intact_forms map them to a UPOS hint or
     None, and the other tables are sets of surfaces. The constructor keys
     and checks them as _keyed_tables does, so it raises load_lexicon's
-    message without the file and lines, and a surface that is not a str
-    raises TypeError naming it and its table. It derives terminal_parts
-    (the onsets and every folded part form) and compiles the onset order,
-    the agreement-ending table and the set of keys any rule reads.
+    message without the file and lines. A table given as a str, or a
+    surface that is not a str, raises TypeError naming the table. It
+    derives terminal_parts (the onsets and every folded part form) and
+    compiles the onset order, the agreement-ending table and the set of
+    keys any rule reads.
     Read-only after construction: tokenize_sentence memoises its per-unit
     work on the lexicon, so later edits to a table are not seen.
     """
@@ -193,6 +193,9 @@ class TokenizerLexicon(_Record):
     def __init__(self, **tables):
         self._check_names(tables)
         for name, given in tables.items():
+            if isinstance(given, str):
+                raise TypeError(f"{name} got the str {given!r} where it "
+                                "takes a collection")
             # before the sort below, which cannot order mixed types; the
             # least repr, so that the message does not depend on hashing
             wrong = sorted(repr(s) for s in given if not isinstance(s, str))
@@ -276,9 +279,9 @@ def load_lexicon(path: str | os.PathLike) -> TokenizerLexicon:
 
 
 def default_lexicon() -> TokenizerLexicon:
-    data = resources.files("maibaam_lint.data").joinpath("lexicon.tsv")
-    with resources.as_file(data) as path:
-        return load_lexicon(path)
+    """The packaged lexicon, data/lexicon.tsv beside this module."""
+    return load_lexicon(os.path.join(os.path.dirname(__file__), "data",
+                                     "lexicon.tsv"))
 
 
 def _lookup_keys(surface: str) -> list[str]:

@@ -19,6 +19,7 @@ from maibaam_lint import cli, conllu
 from maibaam_lint.cli import build_parser, lint_documents, run
 from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
+from maibaam_lint.tokenizer import APOSTROPHES, default_lexicon
 
 from conftest import DURCH_DES, FIXTURES, GOLDEN
 
@@ -248,6 +249,48 @@ def test_tokenize_pipe_parses_and_lints_warning_only(tmp_path):
     assert {d.rule_id for d in diags} <= {"LEMMA.MISSING", "META.MISSING"}
 
 
+_LEX = default_lexicon()
+_WORD_PIECES = st.one_of(
+    st.sampled_from(sorted(
+        set(_LEX.split_surfaces()) | set(_LEX.intact_forms)
+        | set(_LEX.clitic_onsets) | _LEX.abbreviations | _LEX.review_forms
+        | _LEX.compagr_hosts | _LEX.nominalized_infinitives)),
+    st.sampled_from(".,;:!?…\"„“”«»‹›¿¡()[]{}/%-"),
+    st.sampled_from(APOSTROPHES),
+    st.builds("{}{}".format, st.integers(0, 999),
+              st.sampled_from(sorted(_LEX.units))),
+    st.builds("{}{}{}".format, st.integers(0, 99),
+              st.sampled_from(["-", "--", "–", "—"]), st.integers(0, 99)),
+    st.text(st.characters(categories=("Lu", "Ll")), min_size=1, max_size=6))
+_RAW_LINES = st.lists(
+    st.tuples(st.sampled_from([" ", "  ", "\t"]),
+              st.lists(_WORD_PIECES, min_size=1, max_size=3).map("".join)),
+    min_size=1, max_size=8).map(
+        lambda words: "".join(sep + word for sep, word in words) + " ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw=_RAW_LINES)
+def test_tokenize_output_lints_with_only_the_expected_findings(
+        tmp_path_factory, raw):
+    # README "Tokenizer output": a skeleton reads back as written and lints
+    # with missing lemmas and metadata only, except that a line of two or
+    # more punctuation tokens has a punctuation head
+    src = tmp_path_factory.mktemp("raw") / "raw.txt"
+    src.write_text(raw + "\n", encoding="utf-8")
+    code, out, err = run_cli(["tokenize", str(src)])
+    assert (code, err) == (0, "")
+    doc = parse_document(out, "raw.conllu")
+    [s] = doc.sentences
+    assert dict(s.metadata)["text"] == " ".join(raw.split())
+    assert conllu.serialize_document(doc) == out
+    all_punct = len(s.tokens) >= 2 and all(t.upos == "PUNCT"
+                                           for t in s.tokens)
+    for d in lint_documents([doc], LintConfig()):
+        assert d.rule_id in {"LEMMA.MISSING", "META.MISSING"} or (
+            d.rule_id == "STRUCT.PUNCT_CHILD" and all_punct), d
+
+
 def test_tokenize_output_shape(tmp_path):
     src = tmp_path / "raw.txt"
     src.write_text("zum Beispiel\n", encoding="utf-8")
@@ -431,6 +474,10 @@ def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
     # the bad byte lies past the first 8 KiB that a text read decodes
     Path("words.txt").write_bytes(b"sein\n" * 3000 + b"caf\xe9\n")
     Path("bad.tsv").write_bytes(b"# lexicon\nzum\tmwt\tzu m\t_\n# caf\xe9\n")
+    # a dropped byte-order mark takes no line of its own
+    Path("bom.conf").write_bytes(b"\xef\xbb\xbf# config\n# caf\xe9\n")
+    Path("bom.tsv").write_bytes(b"\xef\xbb\xbf" + b"# lexicon\n" * 5000
+                                + b"# caf\xe9\n")
     Path("raw.txt").write_text("Servus\n", encoding="utf-8")
 
     def error(name, line):
@@ -443,6 +490,10 @@ def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
         error(tmp_path / "words.txt", 3001)
     assert run_cli(["tokenize", "--lexicon", "bad.tsv", "raw.txt"]) == \
         error("bad.tsv", 3)
+    assert run_cli(["lint", "--config", "bom.conf", str(GOLDEN)]) == \
+        error("bom.conf", 2)
+    assert run_cli(["tokenize", "--lexicon", "bom.tsv", "raw.txt"]) == \
+        error("bom.tsv", 5001)
     monkeypatch.setenv(cli.CONFIG_ENV_VAR, "bad.conf")
     assert run_cli(["stats", str(GOLDEN)]) == error("bad.conf", 3)
 
@@ -736,17 +787,20 @@ def test_closed_error_pipe_exits_141(tmp_path):
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    # measured against a bare interpreter, so that modules a site-packages
-    # .pth file loads do not count
+    # both interpreters run with -S: a site-packages .pth file may import
+    # any of these before the program starts, which would hide its own
+    # import of them; the difference leaves out what a bare start loads
     def loaded(code):
         proc = subprocess.run(
-            [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+            [sys.executable, "-S", "-c",
+             f"{code}; import sys; print(*sys.modules)"],
             capture_output=True, text=True, env=CHILD_ENV, check=True)
         return set(proc.stdout.split())
 
     added = loaded("import maibaam_lint.cli") - loaded("pass")
     assert "maibaam_lint.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}
+    assert not added & {"dataclasses", "inspect", "json",
+                        "importlib.resources", "tempfile"}
 
 
 def test_family_severity_in_lint_and_list_rules(tmp_path):

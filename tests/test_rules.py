@@ -531,6 +531,20 @@ def test_load_config_file(tmp_path):
     assert cfg.aux_lemmas == {"sein", "haben", "helfen"}
 
 
+def test_load_config_drops_a_leading_byte_order_mark(tmp_path):
+    conf = tmp_path / "bom.conf"
+    conf.write_text("\ufeffguideline_version=1.1\n", encoding="utf-8")
+    assert load_config(str(conf)).guideline_version == "1.1"
+
+
+def test_a_word_list_drops_a_leading_byte_order_mark(tmp_path):
+    (tmp_path / "genres.txt").write_text("\ufefffiction\nwiki\n",
+                                         encoding="utf-8")
+    conf = tmp_path / "lint.conf"
+    conf.write_text("lexicon.genres.path = genres.txt\n", encoding="utf-8")
+    assert load_config(str(conf)).genre_vocab == {"fiction", "wiki"}
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     (tmp_path / "words.txt").write_text("gell\n", encoding="utf-8")
     conf = tmp_path / "lint.conf"

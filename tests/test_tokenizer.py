@@ -343,6 +343,22 @@ def test_hand_built_lexicon_rejects_a_surface_that_is_not_a_str(tables,
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", TokenizerLexicon._fields)
+def test_hand_built_lexicon_rejects_a_table_given_as_a_str(name):
+    # iterated, units="MB" would be the table {"m", "b"}
+    with pytest.raises(TypeError) as exc:
+        TokenizerLexicon(**{name: "zum"})
+    assert str(exc.value) == \
+        f"{name} got the str 'zum' where it takes a collection"
+
+
+def test_load_lexicon_drops_a_leading_byte_order_mark(tmp_path):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("\ufeffzum\tmwt\tzu m\tADP DET\n", encoding="utf-8")
+    assert load_lexicon(lex).fused_adp_det == \
+        {"zum": (("zu", "ADP"), ("m", "DET"))}
+
+
 def test_hand_built_lexicon_clash_message_does_not_depend_on_hashing():
     # set order changes with PYTHONHASHSEED; under seeds 1 and 4 the two
     # surfaces come out of this set in opposite orders
