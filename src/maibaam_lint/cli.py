@@ -9,19 +9,20 @@ config, independent of file order.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-from . import __version__
+from . import __version__, conllu
 from .conllu import (
     Diagnostic,
     Document,
     ParseError,
     SEVERITY_RANK,
     Sentence,
-    _line_chunks,
+    _split_lines,
     iter_sentences,
     not_utf8,
     reconstruct_text,
@@ -82,51 +83,100 @@ def _count_sentence(stats: dict, s: Sentence) -> None:
             stats[key][value] += 1
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """Read one input as UTF-8 with its line endings untouched."""
+class _ReadError(Exception):
+    """An input that fails while it is read; the message names it."""
+
+
+def _read_input(path: str) -> tuple[Iterator[str], str]:
+    """Open one input in binary mode; return its text as UTF-8 pieces that
+    are read and decoded as they are asked for, with their line endings
+    untouched, and its name. The pieces raise _ReadError at the input's
+    first byte that is not UTF-8, once its complete lines before that byte
+    are out, and for a read that fails."""
     if path == "-":
-        return sys.stdin.buffer.read().decode("utf-8"), STDIN_NAME
-    with open(path, encoding="utf-8", newline="") as f:
-        return f.read(), path
+        return _decoded(sys.stdin.buffer, path, STDIN_NAME), STDIN_NAME
+    return _decoded(open(path, "rb"), path, path, close=True), path
 
 
-def _read_reported(path: str, errout) -> tuple[str, str] | None:
+def _decoded(f, path: str, name: str, close: bool = False) -> Iterator[str]:
+    """Read f conllu._CHUNK_CHARS bytes at a time and decode each read,
+    holding back a character the read cuts in two. Neither a read's bytes
+    nor its piece are kept while the next read is made."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    lines = 0  # line breaks yielded so far
+    try:
+        while True:
+            data = f.read(conllu._CHUNK_CHARS)
+            try:
+                piece = decode(data, not data)
+            except UnicodeDecodeError as exc:
+                good = exc.object[:exc.start].decode("utf-8")
+                yield good[:good.rfind("\n") + 1]
+                raise _ReadError(not_utf8(name, exc, lines)) from None
+            if not data:
+                return
+            del data
+            lines += piece.count("\n")
+            yield piece
+            del piece
+    except OSError as exc:
+        raise _ReadError(f"cannot read {path}: {exc.strerror or exc}") from None
+    finally:
+        if close:
+            f.close()
+
+
+def _read_reported(path: str, errout) -> tuple[Iterator[str], str] | None:
     """_read_input, or None after one error line naming an input that cannot
-    be read or is not UTF-8 (with the line of its first bad byte)."""
+    be opened."""
     try:
         return _read_input(path)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror or exc}", file=errout)
-    except UnicodeDecodeError as exc:
-        name = STDIN_NAME if path == "-" else path
-        print(f"error: {not_utf8(name, exc)}", file=errout)
     return None
 
 
 class _LintRun:
     """Lints documents one after another. Between documents it holds only
-    the findings, the file names, the (file, line) of each sent_id and, for
-    stats, the counts. A document's share is committed once all its
-    sentences have been read, so a ParseError midway adds nothing."""
+    the findings, the file names, the (file, line) where each sent_id was
+    first seen and where it was seen again and, for stats, the counts. A
+    document's share is committed once all its sentences have been read,
+    so a ParseError midway adds nothing.
+
+    The findings are kept as lists sorted by Diagnostic.sort_key, in the
+    order they were found: each document's sentence findings, then its
+    CORE.BOM finding. A document's findings are sorted sentence by
+    sentence, and as a whole only if its sentences' findings do not follow
+    one another in order."""
 
     def __init__(self, cfg: LintConfig, count: bool = False):
         self.cfg = cfg
-        self.diags: list[Diagnostic] = []
+        self.lists: list[list[Diagnostic]] = []
         self.files: list[str] = []
-        self.sent_ids: dict[str, list[tuple[str, int]]] = {}
+        self.first_seen: dict[str, tuple[str, int]] = {}
+        self.seen_again: dict[str, list[tuple[str, int]]] = {}  # all places
         self.stats = _new_stats() if count else None
 
     def add(self, doc: Document, sentences: Iterable[Sentence]) -> None:
         """Lint doc's sentences, which may come from iter_sentences still
         filling in doc: its bom is read after the last one."""
         cfg = self.cfg
+        sort_key = Diagnostic.sort_key.fget
         diags: list[Diagnostic] = []
+        last = None  # the sort key of diags[-1] while diags is in order
         located: list[tuple[str, str, int]] = []
         counts = None if self.stats is None else _new_stats()
         first = None  # where a CORE.BOM finding goes
         for s in sentences:
-            diags.extend(lint_sentence(s, cfg))
-            diags.extend(validate_metadata(s, cfg))
+            found = lint_sentence(s, cfg)
+            found.extend(validate_metadata(s, cfg))
+            if found:
+                found.sort(key=sort_key)
+                if diags and (last is None or sort_key(found[0]) < last):
+                    last = None
+                else:
+                    last = sort_key(found[-1])
+                diags.extend(found)
             sid = s.sent_id
             if first is None:
                 first = Sentence(file=s.file, metadata=[("sent_id", sid)])
@@ -134,30 +184,43 @@ class _LintRun:
                 located.append((sid, s.file, s.line))
             if counts is not None:
                 _count_sentence(counts, s)
+        if diags and last is None:
+            diags.sort(key=sort_key)
+        bom: list[Diagnostic] = []
         if doc.bom:
-            finding(diags, cfg, first or Sentence(file=doc.file), "CORE.BOM",
+            finding(bom, cfg, first or Sentence(file=doc.file), "CORE.BOM",
                     "byte-order mark stripped from input", line=1)
-        self.diags.extend(diags)
+        self.lists += [part for part in (diags, bom) if part]
         self.files.append(doc.file)
         for sid, file, line in located:
-            self.sent_ids.setdefault(sid, []).append((file, line))
+            where = (file, line)
+            seen = self.first_seen.setdefault(sid, where)
+            if seen is not where:
+                self.seen_again.setdefault(sid, [seen]).append(where)
         if counts is not None:
             for key, value in counts.items():
                 self.stats[key] += value
 
-    def finish(self) -> list[Diagnostic]:
-        """All findings, the cross-file sent_id check's included, in no set
-        order. Called once, after the last add."""
-        duplicates = {sid: located for sid, located in self.sent_ids.items()
-                      if len(located) > 1}
-        self.diags.extend(check_unique_sent_ids(duplicates, self.cfg))
-        return self.diags
+    def finish(self) -> list[list[Diagnostic]]:
+        """All findings, the cross-file sent_id check's last, as lists that
+        are each sorted by Diagnostic.sort_key. Called once, after the last
+        add."""
+        dup = check_unique_sent_ids(self.seen_again, self.cfg)
+        if dup:
+            dup.sort(key=Diagnostic.sort_key.fget)
+            self.lists.append(dup)
+        return self.lists
 
     def finish_sorted(self) -> list[Diagnostic]:
-        """finish's findings by Diagnostic.sort_key: the run's only sort."""
-        diags = self.finish()
-        diags.sort(key=Diagnostic.sort_key.fget)
-        return diags
+        """finish's lists merged into one by Diagnostic.sort_key; of equal
+        keys, the one found first comes first. A single list is returned
+        as it is."""
+        lists = self.finish()
+        if len(lists) < 2:
+            return lists[0] if lists else []
+        import heapq  # only a run with several lists loads it
+
+        return list(heapq.merge(*lists, key=Diagnostic.sort_key.fget))
 
 
 def lint_documents(docs: Iterable[Document],
@@ -183,11 +246,11 @@ def _lint_inputs(opts: RunOptions,
         if read is None:
             failed = True
             continue
-        text, name = read
+        pieces, name = read
         doc = Document(file=name)
         try:
-            run.add(doc, iter_sentences(text, name, doc))
-        except ParseError as exc:
+            run.add(doc, iter_sentences(pieces, name, doc))
+        except (ParseError, _ReadError) as exc:
             print(f"error: {exc}", file=opts.errout)
             failed = True
     return run, failed
@@ -207,6 +270,8 @@ _TSV_ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
 
 
 def _tsv_field(s: str) -> str:
+    if s.isprintable() and "\\" not in s:
+        return s  # tab, LF and CR are not printable
     for raw, escaped in _TSV_ESCAPES:
         s = s.replace(raw, escaped)
     return s
@@ -274,32 +339,40 @@ def cmd_tokenize(opts: RunOptions) -> int:
         if read is None:
             exit_code = 2
             continue
-        text, name = read
+        pieces, name = read
         stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
         # escaped like a TSV field: the sent_id stays one line, and stems
         # that differ stay distinct
         stem = _tsv_field(stem)
         counter = 0
-        for lines in _line_chunks(text, len(text)):
-            for raw_line in lines:
-                # a BOM opens each input, or each file of a concatenation
-                raw_line = raw_line.lstrip("\ufeff")
-                if not raw_line.strip():
-                    continue
-                counter += 1
-                s = attach_skeleton_heads(tokenize_sentence(raw_line, lexicon))
-                s.metadata = [("sent_id", f"{stem}-{counter}"),
-                              ("text", reconstruct_text(s))]
-                s.file = name
-                # written per sentence, so output does not build up in memory
-                opts.output.write(serialize_document(Document([s], file=name)))
+        try:
+            for lines in _split_lines(pieces):
+                for raw_line in lines:
+                    # a BOM opens each input, or each file of a concatenation
+                    raw_line = raw_line.lstrip("\ufeff")
+                    if not raw_line.strip():
+                        continue
+                    counter += 1
+                    s = attach_skeleton_heads(tokenize_sentence(raw_line,
+                                                                lexicon))
+                    s.metadata = [("sent_id", f"{stem}-{counter}"),
+                                  ("text", reconstruct_text(s))]
+                    s.file = name
+                    # written per sentence, so output does not build up in
+                    # memory
+                    opts.output.write(serialize_document(
+                        Document([s], file=name)))
+        except _ReadError as exc:
+            print(f"error: {exc}", file=opts.errout)
+            exit_code = 2
     return exit_code
 
 
 def cmd_stats(opts: RunOptions) -> int:
     run, failed = _lint_inputs(opts, count=True)
     stats = run.stats
-    stats["diagnostics"].update(d.rule_id for d in run.finish())
+    stats["diagnostics"].update(d.rule_id for diags in run.finish()
+                                for d in diags)
     out = opts.output
     if opts.report_format == "json":
         import json  # only JSON reports load it

@@ -11,11 +11,12 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 
 COLUMN_COUNT = 10
 
-# characters per chunk of lines the parser holds at a time (a chunk runs on
-# to the end of its last line)
+# characters per piece of text the parser splits into lines at a time, and
+# bytes per read of a command-line input
 _CHUNK_CHARS = 1 << 16
 
 SEVERITY_ERROR = "error"
@@ -45,11 +46,12 @@ class ParseError(Exception):
         self.line = line
 
 
-def not_utf8(name: str, exc: UnicodeDecodeError) -> str:
+def not_utf8(name: str, exc: UnicodeDecodeError, lines_before: int = 0) -> str:
     """The one message for input that is not UTF-8, naming the input and
     the line of the first bad byte: 'NAME:LINE: not UTF-8: REASON 0xNN'.
-    exc comes from decoding the whole input at once."""
-    line = exc.object.count(b"\n", 0, exc.start) + 1
+    exc comes from decoding the input whole, or from decoding the rest of
+    it after lines_before lines."""
+    line = lines_before + exc.object.count(b"\n", 0, exc.start) + 1
     return (f"{name}:{line}: not UTF-8: {exc.reason} "
             f"0x{exc.object[exc.start]:02x}")
 
@@ -82,27 +84,60 @@ def column_value(col: str, key: str) -> str | None:
     return col[start:] if end == -1 else col[start:end]
 
 
-def _line_chunks(text: str, stop: int):
-    """Yield text[:stop].split("\n") as consecutive lists, each holding the
-    lines of about _CHUNK_CHARS characters and ending at a line break.
+def _split_lines(pieces: Iterable[str], file_name: str | None = None,
+                 doc: Document | None = None):
+    """Yield the lines of the text that pieces make up, as consecutive lists:
+    text.split("\n") without the "" after a final "\n", a list for each
+    piece that ends a line.
 
-    Only a chunk's own characters are copied, and a "\n" at stop is split
-    off, not sliced off. A text of up to two chunks is split whole: cutting
-    it would copy about a chunk to shorten the list by about as much.
+    Each piece is split on its own, and only its first line is glued to the
+    line the pieces before left open. With a file_name, a CRLF line end
+    raises ParseError at its line once the lines before it are out. With a
+    doc, a byte-order mark opening the text is dropped and sets doc.bom,
+    and doc.final_newline reads False until the pieces run out and then
+    whether the text ends in "\n".
     """
-    start = 0
-    while stop > 2 * _CHUNK_CHARS and stop - start > _CHUNK_CHARS:
-        end = text.find("\n", start + _CHUNK_CHARS, stop)
-        if end == -1:
-            break
-        yield text[start:end].split("\n")
-        start = end + 1
-    if stop < len(text) and text[stop] == "\n":
-        lines = text[start:stop + 1].split("\n")
-        lines.pop()
+    carry = [""]  # the line the pieces so far leave open, in parts
+    line_no = 0  # lines yielded so far
+    opening = doc is not None  # whether a BOM may come next
+    if opening:
+        doc.bom = doc.final_newline = False
+    for piece in pieces:
+        if opening and piece:
+            opening = False
+            if piece[0] == "\ufeff":
+                doc.bom = True
+                piece = piece[1:]
+        if not piece:
+            continue
+        if file_name is not None:
+            if piece[0] == "\n" and carry[-1].endswith("\r"):
+                crlf = 0  # the open line ends in CR, this piece opens with LF
+            else:
+                crlf = piece.find("\r\n")
+            if crlf != -1:
+                lines = piece[:crlf].split("\n")
+                lines[0] = "".join(carry) + lines[0]
+                lines.pop()  # the start of the line the CRLF ends
+                if lines:
+                    yield lines
+                raise ParseError("CRLF_LINE_ENDING", "CRLF line ending (use LF)",
+                                 file_name, line_no + len(lines) + 1)
+        lines = piece.split("\n")
+        del piece  # a piece, and then its lines, are freed as soon as done
+        carry.append(lines[0])
+        if len(lines) == 1:
+            continue  # the open line goes on; it is joined once, when it ends
+        lines[0] = "".join(carry)
+        carry = [lines.pop()]
+        line_no += len(lines)
         yield lines
-    else:
-        yield text[start:stop].split("\n")
+        del lines
+    last = "".join(carry)
+    if doc is not None:
+        doc.final_newline = line_no > 0 and not last
+    if last:
+        yield [last]
 
 
 _TOKEN_COLUMNS = ("form", "upos", "deprel", "misc", "lemma_col", "xpos_col",
@@ -339,47 +374,45 @@ def _parsed_span(cols: list[str], first: int, last: int,
     return span
 
 
-def parse_document(text: str, file_name: str = "<string>") -> Document:
-    """Parse CoNLL-U text into a Document.
+def parse_document(text: str | Iterable[str],
+                   file_name: str = "<string>") -> Document:
+    """Parse CoNLL-U text, a str or an iterable of str pieces, into a
+    Document.
 
     Raises ParseError on malformed input: WRONG_COLUMN_COUNT, BAD_ID,
     UNTERMINATED_SENTENCE and a few stricter shape errors (EMPTY_FIELD,
     BAD_HEAD, ID_SEQUENCE, EMPTY_SENTENCE, EXTRA_BLANK_LINE,
     MISPLACED_COMMENT, CRLF_LINE_ENDING), each carrying file and line
-    number. Empty input yields an empty Document. Content that is
-    merely non-conformant (enhanced dependencies, empty nodes) is kept and
-    reported later as lint diagnostics.
+    number; of several, the first the parser reaches. Empty input yields an
+    empty Document. Content that is merely non-conformant (enhanced
+    dependencies, empty nodes) is kept and reported later as lint
+    diagnostics.
     """
     doc = Document(file=file_name)
     doc.sentences = list(iter_sentences(text, file_name, doc))
     return doc
 
 
-def iter_sentences(text: str, file_name: str = "<string>",
+def iter_sentences(text: str | Iterable[str], file_name: str = "<string>",
                    doc: Document | None = None):
-    """Yield the sentences of CoNLL-U text, each as soon as its closing
-    blank line is read.
+    """Yield the sentences of CoNLL-U text, a str or an iterable of str
+    pieces, each as soon as its closing blank line is read.
 
     The text is checked as parse_document checks it: a ParseError is raised
     when the malformed line is reached, after the sentences before it have
-    been yielded. doc, if given, gets bom and final_newline before the
-    first sentence and trailing_comments once the input has ended; its
-    sentences are left alone. Besides the text it holds one chunk of lines
-    (_line_chunks) and the sentence being read.
+    been yielded. doc, if given, gets bom before the first sentence, and
+    final_newline and trailing_comments once the input has ended; its
+    sentences are left alone. Besides a str text it holds one piece (a str
+    is cut into pieces of _CHUNK_CHARS characters), that piece's lines
+    (_split_lines) and the sentence being read.
     """
     if doc is None:
         doc = Document(file=file_name)
-    doc.bom = text.startswith("\ufeff")
-    if doc.bom:
-        text = text[1:]
-
-    crlf = text.find("\r\n")
-    if crlf != -1:
-        raise ParseError("CRLF_LINE_ENDING", "CRLF line ending (use LF)",
-                         file_name, text.count("\n", 0, crlf) + 1)
-
-    doc.final_newline = text.endswith("\n")
-    chunks = _line_chunks(text, len(text) - doc.final_newline) if text else ()
+    pieces = text
+    if isinstance(text, str):
+        pieces = (text[i:i + _CHUNK_CHARS]
+                  for i in range(0, len(text), _CHUNK_CHARS))
+    chunks = _split_lines(pieces, file_name, doc)
 
     decimal = _DECIMALS.get
     comments: list[str] = []
@@ -483,6 +516,7 @@ def iter_sentences(text: str, file_name: str = "<string>",
             else:
                 raise ParseError("BAD_ID", f"bad ID field {id_field!r}",
                                  file_name, line_no)
+        del lines  # not held while the next piece is read and split
 
     if tokens or spans or empties:
         raise ParseError("UNTERMINATED_SENTENCE",

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -171,6 +172,15 @@ def test_tsv_fields_round_trip(text):
     fields = row.split("\t")
     assert len(fields) == 8
     assert [_tsv_unescape(fields[i]) for i in (0, 2, 6)] == [text] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet=st.sampled_from(
+    "a\u00e9\\\t\n\r\x0b\x85\u2028")))
+def test_tsv_field_equals_the_four_replaces(text):
+    # printable text without a backslash is returned at once
+    assert cli._tsv_field(text) == text.replace("\\", "\\\\").replace(
+        "\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
 
 
 def test_fail_level_warning(tmp_path):
@@ -451,15 +461,111 @@ def test_tokenize_reports_undecodable_input_and_goes_on(tmp_path, monkeypatch):
     (tmp_path / "b.txt").write_text("Servus\n", encoding="utf-8")
     code, out, err = run_cli(["tokenize", "a.txt", "bad.txt", "b.txt"])
     assert code == 2
+    # the lines before the bad one are tokenized, as they are read
     assert out == run_cli(["tokenize", "a.txt"])[1] + \
+        "# sent_id = bad-1\n# text = gut\n" \
+        "1\tgut\t_\tX\t_\t_\t0\troot\t_\t_\n\n" + \
         run_cli(["tokenize", "b.txt"])[1]
     # the line names the input and the line of the first bad byte
     assert err == "error: bad.txt:2: not UTF-8: invalid start byte 0xff\n"
-    assert run_cli(["lint", "bad.txt"])[2] == err
-    assert run_cli(["stats", "bad.txt"])[2] == err
+    # lint and stats name the same line, unless a line before it is not
+    # CoNLL-U: the first fault in the file is the one reported
+    (tmp_path / "bad.conllu").write_bytes(b"# gut\n\xff kaputt\n")
+    for cmd in ("lint", "stats"):
+        assert run_cli([cmd, "bad.conllu"])[2] == \
+            err.replace("bad.txt", "bad.conllu")
+        assert run_cli([cmd, "bad.txt"])[2] == "error: bad.txt:1: " \
+            "WRONG_COLUMN_COUNT: expected 10 tab-separated fields, got 1\n"
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xc3")))
     assert run_cli(["tokenize", "-"])[2] == \
         "error: <stdin>:1: not UTF-8: unexpected end of data 0xc3\n"
+
+
+_GOLDEN_LINES = GOLDEN.read_bytes().count(b"\n")
+
+
+@pytest.mark.parametrize("tail,error", [
+    (b"# caf\xc3\xa9 \xe9 au lait\n", "not UTF-8: invalid continuation byte "
+                                      "0xe9"),
+    (b"\xff\n", "not UTF-8: invalid start byte 0xff"),
+    (b"# caf\xc3", "not UTF-8: unexpected end of data 0xc3"),
+    (b"# sent_id = late\r\n", "CRLF_LINE_ENDING: CRLF line ending (use LF)"),
+    (b"", None),
+], ids=["bad-byte", "bad-start-byte", "cut-at-end", "crlf", "clean"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_input_faults_are_located_at_any_read_size(tail, error, stdin,
+                                                   tmp_path, monkeypatch):
+    # golden.conllu holds characters of two and three bytes, which small
+    # reads cut apart; the fault comes on the line after its last
+    golden = GOLDEN.read_bytes()
+    path = tmp_path / "t.conllu"
+    arg, name = ("-", "<stdin>") if stdin else (str(path), str(path))
+
+    def run_on(raw, cmd):
+        if stdin:
+            monkeypatch.setattr(sys, "stdin",
+                                io.TextIOWrapper(io.BytesIO(raw)))
+        else:
+            path.write_bytes(raw)
+        return run_cli([cmd, arg])
+
+    for cmd in ("lint", "tokenize"):
+        whole = run_on(golden + tail, cmd)
+        if error is None or (cmd == "tokenize" and "CRLF" in error):
+            assert whole[0] == 0 and whole[2] == ""
+        else:
+            # lint adds nothing of a failed input; tokenize writes what it
+            # made of the lines before the bad one
+            good = run_on(golden, cmd)[1]
+            assert whole == (2, "" if cmd == "lint" else good,
+                             f"error: {name}:{_GOLDEN_LINES + 1}: {error}\n")
+        for size in (1, 2, 3, 5, 64, 4096):
+            monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
+            assert run_on(golden + tail, cmd) == whole, (cmd, size)
+        monkeypatch.undo()
+
+
+def test_the_first_fault_in_a_file_is_reported(tmp_path, monkeypatch):
+    # a not-UTF-8 byte, a CRLF and a parse error are found in the order of
+    # their lines, whichever piece of the input holds them
+    monkeypatch.chdir(tmp_path)
+    filler = b"# x\n" * 20_000
+    files = {
+        "column.conllu": (b"1\tMinga\n\n" + filler + b"\xff\n",
+                          "column.conllu:1: WRONG_COLUMN_COUNT: expected 10 "
+                          "tab-separated fields, got 2"),
+        "byte.conllu": (filler + b"\xff\n# c\r\n",
+                        "byte.conllu:20001: not UTF-8: invalid start byte "
+                        "0xff"),
+        "crlf.conllu": (filler + b"# c\r\n\xff\n",
+                        "crlf.conllu:20001: CRLF_LINE_ENDING: CRLF line "
+                        "ending (use LF)"),
+    }
+    for name, (raw, error) in files.items():
+        Path(name).write_bytes(raw)
+        for size in (7, 1 << 16):
+            monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
+            assert run_cli(["lint", name]) == (2, "", f"error: {error}\n")
+
+
+def test_lint_holds_a_piece_of_its_input_not_the_whole_file(golden_text,
+                                                            tmp_path):
+    # the input is read in pieces and its sentences are dropped as they
+    # are linted; what the run keeps is its findings (none here) and an
+    # index of the sent_ids, far less than the text
+    copies = 1_000_000 // len(golden_text) + 1
+    text = "".join(re.sub(r"(?m)^# sent_id = (.*)$", rf"# sent_id = \1-{k}",
+                          golden_text) for k in range(copies))
+    path = tmp_path / "big.conllu"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = run_cli(["lint", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "", "")
+    assert peak < sys.getsizeof(text) / 2
 
 
 def test_undecodable_config_and_lexicon_files_are_located(tmp_path,

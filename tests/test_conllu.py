@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maibaam_lint import conllu
+from maibaam_lint import cli, conllu
 from maibaam_lint.cli import lint_documents
 from maibaam_lint.conllu import (
     Diagnostic,
@@ -796,24 +796,54 @@ def test_iter_sentences_fills_in_the_document():
     assert doc == parsed
 
 
-def test_line_chunks_equal_one_split(monkeypatch):
-    for size in range(1, 5):
-        monkeypatch.setattr(conllu, "_CHUNK_CHARS", size)
-        for n in range(9):
-            for chars in itertools.product("a\n\r", repeat=n):
-                text = "".join(chars)
-                for stop in range(n + 1):
-                    assert sum(conllu._line_chunks(text, stop), []) == \
-                        text[:stop].split("\n")
+def _cut(text: str, size: int) -> list[str]:
+    return [text[i:i + size] for i in range(0, len(text), size)]
 
 
-def test_line_chunks_split_a_short_text_without_copying_it():
-    # up to two chunks long and ending in "\n": a slice of all but the "\n"
+def test_split_lines_equal_one_split():
+    for n in range(9):
+        for chars in itertools.product("a\n\r", repeat=n):
+            text = "".join(chars)
+            lines = text.split("\n") if text else []
+            if text.endswith("\n"):
+                lines.pop()
+            crlf = text.find("\r\n")
+            for size in range(1, n + 2):
+                pieces = _cut(text, size)
+                doc = Document()
+                assert sum(conllu._split_lines(pieces, doc=doc), []) == lines
+                assert doc.final_newline == text.endswith("\n")
+                assert not doc.bom
+                # with a file name, a CRLF raises at its line, and only
+                # after the lines before it
+                out = []
+                try:
+                    for chunk in conllu._split_lines(pieces, "t"):
+                        out += chunk
+                except ParseError as exc:
+                    assert crlf != -1 and exc.code == "CRLF_LINE_ENDING"
+                    assert exc.line == text.count("\n", 0, crlf) + 1
+                    assert out == text[:crlf].split("\n")[:-1]
+                else:
+                    assert crlf == -1 and out == lines
+
+
+def test_split_lines_drop_one_opening_bom_past_empty_pieces():
+    doc = Document()
+    pieces = ["", "\ufeff", "", "\ufeffa\n", "b"]
+    assert sum(conllu._split_lines(pieces, doc=doc), []) == ["\ufeffa", "b"]
+    assert (doc.bom, doc.final_newline) == (True, False)
+    # without a doc the BOM is a character like any other
+    assert sum(conllu._split_lines(pieces), []) == ["\ufeff\ufeffa", "b"]
+
+
+def test_split_lines_split_a_short_text_without_copying_it():
+    # a piece ending in "\n" is split whole: a slice of all but the "\n"
     # would be a second copy of the text next to its lines
     text = ("x" * 10_000 + "\n") * 5
     tracemalloc.start()
     try:
-        chunks = list(conllu._line_chunks(text, len(text) - 1))
+        chunks = list(conllu._split_lines([text]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -852,8 +882,11 @@ _TOKEN_LINE = "1\tMinga\t_\tPROPN\t_\t_\t0\troot\t_\t_\n"
     (_TOKEN_LINE, "UNTERMINATED_SENTENCE", 5),
     (_TOKEN_LINE.rstrip("\n"), "UNTERMINATED_SENTENCE", 5),
     ("1\tMinga\n\n", "WRONG_COLUMN_COUNT", 5),
+    ("# c\n" + _TOKEN_LINE[:-1] + "\r\n\n", "CRLF_LINE_ENDING", 6),
+    ("1\tMinga\n# c\r\n", "WRONG_COLUMN_COUNT", 5),
 ], ids=["extra-blank", "empty-sentence", "unterminated",
-        "unterminated-no-final-newline", "wrong-column-count"])
+        "unterminated-no-final-newline", "wrong-column-count", "crlf",
+        "parse-error-before-crlf"])
 def test_parse_errors_are_the_same_at_any_chunk_boundary(tail, code, line,
                                                          monkeypatch):
     text = MINIMAL * 2 + tail
@@ -863,7 +896,7 @@ def test_parse_errors_are_the_same_at_any_chunk_boundary(tail, code, line,
         with pytest.raises(ParseError) as exc:
             parse_document(text, "t.conllu")
         assert (exc.value.code, exc.value.line) == (code, line), size
-        chunks = conllu._line_chunks(text, len(text) - text.endswith("\n"))
+        chunks = conllu._split_lines(_cut(text, size))
         first_lines.update(itertools.accumulate(
             (len(chunk) for chunk in chunks), initial=1))
     # some chunk size put a boundary just before, at and just after it
@@ -1112,6 +1145,58 @@ def test_iter_sentences_fails_where_parse_document_fails(text):
         assert all(s.line < exc.line for s in streamed)
     else:
         assert streamed == parse_document(text, "<property>").sentences
+
+
+def _hand_built_sentences(draw, file: str) -> list[Sentence]:
+    """Sentences as a library caller builds them: every line 0, so that
+    their findings do not follow one another in sort order."""
+    sentences = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        tokens = [Token(id=i, form="w", upos=draw(st.sampled_from(
+                        ["NOUN", "ZZZ"])), head=i - 1, deprel="dep")
+                  for i in range(1, n + 1)]
+        sentences.append(Sentence(
+            tokens=tokens, file=file,
+            metadata=[("sent_id", draw(st.sampled_from(["p-0", f"h-{k}"])))]))
+    return sentences
+
+
+@st.composite
+def lint_runs(draw):
+    """The documents of one run: parsed texts, some with a BOM, some names
+    given twice, and hand-built ones."""
+    docs = []
+    for i in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from([f"f{i}.conllu", "same.conllu"]))
+        if draw(st.booleans()):
+            docs.append((name, _hand_built_sentences(draw, name)))
+        else:
+            bom = "\ufeff" if draw(st.booleans()) else ""
+            docs.append((name, bom + draw(conllu_texts())))
+    return docs
+
+
+def _lint_run(docs) -> cli._LintRun:
+    run = cli._LintRun(LintConfig())
+    for name, content in docs:
+        if isinstance(content, list):
+            run.add(Document(content, file=name), content)
+            continue
+        doc = Document(file=name)
+        try:
+            run.add(doc, iter_sentences(content, name, doc))
+        except ParseError:
+            pass
+    return run
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lint_runs())
+def test_merged_findings_equal_one_stable_sort(docs):
+    merged = _lint_run(docs).finish_sorted()
+    found = [d for diags in _lint_run(docs).finish() for d in diags]
+    assert merged == sorted(found, key=Diagnostic.sort_key.fget)
 
 
 def _parse_outcome(text: str):
