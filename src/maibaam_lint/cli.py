@@ -88,23 +88,26 @@ class _ReadError(Exception):
 
 
 def _read_input(path: str) -> tuple[Iterator[str], str]:
-    """Open one input in binary mode; return its text as UTF-8 pieces that
-    are read and decoded as they are asked for, with their line endings
-    untouched, and its name. The pieces raise _ReadError at the input's
-    first byte that is not UTF-8, once its complete lines before that byte
-    are out, and for a read that fails."""
-    if path == "-":
-        return _decoded(sys.stdin.buffer, path, STDIN_NAME), STDIN_NAME
-    return _decoded(open(path, "rb"), path, path, close=True), path
+    """Return one input's text ("-" for standard input) as UTF-8 pieces,
+    with their line endings untouched, and its name. Nothing is opened
+    until the first piece is asked for; the pieces raise _ReadError for an
+    input that cannot be opened or read, and at its first byte that is not
+    UTF-8, once its complete lines before that byte are out."""
+    name = STDIN_NAME if path == "-" else path
+    return _decoded(path, name), name
 
 
-def _decoded(f, path: str, name: str, close: bool = False) -> Iterator[str]:
-    """Read f conllu._CHUNK_CHARS bytes at a time and decode each read,
-    holding back a character the read cuts in two. Neither a read's bytes
-    nor its piece are kept while the next read is made."""
+def _decoded(path: str, name: str) -> Iterator[str]:
+    """Open path unbuffered in binary mode (standard input's buffer for
+    "-", which is left open), read it up to conllu._CHUNK_CHARS bytes at a
+    time and decode each read, holding back a character the read cuts in
+    two; the decoder is the only buffer the reads need. Neither a read's
+    bytes nor its piece are kept while the next read is made."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
     lines = 0  # line breaks yielded so far
+    f = None
     try:
+        f = sys.stdin.buffer if path == "-" else open(path, "rb", 0)
         while True:
             data = f.read(conllu._CHUNK_CHARS)
             try:
@@ -122,18 +125,8 @@ def _decoded(f, path: str, name: str, close: bool = False) -> Iterator[str]:
     except OSError as exc:
         raise _ReadError(f"cannot read {path}: {exc.strerror or exc}") from None
     finally:
-        if close:
+        if f is not None and path != "-":
             f.close()
-
-
-def _read_reported(path: str, errout) -> tuple[Iterator[str], str] | None:
-    """_read_input, or None after one error line naming an input that cannot
-    be opened."""
-    try:
-        return _read_input(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=errout)
-    return None
 
 
 class _LintRun:
@@ -242,11 +235,7 @@ def _lint_inputs(opts: RunOptions,
     run = _LintRun(_resolve_config(opts), count)
     failed = False
     for path in opts.inputs:
-        read = _read_reported(path, opts.errout)
-        if read is None:
-            failed = True
-            continue
-        pieces, name = read
+        pieces, name = _read_input(path)
         doc = Document(file=name)
         try:
             run.add(doc, iter_sentences(pieces, name, doc))
@@ -335,15 +324,14 @@ def cmd_tokenize(opts: RunOptions) -> int:
     lexicon = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
     exit_code = 0
     for path in opts.inputs:
-        read = _read_reported(path, opts.errout)
-        if read is None:
-            exit_code = 2
-            continue
-        pieces, name = read
-        stem = os.path.splitext(os.path.basename(name))[0].strip("<>") or "stdin"
-        # escaped like a TSV field: the sent_id stays one line, and stems
-        # that differ stay distinct
-        stem = _tsv_field(stem)
+        pieces, name = _read_input(path)
+        stem = "stdin" if path == "-" else \
+            os.path.splitext(os.path.basename(path))[0]
+        # escaped like a TSV field, and each byte of the name that is not
+        # UTF-8 written as \xNN: the sent_id stays one line of UTF-8, and
+        # stems that differ stay distinct
+        stem = _tsv_field(stem).encode("utf-8", "surrogateescape").decode(
+            "utf-8", "backslashreplace")
         counter = 0
         try:
             for lines in _split_lines(pieces):

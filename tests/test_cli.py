@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -326,16 +327,27 @@ def test_tokenize_writes_a_line_break_in_the_file_name_as_backslash_n(
     assert code <= 1 and err == ""
 
 
-def test_tokenize_gives_distinct_names_distinct_sent_ids(tmp_path):
+def test_tokenize_gives_distinct_names_distinct_sent_ids(tmp_path,
+                                                        monkeypatch):
     # a line break and a backslash followed by n, a tab and a backslash
-    # followed by t, and a CR: each pair would share a sent_id unescaped
-    names = ["a\nb.txt", "a\\nb.txt", "c\td.txt", "c\\td.txt", "e\r.txt"]
+    # followed by t, and a CR: each pair would share a sent_id unescaped;
+    # angle brackets are part of a name, so "<x>.txt", "x.txt", "<>.txt"
+    # and standard input differ; a byte that is not UTF-8 (0xff) is written
+    # as \xff, apart from a name that holds a backslash followed by xff
+    names = ["a\nb.txt", "a\\nb.txt", "c\td.txt", "c\\td.txt", "e\r.txt",
+             "<x>.txt", "x.txt", "<>.txt", os.fsdecode(b"h\xff.txt"),
+             "h\\xff.txt"]
     for name in names:
         (tmp_path / name).write_text("zum Beispiel\n", encoding="utf-8")
-    code, out, err = run_cli(["tokenize", *(str(tmp_path / n) for n in names)])
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(b"zum Beispiel\n")))
+    code, out, err = run_cli(["tokenize", *(str(tmp_path / n) for n in names),
+                              "-"])
     assert (code, err) == (0, "")
+    out.encode("utf-8")  # no surrogate reaches the output
     ids = [s.sent_id for s in parse_document(out, "skeleton").sentences]
-    assert ids == ["a\\nb-1", "a\\\\nb-1", "c\\td-1", "c\\\\td-1", "e\\r-1"]
+    assert ids == ["a\\nb-1", "a\\\\nb-1", "c\\td-1", "c\\\\td-1", "e\\r-1",
+                   "<x>-1", "x-1", "<>-1", "h\\xff-1", "h\\\\xff-1", "stdin-1"]
     skeleton = tmp_path / "skeleton.conllu"
     skeleton.write_text(out, encoding="utf-8")
     _, report, _ = run_cli(["lint", str(skeleton)])
@@ -434,6 +446,35 @@ def test_tokenize_streams_documents_in_order(tmp_path, monkeypatch):
                  for line in text.split("\n") if line.strip()]
     assert [s.metadata_value("text") for s in doc.sentences] == [
         " ".join(line.split()) for line in raw_lines]
+
+
+_BLANK_OR_RAW_LINES = st.lists(
+    st.tuples(st.sampled_from(["", "\ufeff", "\ufeff\ufeff"]),
+              _RAW_LINES | st.sampled_from(["", " ", "\t "])),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lines=_BLANK_OR_RAW_LINES)
+def test_tokenize_then_lint_a_file_of_many_lines(tmp_path_factory, lines):
+    # the CLI twin of the one-line property above: one file of many lines,
+    # some opened by byte-order marks and some blank, goes through
+    # `tokenize` and then `lint` and `stats`
+    work = tmp_path_factory.mktemp("twin")
+    src, skeleton = work / "raw.txt", work / "raw.conllu"
+    src.write_text("".join(bom + text + "\n" for bom, text in lines),
+                   encoding="utf-8")
+    code, out, err = run_cli(["tokenize", str(src)])
+    assert (code, err) == (0, "")
+    skeleton.write_text(out, encoding="utf-8")
+    code, report, err = run_cli(["lint", "--format", "json", str(skeleton)])
+    assert code in (0, 1) and err == ""
+    assert {f["rule_id"] for f in json.loads(report)["findings"]} <= {
+        "LEMMA.MISSING", "META.MISSING", "STRUCT.PUNCT_CHILD"}
+    code, report, err = run_cli(["stats", "--format", "json", str(skeleton)])
+    assert (code, err) == (0, "")
+    assert json.loads(report)["sentences"] == sum(
+        bool(text.strip()) for _, text in lines)
 
 
 @pytest.mark.parametrize("raw", [
@@ -1029,6 +1070,46 @@ def test_inputs_are_held_one_sentence_at_a_time(subcommand, tmp_path,
     assert alive == []
     gc.collect()
     assert [sid for _, sid, ref in seen if ref() is not None] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lint"], ["lint", "--format", "json"], ["lint", "--format", "tsv"],
+    ["stats"], ["stats", "--format", "json"], ["stats", "--format", "tsv"],
+])
+def test_inputs_that_cannot_be_opened_add_nothing(argv, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("a.conllu").write_text(_one_token("a-1") + _one_token("a-2", "ZZZ"),
+                                encoding="utf-8")
+    Path("dir.conllu").mkdir()
+    Path("b.conllu").write_text(_one_token("b-1"), encoding="utf-8")
+    code, out, err = run_cli([*argv, "a.conllu", "missing.conllu",
+                              "dir.conllu", "b.conllu"])
+    assert code == 2
+    # one line per input, in argument order
+    assert err == (
+        f"error: cannot read missing.conllu: {os.strerror(errno.ENOENT)}\n"
+        f"error: cannot read dir.conllu: {os.strerror(errno.EISDIR)}\n")
+    assert out == run_cli([*argv, "a.conllu", "b.conllu"])[1]
+    if argv == ["lint", "--format", "json"]:
+        assert json.loads(out)["summary"]["files"] == ["a.conllu", "b.conllu"]
+
+
+def test_an_input_is_opened_when_its_first_piece_is_read(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    for path in ("missing", "dir"):
+        pieces, name = cli._read_input(path)  # nothing is opened yet
+        assert name == path
+        with pytest.raises(cli._ReadError, match=f"^cannot read {path}: "):
+            next(pieces)
+    # a file removed between the call and the first read is not read
+    Path("gone.conllu").write_text(_one_token("g-1"), encoding="utf-8")
+    pieces, _ = cli._read_input("gone.conllu")
+    os.remove("gone.conllu")
+    with pytest.raises(cli._ReadError, match="^cannot read gone.conllu: "):
+        next(pieces)
 
 
 @pytest.mark.parametrize("argv", [
