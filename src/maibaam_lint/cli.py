@@ -23,6 +23,7 @@ from .conllu import (
     SEVERITY_RANK,
     Sentence,
     _split_lines,
+    cannot_read,
     iter_sentences,
     not_utf8,
     reconstruct_text,
@@ -87,13 +88,22 @@ class _ReadError(Exception):
     """An input that fails while it is read; the message names it."""
 
 
+def _shown(name: str) -> str:
+    """A file name as reports show it: each byte of it that is not UTF-8
+    (a surrogate escape in a name from argv) written as \\xNN, so that the
+    name is UTF-8 text."""
+    return name.encode("utf-8", "surrogateescape").decode(
+        "utf-8", "backslashreplace")
+
+
 def _read_input(path: str) -> tuple[Iterator[str], str]:
     """Return one input's text ("-" for standard input) as UTF-8 pieces,
-    with their line endings untouched, and its name. Nothing is opened
-    until the first piece is asked for; the pieces raise _ReadError for an
-    input that cannot be opened or read, and at its first byte that is not
-    UTF-8, once its complete lines before that byte are out."""
-    name = STDIN_NAME if path == "-" else path
+    with their line endings untouched, and its name as _shown shows it.
+    Nothing is opened until the first piece is asked for; the pieces raise
+    _ReadError for an input that cannot be opened or read, and at its first
+    byte that is not UTF-8, once its complete lines before that byte are
+    out."""
+    name = STDIN_NAME if path == "-" else _shown(path)
     return _decoded(path, name), name
 
 
@@ -123,7 +133,7 @@ def _decoded(path: str, name: str) -> Iterator[str]:
             yield piece
             del piece
     except OSError as exc:
-        raise _ReadError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise _ReadError(cannot_read(_shown(path), exc)) from None
     finally:
         if f is not None and path != "-":
             f.close()
@@ -277,8 +287,6 @@ def render_tsv(diags: list[Diagnostic], out) -> None:
 
 
 def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
-    import json  # only JSON reports load it
-
     report = {
         "version": REPORT_VERSION,
         "findings": [d._asdict() for d in diags],
@@ -289,7 +297,13 @@ def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
             "total": len(diags),
         },
     }
-    json.dump(report, out, ensure_ascii=False, indent=2, sort_keys=True)
+    _write_json(report, out)
+
+
+def _write_json(obj, out) -> None:
+    import json  # only JSON reports load it
+
+    json.dump(obj, out, ensure_ascii=False, indent=2, sort_keys=True)
     out.write("\n")
 
 
@@ -327,11 +341,9 @@ def cmd_tokenize(opts: RunOptions) -> int:
         pieces, name = _read_input(path)
         stem = "stdin" if path == "-" else \
             os.path.splitext(os.path.basename(path))[0]
-        # escaped like a TSV field, and each byte of the name that is not
-        # UTF-8 written as \xNN: the sent_id stays one line of UTF-8, and
-        # stems that differ stay distinct
-        stem = _tsv_field(stem).encode("utf-8", "surrogateescape").decode(
-            "utf-8", "backslashreplace")
+        # escaped like a TSV field, then shown as names are: the sent_id
+        # stays one line of UTF-8, and stems that differ stay distinct
+        stem = _shown(_tsv_field(stem))
         counter = 0
         try:
             for lines in _split_lines(pieces):
@@ -363,9 +375,7 @@ def cmd_stats(opts: RunOptions) -> int:
                                 for d in diags)
     out = opts.output
     if opts.report_format == "json":
-        import json  # only JSON reports load it
-        json.dump(stats, out, ensure_ascii=False, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(stats, out)
     else:
         for section, value in stats.items():
             if isinstance(value, Counter):

@@ -56,15 +56,24 @@ def not_utf8(name: str, exc: UnicodeDecodeError, lines_before: int = 0) -> str:
             f"0x{exc.object[exc.start]:02x}")
 
 
+def cannot_read(name: str, exc: OSError) -> str:
+    """The one message for a file that cannot be opened or read:
+    'cannot read NAME: REASON'."""
+    return f"cannot read {name}: {exc.strerror or exc}"
+
+
 def read_text(path: str | os.PathLike) -> str:
     """A UTF-8 text file read whole, with universal newlines and without
-    the one byte-order mark it may start with. A file that is not UTF-8
-    raises ValueError with not_utf8's message."""
-    with open(path, encoding="utf-8-sig") as f:
-        try:
+    the one byte-order mark it may start with. A file that cannot be read
+    raises ValueError with cannot_read's message, and one that is not
+    UTF-8 with not_utf8's."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(not_utf8(path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(not_utf8(path, exc)) from None
+    except OSError as exc:
+        raise ValueError(cannot_read(path, exc)) from None
 
 
 def column_value(col: str, key: str) -> str | None:

@@ -1,4 +1,5 @@
 import pathlib
+import string
 
 import pytest
 
@@ -23,3 +24,15 @@ def golden_doc(golden_text):
 @pytest.fixture(scope="session")
 def cfg() -> LintConfig:
     return LintConfig()
+
+
+def distinct_words(rng, n, lengths):
+    """n distinct random lower-case words, their lengths drawn from lengths,
+    in random order."""
+    words = set()
+    while len(words) < n:
+        words.add("".join(rng.choice(string.ascii_lowercase)
+                          for _ in range(rng.choice(lengths))))
+    words = sorted(words)
+    rng.shuffle(words)
+    return words

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -17,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maibaam_lint
-from maibaam_lint import cli, conllu
+from maibaam_lint import cli, conllu, tokenizer
 from maibaam_lint.cli import build_parser, lint_documents, run
 from maibaam_lint.conllu import Diagnostic, parse_document
 from maibaam_lint.rules import RULES, LintConfig
 from maibaam_lint.tokenizer import APOSTROPHES, default_lexicon
 
-from conftest import DURCH_DES, FIXTURES, GOLDEN
+from conftest import DURCH_DES, FIXTURES, GOLDEN, distinct_words
 
 # child processes import the package this process imported, installed or not
 CHILD_ENV = {**os.environ,
@@ -477,6 +478,23 @@ def test_tokenize_then_lint_a_file_of_many_lines(tmp_path_factory, lines):
         bool(text.strip()) for _, text in lines)
 
 
+def test_tokenize_then_lint_more_distinct_words_than_the_memo_holds(
+        tmp_path):
+    # about 70,000 words: the tokenizer's unit memo empties midway through
+    # the input, every line still becomes one sentence, and the skeletons
+    # lint with no error
+    words = distinct_words(random.Random(27),
+                           tokenizer.UNIT_MEMO_LIMIT + 4_464, range(3, 11))
+    lines = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
+    src, skeleton = tmp_path / "words.txt", tmp_path / "words.conllu"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, out, err = run_cli(["tokenize", str(src)])
+    assert (code, err) == (0, "")
+    assert out.count("# sent_id = ") == len(lines)
+    skeleton.write_text(out, encoding="utf-8")
+    assert run_cli(["lint", str(skeleton)])[::2] == (0, "")
+
+
 @pytest.mark.parametrize("raw", [
     b"", b"\n \n\t\n", b"zum Beispiel\r\nServus\r\n\r\n",
     b"zum Beispiel\n\nServus", b"Mia san do.\nI geh hoam.\n" * 8,
@@ -589,6 +607,22 @@ def test_the_first_fault_in_a_file_is_reported(tmp_path, monkeypatch):
             assert run_cli(["lint", name]) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("arg", ["ff.conllu", "-"], ids=["file", "stdin"])
+def test_console_locates_a_bad_byte_past_the_first_read(arg, tmp_path):
+    # about 3 MB, with a byte that is not UTF-8 on line 10,001, past the
+    # first 64 KiB read, read by name or as standard input
+    path = tmp_path / "ff.conllu"
+    path.write_bytes(b"# filler line\n" * 10_000 + b"# \xff\n"
+                     + b"# filler line\n" * 200_000)
+    with open(path, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maibaam_lint.cli", "lint", arg],
+            stdin=stdin, capture_output=True, cwd=tmp_path, env=BUFFERED_ENV)
+    name = "<stdin>" if arg == "-" else arg
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == (
+        2, b"", f"error: {name}:10001: not UTF-8: invalid start byte 0xff\n")
+
+
 def test_lint_holds_a_piece_of_its_input_not_the_whole_file(golden_text,
                                                             tmp_path):
     # the input is read in pieces and its sentences are dropped as they
@@ -611,7 +645,8 @@ def test_lint_holds_a_piece_of_its_input_not_the_whole_file(golden_text,
 
 def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
                                                           monkeypatch):
-    # the same line as for inputs: file, line of the first bad byte, exit 2
+    # the same lines as for inputs, and exit 2: file and line of the first
+    # bad byte, or the file and why it cannot be opened
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     Path("bad.conf").write_bytes(b"# config\nguideline_version = 2.17\n"
@@ -643,6 +678,37 @@ def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
         error("bom.tsv", 5001)
     monkeypatch.setenv(cli.CONFIG_ENV_VAR, "bad.conf")
     assert run_cli(["stats", str(GOLDEN)]) == error("bad.conf", 3)
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR)
+    # a file that cannot be opened gets the line of an input that cannot
+    # be read; a config line's path is resolved against the config's
+    # directory
+    Path("adir").mkdir()
+    for name, line in (("genres.conf", "lexicon.genres.path = genress.txt"),
+                       ("list-dir.conf", "lexicon.copula.path = adir"),
+                       ("tokenizer.conf", "lexicon.tokenizer.path = x.tsv")):
+        Path(name).write_text(line + "\n", encoding="utf-8")
+    golden = str(GOLDEN)
+    for argv, name, code in (
+            (["lint", "--config", "missing.conf", golden], "missing.conf",
+             errno.ENOENT),
+            (["lint", "--config", "adir", golden], "adir", errno.EISDIR),
+            (["list-rules", "--config", "missing.conf"], "missing.conf",
+             errno.ENOENT),
+            (["stats", "--config", "genres.conf", golden],
+             tmp_path / "genress.txt", errno.ENOENT),
+            (["lint", "--config", "list-dir.conf", golden], tmp_path / "adir",
+             errno.EISDIR),
+            (["tokenize", "--lexicon", "missing.tsv", "raw.txt"],
+             "missing.tsv", errno.ENOENT),
+            (["tokenize", "--lexicon", "adir", "raw.txt"], "adir",
+             errno.EISDIR),
+            (["tokenize", "--config", "tokenizer.conf", "raw.txt"],
+             tmp_path / "x.tsv", errno.ENOENT)):
+        assert run_cli(argv) == (2, "", f"error: cannot read {name}: "
+                                        f"{os.strerror(code)}\n"), argv
+    # only tokenize opens the tokenizer lexicon
+    assert run_cli(["lint", "--config", "tokenizer.conf", golden]) == \
+        (0, "", "")
 
 
 def test_stats_counts():
@@ -918,6 +984,32 @@ def test_console_tokenize_into_a_file_is_complete(tmp_path):
     assert len(written) > 1_000_000
     assert written.endswith(b"\n\n")
     assert written == _in_process(["tokenize", str(text)])[1]
+
+
+def test_names_that_are_not_utf8_are_shown_with_escapes(tmp_path,
+                                                       monkeypatch):
+    # each byte of a name that is not UTF-8 is shown as \xNN, so a strict
+    # UTF-8 standard output takes every report, and each reads as that of
+    # files whose names hold the escapes themselves
+    monkeypatch.chdir(tmp_path)
+    for name, raw in ((b"u\xff.conllu", BAD_UPOS_FILE.encode("utf-8")),
+                      (b"w\xff.conllu", b"\xff\n")):
+        Path(os.fsdecode(name)).write_bytes(raw)
+        Path(name.decode("utf-8", "backslashreplace")).write_bytes(raw)
+    names = [b"u\xff.conllu", b"v\xff.conllu", b"w\xff.conllu"]
+    env = {**BUFFERED_ENV, "PYTHONIOENCODING": "utf-8:strict"}
+    for argv in (["lint"], ["lint", "--format", "json"],
+                 ["lint", "--format", "tsv"], ["stats"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maibaam_lint.cli", *argv,
+             *map(os.fsdecode, names)], capture_output=True, env=env)
+        code, out, err = run_cli(
+            [*argv, *(n.decode("utf-8", "backslashreplace") for n in names)])
+        assert (proc.returncode, proc.stdout.decode("utf-8"),
+                proc.stderr.decode("utf-8")) == (code, out, err), argv
+    assert err == (
+        f"error: cannot read v\\xff.conllu: {os.strerror(errno.ENOENT)}\n"
+        "error: w\\xff.conllu:1: not UTF-8: invalid start byte 0xff\n")
 
 
 def test_closed_error_pipe_exits_141(tmp_path):

@@ -1255,6 +1255,9 @@ def test_a_sentence_longer_than_the_id_table_parses_as_when_checked():
     checked = _outcome_without_id_table(text)
     assert checked.sentences[0].tokens == s.tokens
     assert checked == doc
+    # and it lints token by token: each of the 300 lacks a GermanLemma
+    assert sum(d.rule_id == "LEMMA.MISSING"
+               for d in lint_documents([doc], LintConfig())) == 300
 
 
 def test_a_head_past_the_id_table_parses_and_lints_as_out_of_range():

@@ -1,7 +1,6 @@
 import os
 import random
 import re
-import string
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +28,8 @@ from maibaam_lint.tokenizer import (
     segment_token,
     tokenize_sentence,
 )
+
+from conftest import distinct_words
 
 
 @pytest.fixture(scope="module")
@@ -772,23 +773,11 @@ def test_unit_memo_is_bounded(lex, monkeypatch):
         assert len(small._unit_memo) <= 8
 
 
-def _distinct_words(rng, n, lengths):
-    """n distinct random lower-case words, their lengths drawn from lengths,
-    in random order."""
-    words = set()
-    while len(words) < n:
-        words.add("".join(rng.choice(string.ascii_lowercase)
-                          for _ in range(rng.choice(lengths))))
-    words = sorted(words)
-    rng.shuffle(words)
-    return words
-
-
 def test_unit_memo_entry_is_small(lex):
     # an entry holds the unit's columns in one flat tuple, under the unit
     # itself when the next unit sets no bit; the figure counts the unit
     # string, the entry and its share of the dict
-    words = _distinct_words(random.Random(27), 3000, [8])
+    words = distinct_words(random.Random(27), 3000, [8])
     lines = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
     cold = _cold(lex)
     tracemalloc.start()
@@ -808,7 +797,7 @@ def test_unit_memo_empties_at_its_real_limit(lex):
     # words that set the bits mixed in: the memo empties, and what is
     # tokenized after that equals a lexicon that never emptied
     rng = random.Random(28)
-    words = _distinct_words(rng, tokenizer.UNIT_MEMO_LIMIT + 4000,
+    words = distinct_words(rng, tokenizer.UNIT_MEMO_LIMIT + 4000,
                             range(3, 11))
     lines = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
     forms_ = _random_sentences(_lexicon_forms(lex), 600, seed=28)
