@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import os
 import sys
 from collections import Counter
@@ -117,7 +118,12 @@ def _decoded(path: str, name: str) -> Iterator[str]:
     lines = 0  # line breaks yielded so far
     f = None
     try:
-        f = sys.stdin.buffer if path == "-" else open(path, "rb", 0)
+        if path != "-":
+            f = open(path, "rb", 0)
+        elif sys.stdin is None:  # standard input was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            f = sys.stdin.buffer
         while True:
             data = f.read(conllu._CHUNK_CHARS)
             try:
@@ -286,25 +292,84 @@ def render_tsv(diags: list[Diagnostic], out) -> None:
         for d in diags)
 
 
+# json.dumps(ensure_ascii=False) writes " and \ as \" and \\, five
+# controls as \b, \f, \n, \r and \t and every other code point below U+0020
+# as \u00xx in lower-case hex; it leaves every other character as it is
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_JSON_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b",
+                      ord("\f"): "\\f", ord("\n"): "\\n", ord("\r"): "\\r",
+                      ord("\t"): "\\t"})
+
+
+def _json_str(s: str) -> str:
+    """s as a JSON string, as json.dumps(s, ensure_ascii=False) writes it."""
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'  # no control character is printable
+    return f'"{s.translate(_JSON_ESCAPES)}"'
+
+
+def _json_value(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True)
+    writes it, its first line at the depth that indent, a line break and
+    its spaces, sets. obj is a dict with str keys, a list, a str, an int or
+    None, and so is each value inside it; any other type, bool and float
+    included, raises TypeError."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if type(obj) is int:
+        return str(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("a JSON report's keys are str")
+        return "{" + ",".join(
+            f"{inner}{_json_str(key)}: {_json_value(obj[key], inner)}"
+            for key in sorted(obj)) + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[" + ",".join(inner + _json_value(item, inner)
+                              for item in obj) + indent + "]"
+    raise TypeError(f"a JSON report holds no {type(obj).__name__}")
+
+
 def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
-    report = {
-        "version": REPORT_VERSION,
-        "findings": [d._asdict() for d in diags],
-        "summary": {
-            "files": sorted(set(files)),
-            "counts": {**dict.fromkeys(SEVERITY_RANK, 0),
-                       **Counter(d.severity for d in diags)},
-            "total": len(diags),
-        },
-    }
-    _write_json(report, out)
+    """The report as json.dumps(report, ensure_ascii=False, indent=2,
+    sort_keys=True) writes it, plus a line break: one write per finding,
+    one before them and one after, which holds summary and version."""
+    write = out.write
+    write('{\n  "findings": [')
+    sep = "\n"
+    for rule_id, severity, file, line, sid, token_id, message, ref in diags:
+        # the keys in sorted order; line and token_id are ints
+        write(f'{sep}    {{\n'
+              f'      "file": {_json_str(file)},\n'
+              f'      "guideline_ref": '
+              f'{"null" if ref is None else _json_str(ref)},\n'
+              f'      "line": {line},\n'
+              f'      "message": {_json_str(message)},\n'
+              f'      "rule_id": {_json_str(rule_id)},\n'
+              f'      "sentence_id": {_json_str(sid)},\n'
+              f'      "severity": {_json_str(severity)},\n'
+              f'      "token_id": {"null" if token_id is None else token_id}\n'
+              f'    }}')
+        sep = ",\n"
+    summary = _json_value({
+        "files": sorted(set(files)),
+        "counts": {**dict.fromkeys(SEVERITY_RANK, 0),
+                   **Counter(d.severity for d in diags)},
+        "total": len(diags),
+    }, "\n  ")
+    write(("\n  ]," if diags else "],")
+          + f'\n  "summary": {summary},\n  "version": {REPORT_VERSION}\n}}\n')
 
 
 def _write_json(obj, out) -> None:
-    import json  # only JSON reports load it
-
-    json.dump(obj, out, ensure_ascii=False, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(_json_value(obj) + "\n")
 
 
 def _exit_code(diags: list[Diagnostic], fail_level: str) -> int:
@@ -332,18 +397,39 @@ def cmd_lint(opts: RunOptions) -> int:
     return 2 if failed else _exit_code(diags, opts.fail_level)
 
 
+def _stems(paths: list[str]) -> dict[str, str]:
+    """The sent_id stem of each path: its file name without extension
+    ("stdin" for "-"), escaped like a TSV field and shown as names are, so
+    that it is one line of UTF-8. A path whose stem an earlier, different
+    path has taken gets the first "~N" (N >= 2) that no path's stem takes,
+    so that every path has a stem of its own."""
+    own = {path: _shown(_tsv_field(
+        "stdin" if path == "-"
+        else os.path.splitext(os.path.basename(path))[0])) for path in paths}
+    taken = set(own.values())
+    stems: dict[str, str] = {}
+    used: set[str] = set()
+    for path, stem in own.items():
+        if stem in used:
+            n = 2
+            while f"{stem}~{n}" in taken:
+                n += 1
+            stem = f"{stem}~{n}"
+            taken.add(stem)
+        used.add(stem)
+        stems[path] = stem
+    return stems
+
+
 def cmd_tokenize(opts: RunOptions) -> int:
     cfg = _resolve_config(opts)
     lexicon_path = opts.lexicon_path or cfg.tokenizer_lexicon_path
     lexicon = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
     exit_code = 0
+    stems = _stems(opts.inputs)
     for path in opts.inputs:
         pieces, name = _read_input(path)
-        stem = "stdin" if path == "-" else \
-            os.path.splitext(os.path.basename(path))[0]
-        # escaped like a TSV field, then shown as names are: the sent_id
-        # stays one line of UTF-8, and stems that differ stay distinct
-        stem = _shown(_tsv_field(stem))
+        stem = stems[path]
         counter = 0
         try:
             for lines in _split_lines(pieces):

@@ -10,7 +10,9 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -341,7 +343,8 @@ def test_tokenize_gives_distinct_names_distinct_sent_ids(tmp_path,
     for name in names:
         (tmp_path / name).write_text("zum Beispiel\n", encoding="utf-8")
     monkeypatch.setattr(sys, "stdin",
-                        io.TextIOWrapper(io.BytesIO(b"zum Beispiel\n")))
+                        io.TextIOWrapper(io.BytesIO(b"zum Beispiel\n"),
+                                         encoding="utf-8"))
     code, out, err = run_cli(["tokenize", *(str(tmp_path / n) for n in names),
                               "-"])
     assert (code, err) == (0, "")
@@ -352,6 +355,47 @@ def test_tokenize_gives_distinct_names_distinct_sent_ids(tmp_path,
     skeleton = tmp_path / "skeleton.conllu"
     skeleton.write_text(out, encoding="utf-8")
     _, report, _ = run_cli(["lint", str(skeleton)])
+    assert "META.DUP_ID" not in report
+
+
+# one basename in two directories, standard input and a file of its stem,
+# names in angle brackets, a byte that is not UTF-8 and its escape, and
+# names that end like a stem given to the second of two equal stems
+_STEM_NAMES = ["a/x.txt", "b/x.txt", "x.txt", "x", "x~2.txt", "b/x~2.txt",
+               "-", "stdin.txt", "<x>.txt", "<>.txt",
+               os.fsdecode(b"a/h\xff.txt"), "h\\xff.txt"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(names=st.lists(st.sampled_from(_STEM_NAMES), min_size=1, max_size=7,
+                      unique=True))
+def test_tokenize_gives_each_input_a_stem_of_its_own(tmp_path_factory, names):
+    work = tmp_path_factory.mktemp("stems")
+    for sub in ("a", "b"):
+        (work / sub).mkdir()
+    paths = [n if n == "-" else str(work / n) for n in names]
+    for path in paths:
+        if path != "-":
+            Path(path).write_text("zum Beispiel\n", encoding="utf-8")
+    stdin = io.TextIOWrapper(io.BytesIO(b"Servus\n"), encoding="utf-8")
+    with unittest.mock.patch.object(sys, "stdin", stdin):
+        code, out, err = run_cli(["tokenize", *paths])
+    assert (code, err) == (0, "")
+    out.encode("utf-8")  # no surrogate reaches the output
+    stems = [s.sent_id.removesuffix("-1")
+             for s in parse_document(out, "skeleton").sentences]
+    assert len(set(stems)) == len(paths)
+    # the first input of each stem keeps it: stems that differ are unchanged
+    own = [n.rpartition("/")[2].partition(".")[0] for n in names]
+    own = ["stdin" if n == "-" else cli._shown(cli._tsv_field(o))
+           for n, o in zip(names, own)]
+    for i, stem in enumerate(own):
+        if stem not in own[:i]:
+            assert stems[i] == stem
+    skeleton = work / "skeleton.conllu"
+    skeleton.write_text(out, encoding="utf-8")
+    code, report, err = run_cli(["lint", str(skeleton)])
+    assert code <= 1 and err == ""
     assert "META.DUP_ID" not in report
 
 
@@ -535,7 +579,8 @@ def test_tokenize_reports_undecodable_input_and_goes_on(tmp_path, monkeypatch):
             err.replace("bad.txt", "bad.conllu")
         assert run_cli([cmd, "bad.txt"])[2] == "error: bad.txt:1: " \
             "WRONG_COLUMN_COUNT: expected 10 tab-separated fields, got 1\n"
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xc3")))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xc3"),
+                                                        encoding="utf-8"))
     assert run_cli(["tokenize", "-"])[2] == \
         "error: <stdin>:1: not UTF-8: unexpected end of data 0xc3\n"
 
@@ -563,7 +608,8 @@ def test_input_faults_are_located_at_any_read_size(tail, error, stdin,
     def run_on(raw, cmd):
         if stdin:
             monkeypatch.setattr(sys, "stdin",
-                                io.TextIOWrapper(io.BytesIO(raw)))
+                                io.TextIOWrapper(io.BytesIO(raw),
+                                                 encoding="utf-8"))
         else:
             path.write_bytes(raw)
         return run_cli([cmd, arg])
@@ -765,6 +811,115 @@ def test_lint_output_is_byte_stable(fmt, golden, monkeypatch):
     assert out == (FIXTURES / golden).read_bytes().decode("utf-8")
 
 
+# text that json.dumps escapes or leaves, the cases mixed in often: the
+# characters it escapes, DEL, U+2028 and a lone surrogate, which it leaves,
+# and any other code point, surrogates included
+_JSON_TEXT = st.text(st.sampled_from(
+    '"\\\x00\x08\x0c\n\r\t\x1b\x1f \x7f\u2028\ud800\udcffa\u00e4\u00a7') |
+    st.characters(exclude_categories=()), max_size=12)
+_DIAGNOSTICS = st.lists(st.builds(
+    Diagnostic,
+    rule_id=st.sampled_from([r.rule_id for r in RULES]),
+    severity=st.sampled_from(list(conllu.SEVERITY_RANK)),
+    file=_JSON_TEXT, line=st.integers(1, 10**6), sentence_id=_JSON_TEXT,
+    token_id=st.none() | st.integers(1, 999), message=_JSON_TEXT,
+    guideline_ref=st.none() | st.sampled_from(["§6.6", "§3"]) | _JSON_TEXT),
+    max_size=8)
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) \
+        + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(diags=_DIAGNOSTICS, files=st.lists(_JSON_TEXT, max_size=3))
+def test_json_report_is_what_json_dumps_writes(diags, files):
+    out = io.StringIO()
+    cli.render_json(diags, files, out)
+    assert out.getvalue() == _json_dumps({
+        "findings": [d._asdict() for d in diags],
+        "summary": {"files": sorted(set(files)),
+                    "counts": {**dict.fromkeys(conllu.SEVERITY_RANK, 0),
+                               **Counter(d.severity for d in diags)},
+                    "total": len(diags)},
+        "version": cli.REPORT_VERSION})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_values_are_what_json_dumps_writes(value):
+    out = io.StringIO()
+    cli._write_json(value, out)
+    assert out.getvalue() == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    True, False, 1.5, {"a": [1, None, False]}, [{"b": 0.0}], (1, 2),
+    {1: "a"}])
+def test_json_writer_rejects_what_a_report_does_not_hold(value):
+    # json would write True as true and a float as it pleases; a report
+    # holds neither
+    with pytest.raises(TypeError):
+        cli._write_json(value, io.StringIO())
+
+
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("findings", [0, 1, 500])
+def test_json_report_takes_a_write_per_finding(findings):
+    diags = [Diagnostic("VOCAB.UPOS", "error", "a.conllu", i, "a-1", i, "m")
+             for i in range(1, findings + 1)]
+    out = _CountingWriter()
+    cli.render_json(diags, ["a.conllu"], out)
+    assert out.writes <= findings + 4
+    assert len(json.loads(out.getvalue())["findings"]) == findings
+
+
+def test_json_finding_keys_are_the_diagnostic_fields_sorted():
+    # a field added to Diagnostic must be added to render_json's finding
+    out = io.StringIO()
+    cli.render_json([Diagnostic("R", "error", "f", 1, "s", 2, "m", "§1")],
+                    ["f"], out)
+    [finding] = json.loads(out.getvalue())["findings"]
+    assert list(finding) == sorted(Diagnostic._fields)
+
+
+@pytest.mark.parametrize("env", [BUFFERED_ENV,
+                                 {**BUFFERED_ENV, "PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_console_json_report_into_a_file_is_complete(env, tmp_path):
+    # a skeleton's findings, more than 1 MB of report
+    text = tmp_path / "big.txt"
+    text.write_text("zum Beispiel, gibts z'Minga\n" * 1_500, encoding="utf-8")
+    skeleton = tmp_path / "big.conllu"
+    skeleton.write_text(run_cli(["tokenize", str(text)])[1], encoding="utf-8")
+    argv = ["lint", "--format", "json", str(skeleton)]
+    out = tmp_path / "report.json"
+    with open(out, "wb") as f:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maibaam_lint.cli", *argv],
+            stdout=f, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    written = out.read_bytes()
+    assert len(written) > 1_000_000
+    assert written == _in_process(argv)[1]
+
+
 def test_structural_findings_render_without_a_citation(tmp_path,
                                                        monkeypatch):
     meta = ("# genre = grammar examples\n# dialect_group = central\n"
@@ -915,16 +1070,45 @@ def test_stdin_input():
         [sys.executable, "-m", "maibaam_lint.cli", "lint", "--format",
          "json", "-"],
         input=GOLDEN.read_text(encoding="utf-8"),
-        capture_output=True, text=True, env=BUFFERED_ENV)
+        capture_output=True, encoding="utf-8", env=BUFFERED_ENV)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["summary"]["files"] == ["<stdin>"]
 
 
+@pytest.mark.parametrize("subcommand", ["lint", "stats", "tokenize"])
+def test_closed_standard_input_is_an_input_that_cannot_be_read(
+        subcommand, tmp_path, monkeypatch):
+    # with standard input closed at start-up, sys.stdin is None
+    text = tmp_path / "t.txt"
+    text.write_text("zum Beispiel\n", encoding="utf-8")
+    path = str(text if subcommand == "tokenize" else GOLDEN)
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run_cli([subcommand, "-", path])
+    assert (code, err) == (
+        2, f"error: cannot read -: {os.strerror(errno.EBADF)}\n")
+    assert out == run_cli([subcommand, path])[1]
+
+
+def test_console_reads_a_closed_standard_input_as_unreadable(monkeypatch):
+    # the child closes descriptor 0 and then starts the program, as a
+    # shell does for `maibaam-lint lint - <&-`
+    argv = ["lint", "--format", "json", "-", str(GOLDEN)]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys; os.close(0); os.execv(sys.executable, "
+         "[sys.executable, '-m', 'maibaam_lint.cli', *sys.argv[1:]])", *argv],
+        capture_output=True, env=BUFFERED_ENV)
+    monkeypatch.setattr(sys, "stdin", None)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == \
+        _in_process(argv)
+    assert proc.returncode == 2
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "maibaam_lint.cli", "--list-rules"],
-        capture_output=True, text=True, env=CHILD_ENV)
+        capture_output=True, encoding="utf-8", env=CHILD_ENV)
     assert proc.returncode == 0
     assert "VOCAB.UPOS" in proc.stdout
 
@@ -1033,13 +1217,21 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
              f"{code}; import sys; print(*sys.modules)"],
-            capture_output=True, text=True, env=CHILD_ENV, check=True)
+            capture_output=True, encoding="utf-8", env=CHILD_ENV,
+            check=True)
         return set(proc.stdout.split())
 
-    added = loaded("import maibaam_lint.cli") - loaded("pass")
+    bare = loaded("pass")
+    added = loaded("import maibaam_lint.cli") - bare
     assert "maibaam_lint.cli" in added
     assert not added & {"dataclasses", "inspect", "json",
                         "importlib.resources", "tempfile"}
+    # nor does a JSON report load json
+    for argv in (["lint", "--format", "json", str(GOLDEN)],
+                 ["stats", "--format", "json", str(GOLDEN)]):
+        ran = loaded("import io; from maibaam_lint import cli; "
+                     f"cli.run({argv!r}, output=io.StringIO())") - bare
+        assert "maibaam_lint.cli" in ran and "json" not in ran, argv
 
 
 def test_family_severity_in_lint_and_list_rules(tmp_path):
@@ -1128,6 +1320,16 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
         gc.collect()
+
+
+def test_readme_json_report_is_what_render_json_writes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+    report = json.loads(block)
+    out = io.StringIO()
+    cli.render_json([Diagnostic(**f) for f in report["findings"]],
+                    report["summary"]["files"], out)
+    assert out.getvalue() == block
 
 
 def _one_token(sent_id, upos="NOUN"):

@@ -368,7 +368,7 @@ def test_hand_built_lexicon_clash_message_does_not_depend_on_hashing():
             "except ValueError as exc:\n    print(exc)\n")
     package = str(Path(tokenizer.__file__).parents[1])
     messages = {subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8",
         check=True, env={**os.environ, "PYTHONPATH": package,
                          "PYTHONHASHSEED": seed}).stdout
         for seed in ("1", "4")}
