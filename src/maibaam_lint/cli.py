@@ -310,10 +310,10 @@ def _json_str(s: str) -> str:
 
 def _json_value(obj, indent: str = "\n") -> str:
     """obj as json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True)
-    writes it, its first line at the depth that indent, a line break and
-    its spaces, sets. obj is a dict with str keys, a list, a str, an int or
-    None, and so is each value inside it; any other type, bool and float
-    included, raises TypeError."""
+    writes it, nested as deep as indent says: a line break and the spaces
+    before obj's closing bracket. obj is a dict with str keys, a list, a
+    str, an int or None, and so is each value inside it; any other type,
+    bool and float included, raises TypeError."""
     if isinstance(obj, str):
         return _json_str(obj)
     if obj is None:
@@ -324,8 +324,6 @@ def _json_value(obj, indent: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("a JSON report's keys are str")
         return "{" + ",".join(
             f"{inner}{_json_str(key)}: {_json_value(obj[key], inner)}"
             for key in sorted(obj)) + indent + "}"

@@ -861,8 +861,7 @@ def test_json_values_are_what_json_dumps_writes(value):
 
 
 @pytest.mark.parametrize("value", [
-    True, False, 1.5, {"a": [1, None, False]}, [{"b": 0.0}], (1, 2),
-    {1: "a"}])
+    True, False, 1.5, {"a": [1, None, False]}, [{"b": 0.0}], (1, 2)])
 def test_json_writer_rejects_what_a_report_does_not_hold(value):
     # json would write True as true and a float as it pleases; a report
     # holds neither
