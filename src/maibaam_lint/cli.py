@@ -152,11 +152,10 @@ class _LintRun:
     document's share is committed once all its sentences have been read,
     so a ParseError midway adds nothing.
 
-    The findings are kept as lists sorted by Diagnostic.sort_key, in the
-    order they were found: each document's sentence findings, then its
-    CORE.BOM finding. A document's findings are sorted sentence by
-    sentence, and as a whole only if its sentences' findings do not follow
-    one another in order."""
+    The findings are kept as one list per document, in the order they were
+    found, each sentence's findings sorted by Diagnostic.sort_key; a
+    CORE.BOM finding goes with the first sentence's. A parsed sentence's
+    findings lie on its own lines, so a parsed document's list is sorted."""
 
     def __init__(self, cfg: LintConfig, count: bool = False):
         self.cfg = cfg
@@ -168,38 +167,34 @@ class _LintRun:
 
     def add(self, doc: Document, sentences: Iterable[Sentence]) -> None:
         """Lint doc's sentences, which may come from iter_sentences still
-        filling in doc: its bom is read after the last one."""
+        filling in doc: its bom is read once the first one is out."""
         cfg = self.cfg
         sort_key = Diagnostic.sort_key.fget
         diags: list[Diagnostic] = []
-        last = None  # the sort key of diags[-1] while diags is in order
         located: list[tuple[str, str, int]] = []
         counts = None if self.stats is None else _new_stats()
-        first = None  # where a CORE.BOM finding goes
+        bom = None  # doc.bom, read at the first sentence
         for s in sentences:
             found = lint_sentence(s, cfg)
             found.extend(validate_metadata(s, cfg))
+            if bom is None:
+                bom = doc.bom
+                if bom:
+                    finding(found, cfg, s, "CORE.BOM",
+                            "byte-order mark stripped from input", line=1)
             if found:
                 found.sort(key=sort_key)
-                if diags and (last is None or sort_key(found[0]) < last):
-                    last = None
-                else:
-                    last = sort_key(found[-1])
-                diags.extend(found)
+                diags += found
             sid = s.sent_id
-            if first is None:
-                first = Sentence(file=s.file, metadata=[("sent_id", sid)])
             if sid:
                 located.append((sid, s.file, s.line))
             if counts is not None:
                 _count_sentence(counts, s)
-        if diags and last is None:
-            diags.sort(key=sort_key)
-        bom: list[Diagnostic] = []
-        if doc.bom:
-            finding(bom, cfg, first or Sentence(file=doc.file), "CORE.BOM",
+        if bom is None and doc.bom:  # a document without sentences
+            finding(diags, cfg, Sentence(file=doc.file), "CORE.BOM",
                     "byte-order mark stripped from input", line=1)
-        self.lists += [part for part in (diags, bom) if part]
+        if diags:
+            self.lists.append(diags)
         self.files.append(doc.file)
         for sid, file, line in located:
             where = (file, line)
@@ -211,9 +206,9 @@ class _LintRun:
                 self.stats[key] += value
 
     def finish(self) -> list[list[Diagnostic]]:
-        """All findings, the cross-file sent_id check's last, as lists that
-        are each sorted by Diagnostic.sort_key. Called once, after the last
-        add."""
+        """All findings as lists: a document's as add kept it, and last
+        the cross-file sent_id check's, sorted. Called once, after the
+        last add."""
         dup = check_unique_sent_ids(self.seen_again, self.cfg)
         if dup:
             dup.sort(key=Diagnostic.sort_key.fget)
@@ -221,9 +216,9 @@ class _LintRun:
         return self.lists
 
     def finish_sorted(self) -> list[Diagnostic]:
-        """finish's lists merged into one by Diagnostic.sort_key; of equal
-        keys, the one found first comes first. A single list is returned
-        as it is."""
+        """finish's lists, each sorted as those of parsed documents are,
+        merged into one by Diagnostic.sort_key; of equal keys, the one
+        found first comes first. A single list is returned as it is."""
         lists = self.finish()
         if len(lists) < 2:
             return lists[0] if lists else []
@@ -234,13 +229,16 @@ class _LintRun:
 
 def lint_documents(docs: Iterable[Document],
                    cfg: LintConfig) -> list[Diagnostic]:
-    """Lint parsed documents: per-sentence rules, metadata checks,
-    document-level flags, and the cross-file sent_id check; output sorted
-    by Diagnostic.sort_key."""
+    """Lint documents, parsed or built by hand: per-sentence rules,
+    metadata checks, document-level flags, and the cross-file sent_id
+    check. The findings come out in one stable sort by
+    Diagnostic.sort_key, so of equal keys the one found first comes
+    first."""
     run = _LintRun(cfg)
     for doc in docs:
         run.add(doc, doc.sentences)
-    return run.finish_sorted()
+    return sorted([d for diags in run.finish() for d in diags],
+                  key=Diagnostic.sort_key.fget)
 
 
 def _lint_inputs(opts: RunOptions,

@@ -1147,11 +1147,11 @@ def test_iter_sentences_fails_where_parse_document_fails(text):
         assert streamed == parse_document(text, "<property>").sentences
 
 
-def _hand_built_sentences(draw, file: str) -> list[Sentence]:
-    """Sentences as a library caller builds them: every line 0, so that
-    their findings do not follow one another in sort order."""
+def _hand_built_document(draw, file: str) -> Document:
+    """A document as a library caller builds it: every line 0, so that its
+    sentences' findings do not follow one another in sort order."""
     sentences = []
-    for k in range(draw(st.integers(1, 3))):
+    for k in range(draw(st.integers(0, 3))):
         n = draw(st.integers(1, 3))
         tokens = [Token(id=i, form="w", upos=draw(st.sampled_from(
                         ["NOUN", "ZZZ"])), head=i - 1, deprel="dep")
@@ -1159,33 +1159,46 @@ def _hand_built_sentences(draw, file: str) -> list[Sentence]:
         sentences.append(Sentence(
             tokens=tokens, file=file,
             metadata=[("sent_id", draw(st.sampled_from(["p-0", f"h-{k}"])))]))
-    return sentences
+    return Document(sentences, file=file, bom=draw(st.booleans()))
 
 
 @st.composite
-def lint_runs(draw):
+def lint_runs(draw, hand_built: bool = True):
     """The documents of one run: parsed texts, some with a BOM, some names
-    given twice, and hand-built ones."""
+    given twice, and, if hand_built, Documents built by hand."""
     docs = []
     for i in range(draw(st.integers(1, 4))):
         name = draw(st.sampled_from([f"f{i}.conllu", "same.conllu"]))
-        if draw(st.booleans()):
-            docs.append((name, _hand_built_sentences(draw, name)))
+        if hand_built and draw(st.booleans()):
+            docs.append(_hand_built_document(draw, name))
         else:
             bom = "\ufeff" if draw(st.booleans()) else ""
             docs.append((name, bom + draw(conllu_texts())))
     return docs
 
 
+def _documents(docs):
+    """The Documents of lint_runs' docs, those of texts that parse."""
+    for doc in docs:
+        if isinstance(doc, Document):
+            yield doc
+            continue
+        try:
+            yield parse_document(doc[1], doc[0])
+        except ParseError:
+            pass
+
+
 def _lint_run(docs) -> cli._LintRun:
     run = cli._LintRun(LintConfig())
-    for name, content in docs:
-        if isinstance(content, list):
-            run.add(Document(content, file=name), content)
+    for doc in docs:
+        if isinstance(doc, Document):
+            run.add(doc, doc.sentences)
             continue
+        name, text = doc
         doc = Document(file=name)
         try:
-            run.add(doc, iter_sentences(content, name, doc))
+            run.add(doc, iter_sentences(text, name, doc))
         except ParseError:
             pass
     return run
@@ -1193,10 +1206,24 @@ def _lint_run(docs) -> cli._LintRun:
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lint_runs())
-def test_merged_findings_equal_one_stable_sort(docs):
-    merged = _lint_run(docs).finish_sorted()
+def test_lint_documents_is_one_stable_sort_of_the_found_order(docs):
+    # hand-built sentences' findings do not follow one another in order,
+    # so lint_documents sorts them all at once
     found = [d for diags in _lint_run(docs).finish() for d in diags]
-    assert merged == sorted(found, key=Diagnostic.sort_key.fget)
+    assert lint_documents(_documents(docs), LintConfig()) == \
+        sorted(found, key=Diagnostic.sort_key.fget)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lint_runs(hand_built=False))
+def test_parsed_findings_are_kept_sorted(docs):
+    # a parsed sentence's findings lie on its lines, so sorting them
+    # sentence by sentence leaves each document's list sorted
+    sort_key = Diagnostic.sort_key.fget
+    lists = _lint_run(docs).finish()
+    assert all(diags == sorted(diags, key=sort_key) for diags in lists)
+    found = [d for diags in lists for d in diags]
+    assert _lint_run(docs).finish_sorted() == sorted(found, key=sort_key)
 
 
 def _parse_outcome(text: str):
