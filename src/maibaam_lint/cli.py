@@ -1,9 +1,11 @@
 """Command-line frontend: lint, tokenize, stats and list-rules.
 
 Exit codes: 0 clean, 1 findings at or above --fail-level, 2 I/O or parse
-failure, 141 standard output or error closed early (as for a writer
-killed by SIGPIPE). Reports are byte-deterministic for fixed inputs and
-config, independent of file order.
+failure, 141 a write to standard output or error that failed because the
+stream was closed, early or at start-up (as for a writer killed by
+SIGPIPE); a run that writes nothing to a closed stream keeps its code.
+Reports are byte-deterministic for fixed inputs and config, independent
+of file order.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .conllu import (
     ParseError,
     SEVERITY_RANK,
     Sentence,
+    _shown,
     _split_lines,
     cannot_read,
     iter_sentences,
@@ -52,10 +55,37 @@ REPORT_VERSION = 1
 STDIN_NAME = "<stdin>"
 
 
+# what a write to a closed standard stream raises: EPIPE once a pipe's
+# reader has gone, EBADF for a descriptor closed at start-up
+_CLOSED_ERRNOS = (errno.EPIPE, errno.EBADF)
+
+
+class _ClosedStream:
+    """Stands for a standard stream closed at start-up, which Python sets
+    to None: writing any text to it fails as writing to a closed
+    descriptor does."""
+
+    def write(self, text: str) -> int:
+        if text:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return 0
+
+    def writelines(self, lines: Iterable[str]) -> None:
+        for line in lines:
+            self.write(line)
+
+    def flush(self) -> None:
+        pass
+
+
+_CLOSED_STREAM = _ClosedStream()
+
+
 class RunOptions(argparse.Namespace):
     """A subcommand's options: the namespace the parser fills in, holding
     the one set of defaults for options left off the command line. output
-    and errout default to sys.stdout and sys.stderr in run()."""
+    and errout default to sys.stdout and sys.stderr in run(), or to a
+    _ClosedStream where that is None."""
 
     def __init__(self, subcommand: str | None = None, **options):
         super().__init__(subcommand=subcommand, **{
@@ -87,14 +117,6 @@ def _count_sentence(stats: dict, s: Sentence) -> None:
 
 class _ReadError(Exception):
     """An input that fails while it is read; the message names it."""
-
-
-def _shown(name: str) -> str:
-    """A file name as reports show it: each byte of it that is not UTF-8
-    (a surrogate escape in a name from argv) written as \\xNN, so that the
-    name is UTF-8 text."""
-    return name.encode("utf-8", "surrogateescape").decode(
-        "utf-8", "backslashreplace")
 
 
 def _read_input(path: str) -> tuple[Iterator[str], str]:
@@ -139,7 +161,7 @@ def _decoded(path: str, name: str) -> Iterator[str]:
             yield piece
             del piece
     except OSError as exc:
-        raise _ReadError(cannot_read(_shown(path), exc)) from None
+        raise _ReadError(cannot_read(name, exc)) from None
     finally:
         if f is not None and path != "-":
             f.close()
@@ -424,7 +446,7 @@ def cmd_tokenize(opts: RunOptions) -> int:
     exit_code = 0
     stems = _stems(opts.inputs)
     for path in opts.inputs:
-        pieces, name = _read_input(path)
+        pieces, _ = _read_input(path)
         stem = stems[path]
         counter = 0
         try:
@@ -439,11 +461,9 @@ def cmd_tokenize(opts: RunOptions) -> int:
                                                                 lexicon))
                     s.metadata = [("sent_id", f"{stem}-{counter}"),
                                   ("text", reconstruct_text(s))]
-                    s.file = name
                     # written per sentence, so output does not build up in
                     # memory
-                    opts.output.write(serialize_document(
-                        Document([s], file=name)))
+                    opts.output.write(serialize_document(Document([s])))
         except _ReadError as exc:
             print(f"error: {exc}", file=opts.errout)
             exit_code = 2
@@ -567,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None, output=None, errout=None) -> int:
     parser = build_parser()
     opts = parser.parse_args(argv, RunOptions(
-        output=output if output is not None else sys.stdout,
-        errout=errout if errout is not None else sys.stderr))
+        output=output if output is not None else sys.stdout or _CLOSED_STREAM,
+        errout=errout if errout is not None else sys.stderr or _CLOSED_STREAM))
     if not opts.subcommand:
         parser.print_usage(file=opts.errout)
         return 2
@@ -577,9 +597,9 @@ def run(argv: list[str] | None = None, output=None, errout=None) -> int:
                 "list-rules": cmd_list_rules}
     try:
         return handlers[opts.subcommand](opts)
-    except BrokenPipeError:
-        raise  # the reader stopped early; the inputs are not at fault
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno in _CLOSED_ERRNOS:
+            raise  # an output stream is closed; the inputs are not at fault
         print(f"error: {exc}", file=opts.errout)
         return 2
 
@@ -587,17 +607,21 @@ def run(argv: list[str] | None = None, output=None, errout=None) -> int:
 def main() -> None:
     """The console script: run() on sys.argv, then flush standard output
     and error and end the process with os._exit and run()'s exit code (141
-    if either stream was closed early). os._exit skips the interpreter's
-    teardown, about 9 ms, which nothing here needs: the run keeps no file
-    open and has no atexit handler, thread or child process. Any other
-    exception leaves main as usual, with its traceback. An embedding
-    program calls run(argv, output=..., errout=...), which returns."""
+    if a write to either failed because it was closed, early or at
+    start-up). os._exit skips the interpreter's teardown, about 9 ms, which
+    nothing here needs: the run keeps no file open and has no atexit
+    handler, thread or child process. Any other exception leaves main as
+    usual, with its traceback. An embedding program calls run(argv,
+    output=..., errout=...), which returns, or raises the OSError of a
+    closed output stream."""
     try:
         code = run()
         # a closed pipe shows here, not at exit; nothing flushes after _exit
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except BrokenPipeError:
+        (sys.stdout or _CLOSED_STREAM).flush()
+        (sys.stderr or _CLOSED_STREAM).flush()
+    except OSError as exc:
+        if exc.errno not in _CLOSED_ERRNOS:
+            raise
         code = 141  # 128 + SIGPIPE, what a shell reports for such a writer
     os._exit(code)
 

@@ -56,6 +56,14 @@ def not_utf8(name: str, exc: UnicodeDecodeError, lines_before: int = 0) -> str:
             f"0x{exc.object[exc.start]:02x}")
 
 
+def _shown(name: str | os.PathLike) -> str:
+    """A file name as reports and error lines show it: each byte of it that
+    is not UTF-8 (a surrogate escape in a name from argv) written as \\xNN,
+    so that the name is UTF-8 text."""
+    return os.fsdecode(name).encode("utf-8", "surrogateescape").decode(
+        "utf-8", "backslashreplace")
+
+
 def cannot_read(name: str, exc: OSError) -> str:
     """The one message for a file that cannot be opened or read:
     'cannot read NAME: REASON'."""
@@ -66,14 +74,14 @@ def read_text(path: str | os.PathLike) -> str:
     """A UTF-8 text file read whole, with universal newlines and without
     the one byte-order mark it may start with. A file that cannot be read
     raises ValueError with cannot_read's message, and one that is not
-    UTF-8 with not_utf8's."""
+    UTF-8 with not_utf8's, each naming the file as _shown shows it."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeDecodeError as exc:
-        raise ValueError(not_utf8(path, exc)) from None
+        raise ValueError(not_utf8(_shown(path), exc)) from None
     except OSError as exc:
-        raise ValueError(cannot_read(path, exc)) from None
+        raise ValueError(cannot_read(_shown(path), exc)) from None
 
 
 def column_value(col: str, key: str) -> str | None:

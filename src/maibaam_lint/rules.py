@@ -25,6 +25,7 @@ from .conllu import (
     SEVERITY_WARNING,
     Token,
     _Record,
+    _shown,
     column_value,
     read_text,
 )
@@ -323,9 +324,6 @@ def load_config(path: str) -> LintConfig:
         kind, _, rest = key.partition(".")
         name, _, last = rest.rpartition(".")
         slot = (kind, last)  # ("rule", "severity") for rule.LEMMA.*.severity
-        if eq and slot == ("lexicon", "path") and name in _WORD_LISTS:
-            # read outside the try, so that its errors name the word list
-            lines = _read_word_list(os.path.join(base, value))
         try:
             if not eq:
                 raise ValueError("expected key=value")
@@ -341,7 +339,8 @@ def load_config(path: str) -> LintConfig:
                 if name not in _WORD_LISTS:
                     raise ValueError(f"unknown lexicon {name!r}")
                 field, shape = _WORD_LISTS[name]
-                change = {field: shape(lines)}
+                change = {field: shape(_read_word_list(
+                    os.path.join(base, value)))}
             elif key in ("guideline_version", "typo_column"):
                 change = {key: value}
             elif key == "punct_lemma_exempt":
@@ -355,7 +354,7 @@ def load_config(path: str) -> LintConfig:
             if flag is None and slot == ("rule", "enabled"):
                 raise ValueError(f"bad boolean {value!r}")
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
+            raise ValueError(f"{_shown(path)}:{line_no}: {exc}") from None
     return cfg
 
 

@@ -15,7 +15,7 @@ import unicodedata
 from collections import namedtuple
 
 from .conllu import (MwtSpan, Sentence, Token, _check_columns, _Record,
-                     _unchecked_token, read_text)
+                     _shown, _unchecked_token, read_text)
 
 KIND_INTACT = "intact"
 KIND_MWT = "mwt"
@@ -127,7 +127,7 @@ def _keyed_tables(entries, path=None) -> dict:
     'PATH:LINE: message on line N', N naming the other entry's line."""
     def fail(line, message, other_line=None):
         if path is not None:
-            message = f"{path}:{line}: {message}"
+            message = f"{_shown(path)}:{line}: {message}"
             if other_line is not None:
                 message += f" on line {other_line}"
         raise ValueError(message)
@@ -242,11 +242,12 @@ def _file_entries(path):
     """The entries of the lexicon file at path for _keyed_tables, read one
     line at a time; a line that is not an entry raises
     ValueError('PATH:LINE: message')."""
+    name = _shown(path)
     for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.rstrip()
         if not line or line.startswith("#"):
             continue
-        where = f"{path}:{line_no}"
+        where = f"{name}:{line_no}"
         cols = line.split("\t")
         if len(cols) != 4:
             raise ValueError(f"{where}: expected 4 tab-separated columns, "

@@ -708,14 +708,15 @@ def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
                                 + b"# caf\xe9\n")
     Path("raw.txt").write_text("Servus\n", encoding="utf-8")
 
-    def error(name, line):
-        return (2, "", f"error: {name}:{line}: not UTF-8: invalid "
+    def error(name, line, prefix=""):
+        return (2, "", f"error: {prefix}{name}:{line}: not UTF-8: invalid "
                        "continuation byte 0xe9\n")
 
     assert run_cli(["lint", "--config", "bad.conf", str(GOLDEN)]) == \
         error("bad.conf", 3)
+    # a word list's fault follows the config line that names it
     assert run_cli(["lint", "--config", "list.conf", str(GOLDEN)]) == \
-        error(tmp_path / "words.txt", 3001)
+        error(tmp_path / "words.txt", 3001, "list.conf:1: ")
     assert run_cli(["tokenize", "--lexicon", "bad.tsv", "raw.txt"]) == \
         error("bad.tsv", 3)
     assert run_cli(["lint", "--config", "bom.conf", str(GOLDEN)]) == \
@@ -726,32 +727,37 @@ def test_undecodable_config_and_lexicon_files_are_located(tmp_path,
     assert run_cli(["stats", str(GOLDEN)]) == error("bad.conf", 3)
     monkeypatch.delenv(cli.CONFIG_ENV_VAR)
     # a file that cannot be opened gets the line of an input that cannot
-    # be read; a config line's path is resolved against the config's
-    # directory
+    # be read, after the config line that names a word list; a config
+    # line's path is resolved against the config's directory
     Path("adir").mkdir()
     for name, line in (("genres.conf", "lexicon.genres.path = genress.txt"),
                        ("list-dir.conf", "lexicon.copula.path = adir"),
                        ("tokenizer.conf", "lexicon.tokenizer.path = x.tsv")):
         Path(name).write_text(line + "\n", encoding="utf-8")
     golden = str(GOLDEN)
-    for argv, name, code in (
-            (["lint", "--config", "missing.conf", golden], "missing.conf",
-             errno.ENOENT),
-            (["lint", "--config", "adir", golden], "adir", errno.EISDIR),
-            (["list-rules", "--config", "missing.conf"], "missing.conf",
-             errno.ENOENT),
+    for argv, where, code in (
+            (["lint", "--config", "missing.conf", golden],
+             "cannot read missing.conf", errno.ENOENT),
+            (["lint", "--config", "adir", golden], "cannot read adir",
+             errno.EISDIR),
+            (["list-rules", "--config", "missing.conf"],
+             "cannot read missing.conf", errno.ENOENT),
             (["stats", "--config", "genres.conf", golden],
-             tmp_path / "genress.txt", errno.ENOENT),
-            (["lint", "--config", "list-dir.conf", golden], tmp_path / "adir",
+             f"genres.conf:1: cannot read {tmp_path / 'genress.txt'}",
+             errno.ENOENT),
+            (["lint", "--config", "list-dir.conf", golden],
+             f"list-dir.conf:1: cannot read {tmp_path / 'adir'}",
              errno.EISDIR),
             (["tokenize", "--lexicon", "missing.tsv", "raw.txt"],
-             "missing.tsv", errno.ENOENT),
-            (["tokenize", "--lexicon", "adir", "raw.txt"], "adir",
+             "cannot read missing.tsv", errno.ENOENT),
+            (["tokenize", "--lexicon", "adir", "raw.txt"], "cannot read adir",
              errno.EISDIR),
+            # the tokenizer lexicon is read after the config, so no config
+            # line is read with it
             (["tokenize", "--config", "tokenizer.conf", "raw.txt"],
-             tmp_path / "x.tsv", errno.ENOENT)):
-        assert run_cli(argv) == (2, "", f"error: cannot read {name}: "
-                                        f"{os.strerror(code)}\n"), argv
+             f"cannot read {tmp_path / 'x.tsv'}", errno.ENOENT)):
+        assert run_cli(argv) == \
+            (2, "", f"error: {where}: {os.strerror(code)}\n"), argv
     # only tokenize opens the tokenizer lexicon
     assert run_cli(["lint", "--config", "tokenizer.conf", golden]) == \
         (0, "", "")
@@ -1085,7 +1091,7 @@ def test_closed_standard_input_is_an_input_that_cannot_be_read(
     monkeypatch.setattr(sys, "stdin", None)
     code, out, err = run_cli([subcommand, "-", path])
     assert (code, err) == (
-        2, f"error: cannot read -: {os.strerror(errno.EBADF)}\n")
+        2, f"error: cannot read <stdin>: {os.strerror(errno.EBADF)}\n")
     assert out == run_cli([subcommand, path])[1]
 
 
@@ -1193,6 +1199,139 @@ def test_names_that_are_not_utf8_are_shown_with_escapes(tmp_path,
     assert err == (
         f"error: cannot read v\\xff.conllu: {os.strerror(errno.ENOENT)}\n"
         "error: w\\xff.conllu:1: not UTF-8: invalid start byte 0xff\n")
+
+
+def _side_file_errors(argv, name, text):
+    """run_cli's results for argv with the file at name missing, holding a
+    line that is not UTF-8, and holding text."""
+    errors = [run_cli(argv)]
+    Path(name).write_bytes(b"caf\xe9\n")
+    errors.append(run_cli(argv))
+    Path(name).write_text(text, encoding="utf-8")
+    errors.append(run_cli(argv))
+    return errors
+
+
+NOT_UTF8 = "not UTF-8: invalid continuation byte 0xe9"
+
+
+def test_config_names_that_are_not_utf8_are_shown_with_escapes(
+        tmp_path, monkeypatch):
+    # an error line shows a config's name as reports show an input's
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    name = os.fsdecode(b"c\xff.conf")
+    errors = _side_file_errors(["lint", "--config", name, str(GOLDEN)],
+                               name, "bogus\n")
+    assert errors == [
+        (2, "", f"error: cannot read c\\xff.conf: "
+                f"{os.strerror(errno.ENOENT)}\n"),
+        (2, "", f"error: c\\xff.conf:1: {NOT_UTF8}\n"),
+        (2, "", "error: c\\xff.conf:1: expected key=value\n")]
+
+
+def test_word_list_names_that_are_not_utf8_are_shown_with_escapes(
+        tmp_path, monkeypatch):
+    # the word list's path is resolved against the config's directory,
+    # whose name holds the byte
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    folder = os.fsdecode(b"d\xff")
+    os.mkdir(folder)
+    conf = os.path.join(folder, "list.conf")
+    Path(conf).write_text("lexicon.copula.path = words.txt\n",
+                          encoding="utf-8")
+    errors = _side_file_errors(["lint", "--config", conf, str(GOLDEN)],
+                               os.path.join(folder, "words.txt"), "sein\n")
+    words = f"{tmp_path}/d\\xff/words.txt"
+    assert errors == [
+        (2, "", f"error: d\\xff/list.conf:1: cannot read {words}: "
+                f"{os.strerror(errno.ENOENT)}\n"),
+        (2, "", f"error: d\\xff/list.conf:1: {words}:1: {NOT_UTF8}\n"),
+        (0, "", "")]
+
+
+def test_lexicon_names_that_are_not_utf8_are_shown_with_escapes(
+        tmp_path, monkeypatch):
+    # a malformed line, and an entry that breaks a rule of every lexicon
+    monkeypatch.chdir(tmp_path)
+    Path("raw.txt").write_text("zum Beispiel\n", encoding="utf-8")
+    name = os.fsdecode(b"l\xff.tsv")
+    argv = ["tokenize", "--lexicon", name, "raw.txt"]
+    errors = _side_file_errors(argv, name, "zum\tmwt\n")
+    Path(name).write_text("zum\tmwt\tzu m\t_\nzum\tmwt\tzu m\t_\n",
+                          encoding="utf-8")
+    errors.append(run_cli(argv))
+    assert errors == [
+        (2, "", f"error: cannot read l\\xff.tsv: "
+                f"{os.strerror(errno.ENOENT)}\n"),
+        (2, "", f"error: l\\xff.tsv:1: {NOT_UTF8}\n"),
+        (2, "", "error: l\\xff.tsv:1: expected 4 tab-separated columns, "
+                "got 2\n"),
+        (2, "", "error: l\\xff.tsv:2: mwt surface 'zum' is also listed as "
+                "mwt on line 1\n")]
+
+
+def _console_with(fd: int, how: str, argv: list[str]):
+    """The console module run on argv after descriptor fd (1 or 2) is
+    closed, or left open on a file for reading only (as a launcher script
+    may leave its own file), before the program starts."""
+    prepare = {"closed": f"os.close({fd})",
+               "read-only": f"os.dup2(os.open(os.devnull, os.O_RDONLY), {fd})"}
+    return subprocess.run(
+        [sys.executable, "-c",
+         f"import os, sys; {prepare[how]}; os.execv(sys.executable, "
+         "[sys.executable, '-m', 'maibaam_lint.cli', *sys.argv[1:]])", *argv],
+        capture_output=True, env=BUFFERED_ENV)
+
+
+@pytest.mark.parametrize("how", ["closed", "read-only"])
+@pytest.mark.parametrize("argv", [
+    ["lint", "{bad}"], ["lint", "--format", "json", "{golden}"],
+    ["list-rules"], ["tokenize", "{text}"]], ids=" ".join)
+def test_closed_standard_output_exits_141(argv, how, tmp_path):
+    # as a shell runs `maibaam-lint ... >&-`: a write to it ends the run
+    # as a closed pipe does, with no traceback
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(BAD_UPOS_FILE, encoding="utf-8")
+    text = tmp_path / "t.txt"
+    text.write_text("zum Beispiel\n", encoding="utf-8")
+    argv = [a.format(bad=bad, golden=GOLDEN, text=text) for a in argv]
+    proc = _console_with(1, how, argv)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("how", ["closed", "read-only"])
+def test_closed_standard_error_exits_141(how, tmp_path):
+    # as for `maibaam-lint lint missing.conllu 2>&-`: the error line goes
+    # nowhere, not to standard output
+    proc = _console_with(2, how, ["lint", str(tmp_path / "missing.conllu")])
+    assert (proc.returncode, proc.stdout) == (141, b"")
+
+
+@pytest.mark.parametrize("fd, argv", [
+    (1, ["lint", "{golden}"]), (2, ["stats", "{golden}"]),
+    (2, ["lint", "{bad}"])])
+def test_a_run_that_writes_nothing_to_a_closed_stream_keeps_its_code(
+        fd, argv, tmp_path):
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(BAD_UPOS_FILE, encoding="utf-8")
+    argv = [a.format(bad=bad, golden=GOLDEN) for a in argv]
+    expected = _in_process(argv)
+    assert not expected[fd]  # nothing is written to the closed stream
+    proc = _console_with(fd, "closed", argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == \
+        expected
+
+
+def test_run_raises_the_error_of_a_standard_stream_that_is_none(monkeypatch):
+    # the error line is not written to standard output instead
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", None)
+    with pytest.raises(OSError) as raised:
+        run(["lint", "/no/such/file.conllu"], output=out)
+    assert raised.value.errno == errno.EBADF
+    assert out.getvalue() == ""
 
 
 def test_closed_error_pipe_exits_141(tmp_path):

@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maibaam_lint
+from maibaam_lint import cli
 from maibaam_lint.cli import lint_documents
 from maibaam_lint.conllu import (
     Diagnostic,
+    Document,
     MwtSpan,
+    ParseError,
     Sentence,
     Token,
     column_value,
+    iter_sentences,
     parse_document,
     reconstruct_text,
 )
@@ -33,6 +37,9 @@ from maibaam_lint.rules import (
     load_config,
     validate_structure,
 )
+
+from conftest import FIXTURES
+from test_conllu import conllu_texts
 
 
 def sent(*rows, mwts=()):
@@ -1124,6 +1131,56 @@ def test_an_id_enabled_in_a_disabled_family_is_emitted():
                      enabled_rules=frozenset({"LEMMA.NIMMA"}))
     found = _direct_findings("rules.rule_lemma_conventions", cfg)
     assert {d.rule_id for d in found} == {"LEMMA.NIMMA"}
+
+
+def _off_their_lines(text: str, name: str) -> tuple[int, list]:
+    """How many findings the per-sentence checks of a lint run emit on the
+    sentences of text, and those that lie off their sentence's lines: from
+    its first line to its last token, multiword or empty-node line."""
+    cfg = LintConfig()
+    count, off = 0, []
+    for s in parse_document(text, name).sentences:
+        last = max(x.line for x in (*s.tokens, *s.mwt_spans, *s.empty_nodes))
+        found = cli.lint_sentence(s, cfg) + cli.validate_metadata(s, cfg)
+        count += len(found)
+        off += [d for d in found if not s.line <= d.line <= last]
+    return count, off
+
+
+# a lint run sorts findings sentence by sentence, which leaves an input's
+# findings sorted only while each lies on the lines of its sentence
+@pytest.mark.parametrize("path", [*sorted(FIXTURES.glob("*.conllu")), None],
+                         ids=lambda p: "FAULTY" if p is None else p.name)
+def test_findings_lie_on_their_sentences_lines(path):
+    if path is None:
+        count, off = _off_their_lines(FAULTY, "faulty.conllu")
+        assert count > 40
+    else:
+        count, off = _off_their_lines(path.read_text(encoding="utf-8"),
+                                      path.name)
+    assert off == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conllu_texts())
+def test_findings_of_generated_sentences_lie_on_their_lines(text):
+    try:
+        _, off = _off_their_lines(text, "p.conllu")
+    except ParseError:
+        return
+    assert off == []
+
+
+def test_bom_finding_lies_on_the_first_sentences_first_line(golden_text):
+    doc = Document(file="g.conllu")
+    run = cli._LintRun(LintConfig())
+    run.add(doc, iter_sentences("\ufeff" + golden_text, "g.conllu", doc))
+    [diags] = run.finish()
+    [bom] = [d for d in diags if d.rule_id == "CORE.BOM"]
+    first = parse_document(golden_text, "g.conllu").sentences[0]
+    assert (bom.line, bom.sentence_id) == (first.line, first.sent_id) == \
+        (1, "maibaam-golden-001")
+    assert diags == sorted(diags, key=Diagnostic.sort_key.fget)
 
 
 @settings(max_examples=60, deadline=None)
