@@ -6,17 +6,24 @@ stream was closed, early or at start-up (as for a writer killed by
 SIGPIPE); a run that writes nothing to a closed stream keeps its code.
 Reports are byte-deterministic for fixed inputs and config, independent
 of file order.
+
+A command line that names a subcommand, gives each option by its full
+flag with its value as the next argument, and its files in one run, such
+as `lint --format json a.conllu b.conllu`, is read without argparse, so
+the run never imports it. Every other command line, such as one with an
+abbreviation, --opt=value, --help, --version or a usage error, is read
+by argparse (build_parser), with the same output and exit codes.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import errno
 import os
 import sys
-from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import islice
 
 from . import __version__, conllu
 from .conllu import (
@@ -70,10 +77,6 @@ class _ClosedStream:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         return 0
 
-    def writelines(self, lines: Iterable[str]) -> None:
-        for line in lines:
-            self.write(line)
-
     def flush(self) -> None:
         pass
 
@@ -81,18 +84,119 @@ class _ClosedStream:
 _CLOSED_STREAM = _ClosedStream()
 
 
-class RunOptions(argparse.Namespace):
-    """A subcommand's options: the namespace the parser fills in, holding
-    the one set of defaults for options left off the command line. output
-    and errout default to sys.stdout and sys.stderr in run(), or to a
+class RunOptions:
+    """A subcommand's options, as run() reads them from the command line,
+    holding the one set of defaults for options left off it. output and
+    errout default to sys.stdout and sys.stderr in run(), or to a
     _ClosedStream where that is None."""
 
     def __init__(self, subcommand: str | None = None, **options):
-        super().__init__(subcommand=subcommand, **{
-            "inputs": (), "report_format": "human", "config_path": None,
-            "fail_level": "error", "guideline_version": None,
-            "lexicon_path": None, "output": None, "errout": None,
-            **options})
+        vars(self).update({
+            "subcommand": subcommand, "inputs": (), "report_format": "human",
+            "config_path": None, "fail_level": "error",
+            "guideline_version": None, "lexicon_path": None, "output": None,
+            "errout": None, **options})
+
+
+def _version_fault(value: str) -> str | None:
+    """What is wrong with a --guideline-version value, or None."""
+    if VERSION_RE.fullmatch(value):
+        return None
+    return (f"bad guideline version {value!r} (expected digits and dots, "
+            "such as 2.17)")
+
+
+class _Option(namedtuple("_Option", ("dest", "help", "metavar", "choices",
+                                     "fault"), defaults=(None,) * 4)):
+    """A subcommand's long option, which takes one value: one of choices,
+    if there are choices, and one in which fault, if there is one, finds
+    nothing wrong (fault returns the reason, or None)."""
+
+    __slots__ = ()
+
+    def takes(self, value: str) -> bool:
+        return ((self.choices is None or value in self.choices)
+                and (self.fault is None or self.fault(value) is None))
+
+
+class _Subcommand(namedtuple("_Subcommand",
+                             ("help", "takes_files", "options"))):
+    """A subcommand: its line in --help, whether it takes one or more FILE
+    operands (or none), and its options by flag, in the order its --help
+    lists them."""
+
+    __slots__ = ()
+
+
+_CONFIG_OPTIONS = {
+    "--config": _Option("config_path", metavar="CONFIG",
+                        help="path to a key=value config file "
+                             f"(falls back to ${CONFIG_ENV_VAR})"),
+    "--guideline-version": _Option(
+        "guideline_version", fault=_version_fault,
+        help="guideline version for version-gated rules (default 2.17)"),
+}
+_FORMAT_OPTION = {
+    "--format": _Option("report_format", choices=("human", "json", "tsv")),
+}
+
+# The command-line grammar, subcommands in the order --help lists them.
+# build_parser() builds argparse's parsers from it, and _read_command_line
+# reads the command lines argparse would read to the same options.
+_SUBCOMMANDS = {
+    "lint": _Subcommand("lint CoNLL-U files", True, {
+        **_CONFIG_OPTIONS, **_FORMAT_OPTION,
+        "--fail-level": _Option(
+            "fail_level", choices=tuple(reversed(SEVERITY_RANK)),
+            help="lowest severity that causes exit code 1"),
+    }),
+    "tokenize": _Subcommand(
+        "segment plain text into CoNLL-U skeletons", True, {
+            **_CONFIG_OPTIONS,
+            "--lexicon": _Option("lexicon_path",
+                                 help="path to a segmentation lexicon file"),
+        }),
+    "stats": _Subcommand("corpus statistics report", True,
+                         {**_CONFIG_OPTIONS, **_FORMAT_OPTION}),
+    "list-rules": _Subcommand("print the rule catalog", False,
+                              _CONFIG_OPTIONS),
+}
+
+
+def _read_command_line(argv: Sequence[str]) -> RunOptions | None:
+    """argv read against _SUBCOMMANDS without argparse, or None if argv is
+    not such a command line: a subcommand's name; each option's exact flag
+    followed by a value that does not start with "-" and that the option
+    takes; and, for a subcommand that takes FILE operands, one unbroken run
+    of them, none starting with "-" except "-" itself. Of a repeated
+    option the last wins. argparse reads every such argv to the same
+    options; any other argv, such as an abbreviation, --opt=value, --help,
+    --version, "--" or a usage error, is left to build_parser()."""
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    values: dict[str, object] = {}
+    files: list[str] = []
+    files_ended = False
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "-" or not arg.startswith("-"):
+            if files_ended or not sub.takes_files:
+                return None
+            files.append(arg)
+            continue
+        option = sub.options.get(arg)
+        value = next(args, None)
+        if (option is None or value is None or value.startswith("-")
+                or not option.takes(value)):
+            return None
+        values[option.dest] = value
+        files_ended = bool(files)
+    if sub.takes_files:
+        if not files:
+            return None
+        values["inputs"] = files
+    return RunOptions(argv[0], **values)
 
 
 def _new_stats() -> dict:
@@ -281,11 +385,25 @@ def _lint_inputs(opts: RunOptions,
     return run, failed
 
 
+# lines per write: a TextIOWrapper.write per finding, and on an
+# unbuffered stream (PYTHONUNBUFFERED) a system call per finding, cost
+# about as much as rendering it; from 128 to 1,024 lines a write the time
+# is flat, and 256 human lines are about 25 KB
+_BATCH_LINES = 256
+
+
+def _write_batched(out, lines: Iterable[str]) -> None:
+    """Write lines, none of them empty, _BATCH_LINES of them a write."""
+    lines = iter(lines)
+    while batch := "".join(islice(lines, _BATCH_LINES)):
+        out.write(batch)
+
+
 def render_human(diags: list[Diagnostic], out) -> None:
-    out.writelines(
+    _write_batched(out, (
         f"{file}:{line}: [{severity}] {rule_id} {message} ({ref})\n" if ref
         else f"{file}:{line}: [{severity}] {rule_id} {message}\n"
-        for rule_id, severity, file, line, _, _, message, ref in diags)
+        for rule_id, severity, file, line, _, _, message, ref in diags))
 
 
 # a backslash, tab, LF or CR in a file name, sent_id or message is written
@@ -305,11 +423,11 @@ def _tsv_field(s: str) -> str:
 def render_tsv(diags: list[Diagnostic], out) -> None:
     out.write("file\tline\tsentence_id\ttoken_id\tseverity\trule_id\tmessage"
               "\tguideline_ref\n")
-    out.writelines(
+    _write_batched(out, (
         f"{_tsv_field(d.file)}\t{d.line}\t{_tsv_field(d.sentence_id)}\t"
         f"{'' if d.token_id is None else d.token_id}\t{d.severity}\t"
         f"{d.rule_id}\t{_tsv_field(d.message)}\t{d.guideline_ref or ''}\n"
-        for d in diags)
+        for d in diags))
 
 
 # json.dumps(ensure_ascii=False) writes " and \ as \" and \\, five
@@ -357,24 +475,29 @@ def _json_value(obj, indent: str = "\n") -> str:
 
 def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
     """The report as json.dumps(report, ensure_ascii=False, indent=2,
-    sort_keys=True) writes it, plus a line break: one write per finding,
-    one before them and one after, which holds summary and version."""
-    write = out.write
-    write('{\n  "findings": [')
+    sort_keys=True) writes it, plus a line break, in batches of findings
+    (_write_batched)."""
+    _write_batched(out, _json_report(diags, files))
+
+
+def _json_report(diags: list[Diagnostic], files: list[str]) -> Iterator[str]:
+    """render_json's report in pieces: the opening, one per finding, and
+    last the summary and version."""
+    yield '{\n  "findings": ['
     sep = "\n"
     for rule_id, severity, file, line, sid, token_id, message, ref in diags:
         # the keys in sorted order; line and token_id are ints
-        write(f'{sep}    {{\n'
-              f'      "file": {_json_str(file)},\n'
-              f'      "guideline_ref": '
-              f'{"null" if ref is None else _json_str(ref)},\n'
-              f'      "line": {line},\n'
-              f'      "message": {_json_str(message)},\n'
-              f'      "rule_id": {_json_str(rule_id)},\n'
-              f'      "sentence_id": {_json_str(sid)},\n'
-              f'      "severity": {_json_str(severity)},\n'
-              f'      "token_id": {"null" if token_id is None else token_id}\n'
-              f'    }}')
+        yield (f'{sep}    {{\n'
+               f'      "file": {_json_str(file)},\n'
+               f'      "guideline_ref": '
+               f'{"null" if ref is None else _json_str(ref)},\n'
+               f'      "line": {line},\n'
+               f'      "message": {_json_str(message)},\n'
+               f'      "rule_id": {_json_str(rule_id)},\n'
+               f'      "sentence_id": {_json_str(sid)},\n'
+               f'      "severity": {_json_str(severity)},\n'
+               f'      "token_id": {"null" if token_id is None else token_id}\n'
+               f'    }}')
         sep = ",\n"
     summary = _json_value({
         "files": sorted(set(files)),
@@ -382,8 +505,8 @@ def render_json(diags: list[Diagnostic], files: list[str], out) -> None:
                    **Counter(d.severity for d in diags)},
         "total": len(diags),
     }, "\n  ")
-    write(("\n  ]," if diags else "],")
-          + f'\n  "summary": {summary},\n  "version": {REPORT_VERSION}\n}}\n')
+    yield (("\n  ]," if diags else "],")
+           + f'\n  "summary": {summary},\n  "version": {REPORT_VERSION}\n}}\n')
 
 
 def _write_json(obj, out) -> None:
@@ -501,36 +624,42 @@ def cmd_list_rules(opts: RunOptions) -> int:
     return 0
 
 
-def _guideline_version(value: str) -> str:
-    if not VERSION_RE.fullmatch(value):
-        raise argparse.ArgumentTypeError(
-            f"bad guideline version {value!r} (expected digits and dots, "
-            "such as 2.17)")
-    return value
+def build_parser():
+    """The argparse parser of every command line, built from _SUBCOMMANDS.
+    It alone reads abbreviations, --opt=value, --help, --version and
+    --list-rules, and writes every usage message, help text and usage
+    error. This is the only code that imports argparse."""
+    import argparse
 
+    class TopParser(argparse.ArgumentParser):
+        """Lets a shown option win a prefix that a hidden one also matches,
+        so that --l abbreviates --list-rules rather than being ambiguous
+        with the hidden --lexicon; prefixes of hidden options alone still
+        match them."""
 
-class _AfterSubcommand(argparse.Action):
-    """Reject a subcommand option given before the subcommand; const names
-    a subcommand that takes it."""
+        def _get_option_tuples(self, option_string):
+            matches = super()._get_option_tuples(option_string)
+            shown = [m for m in matches if m[0].help != argparse.SUPPRESS]
+            return shown or matches
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} goes after the subcommand, as in "
-                     f"'maibaam-lint {self.const} {option_string} ... FILE'")
+    class AfterSubcommand(argparse.Action):
+        """Reject a subcommand option given before the subcommand; const
+        names a subcommand that takes it."""
 
+        def __call__(self, parser, namespace, values, option_string=None):
+            parser.error(f"{option_string} goes after the subcommand, as in "
+                         f"'maibaam-lint {self.const} {option_string} ... "
+                         "FILE'")
 
-class _TopParser(argparse.ArgumentParser):
-    """Lets a shown option win a prefix that a hidden one also matches, so
-    that --l abbreviates --list-rules rather than being ambiguous with the
-    hidden --lexicon; prefixes of hidden options alone still match them."""
+    def checked(fault: Callable[[str], str | None]):
+        def check(value: str) -> str:
+            reason = fault(value)
+            if reason is not None:
+                raise argparse.ArgumentTypeError(reason)
+            return value
+        return check
 
-    def _get_option_tuples(self, option_string):
-        matches = super()._get_option_tuples(option_string)
-        shown = [m for m in matches if m[0].help != argparse.SUPPRESS]
-        return shown or matches
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _TopParser(
+    parser = TopParser(
         prog="maibaam-lint",
         description="Parse, tokenize and lint Bavarian CoNLL-U treebank "
                     "files against the MaiBaam annotation guidelines.")
@@ -539,59 +668,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-rules", action="store_const", dest="subcommand",
                         const="list-rules",
                         help="print the rule catalog and exit")
-    for flag, example in (("--config", "lint"), ("--guideline-version", "lint"),
-                          ("--format", "lint"), ("--fail-level", "lint"),
-                          ("--lexicon", "tokenize")):
-        parser.add_argument(flag, action=_AfterSubcommand, const=example,
+    example: dict[str, str] = {}  # each option's first subcommand
+    for name, sub in _SUBCOMMANDS.items():
+        for flag in sub.options:
+            example.setdefault(flag, name)
+    for flag, name in example.items():
+        parser.add_argument(flag, action=AfterSubcommand, const=name,
                             default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    sub = parser.add_subparsers(dest="subcommand")
-
-    # options left out of the command line are left out of the namespace,
-    # so the RunOptions that run() parses into keeps its defaults
-    quiet = {"add_help": False, "argument_default": argparse.SUPPRESS}
-    options = argparse.ArgumentParser(**quiet)
-    options.add_argument("--config", dest="config_path", metavar="CONFIG",
-                         help="path to a key=value config file "
-                              f"(falls back to ${CONFIG_ENV_VAR})")
-    options.add_argument("--guideline-version", type=_guideline_version,
-                         help="guideline version for version-gated rules "
-                              "(default 2.17)")
-    common = argparse.ArgumentParser(**quiet, parents=[options])
-    common.add_argument("inputs", nargs="+", metavar="FILE",
-                        help='input files ("-" for standard input)')
-    report = argparse.ArgumentParser(**quiet, parents=[common])
-    report.add_argument("--format", dest="report_format",
-                        choices=("human", "json", "tsv"))
-
-    lint = sub.add_parser("lint", parents=[report],
-                          argument_default=argparse.SUPPRESS,
-                          help="lint CoNLL-U files")
-    lint.add_argument("--fail-level",
-                      choices=tuple(reversed(SEVERITY_RANK)),
-                      help="lowest severity that causes exit code 1")
-
-    tok = sub.add_parser("tokenize", parents=[common],
-                         argument_default=argparse.SUPPRESS,
-                         help="segment plain text into CoNLL-U skeletons")
-    tok.add_argument("--lexicon", dest="lexicon_path",
-                     help="path to a segmentation lexicon file")
-
-    sub.add_parser("stats", parents=[report],
-                   help="corpus statistics report")
-    sub.add_parser("list-rules", parents=[options],
-                   help="print the rule catalog")
+    subparsers = parser.add_subparsers(dest="subcommand")
+    for name, sub in _SUBCOMMANDS.items():
+        # options left out of the command line are left out of the
+        # namespace, so the RunOptions that run() parses into keeps its
+        # defaults
+        p = subparsers.add_parser(name, help=sub.help,
+                                  argument_default=argparse.SUPPRESS)
+        for flag, option in sub.options.items():
+            p.add_argument(flag, dest=option.dest, help=option.help,
+                           metavar=option.metavar, choices=option.choices,
+                           type=None if option.fault is None
+                           else checked(option.fault))
+        if sub.takes_files:
+            p.add_argument("inputs", nargs="+", metavar="FILE",
+                           help='input files ("-" for standard input)')
     return parser
 
 
-def run(argv: list[str] | None = None, output=None, errout=None) -> int:
-    parser = build_parser()
-    opts = parser.parse_args(argv, RunOptions(
-        output=output if output is not None else sys.stdout or _CLOSED_STREAM,
-        errout=errout if errout is not None else sys.stderr or _CLOSED_STREAM))
-    if not opts.subcommand:
-        parser.print_usage(file=opts.errout)
-        return 2
+def run(argv: Sequence[str] | None = None, output=None, errout=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return
+    its exit code. A command line _read_command_line reads is run without
+    argparse; build_parser() reads any other, and raises SystemExit for a
+    usage error, --help or --version."""
+    if argv is None:
+        argv = sys.argv[1:]
+    errout = errout if errout is not None else sys.stderr or _CLOSED_STREAM
+    opts = _read_command_line(argv)
+    if opts is None:
+        parser = build_parser()
+        opts = parser.parse_args(argv, RunOptions())
+        if not opts.subcommand:
+            parser.print_usage(file=errout)
+            return 2
+    opts.output = output if output is not None else sys.stdout or _CLOSED_STREAM
+    opts.errout = errout
 
     handlers = {"lint": cmd_lint, "tokenize": cmd_tokenize, "stats": cmd_stats,
                 "list-rules": cmd_list_rules}

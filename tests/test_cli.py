@@ -885,14 +885,27 @@ class _CountingWriter(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("findings", [0, 1, 500])
-def test_json_report_takes_a_write_per_finding(findings):
-    diags = [Diagnostic("VOCAB.UPOS", "error", "a.conllu", i, "a-1", i, "m")
+_RENDER = {"human": cli.render_human, "tsv": cli.render_tsv,
+           "json": lambda diags, out: cli.render_json(diags, ["a.conllu"], out)}
+
+
+@pytest.mark.parametrize("findings", [0, 1, 255, 256, 257, 500])
+@pytest.mark.parametrize("report_format", list(_RENDER))
+def test_reports_take_a_write_per_batch_of_findings(report_format, findings):
+    diags = [Diagnostic("VOCAB.UPOS", "error", "a.conllu", i, "a-1", i,
+                        f"m{i}", "§3" if i % 2 else None)
              for i in range(1, findings + 1)]
     out = _CountingWriter()
-    cli.render_json(diags, ["a.conllu"], out)
-    assert out.writes <= findings + 4
-    assert len(json.loads(out.getvalue())["findings"]) == findings
+    _RENDER[report_format](diags, out)
+    # a header, summary or version may take one write of its own
+    assert out.writes <= -(-findings // cli._BATCH_LINES) + 1
+    report = out.getvalue()
+    if report_format == "json":
+        messages = [f["message"] for f in json.loads(report)["findings"]]
+    else:
+        rows = report.splitlines()[report_format == "tsv":]
+        messages = [re.search(r"\bm\d+\b", row)[0] for row in rows]
+    assert messages == [f"m{i}" for i in range(1, findings + 1)]
 
 
 def test_json_finding_keys_are_the_diagnostic_fields_sorted():
@@ -1372,6 +1385,44 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         assert "maibaam_lint.cli" in ran and "json" not in ran, argv
 
 
+def _console_run(argv):
+    """Exit code, stdout and the modules imported of a console run of argv
+    (-X importtime; -S, so that no .pth file imports any of them first)."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "maibaam_lint.cli",
+         *argv], capture_output=True, encoding="utf-8", env=CHILD_ENV)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, imported
+
+
+_PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lint", str(GOLDEN)],
+    ["lint", "--format", "human", str(GOLDEN)],
+    ["lint", "--format", "json", str(GOLDEN)],
+    ["lint", "--format", "tsv", "--fail-level", "warning", str(GOLDEN)],
+    ["stats", str(GOLDEN)],
+    ["stats", "--format", "json", str(GOLDEN)],
+    ["tokenize", str(GOLDEN)],
+    ["list-rules"],
+], ids=lambda argv: " ".join(argv).replace(str(FIXTURES), "fixtures"))
+def test_canonical_command_lines_load_no_argparse(argv):
+    code, _, imported = _console_run(argv)
+    assert code == 0
+    assert "maibaam_lint.conllu" in imported  # -m runs cli as __main__
+    assert not imported & _PARSER_MODULES
+
+
+def test_abbreviations_still_go_through_argparse():
+    code, out, imported = _console_run(["--l"])
+    assert "argparse" in imported
+    assert (code, out) == (0, run_cli(["list-rules"])[1])
+
+
 def test_family_severity_in_lint_and_list_rules(tmp_path):
     conf = tmp_path / "lint.conf"
     conf.write_text("rule.META.*.severity=review\n"
@@ -1442,10 +1493,82 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         try:
-            parser.parse_args(argv)
+            parsed = parser.parse_args(argv, cli.RunOptions())
         except SystemExit:
             pytest.fail(f"README line does not parse: maibaam-lint "
                         f"{shlex.join(argv)}")
+        # a README command line is one a user types, so run() reads it
+        # without argparse, to the same options
+        read = cli._read_command_line(argv)
+        assert read is not None, argv
+        assert vars(read) == vars(parsed), argv
+
+
+_SUBCOMMAND_NAMES = list(cli._SUBCOMMANDS)
+_FLAGS = sorted({flag for sub in cli._SUBCOMMANDS.values()
+                 for flag in sub.options})
+_VALUES = ["human", "json", "tsv", "xml", "error", "warning", "review",
+           "fatal", "2.17", "2.", "banana", "lint.conf"]
+_OPERANDS = ["a.conllu", "b.txt", "corpus/*.conllu", "-", ""]
+_ARGV_TOKENS = st.sampled_from([
+    *_SUBCOMMAND_NAMES, *_FLAGS, *_VALUES, *_OPERANDS, "--list-rules",
+    "--version", "--help", "-h", "--form", "--conf", "--l", "--lex",
+    "--format=json", "--config=x.conf", "--fail-level=warning", "--", "-x",
+    "-1"])
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand, mostly, then option pairs, mostly with values that
+    the option takes, and operands, with any token mixed in; about a
+    quarter of them are read directly."""
+    name = draw(st.sampled_from([*_SUBCOMMAND_NAMES, None]))
+    argv = [name] if name else draw(st.lists(_ARGV_TOKENS, max_size=1))
+    options = cli._SUBCOMMANDS[name].options if name else {}
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["option"] * 4 + ["operands"] * 3
+                                    + ["any"]))
+        if kind == "option" and options:
+            flag = draw(st.sampled_from(sorted(options)))
+            option = options[flag]
+            taken = option.choices or (
+                ["2.17", "1.1"] if option.fault else ["lint.conf"])
+            argv += [flag, draw(st.sampled_from(
+                taken if draw(st.integers(0, 3)) else
+                [*_VALUES, *_OPERANDS, "-x"]))]
+        elif kind == "operands":
+            argv += draw(st.lists(st.sampled_from(_OPERANDS), min_size=1,
+                                  max_size=2))
+        else:
+            argv.append(draw(_ARGV_TOKENS))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_command_lines())
+def test_command_lines_read_without_argparse_parse_the_same(argv):
+    read = cli._read_command_line(argv)
+    if read is not None:
+        # argparse reads it too, to the same options
+        try:
+            parsed = build_parser().parse_args(argv, cli.RunOptions())
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}")
+        assert vars(read) == vars(parsed), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["lint", "--help"], ["--version"], ["--l"],
+    ["--list-rules"], ["lint", "--form", "json", "a"],
+    ["lint", "--format=json", "a"], ["lint", "--", "a"], ["lint", "-x", "a"],
+    ["lint", "-1"], ["lint", "a", "--format", "json", "b"],
+    ["lint", "--format", "xml", "a"], ["lint", "--config", "-", "a"],
+    ["lint", "--guideline-version", "2.", "a"], ["lint"], ["list-rules", "a"],
+    ["tokenize", "--format", "json", "a"], ["lint", "a", "--format"],
+    ["--config", "x.conf", "lint", "a"],
+], ids=" ".join)
+def test_other_command_lines_are_left_to_argparse(argv):
+    assert cli._read_command_line(argv) is None
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):
