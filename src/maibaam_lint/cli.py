@@ -509,10 +509,6 @@ def _json_report(diags: list[Diagnostic], files: list[str]) -> Iterator[str]:
            + f'\n  "summary": {summary},\n  "version": {REPORT_VERSION}\n}}\n')
 
 
-def _write_json(obj, out) -> None:
-    out.write(_json_value(obj) + "\n")
-
-
 def _exit_code(diags: list[Diagnostic], fail_level: str) -> int:
     threshold = SEVERITY_RANK[fail_level]
     return int(any(SEVERITY_RANK[d.severity] >= threshold for d in diags))
@@ -600,7 +596,7 @@ def cmd_stats(opts: RunOptions) -> int:
                                 for d in diags)
     out = opts.output
     if opts.report_format == "json":
-        _write_json(stats, out)
+        out.write(_json_value(stats) + "\n")
     else:
         for section, value in stats.items():
             if isinstance(value, Counter):

@@ -31,8 +31,8 @@ _EMPTY_NODE_ID_RE = re.compile(r"^(0|[1-9][0-9]*)\.[1-9][0-9]*$")
 _METADATA_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _METADATA_RE = re.compile(rf"^# ({_METADATA_KEY_RE.pattern}) = (.*)$")
 # canonical spellings of the ids and heads of sentences of up to 255 tokens:
-# a token line whose id and head are found here needs no other check, and
-# every other line takes the checked branch
+# the parser looks an id or a head up here, and checks and converts only
+# one it does not find; the lookup costs less than the checks and int()
 _DECIMALS = {str(i): i for i in range(256)}
 
 
@@ -490,27 +490,26 @@ def iter_sentences(text: str | Iterable[str], file_name: str = "<string>",
 
             id_field = cols[0]
             token_id = decimal(id_field)
-            if token_id == len(tokens) + 1 and \
-                    (head := decimal(cols[6])) is not None:
-                tokens.append(_unchecked_token(
-                    token_id, cols[1], cols[2], cols[3], cols[4], cols[5],
-                    head, cols[7], cols[8], cols[9], line_no))
-            elif id_field.isdigit() and id_field.isascii() and \
-                    id_field[0] != "0":
+            if token_id is None and id_field.isdigit() and \
+                    id_field.isascii() and id_field[0] != "0":
                 token_id = int(id_field)
+            if token_id:  # "0" is no token id
                 if token_id != len(tokens) + 1:
                     raise ParseError("ID_SEQUENCE",
                                      f"expected token id {len(tokens) + 1}, "
                                      f"got {token_id}",
                                      file_name, line_no)
-                head = cols[6]
-                if not (head.isdigit() and head.isascii()
-                        and (head[0] != "0" or head == "0")):
-                    raise ParseError("BAD_HEAD", f"bad HEAD value {head!r}",
-                                     file_name, line_no)
+                head = decimal(cols[6])
+                if head is None:
+                    head = cols[6]
+                    if not (head.isdigit() and head.isascii()
+                            and (head[0] != "0" or head == "0")):
+                        raise ParseError("BAD_HEAD", f"bad HEAD value {head!r}",
+                                         file_name, line_no)
+                    head = int(head)
                 tokens.append(_unchecked_token(
                     token_id, cols[1], cols[2], cols[3], cols[4], cols[5],
-                    int(head), cols[7], cols[8], cols[9], line_no))
+                    head, cols[7], cols[8], cols[9], line_no))
             elif m := _MWT_ID_RE.match(id_field):
                 first, last = int(m.group(1)), int(m.group(2))
                 if last < first:

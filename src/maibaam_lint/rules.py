@@ -372,15 +372,16 @@ def finding(out: list[Diagnostic], cfg: LintConfig, s: Sentence,
             line: int | None = None) -> None:
     """The one constructor of findings, and the one place that decides
     whether a finding exists: appends it to out unless the config disables
-    its rule. Severity and citation come from the config's rule table,
-    location from the token or sentence."""
+    its rule. Severity and citation come from the config's rule table. A
+    token finding lies on the token's line unless line is given; any other
+    on line, or on the sentence's line where line is None or 0 (the line of
+    a range or empty node built in code)."""
     if rule_id not in cfg.enabled_ids:
         return
     severity, ref = cfg.rule_table[rule_id]
     if token is None:
         token_id = None
-        if line is None:
-            line = s.line
+        line = line or s.line
     else:
         token_id = token.id
         if line is None:
@@ -447,7 +448,7 @@ def validate_structure(s: Sentence,
         if f2 <= l1:
             finding(diags, cfg, s, "STRUCT.MWT_OVERLAP",
                     f"multiword ranges {f1}-{l1} and {f2}-{l2} overlap",
-                    line=span2.line or s.line)
+                    line=span2.line)
     return diags
 
 
@@ -499,49 +500,46 @@ def rule_deprel_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     return diags
 
 
-def _checkable_lemma(t: Token) -> str | None:
-    lemma = t.german_lemma
-    if lemma is None or lemma == UNKNOWN_LEMMA:
-        return None
-    return lemma
+def _unlisted_lemmas(tokens: list[Token], allowed: frozenset[str]):
+    """(token, lemma) of each of tokens whose GermanLemma is known (given,
+    and not UNKNOWN_LEMMA) and not in allowed."""
+    for t in tokens:
+        lemma = t.german_lemma
+        if lemma is not None and lemma != UNKNOWN_LEMMA and \
+                lemma not in allowed:
+            yield t, lemma
 
 
 def rule_copula(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.COP: copulas must be forms of "sein" (by GermanLemma)."""
     diags = []
-    for t in s.tokens:
-        if t.deprel == "cop":
-            lemma = _checkable_lemma(t)
-            if lemma is not None and lemma not in cfg.copula_lemmas:
-                finding(diags, cfg, s, "CLASS.COP",
-                        f"copula lemma {lemma!r} is not allowed; "
-                        f"verbs like werden/bleiben are full verbs", t)
+    for t, lemma in _unlisted_lemmas(
+            [t for t in s.tokens if t.deprel == "cop"], cfg.copula_lemmas):
+        finding(diags, cfg, s, "CLASS.COP",
+                f"copula lemma {lemma!r} is not allowed; "
+                f"verbs like werden/bleiben are full verbs", t)
     return diags
 
 
 def rule_part_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.PART: PART tokens carry lemma "nicht" or "zu"."""
     diags = []
-    for t in s.tokens:
-        if t.upos == "PART":
-            lemma = _checkable_lemma(t)
-            if lemma is not None and lemma not in cfg.part_lemmas:
-                finding(diags, cfg, s, "CLASS.PART",
-                        f"PART with lemma {lemma!r}; modal particles "
-                        f"are tagged ADV", t)
+    for t, lemma in _unlisted_lemmas(
+            [t for t in s.tokens if t.upos == "PART"], cfg.part_lemmas):
+        finding(diags, cfg, s, "CLASS.PART",
+                f"PART with lemma {lemma!r}; modal particles "
+                f"are tagged ADV", t)
     return diags
 
 
 def rule_aux_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.AUX: AUX lemmas come from the configured auxiliary set."""
     diags = []
-    for t in s.tokens:
-        if t.upos == "AUX":
-            lemma = _checkable_lemma(t)
-            if lemma is not None and lemma not in cfg.aux_lemmas:
-                finding(diags, cfg, s, "CLASS.AUX",
-                        f"AUX with lemma {lemma!r} outside the "
-                        f"auxiliary set", t)
+    for t, lemma in _unlisted_lemmas(
+            [t for t in s.tokens if t.upos == "AUX"], cfg.aux_lemmas):
+        finding(diags, cfg, s, "CLASS.AUX",
+                f"AUX with lemma {lemma!r} outside the "
+                f"auxiliary set", t)
     return diags
 
 
@@ -629,7 +627,7 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if column_value(span.misc, "GermanLemma") is not None:
             finding(diags, cfg, s, "LEMMA.ON_MWT",
                     "multi-word token lines carry no lemma",
-                    line=span.line or s.line)
+                    line=span.line)
     return diags
 
 
@@ -664,7 +662,7 @@ def rule_mwt_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
         if span.last_id == span.first_id or span.last_id > len(s.tokens):
             finding(diags, cfg, s, "MWT.SURFACE",
                     f"range {span.first_id}-{span.last_id} must "
-                    f"cover at least two tokens", line=span.line or s.line)
+                    f"cover at least two tokens", line=span.line)
             continue
         covered = "".join(t.form for t in s.tokens[span.first_id - 1:span.last_id])
         if covered != span.surface_form:
@@ -672,7 +670,7 @@ def rule_mwt_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
                     f"token forms {covered!r} do not concatenate to "
                     f"surface {span.surface_form!r} (split into "
                     f"substrings, do not normalize)",
-                    line=span.line or s.line)
+                    line=span.line)
     return diags
 
 
@@ -748,7 +746,7 @@ def rule_core_columns(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
                     "enhanced dependencies are not annotated", t)
     for node in s.empty_nodes:
         finding(diags, cfg, s, "CORE.ENHANCED_UNSUPPORTED",
-                "empty nodes are not annotated", line=node.line or s.line)
+                "empty nodes are not annotated", line=node.line)
     return diags
 
 

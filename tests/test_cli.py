@@ -861,9 +861,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(value=_JSON_VALUES)
 def test_json_values_are_what_json_dumps_writes(value):
-    out = io.StringIO()
-    cli._write_json(value, out)
-    assert out.getvalue() == _json_dumps(value)
+    assert cli._json_value(value) + "\n" == _json_dumps(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -872,7 +870,7 @@ def test_json_writer_rejects_what_a_report_does_not_hold(value):
     # json would write True as true and a float as it pleases; a report
     # holds neither
     with pytest.raises(TypeError):
-        cli._write_json(value, io.StringIO())
+        cli._json_value(value)
 
 
 class _CountingWriter(io.StringIO):

@@ -1236,7 +1236,7 @@ def _parse_outcome(text: str):
 
 
 def _outcome_without_id_table(text: str):
-    # every token line then takes the parser's checked branch
+    # every id and head is then checked and converted, none looked up
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conllu, "_DECIMALS", {})
         return _parse_outcome(text)
