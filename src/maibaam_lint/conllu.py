@@ -550,6 +550,26 @@ def _comment_line(line: str, line_end: bool = True) -> bool:
         not (line_end and line.endswith("\r"))
 
 
+def _rows(text: str, rows: int) -> bool:
+    """Whether the parser reads text back as rows lines of COLUMN_COUNT
+    non-empty columns, text being rows lines joined by LF, each written
+    with COLUMN_COUNT - 1 tabs or more and none starting with a tab: no
+    line holds a tab or LF more, none ends in CR, and no column is empty.
+    A sentence's rows are checked as one text, in a few scans of it, which
+    costs less than a check of each row or column."""
+    cells = text.replace("\n", "\t")
+    return (cells.count("\t") == COLUMN_COUNT * rows - 1
+            and "\t\t" not in cells and not cells.startswith("\t")
+            and not cells.endswith("\t")
+            and ("\r" not in text
+                 or ("\r\n" not in text and not text.endswith("\r"))))
+
+
+def _token_row(t: Token) -> str:
+    return (f"{t.id}\t{t.form}\t{t.lemma_col}\t{t.upos}\t{t.xpos_col}"
+            f"\t{t.feats_col}\t{t.head}\t{t.deprel}\t{t.deps_col}\t{t.misc}")
+
+
 def _sentence_lines(s: Sentence) -> list[str]:
     if not s.tokens:
         raise ValueError("bad sentence: no tokens to write as token lines")
@@ -566,42 +586,48 @@ def _sentence_lines(s: Sentence) -> list[str]:
             raise ValueError(f"bad metadata entry {entry!r}: read back as "
                              f"{m.groups() if m else (None, line)!r}")
 
-    spans_by_first: dict[int, list[MwtSpan]] = {}
-    for span in s.mwt_spans:
-        if span.last_id > len(s.tokens):
-            raise ValueError(f"bad multiword token {span!r}: its range "
-                             f"exceeds the sentence's {len(s.tokens)} tokens")
-        spans_by_first.setdefault(span.first_id, []).append(span)
-    empties_by_anchor: dict[int, list[EmptyNodeLine]] = {}
+    # the rows written after each token (0 for before the first): its
+    # empty nodes, then the ranges that start with the next token
+    rows_after: dict[int, list[str]] = {}
     for node in s.empty_nodes:
-        # the parser reads the line back after token anchor only if it has
-        # the columns of a token line and an id anchor.k
-        cols = node.raw.split("\t")
-        m = _EMPTY_NODE_ID_RE.match(cols[0])
-        if (len(cols) != COLUMN_COUNT or "" in cols or "\n" in node.raw
-                or node.raw.endswith("\r") or m is None
+        # the parser reads the line back after token anchor only if it is
+        # a row with an id anchor.k
+        m = _EMPTY_NODE_ID_RE.match(node.raw.partition("\t")[0])
+        if (not _rows(node.raw, 1) or m is None
                 or not (int(m.group(1)) == node.anchor <= len(s.tokens))):
             raise ValueError(f"bad empty node {node!r}: not written as a "
                              f"line read back after token {node.anchor} of "
                              f"{len(s.tokens)}")
-        empties_by_anchor.setdefault(node.anchor, []).append(node)
+        rows_after.setdefault(node.anchor, []).append(node.raw)
+    for span in s.mwt_spans:
+        if not 1 <= span.first_id <= span.last_id <= len(s.tokens):
+            raise ValueError(f"bad multiword token {span!r}: its range is "
+                             f"not one of the sentence's {len(s.tokens)} "
+                             "tokens")
+        row = "\t".join([f"{span.first_id}-{span.last_id}",
+                         span.surface_form, *span.other_cols, span.misc])
+        if not _rows(row, 1):
+            raise ValueError(f"bad multiword token {span!r}: not written as "
+                             f"one line of {COLUMN_COUNT} columns")
+        rows_after.setdefault(span.first_id - 1, []).append(row)
 
-    if 0 in empties_by_anchor:
-        lines.extend(node.raw for node in empties_by_anchor[0])
+    rows = rows_after.get(0, [])
     for position, t in enumerate(s.tokens, 1):
         if t.id != position:
             raise ValueError(f"bad token {t!r}: its id is not its position "
                              f"{position}")
-        if t.id in spans_by_first:
-            for span in spans_by_first[t.id]:
-                lines.append("\t".join([f"{span.first_id}-{span.last_id}",
-                                        span.surface_form, *span.other_cols,
-                                        span.misc]))
-        lines.append(f"{t.id}\t{t.form}\t{t.lemma_col}\t{t.upos}\t{t.xpos_col}"
-                     f"\t{t.feats_col}\t{t.head}\t{t.deprel}\t{t.deps_col}"
-                     f"\t{t.misc}")
-        if t.id in empties_by_anchor:
-            lines.extend(node.raw for node in empties_by_anchor[t.id])
+        if type(t.head) is not int or t.head < 0:
+            raise ValueError(f"bad token {t!r}: its head is not an int >= 0")
+        rows.append(_token_row(t))
+        if position in rows_after:
+            rows.extend(rows_after[position])
+    block = "\n".join(rows)
+    if not _rows(block, len(rows)):
+        for t in s.tokens:
+            if not _rows(_token_row(t), 1):
+                raise ValueError(f"bad token {t!r}: not written as one line "
+                                 f"of {COLUMN_COUNT} columns")
+    lines.append(block)
     return lines
 
 
@@ -614,9 +640,11 @@ def serialize_document(doc: Document) -> str:
     whose line holds an LF, does not start with "#", or ends in CR with a
     line end after it; a metadata entry whose key would read back
     otherwise (a key that is not a metadata key, or a None-keyed line
-    shaped "# key = value"); a multiword token whose range exceeds its
-    sentence's token count; a token whose id is not its position; an empty
-    node whose line is not an empty node line with its anchor's id, or
+    shaped "# key = value"); a multiword token whose range is not within
+    its sentence's tokens; a token whose id is not its position, or whose
+    head is not an int >= 0; a token or multiword token whose row is not
+    one line of COLUMN_COUNT non-empty columns without a final CR; an
+    empty node whose line is not such a row with its anchor's id, or
     whose anchor exceeds its sentence's token count; and final_newline
     False with a sentence last, whose closing blank line needs a line end.
     A document with no sentences and no trailing comments is written as

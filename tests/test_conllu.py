@@ -154,6 +154,38 @@ def test_serializer_rejects_a_sentence_that_would_not_parse_back(sentence,
         serialize_document(Document([sentence]))
 
 
+ZUM = ("1-2\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n"
+       "1\tzu\t_\tADP\t_\t_\t0\troot\t_\t_\n"
+       "2\tm\t_\tDET\t_\t_\t1\tdet\t_\t_\n\n")
+
+
+@pytest.mark.parametrize("target, field, value", [
+    # read back as WRONG_COLUMN_COUNT, EMPTY_FIELD, CRLF_LINE_ENDING,
+    # WRONG_COLUMN_COUNT and BAD_HEAD
+    ("token", "form", "a\tb"), ("token", "form", ""), ("token", "misc", "x\r"),
+    ("token", "upos", "A\nB"), ("token", "head", -1),
+    # left out
+    ("multiword token", "first_id", 0),
+    ("multiword token", "surface_form", "z\tm"),
+])
+def test_serializer_rejects_an_edited_row_that_would_not_parse_back(
+        target, field, value):
+    s = parse_document(ZUM, "t").sentences[0]
+    edited = s.tokens[1] if target == "token" else s.mwt_spans[0]
+    setattr(edited, field, value)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"bad {target} {edited!r}: ")):
+        serialize_document(Document([s]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("form", "a b"), ("misc", "x\ry"), ("head", 5), ("misc", "\rx")])
+def test_serializer_writes_an_edited_token_that_parses_back(field, value):
+    doc = parse_document(ZUM, "t")
+    setattr(doc.sentences[0].tokens[1], field, value)
+    assert parse_document(serialize_document(doc), "t") == doc
+
+
 NODE_COLUMNS = "\tx\t_\t_\t_\t_\t_\t_\t_\t_"
 
 
@@ -1047,13 +1079,23 @@ _EMPTY_NODE_LINES = ("{}.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_",
                      "{}.1\tE" + "\t_" * 8 + "\n{}.2\tE" + "\t_" * 8)
 
 
+# edits to a token's or a range's fields; only those not in _BAD_* read
+# back
+_BAD_TOKEN_EDITS = (("form", "a\tb"), ("form", ""), ("misc", "x\r"),
+                    ("upos", "A\nB"), ("head", -1), ("deprel", "a\n"))
+_TOKEN_EDITS = (("form", "a b"), ("misc", "x\ry")) + _BAD_TOKEN_EDITS
+_BAD_SPAN_EDITS = (("first_id", 0), ("misc", "x\r"), ("surface_form", ""))
+_SPAN_EDITS = (("surface_form", "cd"),) + _BAD_SPAN_EDITS
+
+
 @st.composite
 def document_edits(draw):
     """A document after metadata_edits, some of whose entries read back
     as others, perhaps with its sentences dropped, and random edits to its
-    multiword tokens, token ids, empty nodes, trailing comments and final
-    line end, or a sentence's tokens dropped, with whether any edit left
-    something the parser would not read back."""
+    multiword tokens, token ids, token and range fields, empty nodes,
+    trailing comments and final line end, or a sentence's tokens dropped,
+    with whether any edit left something the parser would not read
+    back."""
     doc = draw(metadata_edits(st.one_of(
         _metadata_entries, _metadata_entries, _misread_metadata_entries)))
     bad = any(_misread(entry) for s in doc.sentences for entry in s.metadata)
@@ -1074,6 +1116,16 @@ def document_edits(draw):
         position = draw(st.integers(1, len(tokens)))
         tokens[position - 1].id = draw(st.integers(1, len(tokens) + 1))
         bad |= tokens[position - 1].id != position
+    if doc.sentences and draw(st.integers(0, 2)) == 2:
+        tokens = draw(st.sampled_from(doc.sentences)).tokens
+        field, value = draw(st.sampled_from(_TOKEN_EDITS))
+        setattr(draw(st.sampled_from(tokens)), field, value)
+        bad |= (field, value) in _BAD_TOKEN_EDITS
+    spans = [span for s in doc.sentences for span in s.mwt_spans]
+    if spans and draw(st.booleans()):
+        field, value = draw(st.sampled_from(_SPAN_EDITS))
+        setattr(draw(st.sampled_from(spans)), field, value)
+        bad |= (field, value) in _BAD_SPAN_EDITS
     if doc.sentences and draw(st.integers(0, 5)) == 5:
         draw(st.sampled_from(doc.sentences)).tokens = []
         bad = True
