@@ -15,6 +15,7 @@ from maibaam_lint.cli import lint_documents
 from maibaam_lint.conllu import (
     Diagnostic,
     Document,
+    EmptyNodeLine,
     MwtSpan,
     ParseError,
     Sentence,
@@ -988,6 +989,27 @@ def test_finding_builds_what_the_keyword_constructor_builds(rule_id, located):
     assert built._asdict() == expected._asdict()
     assert built.sort_key == expected.sort_key
     assert built.guideline_ref == ref
+
+
+def test_findings_of_ranges_and_empty_nodes_built_in_code_lie_on_the_sentence():
+    # ranges and empty nodes built in code lie on line 0; each finding of
+    # theirs falls back to the sentence's line, and lies on their own line
+    # once they have one
+    tokens = [Token(i, form, "X", 0 if i == 1 else 1,
+                    "root" if i == 1 else "dep", misc=f"GermanLemma={form}")
+              for i, form in enumerate("abc", 1)]
+    s = Sentence(tokens, [MwtSpan(1, 2, "xy", misc="GermanLemma=xy"),
+                          MwtSpan(2, 3, "bc"), MwtSpan(3, 3, "c")],
+                 empty_nodes=[EmptyNodeLine(1, "1.1\te" + "\t_" * 8)],
+                 file="f.conllu", line=7)
+    for line in (7, 9):
+        assert sorted((d.rule_id, d.line) for d in lint_sentence(s)) == [
+            ("CORE.ENHANCED_UNSUPPORTED", line), ("LEMMA.ON_MWT", line),
+            ("MWT.SURFACE", line), ("MWT.SURFACE", line),
+            ("STRUCT.MWT_OVERLAP", line), ("STRUCT.MWT_OVERLAP", line)]
+        for span in s.mwt_spans:
+            span.line = 9
+        s.empty_nodes = [node._replace(line=9) for node in s.empty_nodes]
 
 
 def test_finding_ids_are_literal_and_match_the_catalog():
