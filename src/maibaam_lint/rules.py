@@ -500,46 +500,48 @@ def rule_deprel_vocabulary(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     return diags
 
 
-def _unlisted_lemmas(tokens: list[Token], allowed: frozenset[str]):
-    """(token, lemma) of each of tokens whose GermanLemma is known (given,
-    and not UNKNOWN_LEMMA) and not in allowed."""
-    for t in tokens:
-        lemma = t.german_lemma
-        if lemma is not None and lemma != UNKNOWN_LEMMA and \
-                lemma not in allowed:
-            yield t, lemma
+def _unlisted_lemma(t: Token, allowed: frozenset[str]) -> str | None:
+    """t's GermanLemma if it is known (given, and not UNKNOWN_LEMMA) and
+    not in allowed, else None."""
+    lemma = t.german_lemma
+    if lemma is None or lemma == UNKNOWN_LEMMA or lemma in allowed:
+        return None
+    return lemma
 
 
 def rule_copula(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.COP: copulas must be forms of "sein" (by GermanLemma)."""
     diags = []
-    for t, lemma in _unlisted_lemmas(
-            [t for t in s.tokens if t.deprel == "cop"], cfg.copula_lemmas):
-        finding(diags, cfg, s, "CLASS.COP",
-                f"copula lemma {lemma!r} is not allowed; "
-                f"verbs like werden/bleiben are full verbs", t)
+    for t in s.tokens:
+        if t.deprel == "cop" and (lemma := _unlisted_lemma(
+                t, cfg.copula_lemmas)) is not None:
+            finding(diags, cfg, s, "CLASS.COP",
+                    f"copula lemma {lemma!r} is not allowed; "
+                    f"verbs like werden/bleiben are full verbs", t)
     return diags
 
 
 def rule_part_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.PART: PART tokens carry lemma "nicht" or "zu"."""
     diags = []
-    for t, lemma in _unlisted_lemmas(
-            [t for t in s.tokens if t.upos == "PART"], cfg.part_lemmas):
-        finding(diags, cfg, s, "CLASS.PART",
-                f"PART with lemma {lemma!r}; modal particles "
-                f"are tagged ADV", t)
+    for t in s.tokens:
+        if t.upos == "PART" and (lemma := _unlisted_lemma(
+                t, cfg.part_lemmas)) is not None:
+            finding(diags, cfg, s, "CLASS.PART",
+                    f"PART with lemma {lemma!r}; modal particles "
+                    f"are tagged ADV", t)
     return diags
 
 
 def rule_aux_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.AUX: AUX lemmas come from the configured auxiliary set."""
     diags = []
-    for t, lemma in _unlisted_lemmas(
-            [t for t in s.tokens if t.upos == "AUX"], cfg.aux_lemmas):
-        finding(diags, cfg, s, "CLASS.AUX",
-                f"AUX with lemma {lemma!r} outside the "
-                f"auxiliary set", t)
+    for t in s.tokens:
+        if t.upos == "AUX" and (lemma := _unlisted_lemma(
+                t, cfg.aux_lemmas)) is not None:
+            finding(diags, cfg, s, "CLASS.AUX",
+                    f"AUX with lemma {lemma!r} outside the "
+                    f"auxiliary set", t)
     return diags
 
 
