@@ -164,9 +164,11 @@ ZUM = ("1-2\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n"
     # WRONG_COLUMN_COUNT and BAD_HEAD
     ("token", "form", "a\tb"), ("token", "form", ""), ("token", "misc", "x\r"),
     ("token", "upos", "A\nB"), ("token", "head", -1),
-    # left out
+    # left out, then read back as WRONG_COLUMN_COUNT three times
     ("multiword token", "first_id", 0),
     ("multiword token", "surface_form", "z\tm"),
+    ("multiword token", "other_cols", ("_",) * 6),
+    ("multiword token", "other_cols", ("_",) * 8),
 ])
 def test_serializer_rejects_an_edited_row_that_would_not_parse_back(
         target, field, value):
