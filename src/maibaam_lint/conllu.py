@@ -550,24 +550,14 @@ def _comment_line(line: str, line_end: bool = True) -> bool:
         not (line_end and line.endswith("\r"))
 
 
-def _rows(text: str, rows: int) -> bool:
-    """Whether the parser reads text back as rows lines of COLUMN_COUNT
-    non-empty columns, text being rows lines joined by LF, each written
-    with COLUMN_COUNT - 1 tabs or more and none starting with a tab: no
-    line holds a tab or LF more, none ends in CR, and no column is empty.
-    A sentence's rows are checked as one text, in a few scans of it, which
-    costs less than a check of each row or column."""
-    cells = text.replace("\n", "\t")
-    return (cells.count("\t") == COLUMN_COUNT * rows - 1
-            and "\t\t" not in cells and not cells.startswith("\t")
-            and not cells.endswith("\t")
-            and ("\r" not in text
-                 or ("\r\n" not in text and not text.endswith("\r"))))
-
-
-def _token_row(t: Token) -> str:
-    return (f"{t.id}\t{t.form}\t{t.lemma_col}\t{t.upos}\t{t.xpos_col}"
-            f"\t{t.feats_col}\t{t.head}\t{t.deprel}\t{t.deps_col}\t{t.misc}")
+def _row(text: str) -> bool:
+    """Whether the parser reads text back as one line of COLUMN_COUNT
+    non-empty columns: it holds COLUMN_COUNT - 1 tabs and no LF, no column
+    is empty, and it does not end in CR (which would write a CRLF line
+    end)."""
+    return (text.count("\t") == COLUMN_COUNT - 1 and "\n" not in text
+            and "\t\t" not in text and not text.startswith("\t")
+            and not text.endswith(("\t", "\r")))
 
 
 def _sentence_lines(s: Sentence) -> list[str]:
@@ -593,41 +583,39 @@ def _sentence_lines(s: Sentence) -> list[str]:
         # the parser reads the line back after token anchor only if it is
         # a row with an id anchor.k
         m = _EMPTY_NODE_ID_RE.match(node.raw.partition("\t")[0])
-        if (not _rows(node.raw, 1) or m is None
+        if (not _row(node.raw) or m is None
                 or not (int(m.group(1)) == node.anchor <= len(s.tokens))):
             raise ValueError(f"bad empty node {node!r}: not written as a "
                              f"line read back after token {node.anchor} of "
                              f"{len(s.tokens)}")
         rows_after.setdefault(node.anchor, []).append(node.raw)
     for span in s.mwt_spans:
-        if not 1 <= span.first_id <= span.last_id <= len(s.tokens):
+        if (type(span.first_id) is not int or type(span.last_id) is not int
+                or not 1 <= span.first_id <= span.last_id <= len(s.tokens)):
             raise ValueError(f"bad multiword token {span!r}: its range is "
                              f"not one of the sentence's {len(s.tokens)} "
                              "tokens")
         row = "\t".join([f"{span.first_id}-{span.last_id}",
                          span.surface_form, *span.other_cols, span.misc])
-        if not _rows(row, 1):
+        if not _row(row):
             raise ValueError(f"bad multiword token {span!r}: not written as "
                              f"one line of {COLUMN_COUNT} columns")
         rows_after.setdefault(span.first_id - 1, []).append(row)
 
-    rows = rows_after.get(0, [])
+    lines.extend(rows_after.get(0, ()))
     for position, t in enumerate(s.tokens, 1):
         if t.id != position:
             raise ValueError(f"bad token {t!r}: its id is not its position "
                              f"{position}")
         if type(t.head) is not int or t.head < 0:
             raise ValueError(f"bad token {t!r}: its head is not an int >= 0")
-        rows.append(_token_row(t))
+        # the columns as they are: a check of each row here cost
+        # tokenize-text about 5% of its throughput (ROADMAP item 15)
+        lines.append(f"{position}\t{t.form}\t{t.lemma_col}\t{t.upos}"
+                     f"\t{t.xpos_col}\t{t.feats_col}\t{t.head}\t{t.deprel}"
+                     f"\t{t.deps_col}\t{t.misc}")
         if position in rows_after:
-            rows.extend(rows_after[position])
-    block = "\n".join(rows)
-    if not _rows(block, len(rows)):
-        for t in s.tokens:
-            if not _rows(_token_row(t), 1):
-                raise ValueError(f"bad token {t!r}: not written as one line "
-                                 f"of {COLUMN_COUNT} columns")
-    lines.append(block)
+            lines.extend(rows_after[position])
     return lines
 
 
@@ -640,13 +628,15 @@ def serialize_document(doc: Document) -> str:
     whose line holds an LF, does not start with "#", or ends in CR with a
     line end after it; a metadata entry whose key would read back
     otherwise (a key that is not a metadata key, or a None-keyed line
-    shaped "# key = value"); a multiword token whose range is not within
-    its sentence's tokens; a token whose id is not its position, or whose
-    head is not an int >= 0; a token or multiword token whose row is not
-    one line of COLUMN_COUNT non-empty columns without a final CR; an
-    empty node whose line is not such a row with its anchor's id, or
-    whose anchor exceeds its sentence's token count; and final_newline
-    False with a sentence last, whose closing blank line needs a line end.
+    shaped "# key = value"); a multiword token whose first_id and
+    last_id are not ints naming its sentence's tokens in order, or whose
+    row is not one line of COLUMN_COUNT non-empty columns without a
+    final CR; a token whose id is not its position, or whose head is not
+    an int >= 0; an empty node whose line is not such a row with its
+    anchor's id, or whose anchor exceeds its sentence's token count; and
+    final_newline False with a sentence last, whose closing blank line
+    needs a line end. A token's other columns are written as they are:
+    Token() checks them, but an edit after that is not checked here.
     A document with no sentences and no trailing comments is written as
     "" (or the BOM alone) whatever its final_newline, and reads back with
     final_newline False.

@@ -160,15 +160,17 @@ ZUM = ("1-2\tzum\t_\t_\t_\t_\t_\t_\t_\t_\n"
 
 
 @pytest.mark.parametrize("target, field, value", [
-    # read back as WRONG_COLUMN_COUNT, EMPTY_FIELD, CRLF_LINE_ENDING,
-    # WRONG_COLUMN_COUNT and BAD_HEAD
-    ("token", "form", "a\tb"), ("token", "form", ""), ("token", "misc", "x\r"),
-    ("token", "upos", "A\nB"), ("token", "head", -1),
-    # left out, then read back as WRONG_COLUMN_COUNT three times
+    # read back as BAD_HEAD
+    ("token", "head", -1), ("token", "head", 1.5),
+    # left out, then read back as WRONG_COLUMN_COUNT four times
     ("multiword token", "first_id", 0),
     ("multiword token", "surface_form", "z\tm"),
     ("multiword token", "other_cols", ("_",) * 6),
     ("multiword token", "other_cols", ("_",) * 8),
+    ("multiword token", "other_cols", ("_",) * 5 + ("a\nb",)),
+    # written as True-2 and 1-2.0, read back as BAD_ID
+    ("multiword token", "first_id", True),
+    ("multiword token", "last_id", 2.0),
 ])
 def test_serializer_rejects_an_edited_row_that_would_not_parse_back(
         target, field, value):
@@ -181,7 +183,9 @@ def test_serializer_rejects_an_edited_row_that_would_not_parse_back(
 
 
 @pytest.mark.parametrize("field, value", [
-    ("form", "a b"), ("misc", "x\ry"), ("head", 5), ("misc", "\rx")])
+    ("form", "a b"), ("misc", "x\ry"), ("head", 5), ("misc", "\rx"),
+    # an id equal to its position is written as the position
+    ("id", 2.0)])
 def test_serializer_writes_an_edited_token_that_parses_back(field, value):
     doc = parse_document(ZUM, "t")
     setattr(doc.sentences[0].tokens[1], field, value)
@@ -202,6 +206,7 @@ NODE_COLUMNS = "\tx\t_\t_\t_\t_\t_\t_\t_\t_"
     EmptyNodeLine(1, "1.1" + NODE_COLUMNS + "\t_"),
     EmptyNodeLine(1, "1.1" + NODE_COLUMNS + "\r"),
     EmptyNodeLine(1, "1.1" + NODE_COLUMNS + "\n1.2" + NODE_COLUMNS),
+    EmptyNodeLine(1, "1.1" + NODE_COLUMNS[:-2] + "\n_"),
 ], ids=repr)
 def test_serializer_rejects_an_empty_node_that_would_not_parse_back(node):
     doc = parse_document(MINIMAL, "t")
@@ -1078,15 +1083,18 @@ _EMPTY_NODE_LINES = ("{}.1\tE\t_\t_\t_\t_\t_\t_\t1:dep\t_",
                      "garbage {}", "{}.1\tE", "{}.0\tE" + "\t_" * 8,
                      "0{}.1\tE" + "\t_" * 8, "{}.1\t\t_" + "\t_" * 7,
                      "{}.1\tE" + "\t_" * 8 + "\r",
-                     "{}.1\tE" + "\t_" * 8 + "\n{}.2\tE" + "\t_" * 8)
+                     "{}.1\tE" + "\t_" * 8 + "\n{}.2\tE" + "\t_" * 8,
+                     "{}.1\tE" + "\t_" * 7 + "\n_")
 
 
 # edits to a token's or a range's fields; only those not in _BAD_* read
-# back
-_BAD_TOKEN_EDITS = (("form", "a\tb"), ("form", ""), ("misc", "x\r"),
-                    ("upos", "A\nB"), ("head", -1), ("deprel", "a\n"))
-_TOKEN_EDITS = (("form", "a b"), ("misc", "x\ry")) + _BAD_TOKEN_EDITS
-_BAD_SPAN_EDITS = (("first_id", 0), ("misc", "x\r"), ("surface_form", ""))
+# back. A token's column text is not drawn: the serializer writes an
+# edited one as it is.
+_BAD_TOKEN_EDITS = (("head", -1), ("head", 1.5))
+_TOKEN_EDITS = (("form", "a b"), ("misc", "x\ry"), ("head", 1)) + \
+    _BAD_TOKEN_EDITS
+_BAD_SPAN_EDITS = (("first_id", 0), ("misc", "x\r"), ("surface_form", ""),
+                   ("other_cols", ("_",) * 5 + ("a\nb",)), ("last_id", 2.0))
 _SPAN_EDITS = (("surface_form", "cd"),) + _BAD_SPAN_EDITS
 
 
