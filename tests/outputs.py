@@ -2,8 +2,7 @@
 process through maibaam_lint.cli.run, with its exit code, standard output
 and standard error.
 
-    PYTHONPATH=src python tests/outputs.py             # check, bench seed 1
-    PYTHONPATH=src python tests/outputs.py --seeds 5   # bench seeds 1-5 too
+    PYTHONPATH=src python tests/outputs.py             # check the table
     PYTHONPATH=src python tests/outputs.py --update    # rewrite the table
 
 tests/outputs.tsv holds one row per command line, in matrix order: its
@@ -25,7 +24,8 @@ list-rules without and with CONFIG; tokenize on each text fixture and on
 both; each of those subcommands on each input fault (a missing file, a
 directory, a byte that is not UTF-8, CRLF line ends, a byte-order mark,
 "-" given twice) and on all of them among good files; and the timed and
-setup command lines of bench/generate.py for each workload and seed.
+setup command lines of bench/generate.py for each workload at seeds 1 to
+SEEDS.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ BENCH = TESTS.parent / "bench"
 TABLE = TESTS / "outputs.tsv"
 
 TEXT_LIMIT = 2048
-TABLE_SEEDS = 5  # the table holds benchmark rows for seeds 1 to TABLE_SEEDS
+SEEDS = 5
 
 CONLLU = sorted(p.name for p in FIXTURES.glob("*.conllu"))
 TEXTS = sorted(p.name for p in FIXTURES.glob("*.txt"))
@@ -94,8 +94,8 @@ def _faults(suffix: str, good: str) -> list[list[str]]:
 FAULT_INPUTS = {".conllu": "golden.conllu", ".txt": "golden_tokenize.txt"}
 
 
-def cases(seeds: int = TABLE_SEEDS) -> list[Case]:
-    """The matrix in table order; benchmark rows for seeds 1 to seeds."""
+def cases() -> list[Case]:
+    """The matrix in table order."""
     out: list[Case] = []
 
     def add(argv, stdin=None, seed=None, key=None):
@@ -123,7 +123,7 @@ def cases(seeds: int = TABLE_SEEDS) -> list[Case]:
         add(["tokenize", *files], FAULT_INPUTS[".txt"])
 
     generate = _generator()
-    for seed in range(1, seeds + 1):
+    for seed in range(1, SEEDS + 1):
         for workload in generate.WORKLOADS:
             for kind in ("timed", "setup"):
                 add(None, seed=seed, key=f"{workload} seed {seed} {kind}")
@@ -138,9 +138,9 @@ def _generator():
     return generate
 
 
-def write_inputs(directory: Path, seeds: int = TABLE_SEEDS) -> dict:
-    """Write every input of cases(seeds) into directory; return the argv
-    of each benchmark row by its key."""
+def write_inputs(directory: Path) -> dict:
+    """Write every input of cases() into directory; return the argv of
+    each benchmark row by its key."""
     for name in CONLLU + TEXTS:
         (directory / name).write_bytes((FIXTURES / name).read_bytes())
     for name, text in CONFIG_FILES.items():
@@ -157,7 +157,7 @@ def write_inputs(directory: Path, seeds: int = TABLE_SEEDS) -> dict:
     cwd = os.getcwd()
     os.chdir(directory)  # so that the argv name relative paths
     try:
-        for seed in range(1, seeds + 1):
+        for seed in range(1, SEEDS + 1):
             workdir = Path(f"seed-{seed}")
             workdir.mkdir()
             for workload in generate.WORKLOADS:
@@ -222,16 +222,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--update", action="store_true",
                         help="rewrite the table instead of checking it")
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="check benchmark rows for seeds 1 to SEEDS "
-                             "(default 1; --update writes all "
-                             f"{TABLE_SEEDS})")
     args = parser.parse_args(argv)
-    seeds = TABLE_SEEDS if args.update else args.seeds
-    matrix = cases(seeds)
+    matrix = cases()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
-        bench_argv = write_inputs(Path(directory), seeds)
+        bench_argv = write_inputs(Path(directory))
         os.chdir(directory)
         try:
             rows = [run_case(case, bench_argv) for case in matrix]
@@ -250,10 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"differs: {row[0]}\n  table: {table.get(row[0])}\n"
               f"  now:   {row}")
     missing = set(table) - {row[0] for row in rows}
-    if seeds == TABLE_SEEDS and missing:
+    if missing:
         print(f"rows in the table but not in the matrix: {sorted(missing)}")
     print(f"{len(rows) - len(wrong)} of {len(rows)} rows match")
-    return int(bool(wrong) or (seeds == TABLE_SEEDS and bool(missing)))
+    return int(bool(wrong or missing))
 
 
 if __name__ == "__main__":

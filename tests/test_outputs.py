@@ -1,6 +1,5 @@
-"""The committed output table (tests/outputs.tsv) holds: every row but the
-benchmark rows of seeds past 1, which `python tests/outputs.py --seeds 5`
-checks. A change that alters an output on purpose rewrites the table with
+"""The committed output table (tests/outputs.tsv) holds: every row. A
+change that alters an output on purpose rewrites the table with
 `python tests/outputs.py --update` and names each changed row."""
 
 import pytest
@@ -18,12 +17,10 @@ def test_the_table_holds_the_matrix():
 @pytest.fixture(scope="module")
 def bench_argv(tmp_path_factory):
     directory = tmp_path_factory.mktemp("outputs")
-    return directory, outputs.write_inputs(directory, seeds=1)
+    return directory, outputs.write_inputs(directory)
 
 
-@pytest.mark.parametrize(
-    "case", [case for case in CASES if case.seed in (None, 1)],
-    ids=lambda case: case.key)
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
 def test_output_is_the_tables(case, bench_argv, monkeypatch):
     directory, argv = bench_argv
     monkeypatch.chdir(directory)
