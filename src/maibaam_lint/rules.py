@@ -173,12 +173,11 @@ URL_GENRES = frozenset({"wiki", "social"})
 
 
 class LintConfig(_Record):
-    """Rule toggles, severity overrides and the closed-class lexicons.
-    Immutable: copy one with a change by _replace."""
+    """Per-rule severity and enabling overrides, and the closed-class
+    lexicons. Immutable: copy one with a change by _replace."""
 
     severity_overrides: Mapping[str, str] = MappingProxyType({})
-    disabled_rules: frozenset[str] = frozenset()
-    enabled_rules: frozenset[str] = frozenset()
+    enabled_overrides: Mapping[str, bool] = MappingProxyType({})
     copula_lemmas: frozenset[str] = DEFAULT_COPULA_LEMMAS
     part_lemmas: frozenset[str] = DEFAULT_PART_LEMMAS
     aux_lemmas: frozenset[str] = DEFAULT_AUX_LEMMAS
@@ -198,28 +197,31 @@ class LintConfig(_Record):
     def __init__(self, **values):
         """Takes the fields above by name only; those left out keep their
         class defaults. A rule id, severity or value a config cannot hold
-        raises ValueError; an unknown name, a str where a collection
-        belongs, or a punct_lemma_exempt other than True or False, raises
-        TypeError."""
+        raises ValueError; an unknown name, a rule override field that is
+        not a mapping, a str where a collection belongs, or an enabling or
+        punct_lemma_exempt other than True or False, raises TypeError."""
         self._check_names(values)
-        # read-only, so that an edit cannot leave rule_table stale
-        values["severity_overrides"] = MappingProxyType(
-            dict(values.get("severity_overrides", {})))
+        for name in _OVERRIDES:
+            given = values.get(name, {})
+            if not isinstance(given, Mapping):
+                raise TypeError(f"{name} must be a mapping, not {given!r}")
+            # read-only, so that an edit cannot leave rule_table stale
+            values[name] = MappingProxyType(dict(given))
         self.__dict__.update(values)
         # a str would pass for the collection of its letters
-        for name, shape in (("disabled_rules", frozenset),
-                            ("enabled_rules", frozenset),
-                            *_WORD_LISTS.values()):
+        for name, shape in _WORD_LISTS.values():
             value = getattr(self, name)
             for item in (value, *(value if shape is _sequences else ())):
                 if isinstance(item, str):
                     raise TypeError(f"{name} got the str {item!r} where it "
                                     f"takes a collection")
-        if not isinstance(self.punct_lemma_exempt, bool):
-            raise TypeError(f"punct_lemma_exempt must be True or False, not "
-                            f"{self.punct_lemma_exempt!r}")
-        for rule_id in (*self.severity_overrides, *self.disabled_rules,
-                        *self.enabled_rules):
+        flags = {"punct_lemma_exempt": self.punct_lemma_exempt,
+                 **{f"enabled_overrides[{rule_id!r}]": flag
+                    for rule_id, flag in self.enabled_overrides.items()}}
+        for name, flag in flags.items():
+            if not isinstance(flag, bool):
+                raise TypeError(f"{name} must be True or False, not {flag!r}")
+        for rule_id in (*self.severity_overrides, *self.enabled_overrides):
             if rule_id not in RULES_BY_ID and rule_id not in RULE_FAMILIES:
                 raise ValueError(f"unknown rule {rule_id!r}")
         for severity in self.severity_overrides.values():
@@ -232,14 +234,13 @@ class LintConfig(_Record):
             raise ValueError(f"bad typo_column {self.typo_column!r}")
         # each catalogued rule resolved once per config (_replace builds a
         # new one): rule id -> (severity, citation), and the enabled ids
-        toggles = {**dict.fromkeys(self.disabled_rules, False),
-                   **dict.fromkeys(self.enabled_rules, True)}
         self.__dict__["rule_table"] = {
             r.rule_id: (_resolve(self.severity_overrides, r.rule_id,
                                  r.default_severity), r.guideline_ref)
             for r in RULES}
         self.__dict__["enabled_ids"] = frozenset(
-            r.rule_id for r in RULES if _resolve(toggles, r.rule_id, True))
+            r.rule_id for r in RULES
+            if _resolve(self.enabled_overrides, r.rule_id, True))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"LintConfig is immutable: cannot set or "
@@ -249,9 +250,9 @@ class LintConfig(_Record):
 
     def __reduce__(self):
         """Pickled and copied by the constructor, and so through its checks;
-        the read-only severity_overrides travels as a plain dict."""
+        the read-only override mappings travel as plain dicts."""
         fields = {name: getattr(self, name) for name in self._fields}
-        fields["severity_overrides"] = dict(self.severity_overrides)
+        fields.update((name, dict(fields[name])) for name in _OVERRIDES)
         return functools.partial(type(self), **fields), ()
 
     def severity(self, rule_id: str) -> str:
@@ -271,6 +272,8 @@ def _resolve(settings: Mapping, rule_id: str, default):
 VERSION_RE = re.compile(r"[0-9]+(\.[0-9]+)*")
 BOOLEANS = {"1": True, "true": True, "yes": True,
             "0": False, "false": False, "no": False}
+# the LintConfig fields that map a rule id or FAMILY.* to a setting
+_OVERRIDES = ("severity_overrides", "enabled_overrides")
 
 
 def _sequences(lines: list[str]) -> tuple[tuple[str, ...], ...]:
@@ -311,14 +314,12 @@ def load_config(path: str) -> LintConfig:
     fixed-expression lists hold one space-separated sequence per line).
     Booleans are 1/0/true/false/yes/no in any case; guideline_version is
     dot-separated ASCII digits such as 2.17. Each line is applied by
-    _replace, so LintConfig checks it; an error names the file and line.
+    _replace, so LintConfig checks it; an error names the file and line. A
+    key given twice takes its later value.
     """
     cfg = _DEFAULT_CONFIG
     base = os.path.dirname(os.path.abspath(path))
-    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _entries(path):
         key, eq, value = (part.strip() for part in line.partition("="))
         flag = BOOLEANS.get(value.lower())
         kind, _, rest = key.partition(".")
@@ -331,16 +332,16 @@ def load_config(path: str) -> LintConfig:
                 change = {"severity_overrides": {**cfg.severity_overrides,
                                                  name: value}}
             elif slot == ("rule", "enabled"):
-                toggles = "disabled_rules" if flag is False else "enabled_rules"
-                change = {toggles: getattr(cfg, toggles) | {name}}
+                change = {"enabled_overrides": {**cfg.enabled_overrides,
+                                                name: flag is not False}}
             elif slot == ("lexicon", "path") and name == "tokenizer":
                 change = {"tokenizer_lexicon_path": os.path.join(base, value)}
             elif slot == ("lexicon", "path"):
                 if name not in _WORD_LISTS:
                     raise ValueError(f"unknown lexicon {name!r}")
                 field, shape = _WORD_LISTS[name]
-                change = {field: shape(_read_word_list(
-                    os.path.join(base, value)))}
+                change = {field: shape([entry for _, entry in _entries(
+                    os.path.join(base, value))])}
             elif key in ("guideline_version", "typo_column"):
                 change = {key: value}
             elif key == "punct_lemma_exempt":
@@ -358,13 +359,12 @@ def load_config(path: str) -> LintConfig:
     return cfg
 
 
-def _read_word_list(path: str) -> list[str]:
-    entries = []
-    for raw in read_text(path).split("\n"):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    return entries
+def _entries(path: str) -> list[tuple[int, str]]:
+    """The stripped lines of a config file or word list, with their line
+    numbers, but for blank lines and # comments."""
+    return [(line_no, line) for line_no, raw in enumerate(
+        read_text(path).split("\n"), start=1)
+        if (line := raw.strip()) and not line.startswith("#")]
 
 
 def finding(out: list[Diagnostic], cfg: LintConfig, s: Sentence,

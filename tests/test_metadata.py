@@ -142,7 +142,7 @@ def test_duplicate_sent_ids_across_files_order_independent():
 def test_duplicate_check_respects_disable():
     d = Document(file="a")
     d.sentences = [one_token_sentence(), one_token_sentence()]
-    cfg = LintConfig(disabled_rules=frozenset({"META.DUP_ID"}))
+    cfg = LintConfig(enabled_overrides={"META.DUP_ID": False})
     assert check_unique_sent_ids(duplicates(d), cfg) == []
     assert len(check_unique_sent_ids(duplicates(d))) == 2
 

@@ -484,7 +484,8 @@ def test_monotonicity_disabling_removes_exactly_that_rule(golden_doc):
     s.tokens[0].misc = "_"  # drop the lemma as well
     base = lint_sentence(s)
     assert sorted(set(ids(base))) == ["LEMMA.MISSING", "VOCAB.UPOS"]
-    without = lint_sentence(s, LintConfig(disabled_rules=frozenset({"VOCAB.UPOS"})))
+    without = lint_sentence(s, LintConfig(
+        enabled_overrides={"VOCAB.UPOS": False}))
     assert ids(without) == ["LEMMA.MISSING"]
     assert [d for d in base if d.rule_id != "VOCAB.UPOS"] == without
 
@@ -493,7 +494,7 @@ def test_family_wildcard_disable(golden_doc):
     s = next(x for x in golden_doc.sentences
              if x.sent_id == "maibaam-golden-014")
     s.tokens[0].misc = "_"
-    cfg = LintConfig(disabled_rules=frozenset({"LEMMA.*"}))
+    cfg = LintConfig(enabled_overrides={"LEMMA.*": False})
     assert lint_sentence(s, cfg) == []
 
 
@@ -660,8 +661,7 @@ def test_rule_table_is_not_compared_or_shown():
 ], ids=["pickle", "copy", "deepcopy"])
 def test_lint_config_pickles_and_copies(duplicate):
     cfg = LintConfig(severity_overrides={"META.*": "review"},
-                     disabled_rules=frozenset({"LEMMA.*"}),
-                     enabled_rules=frozenset({"LEMMA.NIMMA"}),
+                     enabled_overrides={"LEMMA.*": False, "LEMMA.NIMMA": True},
                      guideline_version="2.16")
     twin = duplicate(cfg)
     assert twin == cfg and twin is not cfg
@@ -669,6 +669,8 @@ def test_lint_config_pickles_and_copies(duplicate):
     assert twin.enabled_ids == cfg.enabled_ids
     with pytest.raises(TypeError):
         twin.severity_overrides["META.*"] = "error"
+    with pytest.raises(TypeError):
+        twin.enabled_overrides["META.*"] = False
 
 
 @pytest.mark.parametrize("cls, first", [
@@ -688,15 +690,30 @@ def test_config_records_take_their_fields_by_name_only(cls, first):
 
 
 def test_rule_enabled_resolution_order():
-    both = frozenset({"LEMMA.MISSING"})
-    # an explicit enable beats a disable at the same level
-    assert "LEMMA.MISSING" in LintConfig(enabled_rules=both,
-                                         disabled_rules=both).enabled_ids
-    cfg = LintConfig(enabled_rules=frozenset({"LEMMA.NIMMA"}),
-                     disabled_rules=frozenset({"LEMMA.*"}))
-    assert "LEMMA.NIMMA" in cfg.enabled_ids
-    assert "LEMMA.MISSING" not in cfg.enabled_ids
-    assert "CLASS.COP" in cfg.enabled_ids
+    for family, exact in ((False, True), (True, False)):
+        cfg = LintConfig(enabled_overrides={"LEMMA.*": family,
+                                            "LEMMA.NIMMA": exact})
+        assert ("LEMMA.NIMMA" in cfg.enabled_ids) is exact
+        assert ("LEMMA.MISSING" in cfg.enabled_ids) is family
+        assert "CLASS.COP" in cfg.enabled_ids
+
+
+@pytest.mark.parametrize("lines, field, value", [
+    (("enabled=false", "enabled=true"), "enabled_overrides", True),
+    (("enabled=true", "enabled=false"), "enabled_overrides", False),
+    (("severity=error", "severity=review"), "severity_overrides", "review"),
+    (("severity=review", "severity=error"), "severity_overrides", "error"),
+])
+def test_load_config_takes_the_later_value_of_a_key_given_twice(
+        tmp_path, lines, field, value):
+    conf = tmp_path / "lint.conf"
+    conf.write_text("".join(f"rule.LEMMA.NIMMA.{line}\n" for line in lines),
+                    encoding="utf-8")
+    cfg = load_config(str(conf))
+    assert getattr(cfg, field) == {"LEMMA.NIMMA": value}
+    assert cfg.severity("LEMMA.NIMMA") == (
+        value if field == "severity_overrides" else "warning")
+    assert ("LEMMA.NIMMA" in cfg.enabled_ids) is (value is not False)
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -754,8 +771,8 @@ def test_load_config_error_messages(tmp_path, line, message):
 
 @pytest.mark.parametrize("settings, message", [
     ({"guideline_version": "2.17a"}, "bad guideline_version '2.17a'"),
-    ({"disabled_rules": frozenset({"REL.FIXD"})}, "unknown rule 'REL.FIXD'"),
-    ({"enabled_rules": frozenset({"REL"})}, "unknown rule 'REL'"),
+    ({"enabled_overrides": {"REL.FIXD": False}}, "unknown rule 'REL.FIXD'"),
+    ({"enabled_overrides": {"REL": True}}, "unknown rule 'REL'"),
     ({"severity_overrides": {"META.*": "fatal"}}, "bad severity 'fatal'"),
     ({"severity_overrides": {"META": "review"}}, "unknown rule 'META'"),
     ({"typo_column": "feat"}, "bad typo_column 'feat'"),
@@ -773,8 +790,7 @@ def test_lint_config_checks_what_it_is_given(settings, message):
 
 # the fields that take a collection of words or rule ids
 COLLECTION_FIELDS = (
-    "disabled_rules", "enabled_rules", "copula_lemmas", "part_lemmas",
-    "aux_lemmas", "placeholder_x_forms", "placeholder_sym_forms",
+    "copula_lemmas", "part_lemmas", "aux_lemmas", "placeholder_x_forms", "placeholder_sym_forms",
     "relative_markers", "genre_vocab", "dialect_order", "fixed_whitelist",
     "fixed_versioned")
 
@@ -789,6 +805,17 @@ TYPE_CASES = [
      "punct_lemma_exempt must be True or False, not 'no'"),
     ({"punct_lemma_exempt": 1},
      "punct_lemma_exempt must be True or False, not 1"),
+    # a str or an int would be read as a sequence of pairs, and a set of
+    # rule ids as a mapping of each to its letters
+    ({"severity_overrides": "x"}, "severity_overrides must be a mapping, "
+                                  "not 'x'"),
+    ({"enabled_overrides": 5}, "enabled_overrides must be a mapping, not 5"),
+    ({"enabled_overrides": frozenset({"REL.FIXED"})},
+     "enabled_overrides must be a mapping, not frozenset({'REL.FIXED'})"),
+    ({"enabled_overrides": {"LEMMA.*": "no"}},
+     "enabled_overrides['LEMMA.*'] must be True or False, not 'no'"),
+    ({"enabled_overrides": {"LEMMA.MISSING": 0}},
+     "enabled_overrides['LEMMA.MISSING'] must be True or False, not 0"),
 ]
 
 
@@ -796,7 +823,7 @@ TYPE_CASES = [
                          ids=[repr(settings) for settings, _ in TYPE_CASES])
 def test_lint_config_checks_the_types_it_is_given(settings, message):
     # a str passes for the collection of its letters: "se" would be in
-    # copula_lemmas="sein", and "R" an unknown rule in disabled_rules
+    # copula_lemmas="sein"
     for build in (LintConfig, LintConfig()._replace):
         with pytest.raises(TypeError) as exc:
             build(**settings)
@@ -815,8 +842,8 @@ def test_load_config_locates_a_rule_setting_without_an_id(tmp_path):
 def _setting_by_loops(cfg, rule_id):
     """severity and enabling as separate lookups: exact id, then family."""
     keys = (rule_id, rule_id.split(".")[0] + ".*")
-    enabled = next((key in cfg.enabled_rules for key in keys
-                    if key in cfg.enabled_rules | cfg.disabled_rules), True)
+    enabled = next((cfg.enabled_overrides[key] for key in keys
+                    if key in cfg.enabled_overrides), True)
     severity = next((cfg.severity_overrides[key] for key in keys
                      if key in cfg.severity_overrides),
                     RULES_BY_ID[rule_id].default_severity)
@@ -828,12 +855,9 @@ SETTING_KEYS = sorted(RULES_BY_ID) + sorted(RULE_FAMILIES)
 
 @given(st.dictionaries(st.sampled_from(SETTING_KEYS),
                        st.sampled_from(("error", "warning", "review"))),
-       st.frozensets(st.sampled_from(SETTING_KEYS)),
-       st.frozensets(st.sampled_from(SETTING_KEYS)))
-def test_rule_settings_resolve_as_exact_id_then_family(overrides, disabled,
-                                                       enabled):
-    cfg = LintConfig(severity_overrides=overrides, disabled_rules=disabled,
-                     enabled_rules=enabled)
+       st.dictionaries(st.sampled_from(SETTING_KEYS), st.booleans()))
+def test_rule_settings_resolve_as_exact_id_then_family(overrides, enabling):
+    cfg = LintConfig(severity_overrides=overrides, enabled_overrides=enabling)
     for rule_id in RULES_BY_ID:
         assert (cfg.severity(rule_id), rule_id in cfg.enabled_ids) == \
             _setting_by_loops(cfg, rule_id)
@@ -1139,18 +1163,21 @@ def _direct_findings(check: str, cfg: LintConfig) -> list:
 def test_a_check_called_directly_emits_no_disabled_rule(check):
     own = CHECK_RULE_IDS[check]
     assert {d.rule_id for d in _direct_findings(check, LintConfig())} == own
-    assert _direct_findings(check, LintConfig(disabled_rules=own)) == []
-    families = frozenset(rule_id.split(".")[0] + ".*" for rule_id in own)
-    assert _direct_findings(check, LintConfig(disabled_rules=families)) == []
+    off = dict.fromkeys(own, False)
+    assert _direct_findings(check, LintConfig(enabled_overrides=off)) == []
+    families = dict.fromkeys((rule_id.split(".")[0] + ".*" for rule_id in own),
+                             False)
+    assert _direct_findings(check, LintConfig(
+        enabled_overrides=families)) == []
     for rule_id in own:
-        cfg = LintConfig(disabled_rules=frozenset({rule_id}))
+        cfg = LintConfig(enabled_overrides={rule_id: False})
         assert {d.rule_id for d in _direct_findings(check, cfg)} == \
             own - {rule_id}
 
 
 def test_an_id_enabled_in_a_disabled_family_is_emitted():
-    cfg = LintConfig(disabled_rules=frozenset({"LEMMA.*"}),
-                     enabled_rules=frozenset({"LEMMA.NIMMA"}))
+    cfg = LintConfig(enabled_overrides={"LEMMA.*": False,
+                                        "LEMMA.NIMMA": True})
     found = _direct_findings("rules.rule_lemma_conventions", cfg)
     assert {d.rule_id for d in found} == {"LEMMA.NIMMA"}
 
@@ -1206,17 +1233,15 @@ def test_bom_finding_lies_on_the_first_sentences_first_line(golden_text):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.frozensets(st.sampled_from(SETTING_KEYS)),
-       st.frozensets(st.sampled_from(SETTING_KEYS)),
+@given(st.dictionaries(st.sampled_from(SETTING_KEYS), st.booleans()),
        st.dictionaries(st.sampled_from(SETTING_KEYS),
                        st.sampled_from(("error", "warning", "review"))))
 def test_enabling_keeps_the_default_findings_of_enabled_ids(golden_text,
-                                                            disabled, enabled,
+                                                            enabling,
                                                             overrides):
     # what a filter over the default findings would give: those of enabled
     # ids, each with the severity the config gives its rule
-    cfg = LintConfig(severity_overrides=overrides, disabled_rules=disabled,
-                     enabled_rules=enabled)
+    cfg = LintConfig(severity_overrides=overrides, enabled_overrides=enabling)
     everything = lint_documents([_faulty_golden(golden_text)], LintConfig())
     assert lint_documents([_faulty_golden(golden_text)], cfg) == [
         d._replace(severity=cfg.severity(d.rule_id)) for d in everything
