@@ -56,12 +56,20 @@ def not_utf8(name: str, exc: UnicodeDecodeError, lines_before: int = 0) -> str:
             f"0x{exc.object[exc.start]:02x}")
 
 
+# the C0 controls but TAB, DEL, and the other characters str.splitlines
+# ends a line at, as _shown writes them
+_LINE_BREAKING = {code: f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+                  for code in (*range(0x09), *range(0x0a, 0x20), 0x7f, 0x85,
+                               0x2028, 0x2029)}
+
+
 def _shown(name: str | os.PathLike) -> str:
     """A file name as reports and error lines show it: each byte of it that
     is not UTF-8 (a surrogate escape in a name from argv) written as \\xNN,
-    so that the name is UTF-8 text."""
+    so that the name is UTF-8 text, and each character of _LINE_BREAKING as
+    \\xNN or \\uNNNN, so that it is one line."""
     return os.fsdecode(name).encode("utf-8", "surrogateescape").decode(
-        "utf-8", "backslashreplace")
+        "utf-8", "backslashreplace").translate(_LINE_BREAKING)
 
 
 def cannot_read(name: str, exc: OSError) -> str:

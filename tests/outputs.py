@@ -23,7 +23,9 @@ and on all of them in both orders, each without and with CONFIG;
 list-rules without and with CONFIG; tokenize on each text fixture and on
 both; each of those subcommands on each input fault (a missing file, a
 directory, a byte that is not UTF-8, CRLF line ends, a byte-order mark,
-"-" given twice) and on all of them among good files; and the timed and
+"-" given twice) and on all of them among good files; lint in each
+format on an input whose name holds an LF, and lint, stats and tokenize
+on a missing input whose name holds U+2028; and the timed and
 setup command lines of bench/generate.py for each workload at seeds 1 to
 SEEDS.
 """
@@ -92,6 +94,10 @@ def _faults(suffix: str, good: str) -> list[list[str]]:
 
 # the good file of each fault kind, which is also its standard input
 FAULT_INPUTS = {".conllu": "golden.conllu", ".txt": "golden_tokenize.txt"}
+# names that break a line unless they are shown escaped: a copy of
+# durch_des_fixed.conllu, which has findings, and a missing input
+LF_NAME = "durch\ndes.conllu"
+LS_MISSING = "missing\u2028file.conllu"
 
 
 def cases() -> list[Case]:
@@ -121,6 +127,10 @@ def cases() -> list[Case]:
                 add([sub, "--format", fmt, *files], FAULT_INPUTS[".conllu"])
     for files in _faults(".txt", FAULT_INPUTS[".txt"]):
         add(["tokenize", *files], FAULT_INPUTS[".txt"])
+    for fmt in FORMATS:
+        add(["lint", "--format", fmt, LF_NAME])
+    for sub in ("lint", "stats", "tokenize"):
+        add([sub, LS_MISSING])
 
     generate = _generator()
     for seed in range(1, SEEDS + 1):
@@ -143,6 +153,8 @@ def write_inputs(directory: Path) -> dict:
     each benchmark row by its key."""
     for name in CONLLU + TEXTS:
         (directory / name).write_bytes((FIXTURES / name).read_bytes())
+    (directory / LF_NAME).write_bytes(
+        (FIXTURES / "durch_des_fixed.conllu").read_bytes())
     for name, text in CONFIG_FILES.items():
         (directory / name).write_text(text, encoding="utf-8")
     for suffix, good in FAULT_INPUTS.items():
@@ -211,8 +223,9 @@ def run_case(case: Case, bench_argv: dict) -> tuple[str, str, str, str]:
 def read_table(path: Path = TABLE) -> dict[str, tuple[str, str, str, str]]:
     """The committed rows by key field, in table order."""
     rows = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.startswith("#"):
+    # split at LF only: a key may hold U+2028, which splitlines splits at
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        if line and not line.startswith("#"):
             row = tuple(line.split("\t"))
             rows[row[0]] = row
     return rows

@@ -134,7 +134,8 @@ def test_tsv_rows_keep_eight_fields(tmp_path):
     rows = out.split("\n")
     assert rows.pop() == ""
     assert [len(row.split("\t")) for row in rows] == [8] * 7
-    name = str(tmp_path / "x\\ty\\nz.conllu")
+    # the name shows its LF as \x0a, and TSV escapes that backslash
+    name = str(tmp_path / "x\\ty\\\\x0az.conllu")
     assert {tuple(row.split("\t")[:3:2]) for row in rows[1:]} == {
         (name, "a\\tb\\rc")}
 
@@ -1210,6 +1211,66 @@ def test_names_that_are_not_utf8_are_shown_with_escapes(tmp_path,
     assert err == (
         f"error: cannot read v\\xff.conllu: {os.strerror(errno.ENOENT)}\n"
         "error: w\\xff.conllu:1: not UTF-8: invalid start byte 0xff\n")
+
+
+# str.splitlines ends a line at each of these; so does a terminal or a
+# line-reading tool at the first
+LINE_BREAKING_CLASSES = {"LF": "\n", "CR": "\r", "VT and FF": "\x0b\x0c",
+                         "FS to RS": "\x1c\x1d\x1e", "NEL": "\x85",
+                         "LS and PS": "\u2028\u2029", "DEL": "\x7f"}
+
+
+@pytest.mark.parametrize("chars", LINE_BREAKING_CLASSES.values(),
+                         ids=LINE_BREAKING_CLASSES.keys())
+def test_names_with_line_breaking_characters_stay_on_one_line(
+        tmp_path, monkeypatch, chars):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    for char in chars:
+        escape = (f"\\x{ord(char):02x}" if ord(char) < 0x100
+                  else f"\\u{ord(char):04x}")
+        name = f"a{char}b.conllu"
+        Path(name).write_text(BAD_UPOS_FILE + BAD_UPOS_FILE.replace(
+            "x-1", "x-2"), encoding="utf-8")
+        shown = f"a{escape}b.conllu"
+        code, out, err = run_cli(["lint", "--format", "json", name])
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["summary"]["files"] == [shown]
+        assert {d["file"] for d in report["findings"]} == {shown}
+        code, out, err = run_cli(["lint", name])
+        assert (code, err) == (1, "")
+        assert len(out.splitlines()) == len(report["findings"]) == 2
+        assert all(line.startswith(f"{shown}:") for line in out.splitlines())
+        code, out, err = run_cli(["lint", "--format", "tsv", name])
+        rows = out.splitlines()[1:]
+        assert (code, err, len(rows)) == (1, "", 2)
+        assert {row.split("\t")[0] for row in rows} == {
+            cli._tsv_field(shown)}
+        assert run_cli(["stats", name])[::2] == (0, "")
+        # a stem escapes LF and CR as a TSV field does, the rest as names
+        Path(f"t{char}.txt").write_text("Servus\n", encoding="utf-8")
+        code, out, err = run_cli(["tokenize", f"t{char}.txt"])
+        assert (code, err) == (0, "")
+        stem = cli._tsv_field(char) if char in "\r\n" else escape
+        assert out.startswith(f"# sent_id = t{stem}-1\n")
+        # one error line per fault: missing inputs, and a word list
+        missing = f"m{char}.conllu"
+        reason = os.strerror(errno.ENOENT)
+        for argv in (["lint", missing, missing], ["stats", missing, missing],
+                     ["tokenize", missing, missing]):
+            code, _, err = run_cli(argv)
+            assert code == 2
+            assert err.splitlines() == 2 * [
+                f"error: cannot read m{escape}.conllu: {reason}"]
+        if char not in "\r\n":  # the ends of a config line
+            Path("list.conf").write_text(f"lexicon.aux.path = w{char}x.txt\n",
+                                         encoding="utf-8")
+            code, _, err = run_cli(["lint", "--config", "list.conf", name])
+            assert code == 2
+            assert err.splitlines() == [
+                f"error: list.conf:1: cannot read {tmp_path}/w{escape}x.txt: "
+                f"{reason}"]
 
 
 def _side_file_errors(argv, name, text):
