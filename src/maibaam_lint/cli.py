@@ -616,6 +616,7 @@ def cmd_list_rules(opts: RunOptions) -> int:
             cfg.severity(rule.rule_id),
             rule.guideline_ref or "structural",
             rule.description,
+            "on" if rule.rule_id in cfg.enabled_ids else "off",
         ]), file=opts.output)
     return 0
 

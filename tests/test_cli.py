@@ -233,8 +233,8 @@ def test_list_rules_subcommand_and_flag():
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == len(RULES)
-    first = lines[0].split("\t")
-    assert len(first) == 4
+    assert {len(line.split("\t")) for line in lines} == {5}
+    assert {line.split("\t")[4] for line in lines} == {"on"}
     assert any(line.split("\t")[0] == "CLASS.COP" and "§6.6" in line
                for line in lines)
     for flag in ("--list-rules", "--l"):
@@ -1480,6 +1480,19 @@ def test_abbreviations_still_go_through_argparse():
     code, out, imported = _console_run(["--l"])
     assert "argparse" in imported
     assert (code, out) == (0, run_cli(["list-rules"])[1])
+
+
+def test_list_rules_shows_whether_each_rule_is_on(tmp_path):
+    conf = tmp_path / "lint.conf"
+    conf.write_text("rule.REVIEW.*.enabled=false\n"
+                    "rule.LEMMA.*.enabled=false\n"
+                    "rule.LEMMA.NIMMA.enabled=true\n", encoding="utf-8")
+    code, out, _ = run_cli(["list-rules", "--config", str(conf)])
+    assert code == 0
+    off = {line.split("\t")[0] for line in out.splitlines()
+           if line.split("\t")[4] == "off"}
+    assert off == {"REVIEW.IOBJ", "REVIEW.APPOS_ORDER", "LEMMA.MISSING",
+                   "LEMMA.ON_MWT"}
 
 
 def test_family_severity_in_lint_and_list_rules(tmp_path):
