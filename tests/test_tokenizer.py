@@ -15,9 +15,12 @@ from maibaam_lint.rules import validate_structure
 from maibaam_lint import tokenizer
 from maibaam_lint.tokenizer import (
     AGREEMENT_SUFFIXES,
+    APOSTROPHES,
     KIND_INTACT,
     KIND_MWT,
     KIND_SPACE_AFTER_NO,
+    LEADING_PUNCT,
+    TRAILING_PUNCT,
     EmptyInputError,
     TokenizerLexicon,
     attach_skeleton_heads,
@@ -218,6 +221,30 @@ def test_tokenize_reconstruct_identity(lex):
     ]:
         s = tokenize_sentence(raw, lex)
         assert reconstruct_text(s) == " ".join(raw.split())
+
+
+# a tokenize line: runs of spaces around units, each one or two lexicon
+# surfaces or runs of digits, dashes, apostrophes and letters, with
+# punctuation the tokenizer may detach on either side
+_LEXICON = default_lexicon()
+_PIECES = st.sampled_from(sorted({surface for name in TokenizerLexicon._fields
+                                  for surface in getattr(_LEXICON, name)})) | \
+    st.text(alphabet="0123456789-–ab" + APOSTROPHES, min_size=1, max_size=4)
+_UNITS = st.tuples(
+    st.text(alphabet=sorted(LEADING_PUNCT), max_size=2),
+    st.lists(_PIECES, min_size=1, max_size=2).map("".join),
+    st.text(alphabet=sorted(TRAILING_PUNCT), max_size=2)).map("".join)
+_SPACES = st.text(alphabet=" ", min_size=1, max_size=3)
+_LINES = st.lists(st.tuples(_SPACES, _UNITS).map("".join), min_size=1,
+                  max_size=8).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_LINES)
+def test_tokenize_text_is_the_line_with_its_spaces_collapsed(line):
+    # tokenize writes reconstruct_text as a sentence's # text
+    assert reconstruct_text(tokenize_sentence(line, _LEXICON)) == \
+        " ".join(line.split())
 
 
 def test_tokenize_username_hint(lex):
