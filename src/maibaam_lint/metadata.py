@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from urllib.parse import urlparse
 
 from .conllu import Diagnostic, Sentence, reconstruct_text
 from .rules import _DEFAULT_CONFIG, URL_GENRES, LintConfig, finding
@@ -22,6 +21,9 @@ _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 def _is_absolute_url(value: str) -> bool:
     """Whether value has a scheme and a host. A value urlparse cannot
     parse, such as "http://[oops", is not one."""
+    # imported here, where only wiki and social sources need it: it is a
+    # quarter of the package's import time
+    from urllib.parse import urlparse
     try:
         parsed = urlparse(value)
     except ValueError:
