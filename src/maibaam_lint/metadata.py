@@ -21,8 +21,8 @@ _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 def _is_absolute_url(value: str) -> bool:
     """Whether value has a scheme and a host. A value urlparse cannot
     parse, such as "http://[oops", is not one."""
-    # imported here, where only wiki and social sources need it: it is a
-    # quarter of the package's import time
+    # imported here, where only wiki and social sources need it, so that
+    # start-up does not load it
     from urllib.parse import urlparse
     try:
         parsed = urlparse(value)

@@ -1213,8 +1213,8 @@ def test_names_that_are_not_utf8_are_shown_with_escapes(tmp_path,
         "error: w\\xff.conllu:1: not UTF-8: invalid start byte 0xff\n")
 
 
-# str.splitlines ends a line at each of these; so does a terminal or a
-# line-reading tool at the first
+# the classes of characters _shown escapes: those str.splitlines ends a
+# line at (a terminal or a line-reading tool at LF and CR), and DEL
 LINE_BREAKING_CLASSES = {"LF": "\n", "CR": "\r", "VT and FF": "\x0b\x0c",
                          "FS to RS": "\x1c\x1d\x1e", "NEL": "\x85",
                          "LS and PS": "\u2028\u2029", "DEL": "\x7f"}

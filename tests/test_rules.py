@@ -788,10 +788,10 @@ def test_lint_config_checks_what_it_is_given(settings, message):
     assert str(exc.value) == message
 
 
-# the fields that take a collection of words or rule ids
+# the fields that take a collection of words
 COLLECTION_FIELDS = (
-    "copula_lemmas", "part_lemmas", "aux_lemmas", "placeholder_x_forms", "placeholder_sym_forms",
-    "relative_markers", "genre_vocab", "dialect_order", "fixed_whitelist",
+    "copula_lemmas", "part_lemmas", "aux_lemmas", "placeholder_x_forms",
+    "placeholder_sym_forms", "relative_markers", "genre_vocab", "dialect_order", "fixed_whitelist",
     "fixed_versioned")
 
 
@@ -805,8 +805,7 @@ TYPE_CASES = [
      "punct_lemma_exempt must be True or False, not 'no'"),
     ({"punct_lemma_exempt": 1},
      "punct_lemma_exempt must be True or False, not 1"),
-    # a str or an int would be read as a sequence of pairs, and a set of
-    # rule ids as a mapping of each to its letters
+    # dict() would read a str or a set of ids as a sequence of pairs
     ({"severity_overrides": "x"}, "severity_overrides must be a mapping, "
                                   "not 'x'"),
     ({"enabled_overrides": 5}, "enabled_overrides must be a mapping, not 5"),
