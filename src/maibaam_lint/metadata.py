@@ -19,16 +19,21 @@ _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 
 
 def _is_absolute_url(value: str) -> bool:
-    """Whether value has a scheme and a host. A value urlparse cannot
-    parse, such as "http://[oops", is not one."""
+    """Whether value has a scheme and a host. A value urlsplit cannot
+    parse, such as "http://[oops", is not one.
+
+    urlsplit answers as urlparse would: urlparse takes its scheme and netloc
+    from urlsplit, and raises only the ValueErrors urlsplit raises; what it
+    adds, splitting ";params" off the path, this check never reads.
+    """
     # imported here, where only wiki and social sources need it, so that
     # start-up does not load it
-    from urllib.parse import urlparse
+    from urllib.parse import urlsplit
     try:
-        parsed = urlparse(value)
+        parts = urlsplit(value)
     except ValueError:
         return False
-    return bool(parsed.scheme) and bool(parsed.netloc)
+    return bool(parts.scheme) and bool(parts.netloc)
 
 
 def validate_metadata(s: Sentence,

@@ -545,12 +545,13 @@ def rule_aux_closed_class(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     return diags
 
 
-def _matches_sequence(span: list[Token], entry: tuple[str, ...]) -> bool:
+# span holds each token's casefolded form and GermanLemma ("" if none)
+def _matches_sequence(span: list[tuple[str, str]],
+                      entry: tuple[str, ...]) -> bool:
     if len(span) != len(entry):
         return False
-    for t, word in zip(span, entry):
-        w = word.casefold()
-        if t.form.casefold() != w and (t.german_lemma or "").casefold() != w:
+    for folded, word in zip(span, entry):
+        if word.casefold() not in folded:
             return False
     return True
 
@@ -569,13 +570,16 @@ def rule_fixed_whitelist(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
             continue
         span = [head] + deps
         words = " ".join(t.form for t in span)
-        if any(_matches_sequence(span, e) for e in cfg.fixed_versioned):
+        # folded once here, not once per whitelist entry
+        folded = [(t.form.casefold(), (t.german_lemma or "").casefold())
+                  for t in span]
+        if any(_matches_sequence(folded, e) for e in cfg.fixed_versioned):
             if cfg.version_at_least("2.17"):
                 finding(diags, cfg, s, "REL.FIXED",
                         f'"{words}" is no longer annotated as a '
                         f"fixed expression", head)
             continue
-        if not any(_matches_sequence(span, e) for e in cfg.fixed_whitelist):
+        if not any(_matches_sequence(folded, e) for e in cfg.fixed_whitelist):
             finding(diags, cfg, s, "REL.FIXED",
                     f'"{words}" is not a whitelisted fixed expression', head)
     return diags
@@ -612,16 +616,18 @@ def rule_lemma_conventions(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     diags = []
     for t in s.tokens:
         misc = t.misc
-        lemma = (column_value(misc, "GermanLemma")
-                 if "GermanLemma=" in misc else None)
-        if lemma is None:
+        # an entry starts the column or follows a "|"; its value is read
+        # only for the one form whose lemma is checked
+        if not ("GermanLemma=" in misc and (
+                misc.startswith("GermanLemma=") or "|GermanLemma=" in misc)):
             if t.deprel == "goeswith":
                 continue
             if t.upos == "PUNCT" and cfg.punct_lemma_exempt:
                 continue
             finding(diags, cfg, s, "LEMMA.MISSING",
                     "token has no GermanLemma", t)
-        elif t.form.casefold() == "nimma" and lemma != "nicht mehr":
+        elif t.form.casefold() == "nimma" and (lemma := column_value(
+                misc, "GermanLemma")) != "nicht mehr":
             finding(diags, cfg, s, "LEMMA.NIMMA",
                     f'"nimma" must be lemmatized "nicht mehr", '
                     f"got {lemma!r}", t)
@@ -679,17 +685,17 @@ def rule_mwt_shape(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
 def rule_placeholder_tags(s: Sentence, cfg: LintConfig) -> list[Diagnostic]:
     """CLASS.USERNAME / CLASS.PLACEHOLDER: dummy token tagging."""
     diags = []
+    x_forms, sym_forms = cfg.placeholder_x_forms, cfg.placeholder_sym_forms
     for t in s.tokens:
         if t.form == "USERNAME":
             if t.upos != "PROPN":
                 finding(diags, cfg, s, "CLASS.USERNAME",
                         f"USERNAME must be PROPN, got {t.upos}", t)
-        elif t.form in cfg.placeholder_x_forms and t.upos != "X":
+        elif t.form in x_forms and t.upos != "X":
             finding(diags, cfg, s, "CLASS.PLACEHOLDER",
                     f"{t.form!r} looks like a dummy placeholder; "
                     f"those are tagged X", t)
-        elif t.form in cfg.placeholder_sym_forms and \
-                t.upos not in ("SYM", "PUNCT"):
+        elif t.form in sym_forms and t.upos not in ("SYM", "PUNCT"):
             finding(diags, cfg, s, "CLASS.PLACEHOLDER",
                     f"{t.form!r} used as a name placeholder is tagged SYM", t)
     return diags
