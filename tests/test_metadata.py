@@ -1,8 +1,13 @@
+from urllib.parse import urlparse
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maibaam_lint.conllu import Diagnostic, Document, Sentence, Token
 from maibaam_lint.metadata import (
     REQUIRED_KEYS,
+    _is_absolute_url,
     check_unique_sent_ids,
     validate_metadata,
 )
@@ -88,12 +93,38 @@ def test_source_url_for_wiki_and_social_only():
         genre="social", source="https://bar.wikipedia.org/wiki/Diskussion:Minga")) == []
 
 
-@pytest.mark.parametrize("source", ["http://[oops", "https://[::1/x"])
+@pytest.mark.parametrize("source, absolute", [
+    ("http://h/p;x", True),  # a ;parameter is part of the path
+    (" https://h", True),  # the stdlib strips leading spaces
+    ("//h/x", False),  # no scheme
+    ("mailto:a@b", False),  # no host
+])
+def test_a_source_needs_a_scheme_and_a_host(source, absolute):
+    found = ids(validate_metadata(one_token_sentence(source=source)))
+    assert found == ([] if absolute else ["META.SOURCE"])
+
+
+@pytest.mark.parametrize("source", ["http://[oops", "https://[::1/x",
+                                    "http://a]b"])
 def test_unparseable_source_is_not_an_absolute_url(source):
-    # urlparse raises ValueError for an unclosed IPv6 host
+    # urlsplit raises ValueError for an unbalanced IPv6 bracket
+    with pytest.raises(ValueError):
+        urlparse(source)
     diags = validate_metadata(one_token_sentence(source=source))
     assert ids(diags) == ["META.SOURCE"]
     assert repr(source) in diags[0].message
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(st.sampled_from(":/[]@;?# hx"), max_size=12))
+def test_is_absolute_url_answers_as_urlparse_does(value):
+    try:
+        parsed = urlparse(value)
+    except ValueError:
+        expected = False
+    else:
+        expected = bool(parsed.scheme and parsed.netloc)
+    assert _is_absolute_url(value) == expected
 
 
 def test_text_mismatch():

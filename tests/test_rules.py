@@ -36,6 +36,7 @@ from maibaam_lint.rules import (
     finding,
     lint_sentence,
     load_config,
+    rule_lemma_conventions,
     validate_structure,
 )
 
@@ -157,6 +158,30 @@ def test_fixed_gap_rejected():
              ("boa", "ADJ", 1, "fixed", "paar"),
              ("Leid", "NOUN", 0, "root", "Leute"))
     assert "REL.FIXED" in ids(lint_sentence(s))
+
+
+@pytest.mark.parametrize("head, dep", [
+    (("EIN", None), ("BISSCHEN", None)),
+    (("ein", None), ("bißchen", None)),  # "ß" casefolds to "ss"
+    (("a", "ein"), ("bissl", "bisschen")),
+], ids=["upper case", "sharp s", "by lemma"])
+def test_fixed_spans_match_casefolded_forms_or_lemmas(head, dep):
+    s = sent((head[0], "DET", 4, "det", head[1]),
+             (dep[0], "NOUN", 1, "fixed", dep[1]),
+             ("guad", "ADJ", 4, "amod", "gut"),
+             ("Leid", "NOUN", 0, "root", "Leute"))
+    assert "REL.FIXED" not in ids(lint_sentence(s))
+
+
+def test_a_versioned_span_matched_by_its_lemmas_is_gated():
+    # neither form is listed; the lemmas spell "durch das"
+    s = sent(("dua", "ADP", 3, "obl", "durch"),
+             ("de", "PRON", 1, "fixed", "das"),
+             ("arwat", "VERB", 0, "root", "arbeiten"))
+    assert "REL.FIXED" not in ids(
+        lint_sentence(s, LintConfig(guideline_version="2.16")))
+    found = [d.message for d in lint_sentence(s) if d.rule_id == "REL.FIXED"]
+    assert found == ['"dua de" is no longer annotated as a fixed expression']
 
 
 def durch_des_sentence():
@@ -325,6 +350,10 @@ def test_typo_correct_space_pairing():
     ("CorrectSpaceAfter=Yes", False, None, "Yes"),
     ("CorrectSpaceAfter=Yes|SpaceAfter=No", True, None, "Yes"),
     ("A=1|CorrectSpaceAfter=Yes", False, None, "Yes"),
+    ("a|XGermanLemma=b", False, None, None),
+    ("A=GermanLemma=b", False, None, None),
+    ("GermanLemma", False, None, None),
+    ("A=1|GermanLemma=nimmer", False, "nimmer", None),
 ])
 def test_misc_keys_are_read_at_entry_boundaries(misc, glued, lemma,
                                                 correct_space):
@@ -341,6 +370,52 @@ def test_misc_keys_are_read_at_entry_boundaries(misc, glued, lemma,
     assert (("LEMMA.MISSING", 1) in found) == (lemma is None)
     assert (("TYPO.CORRECT_SPACE", 1) in found) == \
         (correct_space == "Yes" and not glued)
+    # on a "nimma" token, LEMMA.NIMMA quotes the entry's value
+    nimma = Sentence(tokens=[Token(id=1, form="nimma", upos="ADV", head=0,
+                                   deprel="root", misc=misc)])
+    assert [d.message for d in lint_sentence(nimma)
+            if d.rule_id == "LEMMA.NIMMA"] == (
+        [] if lemma is None else
+        [f'"nimma" must be lemmatized "nicht mehr", got {lemma!r}'])
+
+
+def _lemma_conventions_reference(s, cfg):
+    """rule_lemma_conventions as a loop over column_value on every token."""
+    diags = []
+    for t in s.tokens:
+        lemma = column_value(t.misc, "GermanLemma")
+        if lemma is None:
+            if t.deprel == "goeswith":
+                continue
+            if t.upos == "PUNCT" and cfg.punct_lemma_exempt:
+                continue
+            finding(diags, cfg, s, "LEMMA.MISSING",
+                    "token has no GermanLemma", t)
+        elif t.form.casefold() == "nimma" and lemma != "nicht mehr":
+            finding(diags, cfg, s, "LEMMA.NIMMA",
+                    f'"nimma" must be lemmatized "nicht mehr", '
+                    f"got {lemma!r}", t)
+    return diags
+
+
+MISC_FRAGMENTS = ("GermanLemma=", "|", "=", "x", "nicht mehr",
+                  "SpaceAfter=No", "_")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(
+    st.sampled_from(("nimma", "NIMMA", "Nimma", "a")),
+    st.sampled_from(("ADV", "PUNCT")),
+    st.sampled_from(("root", "goeswith")),
+    st.lists(st.sampled_from(MISC_FRAGMENTS), min_size=1,
+             max_size=6).map("".join)), min_size=1, max_size=4))
+def test_lemma_conventions_finds_what_column_value_finds(rows):
+    s = Sentence(tokens=[
+        Token(id=i, form=form, upos=upos, head=0, deprel=deprel, misc=misc)
+        for i, (form, upos, deprel, misc) in enumerate(rows, 1)])
+    cfg = LintConfig()
+    assert rule_lemma_conventions(s, cfg) == \
+        _lemma_conventions_reference(s, cfg)
 
 
 def test_typo_without_goeswith_is_review():
