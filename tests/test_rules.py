@@ -163,8 +163,8 @@ def test_fixed_gap_rejected():
 @pytest.mark.parametrize("head, dep", [
     (("EIN", None), ("BISSCHEN", None)),
     (("ein", None), ("bißchen", None)),  # "ß" casefolds to "ss"
-    (("a", "ein"), ("bissl", "bisschen")),
-], ids=["upper case", "sharp s", "by lemma"])
+    (("a", "Ein"), ("bissl", "Bisschen")),
+], ids=["upper case form", "sharp s", "capitalized lemma"])
 def test_fixed_spans_match_casefolded_forms_or_lemmas(head, dep):
     s = sent((head[0], "DET", 4, "det", head[1]),
              (dep[0], "NOUN", 1, "fixed", dep[1]),
