@@ -172,9 +172,10 @@ _MWT_COLUMNS = ("surface_form", "misc") + ("other_cols",) * 7
 
 def _check_columns(names: tuple[str, ...], cols: tuple[str, ...]) -> None:
     """Reject a raw column the parser would not read back: an empty one, one
-    holding a tab or LF, or a misc (the last column) ending in CR, which
-    would write a CRLF line end. Printable text passes at once; other text
-    is checked column by column."""
+    holding a tab or LF, or a misc (the last column of a row) ending in CR,
+    which would write a CRLF line end. names holds the name of each column
+    in cols, so that one call can check several rows. Printable text
+    passes at once; other text is checked column by column."""
     if "" in cols or not "".join(cols).isprintable():
         for name, col in zip(names, cols):
             if (not col or "\t" in col or "\n" in col
@@ -578,8 +579,11 @@ def _sentence_lines(s: Sentence) -> list[str]:
             raise ValueError(f"bad metadata entry {entry!r}: not written "
                              "as one comment line")
         key = entry[0]
+        # every ASCII identifier, sent_id and text among them, matches
+        # _METADATA_KEY_RE; testing for one first is cheaper than the match
         if (_METADATA_RE.match(line) if key is None
-                else not _METADATA_KEY_RE.fullmatch(key)):
+                else not (key.isidentifier() and key.isascii()
+                          or _METADATA_KEY_RE.fullmatch(key))):
             m = _METADATA_RE.match(line)
             raise ValueError(f"bad metadata entry {entry!r}: read back as "
                              f"{m.groups() if m else (None, line)!r}")

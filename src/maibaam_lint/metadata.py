@@ -20,12 +20,18 @@ _UNK_ELABORATION_RE = re.compile(r"^unk \((.+)\)$")
 
 def _is_absolute_url(value: str) -> bool:
     """Whether value has a scheme and a host. A value urlsplit cannot
-    parse, such as "http://[oops", is not one.
+    parse, such as "http://[oops", is not one, and neither is one that
+    holds a space or a character that is not printable: urlsplit would
+    strip such a character from its ends or drop it, and it does not
+    check the host's characters, so " https://h" and
+    "https://exa mple.org" would pass.
 
     urlsplit answers as urlparse would: urlparse takes its scheme and netloc
     from urlsplit, and raises only the ValueErrors urlsplit raises; what it
     adds, splitting ";params" off the path, this check never reads.
     """
+    if " " in value or not value.isprintable():
+        return False
     # imported here, where only wiki and social sources need it, so that
     # start-up does not load it
     from urllib.parse import urlsplit

@@ -37,7 +37,9 @@ _NUMBER_UNIT_RE = re.compile(r"^(\d+(?:[.,]\d+)?)([^\W\d_]+)$")
 AGREEMENT_SUFFIXES = ("sd", "st", "ds")
 FULL_1PL_PRONOUNS = frozenset({"mia", "mir"})
 
-# the Token columns a tokenizer row sets; the others are constants
+# the Token columns a tokenizer row sets; the others are constants.
+# _segment_unit checks all rows of a unit in one _check_columns call, with
+# these names repeated once per row
 _ROW_COLUMNS = ("form", "upos", "misc")
 
 # each lexicon kind -> (the TokenizerLexicon table it fills, what an entry
@@ -437,8 +439,20 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
     form, UPOS and MISC of each token in order, columns that pass Token's
     checks, then the unit's multi-word token as (first, last, surface,
     MISC) with token positions counted from 1 within the unit, or None.
+
+    A unit of letters only holds no outer punctuation and no digit, so it
+    is its own core: segment_token runs on it once, and when it stays one
+    token without a hint its tuple is (unit, "X", "_", None), the row the
+    steps below would build, which letters always pass.
     """
-    leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
+    if unit.isalpha():
+        seg = segment_token(unit, lexicon, nxt)
+        if seg.kind == KIND_INTACT and seg.parts[0][1] is None:
+            return (unit, "X", "_", None)
+        leading, core, trailing = (), unit, ()
+    else:
+        seg = None
+        leading, core, trailing = _strip_punct(unit, lexicon, nxt is None)
     pieces: list[Part] = [(ch, _default_hint(ch)) for ch in leading]
     mwt = range(0)
     # both patterns start with \d, which matches exactly what isdecimal does
@@ -453,7 +467,7 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
         pieces.append((unit_match.group(1), "NUM"))
         pieces.append((unit_match.group(2), "NOUN"))
     else:
-        seg = segment_token(core, lexicon, nxt)
+        seg = seg or segment_token(core, lexicon, nxt)
         if seg.kind == KIND_MWT:
             mwt = range(len(pieces), len(pieces) + len(seg.parts))
             pieces.extend(seg.parts)
@@ -464,14 +478,15 @@ def _segment_unit(unit: str, nxt: str | None, lexicon: TokenizerLexicon):
         pieces.append((ch, _default_hint(ch)))
 
     # pieces of one unit are glued together, whitespace follows the
-    # last; an MWT carries its SpaceAfter=No on the span line
+    # last; an MWT carries its SpaceAfter=No on the span line. The rows
+    # are checked together, which raises for the first bad column as a
+    # check of each row in turn would
     last = len(pieces) - 1
     columns = []
     for i, (form, hint) in enumerate(pieces):
-        row = (form, hint or "X",
-               "_" if i == last or i in mwt else "SpaceAfter=No")
-        _check_columns(_ROW_COLUMNS, row)
-        columns.extend(row)
+        columns += (form, hint or "X",
+                    "_" if i == last or i in mwt else "SpaceAfter=No")
+    _check_columns(_ROW_COLUMNS * len(pieces), columns)
     span = None
     if mwt:
         span = (mwt.start + 1, mwt.stop, core,
@@ -494,7 +509,9 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
     each distinct (unit, bits) is segmented once per lexicon, and its token
     columns are checked once. The memo keys the common case, a next unit
     with neither bit, by the unit string alone, and the others by a tuple,
-    so most lookups build no key.
+    so most lookups build no key. The tokens of a unit are built with
+    _unchecked_token from its entry, read by index: row i's form, UPOS
+    and MISC are at 3 * i, 3 * i + 1 and 3 * i + 2.
     """
     if not raw.strip():
         raise EmptyInputError("input is empty or whitespace-only")
@@ -523,12 +540,11 @@ def tokenize_sentence(raw: str, lexicon: TokenizerLexicon) -> Sentence:
             entry = memo[key] = _segment_unit(unit, nxt, lexicon)
 
         base = len(tokens)
-        # zip stops at the span, which is left after the last whole row
-        columns = iter(entry)
-        for token_id, (form, upos, misc) in enumerate(
-                zip(columns, columns, columns), base + 1):
-            tokens.append(_unchecked_token(token_id, form, "_", upos, "_", "_",
-                                           0, "dep", "_", misc, 0))
+        # row i starts at entry[3 * i]; the span is left after the last row
+        for i in range(0, len(entry) - 1, 3):
+            tokens.append(_unchecked_token(base + i // 3 + 1, entry[i], "_",
+                                           entry[i + 1], "_", "_", 0, "dep",
+                                           "_", entry[i + 2], 0))
         span = entry[-1]
         if span:
             first, last, core, misc = span

@@ -95,6 +95,7 @@ def test_metadata_is_the_one_record_of_the_comment_block():
     # read back as another entry
     ("my key", "v"),            # as (None, "# my key = v")
     ("1k", "v"),
+    ("kä", "v"),                # an identifier, but not ASCII
     ("", "v"),
     ("k = x", "v"),             # as ("k", "x = v")
     (None, "# sent_id = x"),    # as ("sent_id", "x")

@@ -93,7 +93,13 @@ def test_source_url_for_wiki_and_social_only():
         genre="social", source="https://bar.wikipedia.org/wiki/Diskussion:Minga")) == []
     for source, absolute in [
             ("http://h/p;x", True),  # a ;parameter is part of the path
-            (" https://h", True),  # the stdlib strips leading spaces
+            # urlsplit strips a leading space or control, drops a tab and
+            # does not check the host's characters
+            (" https://h", False),
+            ("http:// h", False),
+            ("https://exa mple.org/x", False),
+            ("https://h\t", False),
+            ("\x01https://h", False),
             ("//h/x", False),  # no scheme
             ("mailto:a@b", False)]:  # no host
         assert ids(validate_metadata(one_token_sentence(source=source))) == \
@@ -111,15 +117,23 @@ def test_unparseable_source_is_not_an_absolute_url(source):
     assert repr(source) in diags[0].message
 
 
+_URL_CHARS = st.sampled_from(":/[]@;?# hx\t\x01")
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.text(st.sampled_from(":/[]@;?# hx"), max_size=12))
+@given(st.text(_URL_CHARS, max_size=12) | st.tuples(
+    st.text(_URL_CHARS, max_size=3), st.sampled_from(["h://x", "hx://h/x"]),
+    st.text(_URL_CHARS, max_size=3)).map("".join))
 def test_is_absolute_url_answers_as_urlparse_does(value):
+    # as urlparse does, for a value without a space or a character that is
+    # not printable
     try:
         parsed = urlparse(value)
     except ValueError:
         expected = False
     else:
         expected = bool(parsed.scheme and parsed.netloc)
+    expected = expected and value.isprintable() and " " not in value
     assert _is_absolute_url(value) == expected
 
 

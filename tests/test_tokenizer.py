@@ -1,6 +1,7 @@
 import os
 import random
 import re
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maibaam_lint.conllu import Token, column_value, reconstruct_text
+from maibaam_lint.conllu import (MwtSpan, Token, column_value,
+                                 reconstruct_text)
 from maibaam_lint.rules import validate_structure
 from maibaam_lint import tokenizer
 from maibaam_lint.tokenizer import (
@@ -1057,6 +1059,49 @@ def _segment_oracle(surface, lexicon, next_surface=None):
     return tokenizer._intact(surface)
 
 
+def _segment_unit_oracle(unit, nxt, lexicon):
+    """_segment_unit before letters-only units skipped _strip_punct and each
+    row had its own column check; kept as the reference for that path."""
+    leading, core, trailing = tokenizer._strip_punct(unit, lexicon,
+                                                     nxt is None)
+    pieces = [(ch, tokenizer._default_hint(ch)) for ch in leading]
+    mwt = range(0)
+    numeric = unit_match = None
+    if core[0].isdecimal():
+        numeric = tokenizer._RANGE_RE.match(core)
+        unit_match = tokenizer._NUMBER_UNIT_RE.match(core)
+    if numeric:
+        pieces.extend(zip(numeric.groups(), ("NUM", "ADP", "NUM")))
+    elif unit_match and \
+            fold_apostrophes(unit_match.group(2)).lower() in lexicon.units:
+        pieces.append((unit_match.group(1), "NUM"))
+        pieces.append((unit_match.group(2), "NOUN"))
+    else:
+        seg = segment_token(core, lexicon, nxt)
+        if seg.kind == KIND_MWT:
+            mwt = range(len(pieces), len(pieces) + len(seg.parts))
+            pieces.extend(seg.parts)
+        else:
+            for form, hint in seg.parts:
+                pieces.append((form, hint or tokenizer._default_hint(form)))
+    for ch in trailing:
+        pieces.append((ch, tokenizer._default_hint(ch)))
+
+    last = len(pieces) - 1
+    columns = []
+    for i, (form, hint) in enumerate(pieces):
+        row = (form, hint or "X",
+               "_" if i == last or i in mwt else "SpaceAfter=No")
+        tokenizer._check_columns(tokenizer._ROW_COLUMNS, row)
+        columns.extend(row)
+    span = None
+    if mwt:
+        span = (mwt.start + 1, mwt.stop, core,
+                "SpaceAfter=No" if mwt.stop <= last else "_")
+    columns.append(span)
+    return tuple(columns)
+
+
 PLAIN_WORDS = ("Haus", "Minga", "kummst", "Beispiel", "a", "s", "ma", "Oa",
                "Dogs", "ÄPFE", "Wuidsau", "İx", "8kg", "x'", "'", "–")
 
@@ -1109,11 +1154,29 @@ def _token_columns(t):
 
 
 def test_skeleton_tokens_equal_constructed_tokens(lex):
+    # every token tokenize_sentence builds, on a miss and on a hit, equals
+    # the Token the checked constructor builds from its columns, and from
+    # the rows of _segment_unit_oracle
     warm = _cold(lex)
     sentences = _random_sentences(_lexicon_forms(lex), 300, seed=8)
+    sentences += ["håmas nimma gemma wiera Haus", "zum Beispiel İx ʼs"]
     for raw in sentences * 2:         # cold entries first, then memo hits
-        for t in tokenize_sentence(raw, warm).tokens:
+        s = tokenize_sentence(raw, warm)
+        for t in s.tokens:
             assert t == Token(*_token_columns(t)), raw
+        units = raw.split()
+        tokens, spans = [], []
+        for unit, nxt in zip(units, units[1:] + [None]):
+            entry = _segment_unit_oracle(unit, nxt, lex)
+            base = len(tokens)
+            for i in range(0, len(entry) - 1, 3):
+                tokens.append(Token(len(tokens) + 1, entry[i], entry[i + 1],
+                                    0, "dep", entry[i + 2]))
+            if entry[-1]:
+                first, last, core, misc = entry[-1]
+                spans.append(MwtSpan(base + first, base + last, core, misc))
+        assert s.tokens == tokens, raw
+        assert s.mwt_spans == spans, raw
 
 
 @pytest.mark.parametrize("lexicon, message", [
@@ -1167,3 +1230,49 @@ def test_segment_token_runs_once_per_memo_miss(lex, monkeypatch):
     assert len(calls) == len(cold._unit_memo) - numeric == 7
     tokenize_sentence(raw, cold)
     assert len(calls) == 7
+    # letters-only units that a rule splits (a clitic and a sandhi form),
+    # tags (an intact form with a hint) or flags (a review form), beside a
+    # plain word: each miss still goes through segment_token once
+    calls.clear()
+    raw = "håmas nimma gemma wiera Minga nimma"
+    tokenize_sentence(raw, cold)
+    assert calls == ["håmas", "nimma", "gemma", "wiera", "Minga", "nimma"]
+    tokenize_sentence(raw, cold)
+    assert len(calls) == 6
+
+
+def test_letters_hold_no_punctuation_or_digits():
+    # _segment_unit gives a unit for which isalpha holds no _strip_punct and
+    # no number match, and reads the row of an intact one without a hint
+    # as (unit, "X", "_")
+    for cp in range(0x110000):
+        c = chr(cp)
+        if c.isalpha():
+            assert c not in LEADING_PUNCT and c not in TRAILING_PUNCT, hex(cp)
+            assert not c.isdecimal() and not c.isdigit(), hex(cp)
+            assert c.isprintable(), hex(cp)
+
+
+_UNIT_CHARS = (string.ascii_letters + "äöüÄÖÜß" + "İ" + APOSTROPHES
+               + string.digits + "-–"
+               + "".join(sorted(LEADING_PUNCT | TRAILING_PUNCT)))
+
+
+@pytest.fixture(scope="module")
+def unit_forms(lex):
+    forms = sorted(_lexicon_forms(lex))
+    return forms + sorted({form.title() for form in forms})
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_segment_unit_matches_the_oracle(lex, unit_forms, data):
+    punct = st.text(alphabet=sorted(LEADING_PUNCT | TRAILING_PUNCT),
+                    max_size=2)
+    core = st.text(alphabet=_UNIT_CHARS, min_size=1, max_size=8) | \
+        st.sampled_from(unit_forms)
+    unit = data.draw(st.builds(lambda a, b, c: a + b + c, punct, core, punct))
+    nxt = data.draw(st.sampled_from(NEXT_WORDS))
+    assert tokenizer._segment_unit(unit, nxt, lex) == \
+        _segment_unit_oracle(unit, nxt, lex)
+
