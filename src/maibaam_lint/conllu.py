@@ -170,7 +170,8 @@ _TOKEN_COLUMNS = ("form", "upos", "deprel", "misc", "lemma_col", "xpos_col",
 _MWT_COLUMNS = ("surface_form", "misc") + ("other_cols",) * 7
 
 
-def _check_columns(names: tuple[str, ...], cols: tuple[str, ...]) -> None:
+def _check_columns(names: tuple[str, ...],
+                   cols: tuple[str, ...] | list[str]) -> None:
     """Reject a raw column the parser would not read back: an empty one, one
     holding a tab or LF, or a misc (the last column of a row) ending in CR,
     which would write a CRLF line end. names holds the name of each column
